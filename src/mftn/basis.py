@@ -317,12 +317,3 @@ def fourier_matrix(D: int) -> np.ndarray:
     """DFT matrix scaled to the |entries| = 1 Hadamard convention."""
     a = np.arange(D)
     return np.exp(2j * np.pi * np.outer(a, a) / D)
-
-
-def parse_basis_spec(spec) -> MFBasis:
-    """Accept 'WH:D' shorthand or a JSON basis object."""
-    if isinstance(spec, str):
-        if spec.upper().startswith("WH:"):
-            return weyl_heisenberg_basis(int(spec.split(":", 1)[1]))
-        raise BasisError(f"unknown basis spec {spec!r}")
-    return MFBasis.from_json(spec)

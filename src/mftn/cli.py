@@ -447,16 +447,14 @@ def _cmd_mpo(args, report):
         resid = float(np.linalg.norm(u.data @ u.data.conj().T - np.eye(u.data.shape[0])))
         report.check("purifying_unitary", resid < 1e-10, resid)
     elif args.mpo_action == "relative":
-        rng = np.random.Generator(np.random.Philox(args.seed))
-        from .tensors import random_unitary
-
-        u0 = random_unitary(O.d, rng)
+        u0 = tensors_mod.random_unitary(O.d, protocol_mod.philox_rng(args.seed))
         got = mpo_mod.relative_local_unitary(O, O.apply_phys_in(u0))
         _, resid = tensors_mod.proportionality(got.reshape(-1), u0.reshape(-1))
         report.check("round_trip", resid < 1e-8, resid)
     elif args.mpo_action == "apply":
-        rng = np.random.Generator(np.random.Philox(args.seed))
-        n = min(args.sites or 3, 4)
+        rng = protocol_mod.philox_rng(args.seed)
+        n = args.sites or 3
+        report.outputs["sites"] = n
         psi = rng.standard_normal(O.d**n) + 1j * rng.standard_normal(O.d**n)
         run = mpo_mod.apply_mpo_via_protocol([O] * n, psi, "open", seed=args.seed)
         report.check("matches_direct_action", run.fidelity >= 1 - 1e-8, 1 - run.fidelity)
@@ -557,20 +555,25 @@ def dispatch(argv) -> int:
         parser.print_help()
         return 2
     tol = args.tol if args.tol is not None else os.environ.get("MFTN_TOL")
+    saved_tol = tensors_mod.DEFAULT_TOL
     if tol is not None:
         tensors_mod.DEFAULT_TOL = float(tol)
-    report = RunReport(args.command, [vars(args)])
     try:
-        HANDLERS[args.command](args, report)
-    except MalformedInput as exc:
-        print(json.dumps({"error": f"malformed input: {exc}"}))
-        return 3
-    except MftnError as exc:
-        report.check("completed", False)
-        report.outputs["error"] = str(exc)
-        report.finish(None)
-        return 1
-    return report.finish(None)
+        report = RunReport(args.command, [vars(args)])
+        try:
+            HANDLERS[args.command](args, report)
+        except MalformedInput as exc:
+            print(json.dumps({"error": f"malformed input: {exc}"}))
+            return 3
+        except MftnError as exc:
+            report.check("completed", False)
+            report.outputs["error"] = str(exc)
+            report.finish(None)
+            return 1
+        return report.finish(None)
+    finally:
+        # the override holds for this report only
+        tensors_mod.DEFAULT_TOL = saved_tol
 
 
 def main() -> None:

@@ -10,8 +10,9 @@ from __future__ import annotations
 import numpy as np
 
 from .basis import MFBasis, weyl_heisenberg_basis
+from .mpo import MPOTensor
 from .mps import MPSTensor, SymmetryConstraint
-from .tensors import DenseTensor
+from .tensors import DenseTensor, first_unitary_fit
 
 
 def aklt_tensor(basis: MFBasis | None = None) -> MPSTensor:
@@ -114,24 +115,6 @@ def interpolated_alpha(basis: MFBasis, a: float) -> np.ndarray:
     return alpha
 
 
-def subgroup_indices(basis: MFBasis, generator_labels) -> list[int]:
-    """Indices of the subgroup generated by the given element labels."""
-    idx_tab, _ = basis.product_table()
-    members = {basis.identity_index}
-    frontier = [basis.index(l) for l in generator_labels]
-    members.update(frontier)
-    while frontier:
-        nxt = []
-        for a in list(members):
-            for b in list(members):
-                c = int(idx_tab[a, b])
-                if c not in members:
-                    members.add(c)
-                    nxt.append(c)
-        frontier = nxt
-    return sorted(members)
-
-
 def bell_map_tensor(D: int) -> DenseTensor:
     """Map |i> -> sum_ab (P_i)_ab |a b> / sqrt(D) as a three-leg tensor."""
     basis = weyl_heisenberg_basis(D)
@@ -145,27 +128,23 @@ def controlled_pauli_mpo(basis: MFBasis):
     The push-through corrections are diagonal phase gates, solved here by the
     orthogonal Procrustes fit per transported pair.
     """
-    from .mpo import MPOTensor
-    from .tensors import procrustes_unitary
-
     D = basis.dim
     d = D * D
     arr = np.zeros((d, d, D, D), dtype=complex)
     for a, p in enumerate(basis.elements):
         arr[a, a] = p.T
-    stacked = arr.reshape(d, d * D * D)
+    tol = 1e-9 * np.linalg.norm(arr)
 
     constraints = []
     for idx, p in enumerate(basis.elements):
         lhs = np.einsum("lm,oamr->oalr", p, arr).reshape(d, d * D * D)
-        found = None
-        for out_idx, pp in enumerate(basis.elements):
-            rhs = np.einsum("oalr,rs->oals", arr, pp).reshape(d, d * D * D)
-            u = procrustes_unitary(rhs, lhs)
-            if np.linalg.norm(u @ lhs - rhs) < 1e-9 * np.linalg.norm(stacked):
-                found = SymmetryConstraint(idx, u, out_idx)
-                break
-        if found is None:
+        candidates = (
+            (out_idx, np.einsum("oalr,rs->oals", arr, pp).reshape(d, d * D * D))
+            for out_idx, pp in enumerate(basis.elements)
+        )
+        fit = first_unitary_fit(lhs, candidates, tol)
+        if fit is None:
             raise RuntimeError("controlled-Pauli MPO misses a transport rule")
-        constraints.append(found)
+        out_idx, u = fit
+        constraints.append(SymmetryConstraint(idx, u, out_idx))
     return MPOTensor.from_array(arr, basis, constraints)

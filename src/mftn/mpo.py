@@ -22,12 +22,20 @@ import numpy as np
 
 from .errors import (
     BoundaryError,
+    DefectStuckError,
     DimensionMismatchError,
     SizeGuardError,
     SymmetryError,
 )
 from .mps import MPSTensor, check_mf_symmetry, complete_constraints
-from .protocol import RNG_ALGORITHM, ProtocolRun, _resolve_scaled, _rng
+from .protocol import (
+    RNG_ALGORITHM,
+    ProtocolRun,
+    apply_chain_corrections,
+    born_choice,
+    philox_rng,
+    push_chain_defects,
+)
 from .tensors import DenseTensor, default_tol, proportionality, state_fidelity
 
 MPO_LEGS = ("left", "right", "phys_in", "phys_out")
@@ -258,7 +266,7 @@ def apply_mpo_via_protocol(tensors, input_state, boundary: str = "open", seed: i
         if check_mpo_symmetry(o, t) >= max(t, 1e-9):
             raise SymmetryError("chain tensor fails the MPO push-through symmetry")
     psi = np.asarray(input_state, dtype=np.complex128).reshape([d] * n)
-    rng = _rng(seed)
+    rng = philox_rng(seed)
 
     state = np.tensordot(tensors[0].array() / np.sqrt(D), psi, axes=([1], [0]))
     state = np.moveaxis(state, 1, 0)  # (l, o1, r1, a2..an)
@@ -268,46 +276,19 @@ def apply_mpo_via_protocol(tensors, input_state, boundary: str = "open", seed: i
         # state axes: (l, o_0..o_{k-1}, r_{k-1}, a_k..a_{n-1}); absorb a_k
         cur = np.tensordot(state, arr, axes=([k + 2], [1]))
         # cur axes: (l, o_0..o_{k-1}, r_{k-1}, a_{k+1}.., o_k, l_k, r_k)
-        weights, branches = [], []
-        for j in range(len(basis.elements)):
-            g = basis.elements[j].conj() / np.sqrt(D)
-            branch = np.tensordot(cur, g, axes=([1 + k, cur.ndim - 2], [0, 1]))
-            branches.append(branch)
-            weights.append(float(np.vdot(branch, branch).real))
-        weights = np.maximum(np.array(weights), 0.0)
-        if weights.sum() <= 0:
-            raise SymmetryError("projected chain has zero norm")
-        p = weights / weights.sum()
-        j = int(rng.choice(len(p), p=p))
+        branches = [
+            np.tensordot(cur, g.conj() / np.sqrt(D), axes=([1 + k, cur.ndim - 2], [0, 1]))
+            for g in basis.elements
+        ]
+        j, p = born_choice([float(np.vdot(x, x).real) for x in branches], rng)
         outcomes.append(j)
-        probs.append(float(p[j]))
-        picked = branches[j]
+        probs.append(p)
         # axes now: (l, o_1..o_k, a_{k+2}.., o_{k+1}, r_{k+1})
-        state = np.moveaxis(picked, [-2, -1], [1 + k, 2 + k])
+        state = np.moveaxis(branches[j], [-2, -1], [1 + k, 2 + k])
 
-    corrections = []
-    carry = np.eye(D, dtype=np.complex128)
     completed = [complete_constraints(o.slice_tensor(0)) for o in tensors]
-    for b in range(n - 1):
-        combined = carry @ (basis.elements[outcomes[b]].conj() / np.sqrt(D))
-        hit = _resolve_scaled(basis, combined, t)
-        if hit is None:
-            raise SymmetryError("bond operator left the basis")
-        cls, phase, scale = hit
-        site = b + 1
-        if cls not in completed[site]:
-            from .errors import DefectStuckError
-
-            raise DefectStuckError(
-                f"no constraint pushes {basis.labels[cls]} past site {site}",
-                site=site,
-                operator=basis.labels[cls],
-            )
-        u, out_cls = completed[site][cls]
-        corrections.append((site, u))
-        state = np.moveaxis(np.tensordot(u, state, axes=([1], [1 + site])), 0, 1 + site)
-        carry = (scale * phase) * basis.elements[out_cls]
-    state = np.tensordot(state, np.linalg.inv(carry), axes=([-1], [0]))
+    corrections, edge_fix, _ = push_chain_defects(completed, basis, outcomes, "open", t)
+    state = apply_chain_corrections(state, corrections, edge_fix, "open")
 
     target = direct_mpo_state(tensors, input_state)
     fid = state_fidelity(state, target)
@@ -361,22 +342,11 @@ def periodic_mpo_accounting(tensors, input_state, tol: float | None = None) -> P
         cur = np.einsum("...r,rs->...s", cur, mats[n - 1])
         branch = np.trace(cur, axis1=0, axis2=cur.ndim - 1)
         # push bond defects into the wrap bond, correcting the o legs
-        carry = np.eye(D, dtype=np.complex128)
-        ok = True
-        for b in range(n - 1):
-            combined = carry @ mats[b]
-            hit = _resolve_scaled(basis, combined, t)
-            if hit is None or hit[0] not in completed[b + 1]:
-                ok = False
-                break
-            cls, phase, scale = hit
-            u, out_cls = completed[b + 1][cls]
-            branch = np.moveaxis(np.tensordot(u, branch, axes=([1], [b + 1])), 0, b + 1)
-            carry = (scale * phase) * basis.elements[out_cls]
-        if ok:
-            merged = carry @ mats[n - 1]
-            hit = _resolve_scaled(basis, merged, t)
-            ok = hit is not None and hit[0] == basis.identity_index
+        try:
+            corrections, _, ok = push_chain_defects(completed, basis, combo, "periodic", t)
+        except DefectStuckError:
+            corrections, ok = [], False
+        branch = apply_chain_corrections(branch, corrections, None, "periodic")
         outs.append(combo)
         weights.append(float(np.vdot(branch, branch).real))
         kept.append(bool(ok))

@@ -389,18 +389,30 @@ def clifford_magic_decompose(
         images.append((src, tgt))
 
     u_c = qc.synthesize_clifford(qc.PartialCliffordMap(3, D, tuple(images))).data
-    w = (u_c.conj().T @ v_q).reshape(D * D, D, D)
-    psi = np.einsum("paa->p", w) / D
+    psi, scale, resid = factor_sideways_isometry(u_c, v_q)
+    return CliffordMagicForm(u_c, psi, scale, resid, basis)
+
+
+def factor_sideways_isometry(u_c: np.ndarray, v_q: np.ndarray):
+    """Factor V_Q = scale * U_C (psi x I_k) for a k-column sideways isometry.
+
+    psi is read off the wire trace of U_C† V_Q, normalized, and phase-fixed
+    so that its largest entry is real positive.  Returns (psi, scale,
+    relative reconstruction residual).
+    """
+    k = v_q.shape[1]
+    w = (u_c.conj().T @ v_q).reshape(-1, k, k)
+    psi = np.einsum("paa->p", w) / k
     nrm = float(np.linalg.norm(psi))
     if nrm < 1e-12:
         raise SymmetryError("sideways isometry does not factor through the Clifford")
     psi = psi / nrm
     lead = psi[np.argmax(np.abs(psi))]
     psi = psi * (abs(lead) / lead)
-    recon = u_c @ np.kron(psi[:, None], np.eye(D))
-    scale, _ = proportionality(sideways_isometry(split), recon)
+    recon = u_c @ np.kron(psi[:, None], np.eye(k))
+    scale, _ = proportionality(v_q, recon)
     resid = float(np.linalg.norm(v_q - scale * recon)) / max(np.linalg.norm(v_q), 1e-300)
-    return CliffordMagicForm(u_c, psi, abs(scale), resid, basis)
+    return psi, abs(scale), resid
 
 
 def _wh_generators_or_raise(basis: MFBasis):

@@ -32,13 +32,13 @@ from .errors import (
     SizeGuardError,
     SymmetryError,
 )
-from .mps import require_abelian
+from .mps import factor_sideways_isometry, require_abelian
 from .tensors import (
     DenseTensor,
     default_tol,
+    first_unitary_fit,
     numerical_rank,
     polar_nd,
-    procrustes_unitary,
     proportionality,
 )
 
@@ -111,6 +111,16 @@ def _in_op(basis, constraint_kind, p_idx):
     p = basis.elements[p_idx]
     slot = 0 if constraint_kind == "a" else 3
     return slot_operator(basis, slot, p.T)
+
+
+def push_image_pairs(basis: MFBasis) -> list[tuple[int, int]]:
+    """All (P1, P2) index pairs for the two out legs, single-leg pushes first."""
+    n = len(basis.elements)
+    ident = basis.identity_index
+    return sorted(
+        itertools.product(range(n), range(n)),
+        key=lambda p: (p[0] != ident) + (p[1] != ident),
+    )
 
 
 def _out_op(basis, up_idx, right_idx):
@@ -295,18 +305,8 @@ def _peps_clifford_form(split: PepsPolarSplit) -> PepsCliffordForm:
 
     images = images_for("a", 4) + images_for("b", 5)
     u_c = qc.synthesize_clifford(qc.PartialCliffordMap(6, D, tuple(images))).data
-    w = (u_c.conj().T @ v_q).reshape(D**4, D**2, D**2)
-    psi = np.einsum("paa->p", w) / D**2
-    nrm = float(np.linalg.norm(psi))
-    if nrm < 1e-12:
-        raise SymmetryError("sideways isometry does not factor through the Clifford")
-    psi = psi / nrm
-    lead = psi[np.argmax(np.abs(psi))]
-    psi = psi * (abs(lead) / lead)
-    recon = u_c @ np.kron(psi[:, None], np.eye(D**2))
-    scale, _ = proportionality(v_q, recon)
-    resid = float(np.linalg.norm(v_q - scale * recon)) / max(np.linalg.norm(v_q), 1e-300)
-    return PepsCliffordForm(u_c, psi, abs(scale), resid)
+    psi, scale, resid = factor_sideways_isometry(u_c, v_q)
+    return PepsCliffordForm(u_c, psi, scale, resid)
 
 
 def topo_pattern(basis: MFBasis, m_idx: int) -> np.ndarray:
@@ -389,28 +389,22 @@ def derive_push_constraints(A: PEPSTensor, kind: str, tol: float | None = None):
     t = max(default_tol(tol), 1e-8)
     basis = A.basis
     b = A.as_matrix()
-    n = len(basis.elements)
-    ident = basis.identity_index
+    scale = max(np.linalg.norm(b), 1e-300)
+    pairs = push_image_pairs(basis)
     out = []
-    pair_order = sorted(
-        itertools.product(range(n), range(n)),
-        key=lambda p: (p[0] != ident) + (p[1] != ident),
-    )
-    for p_idx in range(n):
+    for p_idx in range(len(basis.elements)):
         lhs = b @ _in_op(basis, kind, p_idx)
-        found = None
-        for up_idx, right_idx in pair_order:
-            rhs = b @ _out_op(basis, up_idx, right_idx)
-            u = procrustes_unitary(rhs, lhs)
-            resid = np.linalg.norm(u @ lhs - rhs) / max(np.linalg.norm(b), 1e-300)
-            if resid < t:
-                found = PEPSConstraint(p_idx, u, up_idx, right_idx)
-                break
-        if found is None:
+        candidates = (
+            ((up_idx, right_idx), b @ _out_op(basis, up_idx, right_idx))
+            for up_idx, right_idx in pairs
+        )
+        fit = first_unitary_fit(lhs, candidates, t * scale)
+        if fit is None:
             raise SymmetryError(
                 f"no ({kind})-type push exists for element {basis.labels[p_idx]}"
             )
-        out.append(found)
+        (up_idx, right_idx), u = fit
+        out.append(PEPSConstraint(p_idx, u, up_idx, right_idx))
     return out
 
 

@@ -29,8 +29,8 @@ from .errors import (
     SymmetryError,
 )
 from .mps import chain_state, check_mf_symmetry, complete_constraints
-from .peps import PEPSTensor, slot_operator
-from .tensors import DenseTensor, default_tol, procrustes_unitary, state_fidelity
+from .peps import PEPSTensor, push_image_pairs, slot_operator
+from .tensors import DenseTensor, default_tol, first_unitary_fit, state_fidelity
 
 RNG_ALGORITHM = "philox4x64"
 
@@ -48,8 +48,24 @@ class ProtocolRun:
     predicted_success: bool
 
 
-def _rng(seed: int) -> np.random.Generator:
+def philox_rng(seed: int) -> np.random.Generator:
+    """The seeded generator every protocol run draws from (``RNG_ALGORITHM``)."""
     return np.random.Generator(np.random.Philox(seed))
+
+
+def born_choice(weights, rng: np.random.Generator) -> tuple[int, float]:
+    """Draw index j with probability weights[j] / sum(weights); returns (j, p_j).
+
+    The weights are unnormalized Born weights of the candidate outcomes.
+    Negative round-off is clipped to zero; a zero total means the projected
+    state vanished.
+    """
+    w = np.maximum(np.array(weights), 0.0)
+    if w.sum() <= 0:
+        raise SymmetryError("projected state has zero norm")
+    p = w / w.sum()
+    j = int(rng.choice(len(p), p=p))
+    return j, float(p[j])
 
 
 # ---------------------------------------------------------------------------
@@ -132,13 +148,9 @@ def _sample_chain_bonds(tensors, basis, boundary, rng):
         for j in range(len(basis.elements)):
             bond_mats[b] = basis.elements[j].conj() / np.sqrt(D)
             weights.append(_chain_norm2(transfers, bond_mats, D, boundary))
-        weights = np.maximum(np.array(weights), 0.0)
-        if weights.sum() <= 0:
-            raise SymmetryError("projected chain has zero norm")
-        p = weights / weights.sum()
-        j = int(rng.choice(len(p), p=p))
+        j, p = born_choice(weights, rng)
         outcomes.append(j)
-        probs.append(float(p[j]))
+        probs.append(p)
         bond_mats[b] = basis.elements[j].conj() / np.sqrt(D)
     return outcomes, probs, bond_mats
 
@@ -155,12 +167,19 @@ def _resolve_scaled(basis, m, tol):
     return cls, phase, scale
 
 
-def _push_corrections(tensors, basis, outcomes, boundary, tol):
-    """Left-to-right defect sweep; returns corrections, edge fix, predicted flag."""
+def push_chain_defects(completed, basis, outcomes, boundary, tol):
+    """Left-to-right defect sweep over the measured bonds of a chain.
+
+    ``completed[k]`` is the closed constraint table of site k (see
+    ``complete_constraints``) and ``outcomes[b]`` the basis index measured on
+    bond b.  Returns (corrections, edge_fix, predicted): the (site, U) pairs
+    on the physical legs, the inverse of the final defect for the open right
+    edge (None for periodic chains), and whether the merged wrap-bond defect
+    of a periodic chain is the identity class (always True for open chains).
+    """
     D = basis.dim
-    n = len(tensors)
+    n = len(completed)
     nbonds = n if boundary == "periodic" else n - 1
-    completed = [complete_constraints(t) for t in tensors]
     corrections = []
     carry = np.eye(D, dtype=np.complex128)
     predicted = True
@@ -189,22 +208,23 @@ def _push_corrections(tensors, basis, outcomes, boundary, tol):
     return corrections, edge_fix, predicted
 
 
-def _chain_legs(tensors):
-    return ("edge_left",) + tuple(f"phys{k}" for k in range(len(tensors))) + ("edge_right",)
+def apply_chain_corrections(state, corrections, edge_fix, boundary):
+    """Apply the sweep's site unitaries and edge fix to a dense chain state.
 
-
-def _apply_phys(state, u, site, boundary):
-    axis = site + 1 if boundary == "open" else site
-    return np.moveaxis(np.tensordot(u, state, axes=([1], [axis])), 0, axis)
-
-
-def _corrected_chain_state(tensors, bond_mats, corrections, edge_fix, boundary):
-    state = chain_state(tensors, bond_mats, boundary)
+    ``state`` has one axis per physical leg, framed by the two edge legs for
+    open chains; ``edge_fix`` (if any) acts on the last axis.
+    """
+    offset = 1 if boundary == "open" else 0
     for site, u in corrections:
-        state = _apply_phys(state, u, site, boundary)
-    if boundary == "open" and edge_fix is not None:
+        axis = site + offset
+        state = np.moveaxis(np.tensordot(u, state, axes=([1], [axis])), 0, axis)
+    if edge_fix is not None:
         state = np.tensordot(state, edge_fix, axes=([-1], [0]))
     return state
+
+
+def _chain_legs(tensors):
+    return ("edge_left",) + tuple(f"phys{k}" for k in range(len(tensors))) + ("edge_right",)
 
 
 def run_mps_protocol(tensors, boundary: str = "open", seed: int = 0, tol: float | None = None) -> ProtocolRun:
@@ -214,14 +234,16 @@ def run_mps_protocol(tensors, boundary: str = "open", seed: int = 0, tol: float 
     if boundary not in ("open", "periodic"):
         raise BoundaryError(f"unknown boundary {boundary!r}")
     basis = _validate_chain(tensors, t)
-    rng = _rng(seed)
+    rng = philox_rng(seed)
     if len(tensors) == 1 and boundary == "open":
         target = chain_state(tensors)
         return ProtocolRun(seed, RNG_ALGORITHM, [], [], [],
                            DenseTensor(target, _chain_legs(tensors)), 1.0, True, True)
     outcomes, probs, bond_mats = _sample_chain_bonds(tensors, basis, boundary, rng)
-    corrections, edge_fix, predicted = _push_corrections(tensors, basis, outcomes, boundary, t)
-    state = _corrected_chain_state(tensors, bond_mats, corrections, edge_fix, boundary)
+    completed = [complete_constraints(x) for x in tensors]
+    corrections, edge_fix, predicted = push_chain_defects(completed, basis, outcomes, boundary, t)
+    state = apply_chain_corrections(chain_state(tensors, bond_mats, boundary), corrections,
+                                    edge_fix, boundary)
     target = chain_state(tensors, None, boundary)
     fid = state_fidelity(state, target)
     legs = _chain_legs(tensors) if boundary == "open" else tuple(f"phys{k}" for k in range(len(tensors)))
@@ -262,16 +284,18 @@ def enumerate_outcomes(tensors, boundary: str = "open", tol: float | None = None
     transfers = [_pair_transfer(x.site_matrices()) for x in tensors]
     norm_free = _chain_norm2(transfers, [None] * nbonds, D, boundary)
     target = chain_state(tensors, None, boundary)
+    completed = [complete_constraints(x) for x in tensors]
     outs, probs, correctable, fids = [], [], [], []
     success_p = 0.0
     for combo in itertools.product(range(D * D), repeat=nbonds):
         bond_mats = [basis.elements[j].conj() / np.sqrt(D) for j in combo]
         p = _chain_norm2(transfers, bond_mats, D, boundary) / norm_free
         try:
-            corrections, edge_fix, predicted = _push_corrections(tensors, basis, list(combo), boundary, t)
+            corrections, edge_fix, predicted = push_chain_defects(completed, basis, combo, boundary, t)
         except DefectStuckError:
             predicted, corrections, edge_fix = False, [], None
-        state = _corrected_chain_state(tensors, bond_mats, corrections, edge_fix, boundary)
+        state = apply_chain_corrections(chain_state(tensors, bond_mats, boundary), corrections,
+                                        edge_fix, boundary)
         fid = state_fidelity(state, target)
         outs.append(combo)
         probs.append(float(p))
@@ -301,30 +325,24 @@ def solve_push_table(A: PEPSTensor, in_slot: int, out_slots, tol: float | None =
     basis = A.basis
     b = A.as_matrix()
     scale = max(np.linalg.norm(b), 1e-300)
-    n = len(basis.elements)
-    ident = basis.identity_index
-    pair_order = sorted(
-        itertools.product(range(n), range(n)),
-        key=lambda p: (p[0] != ident) + (p[1] != ident),
-    )
+    pairs = push_image_pairs(basis)
     table = {}
-    for cls in range(n):
+    for cls in range(len(basis.elements)):
         lhs = b @ slot_operator(basis, in_slot, basis.elements[cls])
-        for c1, c2 in pair_order:
-            rhs = (
-                b
-                @ slot_operator(basis, out_slots[0], basis.elements[c1])
-                @ slot_operator(basis, out_slots[1], basis.elements[c2])
-            )
-            u = procrustes_unitary(rhs, lhs)
-            if np.linalg.norm(u @ lhs - rhs) / scale < t:
-                table[cls] = (u, c1, c2)
-                break
-        if cls not in table:
+        candidates = (
+            ((c1, c2), b
+             @ slot_operator(basis, out_slots[0], basis.elements[c1])
+             @ slot_operator(basis, out_slots[1], basis.elements[c2]))
+            for c1, c2 in pairs
+        )
+        fit = first_unitary_fit(lhs, candidates, t * scale)
+        if fit is None:
             raise DefectStuckError(
                 f"tensor admits no push for {basis.labels[cls]} on slot {in_slot}",
                 operator=basis.labels[cls],
             )
+        (c1, c2), u = fit
+        table[cls] = (u, c1, c2)
     return table
 
 
@@ -627,15 +645,9 @@ def _sample_peps_bonds(patch: PepsPatch, rng):
         for j in range(len(basis.elements)):
             mats = {k: basis.elements[v].conj() / np.sqrt(D) for k, v in chosen.items()}
             mats[key] = basis.elements[j].conj() / np.sqrt(D)
-            val = patch.network_value(ket_bonds=mats, bra_bonds=mats, cuts=remaining)
-            weights.append(max(val.real, 0.0))
-        weights = np.array(weights)
-        if weights.sum() <= 0:
-            raise SymmetryError("projected patch has zero norm")
-        p = weights / weights.sum()
-        j = int(rng.choice(len(p), p=p))
-        chosen[key] = j
-        probs.append(float(p[j]))
+            weights.append(patch.network_value(ket_bonds=mats, bra_bonds=mats, cuts=remaining).real)
+        chosen[key], p = born_choice(weights, rng)
+        probs.append(p)
     return chosen, probs
 
 
@@ -664,7 +676,7 @@ def run_peps_protocol(grid, orientation="ur", seed: int = 0, tol: float | None =
     patch = grid if isinstance(grid, PepsPatch) else PepsPatch(grid, orientation, t)
     if patch.rows * patch.cols > 9:
         raise SizeGuardError("patch exceeds the 3 x 3 desk-scale guard")
-    rng = _rng(seed)
+    rng = philox_rng(seed)
     if not patch.bonds():
         state = patch.dense_state()
         return ProtocolRun(seed, RNG_ALGORITHM, [], [], [], state, 1.0, True, True)

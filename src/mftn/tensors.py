@@ -64,11 +64,6 @@ class DenseTensor:
         perm = [self._axis(l) for l in legs]
         return DenseTensor(self.data.transpose(perm), legs, copy=False)
 
-    def relabel(self, mapping: dict[str, str]) -> "DenseTensor":
-        for old in mapping:
-            self._axis(old)
-        return DenseTensor(self.data, [mapping.get(l, l) for l in self.legs], copy=False)
-
     def conj(self) -> "DenseTensor":
         return DenseTensor(self.data.conj(), self.legs, copy=False)
 
@@ -261,6 +256,20 @@ def procrustes_unitary(target: np.ndarray, source: np.ndarray) -> np.ndarray:
     """Unitary U minimizing ||U @ source - target|| in Frobenius norm."""
     u, _, wh = np.linalg.svd(target @ source.conj().T)
     return u @ wh
+
+
+def first_unitary_fit(source: np.ndarray, candidates, tol: float):
+    """First (key, U) with ||U @ source - target|| < tol, or None.
+
+    ``candidates`` yields (key, target) pairs in preference order and may be
+    lazy: targets after the first fit are never built.  U is the Procrustes
+    unitary of each pair, and ``tol`` is an absolute Frobenius residual.
+    """
+    for key, target in candidates:
+        u = procrustes_unitary(target, source)
+        if np.linalg.norm(u @ source - target) < tol:
+            return key, u
+    return None
 
 
 def random_unitary(n: int, rng: np.random.Generator) -> np.ndarray:

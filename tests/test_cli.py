@@ -101,6 +101,18 @@ class TestDispatch:
             code, _ = run(capsys, ["mpo", action, "--basis", "WH:2", "--seed", "5"])
             assert code == 0
 
+    def test_mpo_apply_runs_the_requested_sites(self, capsys):
+        code, out = run(capsys, ["mpo", "apply", "--basis", "WH:2", "--sites", "9"])
+        rep = report_of(out)
+        assert code == 1
+        assert {"name": "completed", "passed": False} in rep["checks"]
+        assert rep["outputs"]["sites"] == 9
+        code, out = run(capsys, ["mpo", "apply", "--basis", "WH:2", "--sites", "5"])
+        rep = report_of(out)
+        assert code == 0
+        assert rep["outputs"]["sites"] == 5
+        assert [c["name"] for c in rep["checks"]] == ["matches_direct_action"]
+
     def test_clifford_synth(self, capsys, tmp_path):
         spec = {
             "n": 3,
@@ -178,6 +190,17 @@ class TestToleranceOverride:
             code, out = run(capsys, ["basis", "--basis", "WH:2", "--tol", "1e-7"])
             assert code == 0
             assert report_of(out)["tolerance"] == 1e-7
+        finally:
+            tensors_mod.DEFAULT_TOL = old
+
+
+    def test_tol_flag_does_not_outlive_dispatch(self, capsys):
+        from mftn import tensors as tensors_mod
+
+        old = tensors_mod.DEFAULT_TOL
+        try:
+            run(capsys, ["basis", "--basis", "WH:2", "--tol", "1e-7"])
+            assert tensors_mod.DEFAULT_TOL == old
         finally:
             tensors_mod.DEFAULT_TOL = old
 

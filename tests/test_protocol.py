@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from mftn.errors import BoundaryError, SizeGuardError
-from mftn.fixtures import aklt_tensor, copy_tensor
-from mftn.mps import MPSTensor, spt_solution
+from mftn.fixtures import aklt_tensor, cluster_tensor, copy_tensor
+from mftn.mps import MPSTensor, solve_symmetry_family, spt_solution
 from mftn.peps import complete_with_isometry, topo_solution
 from mftn.protocol import (
     PepsPatch,
@@ -15,6 +15,7 @@ from mftn.protocol import (
     run_mps_protocol,
     run_peps_protocol,
 )
+from mftn.tensors import DenseTensor
 from conftest import random_complex
 
 
@@ -193,3 +194,40 @@ class TestQutritPepsProtocol:
             run = run_peps_protocol(patch, seed=seed)
             assert run.success and run.fidelity >= 1 - 1e-9
             assert run.probabilities == pytest.approx([1 / 9] * 4, abs=1e-9)
+
+
+class TestSamplingMatchesEnumeration:
+    """The product of a run's sampled conditionals is the enumerated Born weight."""
+
+    @staticmethod
+    def assert_runs_match(weights, runs):
+        for run in runs:
+            assert abs(np.prod(run.probabilities) - weights[tuple(run.outcomes)]) < 1e-12
+
+    def check_chain(self, chain, boundary):
+        report = enumerate_outcomes(chain, boundary)
+        weights = dict(zip(report.outcomes, report.probabilities))
+        self.assert_runs_match(weights, (run_mps_protocol(chain, boundary, seed=s) for s in range(20)))
+
+    def test_aklt_open(self):
+        self.check_chain([aklt_tensor()] * 4, "open")
+
+    def test_aklt_periodic(self):
+        self.check_chain([aklt_tensor()] * 3, "periodic")
+
+    def test_cluster_open(self):
+        self.check_chain([cluster_tensor()] * 4, "open")
+
+    def test_random_family_member(self, wh2, rng):
+        family = solve_symmetry_family(wh2, aklt_tensor().constraints, d=3)
+        coeffs = random_complex(rng, len(family))
+        data = sum(c * t.tensor.data for c, t in zip(coeffs, family))
+        member = MPSTensor(DenseTensor(data, family[0].tensor.legs), wh2, family[0].constraints)
+        for boundary in ("open", "periodic"):
+            self.check_chain([member] * 3, boundary)
+
+    def test_toric_patch(self, wh2):
+        patch = toric_patch(wh2, 2, 2)
+        report = enumerate_peps_outcomes(patch, fidelity_limit=0)
+        weights = dict(zip(report.outcomes, report.probabilities))
+        self.assert_runs_match(weights, (run_peps_protocol(patch, seed=s) for s in range(20)))
