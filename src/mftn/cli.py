@@ -452,9 +452,12 @@ def _cmd_mpo(args, report):
         _, resid = tensors_mod.proportionality(got.reshape(-1), u0.reshape(-1))
         report.check("round_trip", resid < 1e-8, resid)
     elif args.mpo_action == "apply":
-        rng = protocol_mod.philox_rng(args.seed)
         n = args.sites or 3
         report.outputs["sites"] = n
+        if n < 1:
+            raise MalformedInput("--sites must be positive")
+        mpo_mod.check_protocol_sites(n)  # before the d^n input is drawn
+        rng = protocol_mod.philox_rng(args.seed)
         psi = rng.standard_normal(O.d**n) + 1j * rng.standard_normal(O.d**n)
         run = mpo_mod.apply_mpo_via_protocol([O] * n, psi, "open", seed=args.seed)
         report.check("matches_direct_action", run.fidelity >= 1 - 1e-8, 1 - run.fidelity)

@@ -32,6 +32,7 @@ from .protocol import (
     RNG_ALGORITHM,
     ProtocolRun,
     apply_chain_corrections,
+    bond_projector,
     born_choice,
     philox_rng,
     push_chain_defects,
@@ -218,6 +219,18 @@ def relative_local_unitary(O: MPOTensor, O2: MPOTensor, tol: float | None = None
 # ---------------------------------------------------------------------------
 
 
+MAX_PROTOCOL_SITES = 6
+
+
+def check_protocol_sites(n: int) -> None:
+    """Refuse MPO protocol chains longer than ``MAX_PROTOCOL_SITES``.
+
+    Callers that build a d^n input check this before allocating it.
+    """
+    if n > MAX_PROTOCOL_SITES:
+        raise SizeGuardError(f"MPO protocol chains are capped at {MAX_PROTOCOL_SITES} sites")
+
+
 def direct_mpo_state(tensors, input_state) -> np.ndarray:
     """Direct contraction of the MPO chain applied to the input.
 
@@ -256,8 +269,7 @@ def apply_mpo_via_protocol(tensors, input_state, boundary: str = "open", seed: i
     n = len(tensors)
     if n == 0:
         raise ValueError("empty chain")
-    if n > 6:
-        raise SizeGuardError("MPO protocol chains are capped at 6 sites")
+    check_protocol_sites(n)
     basis = tensors[0].basis
     D, d = basis.dim, tensors[0].d
     for o in tensors:
@@ -277,8 +289,8 @@ def apply_mpo_via_protocol(tensors, input_state, boundary: str = "open", seed: i
         cur = np.tensordot(state, arr, axes=([k + 2], [1]))
         # cur axes: (l, o_0..o_{k-1}, r_{k-1}, a_{k+1}.., o_k, l_k, r_k)
         branches = [
-            np.tensordot(cur, g.conj() / np.sqrt(D), axes=([1 + k, cur.ndim - 2], [0, 1]))
-            for g in basis.elements
+            np.tensordot(cur, bond_projector(basis, j), axes=([1 + k, cur.ndim - 2], [0, 1]))
+            for j in range(len(basis.elements))
         ]
         j, p = born_choice([float(np.vdot(x, x).real) for x in branches], rng)
         outcomes.append(j)
@@ -331,7 +343,7 @@ def periodic_mpo_accounting(tensors, input_state, tol: float | None = None) -> P
     completed = [complete_constraints(o.slice_tensor(0)) for o in tensors]
     outs, weights, kept, branches = [], [], [], []
     for combo in itertools.product(range(D * D), repeat=n):
-        mats = [basis.elements[j].conj() / np.sqrt(D) for j in combo]
+        mats = [bond_projector(basis, j) for j in combo]
         cur = np.tensordot(slices[0] / np.sqrt(D), psi, axes=([1], [0]))
         cur = np.moveaxis(cur, 1, 0)  # (l, o_0, r_0, a_1..)
         for k in range(1, n):

@@ -53,6 +53,11 @@ def philox_rng(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(seed))
 
 
+def bond_projector(basis: MFBasis, j: int) -> np.ndarray:
+    """The matrix P_j^* / sqrt(D) that measuring outcome j inserts on a bond."""
+    return basis.elements[j].conj() / np.sqrt(basis.dim)
+
+
 def born_choice(weights, rng: np.random.Generator) -> tuple[int, float]:
     """Draw index j with probability weights[j] / sum(weights); returns (j, p_j).
 
@@ -146,12 +151,12 @@ def _sample_chain_bonds(tensors, basis, boundary, rng):
     for b in range(nbonds):
         weights = []
         for j in range(len(basis.elements)):
-            bond_mats[b] = basis.elements[j].conj() / np.sqrt(D)
+            bond_mats[b] = bond_projector(basis, j)
             weights.append(_chain_norm2(transfers, bond_mats, D, boundary))
         j, p = born_choice(weights, rng)
         outcomes.append(j)
         probs.append(p)
-        bond_mats[b] = basis.elements[j].conj() / np.sqrt(D)
+        bond_mats[b] = bond_projector(basis, j)
     return outcomes, probs, bond_mats
 
 
@@ -185,7 +190,7 @@ def push_chain_defects(completed, basis, outcomes, boundary, tol):
     predicted = True
     edge_fix = None
     for b in range(nbonds):
-        combined = carry @ (basis.elements[outcomes[b]].conj() / np.sqrt(D))
+        combined = carry @ bond_projector(basis, outcomes[b])
         hit = _resolve_scaled(basis, combined, tol)
         if hit is None:
             raise DefectStuckError("bond operator left the basis", site=b)
@@ -288,7 +293,7 @@ def enumerate_outcomes(tensors, boundary: str = "open", tol: float | None = None
     outs, probs, correctable, fids = [], [], [], []
     success_p = 0.0
     for combo in itertools.product(range(D * D), repeat=nbonds):
-        bond_mats = [basis.elements[j].conj() / np.sqrt(D) for j in combo]
+        bond_mats = [bond_projector(basis, j) for j in combo]
         p = _chain_norm2(transfers, bond_mats, D, boundary) / norm_free
         try:
             corrections, edge_fix, predicted = push_chain_defects(completed, basis, combo, boundary, t)
@@ -566,9 +571,7 @@ def _route_defects(patch: PepsPatch, outcomes: dict, tol: float):
     """
     basis = patch.basis
     D = patch.D
-    pend = {
-        key: basis.elements[j].conj() / np.sqrt(D) for key, j in outcomes.items()
-    }
+    pend = {key: bond_projector(basis, j) for key, j in outcomes.items()}
     consumed = {key: False for key in pend}
     site_u = {}
     edge_ops = {}
@@ -635,7 +638,6 @@ def _ket_mods(patch: PepsPatch, site_u, edge_ops):
 
 def _sample_peps_bonds(patch: PepsPatch, rng):
     basis = patch.basis
-    D = patch.D
     order = patch.bonds()
     chosen: dict = {}
     probs = []
@@ -643,8 +645,8 @@ def _sample_peps_bonds(patch: PepsPatch, rng):
         remaining = frozenset(k for k in order if k not in chosen and k != key)
         weights = []
         for j in range(len(basis.elements)):
-            mats = {k: basis.elements[v].conj() / np.sqrt(D) for k, v in chosen.items()}
-            mats[key] = basis.elements[j].conj() / np.sqrt(D)
+            mats = {k: bond_projector(basis, v) for k, v in chosen.items()}
+            mats[key] = bond_projector(basis, j)
             weights.append(patch.network_value(ket_bonds=mats, bra_bonds=mats, cuts=remaining).real)
         chosen[key], p = born_choice(weights, rng)
         probs.append(p)
@@ -653,9 +655,8 @@ def _sample_peps_bonds(patch: PepsPatch, rng):
 
 def peps_fidelity(patch: PepsPatch, outcomes: dict, site_u, edge_ops) -> float:
     """Overlap fidelity of the corrected network against the clean target."""
-    D = patch.D
     basis = patch.basis
-    mats = {k: basis.elements[j].conj() / np.sqrt(D) for k, j in outcomes.items()}
+    mats = {k: bond_projector(basis, j) for k, j in outcomes.items()}
     mods = _ket_mods(patch, site_u, edge_ops)
     tc = patch.network_value(ket_mods=mods, ket_bonds=mats)
     cc = patch.network_value(ket_mods=mods, bra_mods=mods, ket_bonds=mats, bra_bonds=mats)

@@ -1,6 +1,7 @@
 """CLI dispatch: exit codes, report determinism, and operation coverage."""
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -112,6 +113,20 @@ class TestDispatch:
         assert code == 0
         assert rep["outputs"]["sites"] == 5
         assert [c["name"] for c in rep["checks"]] == ["matches_direct_action"]
+
+    @pytest.mark.parametrize("sites", [7, 20])
+    def test_mpo_apply_refuses_long_chains_before_drawing_the_input(self, capsys, sites):
+        tracemalloc.start()
+        try:
+            code, out = run(capsys, ["mpo", "apply", "--basis", "WH:2", "--sites", str(sites)])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        rep = report_of(out)
+        assert code == 1
+        assert {"name": "completed", "passed": False} in rep["checks"]
+        assert "capped" in rep["outputs"]["error"]
+        assert peak < 4**7 * 16  # smaller than one complex 7-site input
 
     def test_clifford_synth(self, capsys, tmp_path):
         spec = {
