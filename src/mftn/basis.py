@@ -8,12 +8,11 @@ closure detection and cocycle (commutation phase) tables.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BasisError, NonGroupBasisError
+from .errors import BasisError, NonGroupBasisError, SymmetryError
 from .tensors import DenseTensor, default_tol
 
 
@@ -56,6 +55,7 @@ class MFBasis:
         self._validate(default_tol(tol))
         self._product_cache = None
         self._dagger_cache = None
+        self._identity_index = None
 
     def _validate(self, tol: float) -> None:
         d = self.dim
@@ -72,6 +72,7 @@ class MFBasis:
         gram = self.completeness_map()
         if np.linalg.norm(gram.conj().T @ gram - np.eye(d * d)) > 1e-7 * d * d:
             raise BasisError("orthogonality/completeness failure: |i> -> vec(P_i)/sqrt(D) is not unitary")
+        self._conj_vecs = np.stack(self.elements).conj().reshape(d * d, d * d)
 
     def __len__(self) -> int:
         return len(self.elements)
@@ -86,8 +87,9 @@ class MFBasis:
 
     @property
     def identity_index(self) -> int:
-        idx, phase = self.resolve(np.eye(self.dim))
-        return idx
+        if self._identity_index is None:
+            self._identity_index = self.resolve(np.eye(self.dim))[0]
+        return self._identity_index
 
     def completeness_map(self) -> np.ndarray:
         """Matrix whose i-th column is vec(P_i)/sqrt(D)."""
@@ -96,13 +98,10 @@ class MFBasis:
 
     def resolve(self, m: np.ndarray, tol: float | None = None) -> tuple[int, complex]:
         """Identify m = phase * P_k; raises when m is not in the basis."""
-        t = default_tol(tol)
-        d = self.dim
-        for k, p in enumerate(self.elements):
-            c = np.trace(p.conj().T @ np.asarray(m)) / d
-            if abs(abs(c) - 1.0) < max(t, 1e-7) and np.linalg.norm(m - c * p) < max(t, 1e-7) * d:
-                return k, complex(c)
-        raise NonGroupBasisError("matrix is not a unit-phase multiple of any basis element")
+        k, c, ok = _phase_match(self._conj_vecs, m, max(default_tol(tol), 1e-7))
+        if not ok[0]:
+            raise NonGroupBasisError("matrix is not a unit-phase multiple of any basis element")
+        return int(k[0]), complex(c[0])
 
     def try_resolve(self, m: np.ndarray, tol: float | None = None):
         try:
@@ -113,15 +112,12 @@ class MFBasis:
     def product_table(self):
         """(index, phase) tables for P_i P_j = phase * P_k, for group bases."""
         if self._product_cache is None:
-            n = len(self.elements)
-            idx = np.zeros((n, n), dtype=np.intp)
-            ph = np.zeros((n, n), dtype=np.complex128)
-            for i, j in itertools.product(range(n), range(n)):
-                r = self.try_resolve(self.elements[i] @ self.elements[j])
-                if r is None:
-                    raise NonGroupBasisError("basis is not closed under multiplication")
-                idx[i, j], ph[i, j] = r
-            self._product_cache = (idx, ph)
+            stack = np.stack(self.elements)
+            products = stack[:, None] @ stack[None, :]
+            idx, ph, ok = _phase_match(self._conj_vecs, products, max(default_tol(None), 1e-7))
+            if not ok.all():
+                raise NonGroupBasisError("basis is not closed under multiplication")
+            self._product_cache = (idx.reshape(products.shape[:2]), ph.reshape(products.shape[:2]))
         return self._product_cache
 
     def dagger_table(self):
@@ -158,6 +154,24 @@ def shift_clock(d: int) -> tuple[np.ndarray, np.ndarray]:
     x = np.roll(np.eye(d), 1, axis=0).astype(np.complex128)
     z = np.diag(np.exp(2j * np.pi * np.arange(d) / d))
     return x, z
+
+
+def wh_generators(basis: MFBasis) -> list[tuple[np.ndarray, int]]:
+    """(S, k) for the Weyl-Heisenberg generators S = X, Z, where S^T = P_k.
+
+    Raises NonGroupBasisError when X or Z is not in the basis, and
+    SymmetryError when a transpose is a basis element only up to a phase.
+    """
+    x, z = shift_clock(basis.dim)
+    if basis.try_resolve(x) is None or basis.try_resolve(z) is None:
+        raise NonGroupBasisError("operation requires the Weyl-Heisenberg basis")
+    out = []
+    for gen in (x, z):
+        k, phase = basis.resolve(gen.T)
+        if abs(phase - 1.0) > 1e-9:
+            raise SymmetryError("transpose of a generator is not a canonical basis element")
+        out.append((gen, k))
+    return out
 
 
 def wh_label(v: int, w: int) -> str:
@@ -212,13 +226,10 @@ def composite_basis(b1: MFBasis, b2: MFBasis, mode: str = "product") -> MFBasis:
                 labels.append(f"{l1}*{l2}")
         basis = MFBasis(b1.dim * b2.dim, elements, labels=labels)
     elif mode == "mixed_clock":
-        for b in (b1, b2):
-            x, _ = shift_clock(b.dim)
-            if b.try_resolve(x) is None:
-                raise BasisError("mixed_clock requires Weyl-Heisenberg inputs")
         d1, d2, d = b1.dim, b2.dim, b1.dim * b2.dim
-        x1, _ = shift_clock(d1)
-        x2, _ = shift_clock(d2)
+        (x1, _), (x2, _) = shift_clock(d1), shift_clock(d2)
+        if b1.try_resolve(x1) is None or b2.try_resolve(x2) is None:
+            raise BasisError("mixed_clock requires Weyl-Heisenberg inputs")
         _, zd = shift_clock(d)
         gens = [np.kron(x1, np.eye(d2)), np.kron(np.eye(d1), x2), zd]
         elements = _generate_closure(gens, d * d)
@@ -238,21 +249,14 @@ def _generate_closure(gens: list[np.ndarray], limit: int) -> list[np.ndarray] | 
     """Close a generating set under multiplication, modulo phase."""
     d = gens[0].shape[0]
     found: list[np.ndarray] = [np.eye(d, dtype=np.complex128)]
-
-    def lookup(m):
-        for q in found:
-            c = np.trace(q.conj().T @ m) / d
-            if abs(abs(c) - 1.0) < 1e-9 and np.linalg.norm(m - c * q) < 1e-9 * d:
-                return True
-        return False
-
-    frontier = [np.eye(d, dtype=np.complex128)]
+    frontier = list(found)
     while frontier:
         nxt = []
         for m in frontier:
             for g in gens:
                 prod = g @ m
-                if not lookup(prod):
+                conj_vecs = np.stack(found).conj().reshape(len(found), d * d)
+                if not _phase_match(conj_vecs, prod, 1e-9)[2][0]:
                     found.append(prod)
                     nxt.append(prod)
                     if len(found) > limit:
@@ -296,21 +300,36 @@ def hadamard_latin_basis(H: list[np.ndarray], lam: np.ndarray) -> MFBasis:
 
 
 def check_group_closure(b: MFBasis) -> CocycleTable | None:
-    """Cocycle table when the basis closes under multiplication, else None."""
-    n = len(b.elements)
-    d = b.dim
-    for i, j in itertools.product(range(n), range(n)):
-        if b.try_resolve(b.elements[i] @ b.elements[j]) is None:
-            return None
-    phases = np.empty((n, n), dtype=np.complex128)
-    for j, k in itertools.product(range(n), range(n)):
-        pkj = b.elements[k] @ b.elements[j]
-        pjk = b.elements[j] @ b.elements[k]
-        # P_k P_j = omega(j,k) P_j P_k and both sides are unit-phase multiples
-        # of the same basis element, so the ratio is read off directly.
-        c = np.trace(pjk.conj().T @ pkj) / np.trace(pjk.conj().T @ pjk)
-        phases[j, k] = c / abs(c)
-    return CocycleTable(n, phases)
+    """Cocycle table when the basis closes under multiplication, else None.
+
+    P_k P_j = ph[k,j] P_a and P_j P_k = ph[j,k] P_a give omega(j,k) as the
+    ratio of two product-table phases.  In a non-abelian quotient group the
+    pairs whose two products differ have no commutation phase; their entries
+    are the same ratio, and ``mps.require_abelian`` rejects such bases.
+    """
+    try:
+        _, ph = b.product_table()
+    except NonGroupBasisError:
+        return None
+    omega = ph.T / ph
+    return CocycleTable(len(b.elements), omega / np.abs(omega))
+
+
+def _phase_match(conj_vecs, m, thr):
+    """Match m = c * P_k with |c| = 1 for one D x D matrix or a stack of them.
+
+    ``conj_vecs`` holds the rows conj(vec(P_k)), so one product gives every
+    coefficient c_k = Tr(P_k† m) / D.  By orthogonality only the largest |c_k|
+    can pass both tests, unit modulus and the Frobenius residual, to
+    threshold ``thr``.  Returns flat (k, c, ok) arrays, one entry per matrix.
+    """
+    d = np.shape(m)[-1]
+    flat = np.reshape(m, (-1, d * d))
+    coeffs = flat @ conj_vecs.T / d
+    k = abs(coeffs).argmax(axis=1)
+    c = coeffs[np.arange(len(flat)), k]
+    resid = np.sqrt((abs(flat - c[:, None] * conj_vecs[k].conj()) ** 2).sum(axis=1))
+    return k, c, (abs(abs(c) - 1.0) < thr) & (resid < thr * d)
 
 
 def fourier_matrix(D: int) -> np.ndarray:

@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import os
 import sys
 import time
@@ -537,7 +538,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--boundary", default="open", choices=["open", "periodic"])
         p.add_argument("--trials", type=int, default=1)
         p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--tol", type=float)
+        p.add_argument("--tol")
         p.add_argument("--out")
         p.add_argument("--out-basis")
         p.add_argument("--enumerate", action="store_true")
@@ -545,6 +546,17 @@ def build_parser() -> argparse.ArgumentParser:
         if name == "mpo":
             p.add_argument("mpo_action", choices=["check", "purify", "relative", "apply"])
     return parser
+
+
+def _tolerance(text) -> float:
+    """A --tol or MFTN_TOL value; it must be a finite number above zero."""
+    try:
+        tol = float(text)
+    except ValueError:
+        raise MalformedInput(f"tolerance {text!r} is not a number") from None
+    if not (math.isfinite(tol) and tol > 0):
+        raise MalformedInput(f"tolerance {text!r} must be finite and above zero")
+    return tol
 
 
 def dispatch(argv) -> int:
@@ -557,13 +569,16 @@ def dispatch(argv) -> int:
     if args.command is None:
         parser.print_help()
         return 2
-    tol = args.tol if args.tol is not None else os.environ.get("MFTN_TOL")
     saved_tol = tensors_mod.DEFAULT_TOL
-    if tol is not None:
-        tensors_mod.DEFAULT_TOL = float(tol)
     try:
-        report = RunReport(args.command, [vars(args)])
         try:
+            tol = args.tol if args.tol is not None else os.environ.get("MFTN_TOL")
+            if tol is not None:
+                tensors_mod.DEFAULT_TOL = _tolerance(tol)
+                if args.tol is not None:
+                    # stored as a float, as argparse did, so the inputs digest is unchanged
+                    args.tol = tensors_mod.DEFAULT_TOL
+            report = RunReport(args.command, [vars(args)])
             HANDLERS[args.command](args, report)
         except MalformedInput as exc:
             print(json.dumps({"error": f"malformed input: {exc}"}))

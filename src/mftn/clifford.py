@@ -9,11 +9,13 @@ Z images, so the requested conjugation relations hold exactly, phases included.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
+from .basis import shift_clock
 from .errors import DimensionMismatchError, InadmissibleMapError, NonPrimeDimensionError
 from .tensors import DenseTensor
 
@@ -83,16 +85,6 @@ class PauliVector:
             out = out.compose(self)
         return out
 
-    def dagger(self) -> "PauliVector":
-        cross = sum(wk * vk for wk, vk in zip(self.w, self.v))
-        return PauliVector(
-            self.n,
-            self.d,
-            tuple(-x for x in self.v),
-            tuple(-x for x in self.w),
-            -self.phase_exp + 2 * cross,
-        )
-
     def commutation_exponent(self, other: "PauliVector") -> int:
         """c with self*other = omega^c other*self, omega = exp(2 pi i / d)."""
         ab = sum(wk * vk for wk, vk in zip(self.w, other.v))
@@ -100,14 +92,10 @@ class PauliVector:
         return (ab - ba) % self.d
 
     def matrix(self) -> np.ndarray:
-        d = self.d
-        x = np.roll(np.eye(d), 1, axis=0).astype(np.complex128)
-        z = np.diag(np.exp(2j * np.pi * np.arange(d) / d))
-        m = np.array([[1.0 + 0j]])
-        for vk, wk in zip(self.v, self.w):
-            site = np.linalg.matrix_power(x, vk) @ np.linalg.matrix_power(z, wk)
-            m = np.kron(m, site)
-        return self.phase * m
+        x, z = shift_clock(self.d)
+        sites = [np.linalg.matrix_power(x, vk) @ np.linalg.matrix_power(z, wk)
+                 for vk, wk in zip(self.v, self.w)]
+        return self.phase * functools.reduce(np.kron, sites, np.array([[1.0 + 0j]]))
 
     def to_json(self) -> dict:
         return {"n": self.n, "d": self.d, "v": list(self.v), "w": list(self.w),

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import clifford as qc
-from .basis import MFBasis, check_group_closure, shift_clock
+from .basis import MFBasis, check_group_closure, wh_generators
 from .errors import (
     BoundaryError,
     DimensionMismatchError,
@@ -30,6 +30,7 @@ from .errors import (
 )
 from .tensors import (
     DenseTensor,
+    contract,
     default_tol,
     nullspace,
     numerical_rank,
@@ -55,6 +56,10 @@ class SymmetryConstraint:
             raise ValueError("u_phys must be unitary")
         u.setflags(write=False)
         object.__setattr__(self, "u_phys", u)
+
+    def __iter__(self):
+        """Unpack as (p_in, u_phys, p_out), the form of a constraint tuple."""
+        return iter((self.p_in, self.u_phys, self.p_out))
 
 
 class MPSTensor:
@@ -119,18 +124,6 @@ def check_mf_symmetry(A: MPSTensor, tol: float | None = None) -> SymmetryReport:
     return SymmetryReport(residuals, default_tol(tol))
 
 
-def _pin(c):
-    return c.p_in if isinstance(c, SymmetryConstraint) else c[0]
-
-
-def _u_of(c):
-    return c.u_phys if isinstance(c, SymmetryConstraint) else c[1]
-
-
-def _pout(c):
-    return c.p_out if isinstance(c, SymmetryConstraint) else c[2]
-
-
 def _constraint_row(basis, d, p_in, u, p_out):
     """Matrix of B -> U B (P^T x I) - B (I x P') acting on row-major vec(B)."""
     eye = np.eye(basis.dim)
@@ -157,12 +150,10 @@ def solve_symmetry_family(
     D = basis.dim if D is None else D
     if D != basis.dim:
         raise DimensionMismatchError("D must equal the basis dimension")
-    if any(_u_of(c) is None for c in constraints):
-        constraints = _solve_unknown_corrections(basis, constraints, d, rng)
-    fixed = [
-        SymmetryConstraint(basis.index(_pin(c)), _u_of(c), basis.index(_pout(c)))
-        for c in constraints
-    ]
+    triples = [(basis.index(p_in), u, basis.index(p_out)) for p_in, u, p_out in constraints]
+    if any(u is None for _, u, _ in triples):
+        triples = _solve_unknown_corrections(basis, triples, d, rng)
+    fixed = [SymmetryConstraint(*t) for t in triples]
     if fixed:
         stack = np.vstack([_constraint_row(basis, d, c.p_in, c.u_phys, c.p_out) for c in fixed])
         ns = nullspace(stack, tol)
@@ -175,11 +166,14 @@ def solve_symmetry_family(
     return family
 
 
-def _solve_unknown_corrections(basis, constraints, d, rng):
-    """Alternating least squares over (A, unknown U_P) with restarts."""
+def _solve_unknown_corrections(basis, triples, d, rng):
+    """Alternating least squares over (A, unknown U_P) with restarts.
+
+    ``triples`` are (p_in index, U or None, p_out index); the result fills
+    every None with the solved correction.
+    """
     rng = rng or np.random.default_rng(7)
     D = basis.dim
-    triples = [(basis.index(_pin(c)), _u_of(c), basis.index(_pout(c))) for c in constraints]
     eye = np.eye(D)
     best = None
     for attempt in range(8):
@@ -219,15 +213,14 @@ def _solve_unknown_corrections(basis, constraints, d, rng):
             best = (resid, us)
         if best[0] < 1e-10:
             break
-    return [
-        (basis.index(_pin(c)), u, basis.index(_pout(c)))
-        for c, u in zip(constraints, best[1])
-    ]
+    return [(p_in, u, p_out) for (p_in, _, p_out), u in zip(triples, best[1])]
 
 
 def canonical_form_check(A: MPSTensor, tol: float | None = None):
     """Verify sum_i A^i A^i† is proportional to the identity; returns the constant."""
-    acc = sum(m @ m.conj().T for m in A.site_matrices())
+    ket = A.tensor
+    bra = DenseTensor(ket.data.conj(), [f"{leg}'" for leg in ket.legs], copy=False)
+    acc = contract(ket, bra, [("phys", "phys'"), ("right", "right'")]).data
     const, resid = proportionality(acc, np.eye(A.D))
     return resid < default_tol(tol), complex(const), float(resid)
 
@@ -364,7 +357,7 @@ def clifford_magic_decompose(
     if basis.dim != A.basis.dim:
         raise DimensionMismatchError("basis mismatch with the split source")
     D = basis.dim
-    x, z = _wh_generators_or_raise(basis)
+    generators = wh_generators(basis)
     if not qc._is_prime(D):
         raise NonPrimeDimensionError("clifford form needs prime virtual dimension")
 
@@ -372,10 +365,7 @@ def clifford_magic_decompose(
     v_q = sideways_isometry(split)
 
     images = []
-    for slot_gen in (x, z):
-        pre_idx, pre_phase = basis.resolve(slot_gen.T)
-        if abs(pre_phase - 1.0) > 1e-9:
-            raise SymmetryError("transpose of a generator is not a canonical basis element")
+    for slot_gen, pre_idx in generators:
         if pre_idx not in completed:
             raise SymmetryError(
                 f"no constraint pushes basis element {basis.labels[pre_idx]}"
@@ -413,13 +403,6 @@ def factor_sideways_isometry(u_c: np.ndarray, v_q: np.ndarray):
     scale, _ = proportionality(v_q, recon)
     resid = float(np.linalg.norm(v_q - scale * recon)) / max(np.linalg.norm(v_q), 1e-300)
     return psi, abs(scale), resid
-
-
-def _wh_generators_or_raise(basis: MFBasis):
-    x, z = shift_clock(basis.dim)
-    if basis.try_resolve(x) is None or basis.try_resolve(z) is None:
-        raise NonGroupBasisError("operation requires the Weyl-Heisenberg basis")
-    return x, z
 
 
 def is_stabilizer_state(psi: np.ndarray, n: int, d: int, tol: float = 1e-7) -> bool:
@@ -508,7 +491,7 @@ def map_order(A_or_constraints, basis: MFBasis | None = None) -> MapOrderResult:
     else:
         if basis is None:
             raise ValueError("basis required when passing bare constraints")
-        pairs = {basis.index(_pin(c)): basis.index(_pout(c)) for c in A_or_constraints}
+        pairs = {basis.index(p_in): basis.index(p_out) for p_in, _, p_out in A_or_constraints}
     n = len(basis.elements)
     total = len(pairs) == n
     injective = len(set(pairs.values())) == len(pairs)

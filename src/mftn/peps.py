@@ -18,13 +18,14 @@ topological solution is Q = sum_i alpha_i (P_i^* x P_i x P_i x P_i^*).
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import clifford as qc
-from .basis import MFBasis, shift_clock
+from .basis import MFBasis, wh_generators
 from .errors import (
     DimensionMismatchError,
     NonGroupBasisError,
@@ -262,19 +263,14 @@ def _peps_clifford_form(split: PepsPolarSplit) -> PepsCliffordForm:
     D = basis.dim
     if not qc._is_prime(D):
         raise NonPrimeDimensionError("clifford form needs prime virtual dimension")
-    x, z = shift_clock(D)
-    if basis.try_resolve(x) is None or basis.try_resolve(z) is None:
-        raise NonGroupBasisError("clifford form requires the Weyl-Heisenberg basis")
+    generators = wh_generators(basis)
 
     q8 = split.Q.reshape((D,) * 8)  # rows (lp,up,rp,dp), cols (l,u,r,d)
     v_q = q8.transpose(0, 1, 2, 3, 5, 6, 4, 7).reshape(D**6, D**2)
 
     def images_for(kind, wire_slot):
         out = []
-        for gen in (x, z):
-            pre_idx, pre_phase = basis.resolve(gen.T)
-            if abs(pre_phase - 1.0) > 1e-9:
-                raise SymmetryError("generator transpose is not a canonical element")
+        for gen, pre_idx in generators:
             constraints = A.constraints_a if kind == "a" else A.constraints_b
             c = _constraint_lookup(constraints, pre_idx)
             if c is None:
@@ -285,18 +281,11 @@ def _peps_clifford_form(split: PepsPolarSplit) -> PepsCliffordForm:
             p2 = basis.elements[c.out_right]
             inner = [np.eye(D)] * 4
             inner[0 if kind == "a" else 3] = gen
-            inner[1] = p1.conj().T
-            inner[2] = p2.conj().T
-            target = inner[0]
-            for m in inner[1:]:
-                target = np.kron(target, m)
-            target = np.kron(target, np.kron(p1.T, p2.T))
+            inner[1:3] = [p1.conj().T, p2.conj().T]
+            target = np.kron(functools.reduce(np.kron, inner), np.kron(p1.T, p2.T))
             src_mats = [np.eye(D)] * 6
             src_mats[wire_slot] = gen
-            src = src_mats[0]
-            for m in src_mats[1:]:
-                src = np.kron(src, m)
-            src_p = qc.matrix_to_pauli(src, 6, D)
+            src_p = qc.matrix_to_pauli(functools.reduce(np.kron, src_mats), 6, D)
             tgt_p = qc.matrix_to_pauli(target, 6, D)
             if src_p is None or tgt_p is None:
                 raise SymmetryError("push image is not a Weyl-Heisenberg string")
@@ -465,9 +454,6 @@ class TransferSpectrum:
     t_values: np.ndarray
     labels: list[str]
     degeneracy_of_max: int
-
-    def sorted_magnitudes(self) -> np.ndarray:
-        return np.sort(np.abs(self.t_values))[::-1]
 
 
 def _degeneracy_of_max(values: np.ndarray, rel: float = 1e-8) -> int:

@@ -136,8 +136,10 @@ def _validate_chain(tensors, tol: float) -> MFBasis:
         rep = check_mf_symmetry(t, tol)
         if not rep.passed:
             raise SymmetryError(f"chain tensor fails MF symmetry: {rep.max_residual:.3e}")
-    if basis.try_resolve(basis.elements[0] @ basis.elements[0]) is None:
-        raise NonGroupBasisError("protocol simulation requires a group basis")
+    try:
+        basis.product_table()
+    except NonGroupBasisError:
+        raise NonGroupBasisError("protocol simulation requires a group basis") from None
     return basis
 
 

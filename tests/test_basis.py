@@ -13,6 +13,7 @@ from mftn.basis import (
     weyl_heisenberg_basis,
 )
 from mftn.errors import BasisError, NonGroupBasisError
+from mftn.tensors import default_tol, random_unitary
 
 # A 5x5 Latin square whose row permutations do not close under composition,
 # i.e. not the Cayley table of any group.
@@ -137,12 +138,76 @@ class TestClosureAndCocycle:
             for k in range(9):
                 assert t.omega(j, k) * t.omega(k, j) == pytest.approx(1.0, abs=1e-9)
 
-    def test_wh_cocycle_matches_formula(self, wh3):
+    @pytest.mark.parametrize("D", [2, 3, 4, 5])
+    def test_wh_cocycle_matches_formula(self, D):
         # omega((v,w),(v',w')) = exp(2 pi i (v w' - w v') / D), element order v*D+w
-        for j, (v, w) in enumerate((v, w) for v in range(3) for w in range(3)):
-            for k, (vp, wp) in enumerate((v, w) for v in range(3) for w in range(3)):
-                want = np.exp(2j * np.pi * (v * wp - w * vp) / 3)
-                assert wh3.cocycle.omega(j, k) == pytest.approx(want, abs=1e-12)
+        table = check_group_closure(weyl_heisenberg_basis(D))
+        vw = [(v, w) for v in range(D) for w in range(D)]
+        for j, (v, w) in enumerate(vw):
+            for k, (vp, wp) in enumerate(vw):
+                want = np.exp(2j * np.pi * (v * wp - w * vp) / D)
+                assert table.omega(j, k) == pytest.approx(want, abs=1e-12)
+
+
+def _loop_resolve(b, m, tol=None):
+    """The element-by-element trace test, kept as the reference for resolve."""
+    t = max(default_tol(tol), 1e-7)
+    for k, p in enumerate(b.elements):
+        c = np.trace(p.conj().T @ m) / b.dim
+        if abs(abs(c) - 1.0) < t and np.linalg.norm(m - c * p) < t * b.dim:
+            return k, complex(c)
+    return None
+
+
+def _latin_sum(D):
+    return np.array([[(j + k) % D for k in range(D)] for j in range(D)])
+
+
+ORACLE_BASES = {
+    **{f"WH:{D}": (lambda D=D: weyl_heisenberg_basis(D)) for D in (2, 3, 4, 5)},
+    "product": lambda: composite_basis(weyl_heisenberg_basis(2), weyl_heisenberg_basis(2)),
+    "mixed_clock": lambda: composite_basis(
+        weyl_heisenberg_basis(2), weyl_heisenberg_basis(2), mode="mixed_clock"
+    ),
+    "latin3": lambda: hadamard_latin_basis([fourier_matrix(3)] * 3, _latin_sum(3)),
+    "latin5-non-group": lambda: hadamard_latin_basis([fourier_matrix(5)] * 5, NON_GROUP_LATIN_5),
+}
+
+
+class TestResolveOracle:
+    @pytest.mark.parametrize("name", list(ORACLE_BASES))
+    def test_projection_matches_the_loop(self, name, rng):
+        b = ORACLE_BASES[name]()
+        for k, p in enumerate(b.elements):
+            for phase in np.exp(2j * np.pi * rng.random(4)):
+                want = _loop_resolve(b, phase * p)
+                assert want is not None and want[0] == k
+                got = b.resolve(phase * p)
+                assert got[0] == want[0]
+                assert abs(got[1] - want[1]) < 1e-12
+        n = len(b.elements)
+        for _ in range(5):
+            m = random_unitary(b.dim, rng)
+            i, j = rng.choice(n, size=2, replace=False)
+            pair = b.elements[i] + b.elements[j]  # |c_i| = 1: only the residual rejects it
+            for bad in (m, 0.5 * b.elements[i], pair / np.sqrt(2), pair):
+                assert _loop_resolve(b, bad) is None
+                with pytest.raises(NonGroupBasisError):
+                    b.resolve(bad)
+
+    @pytest.mark.parametrize("name", list(ORACLE_BASES))
+    def test_product_table_matches_the_loop(self, name):
+        b = ORACLE_BASES[name]()
+        want = [[_loop_resolve(b, p @ q) for q in b.elements] for p in b.elements]
+        if any(r is None for row in want for r in row):
+            with pytest.raises(NonGroupBasisError):
+                b.product_table()
+            return
+        idx, ph = b.product_table()
+        for i, row in enumerate(want):
+            for j, (k, c) in enumerate(row):
+                assert idx[i, j] == k
+                assert abs(ph[i, j] - c) < 1e-12
 
 
 class TestConstructionRejections:

@@ -183,6 +183,26 @@ class TestOperationCoverage:
         for op in spec_ops:
             assert cli.OPERATIONS[op] in cli.SUBCOMMANDS
 
+    def test_check_mps_calls_contract(self, capsys, monkeypatch):
+        import sys
+
+        from mftn import tensors
+
+        calls = []
+        original = tensors.contract
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
+
+        # count calls through every module of the package that binds contract
+        for name, module in list(sys.modules.items()):
+            if name.startswith("mftn") and getattr(module, "contract", None) is original:
+                monkeypatch.setattr(module, "contract", counted)
+        code, _ = run(capsys, ["check-mps", "--tensor", "aklt"])
+        assert code == 0
+        assert calls
+
 
 class TestToleranceOverride:
     def test_env_var_override(self, capsys, monkeypatch):
@@ -215,6 +235,26 @@ class TestToleranceOverride:
         old = tensors_mod.DEFAULT_TOL
         try:
             run(capsys, ["basis", "--basis", "WH:2", "--tol", "1e-7"])
+            assert tensors_mod.DEFAULT_TOL == old
+        finally:
+            tensors_mod.DEFAULT_TOL = old
+
+
+    @pytest.mark.parametrize("value", ["abc", "nan", "inf", "0", "-1e-9"])
+    @pytest.mark.parametrize("source", ["env", "flag"])
+    def test_bad_tolerance_is_malformed_input(self, capsys, monkeypatch, source, value):
+        from mftn import tensors as tensors_mod
+
+        old = tensors_mod.DEFAULT_TOL
+        argv = ["basis", "--basis", "WH:2"]
+        if source == "env":
+            monkeypatch.setenv("MFTN_TOL", value)
+        else:
+            argv.append(f"--tol={value}")
+        try:
+            code, out = run(capsys, argv)
+            assert code == 3
+            assert report_of(out)["error"].startswith("malformed input: ")
             assert tensors_mod.DEFAULT_TOL == old
         finally:
             tensors_mod.DEFAULT_TOL = old
