@@ -1,15 +1,18 @@
 """Command-line frontend: every checker, solver, decomposition, spectrum, and
 simulation as a subcommand with JSON input/output and stable exit codes.
 
-Exit codes: 0 all checks passed, 1 a check failed, 2 unknown subcommand or
-bad arguments, 3 malformed JSON input.  Reports are deterministic for fixed
-inputs and seed (timing field aside); numbers are serialized with 17
-significant digits.
+Exit codes: 0 all checks passed, 1 a check failed, 2 an unknown subcommand
+or a bad argument (missing, foreign to the subcommand, or refused by its
+type or choices), 3 malformed input (a value out of range, or a basis or
+JSON spec that cannot be read).  Reports are deterministic for fixed inputs
+and seed (timing field aside); numbers are serialized with 17 significant
+digits.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
 import json
 import math
@@ -73,12 +76,6 @@ OPERATIONS = {
     "apply_mpo_via_protocol": "mpo",
 }
 
-SUBCOMMANDS = (
-    "basis", "solve-family", "check-mps", "decompose-mps", "spt", "block",
-    "expect", "check-peps", "topo-solve", "transfer", "degeneracy",
-    "simulate", "mpo", "clifford-synth",
-)
-
 
 def _fmt(x):
     if isinstance(x, float):
@@ -89,12 +86,10 @@ def _fmt(x):
 
 
 class RunReport:
-    def __init__(self, command: str, payloads):
+    def __init__(self, command: str, inputs: dict):
         self.command = command
-        digest = hashlib.sha256()
-        for p in payloads:
-            digest.update(json.dumps(p, sort_keys=True, default=str).encode())
-        self.inputs_digest = digest.hexdigest()
+        text = json.dumps(inputs, sort_keys=True, default=str)
+        self.inputs_digest = hashlib.sha256(text.encode()).hexdigest()
         self.checks = []
         self.artifacts = []
         self.outputs = {}
@@ -106,11 +101,14 @@ class RunReport:
             entry["residual"] = _fmt(float(residual))
         self.checks.append(entry)
 
-    @property
-    def passed(self) -> bool:
-        return all(c["passed"] for c in self.checks)
+    def artifact(self, path, make):
+        """Write the JSON value make() to path, when a path was given."""
+        if path:
+            with open(path, "w") as fh:
+                json.dump(make(), fh)
+            self.artifacts.append(path)
 
-    def finish(self, out_path=None):
+    def finish(self):
         doc = {
             "command": self.command,
             "inputs_digest": self.inputs_digest,
@@ -120,94 +118,126 @@ class RunReport:
             "tolerance": _fmt(tensors_mod.DEFAULT_TOL),
             "elapsed_ms": int((time.monotonic() - self._t0) * 1000),
         }
-        text = json.dumps(doc, sort_keys=True, indent=1)
-        if out_path:
-            with open(out_path, "w") as fh:
-                fh.write(text + "\n")
-            self.artifacts.append(out_path)
-        print(text)
-        return 0 if self.passed else 1
-
-
-def _load_json(path_or_text):
-    if path_or_text is None:
-        return None
-    try:
-        if os.path.exists(path_or_text):
-            with open(path_or_text) as fh:
-                return json.load(fh)
-        return json.loads(path_or_text)
-    except json.JSONDecodeError as exc:
-        raise MalformedInput(str(exc)) from exc
+        print(json.dumps(doc, sort_keys=True, indent=1))
+        return 0 if all(c["passed"] for c in self.checks) else 1
 
 
 class MalformedInput(Exception):
-    pass
+    """A value out of range, or a basis or JSON spec that cannot be read (exit 3)."""
 
 
-def _basis_from(arg):
-    if arg is None:
-        raise MalformedInput("missing --basis")
-    if isinstance(arg, str) and arg.upper().startswith("WH:"):
-        return basis_mod.weyl_heisenberg_basis(int(arg.split(":", 1)[1]))
-    return basis_mod.MFBasis.from_json(_load_json(arg))
+def _load_json(arg):
+    """A JSON value given as a path, as JSON text, or already parsed."""
+    if not isinstance(arg, str):
+        return arg
+    try:
+        if os.path.exists(arg):
+            with open(arg) as fh:
+                return json.load(fh)
+        return json.loads(arg)
+    except (OSError, ValueError) as exc:
+        raise MalformedInput(str(exc)) from exc
 
 
-def _alpha_from(arg, n):
-    obj = _load_json(arg)
+def _spec_from(arg) -> dict:
+    spec = _load_json(arg)
+    if not isinstance(spec, dict):
+        raise MalformedInput("spec must be a JSON object")
+    return spec
+
+
+@contextlib.contextmanager
+def _reading(what):
+    """Report a value that is not of the form `what` needs as malformed input."""
+    try:
+        yield
+    except KeyError as exc:
+        raise MalformedInput(f"{what} has no {exc.args[0]!r} entry") from None
+    except (TypeError, ValueError, IndexError, AttributeError) as exc:
+        raise MalformedInput(f"bad {what}: {exc}") from None
+
+
+def _entries(what, parse, items) -> list:
+    """parse applied to each entry of a JSON list; a bad entry is malformed input."""
+    if not isinstance(items, list):
+        raise MalformedInput(f"{what} must be a JSON list")
+    out = []
+    for k, item in enumerate(items):
+        with _reading(f"{what} entry {k}"):
+            out.append(parse(item))
+    return out
+
+
+def _basis_from(arg) -> basis_mod.MFBasis:
+    """The one reader of a basis: "WH:D" for an integer D >= 2, or basis JSON."""
+    if not isinstance(arg, str):
+        raise MalformedInput("a basis is 'WH:D', a path or JSON text")
+    with _reading("basis"):
+        if arg.upper().startswith("WH:"):
+            return basis_mod.weyl_heisenberg_basis(int(arg[3:]))
+        return basis_mod.MFBasis.from_json(_load_json(arg))
+
+
+def _coefficient(entry) -> complex:
+    re, im = entry
+    return complex(re, im)
+
+
+def _basis_alpha(basis_arg, alpha_arg):
+    """A basis and coefficients [[re, im], ...] (or {"alpha": [...]}) over its elements."""
+    basis = _basis_from(basis_arg)
+    obj = _load_json(alpha_arg)
     if isinstance(obj, dict) and "alpha" in obj:
         obj = obj["alpha"]
-    alpha = np.array([complex(re, im) for re, im in obj])
-    if alpha.size != n:
-        raise MalformedInput(f"alpha needs {n} coefficients")
-    return alpha
+    alpha = np.array(_entries("alpha", _coefficient, obj))
+    if alpha.size != len(basis.elements):
+        raise MalformedInput(f"alpha needs {len(basis.elements)} coefficients")
+    return basis, alpha
 
 
-def _tensor_from(obj) -> DenseTensor:
-    return DenseTensor.from_json(obj)
+def _topo_from(arg, default_basis):
+    """(spec, basis, alpha) of a --topo or --peps spec."""
+    spec = _spec_from(arg)
+    with _reading("spec"):
+        basis, alpha = _basis_alpha(spec.get("basis", default_basis), spec["alpha"])
+    return spec, basis, alpha
+
+
+def _topo_symmetry(spec, basis) -> peps_mod.TopoSymmetrySpec:
+    with _reading("spec"):
+        sub = tuple(sorted(basis.index(l) for l in spec["subgroup"]))
+        return peps_mod.TopoSymmetrySpec(basis, sub, float(spec.get("phi", 0.0)))
 
 
 FIXTURES = {"aklt": fixtures.aklt_tensor, "cluster": fixtures.cluster_tensor}
 
 
-def _mps_arg(arg) -> "mps_mod.MPSTensor":
-    """Accept a built-in fixture name or a JSON chain spec."""
-    if isinstance(arg, str) and arg in FIXTURES:
-        return FIXTURES[arg]()
-    return _mps_from_spec(_load_json(arg))
-
-
-def _mps_from_spec(obj, basis=None) -> mps_mod.MPSTensor:
-    if isinstance(obj, str) or (isinstance(obj, dict) and "fixture" in obj):
-        name = obj if isinstance(obj, str) else obj["fixture"]
-        if name in FIXTURES:
-            return FIXTURES[name]()
-        raise MalformedInput(f"unknown fixture {name!r}")
-    basis = basis or _basis_from(obj.get("basis"))
-    tensor = _tensor_from(obj["tensor"])
-    constraints = _constraints_from(obj.get("constraints", []), basis)
+def _mps_from(arg) -> mps_mod.MPSTensor:
+    """A chain tensor from a fixture name, {"fixture": name}, or a JSON chain spec."""
+    spec = arg if arg in FIXTURES else _load_json(arg)
+    if isinstance(spec, dict) and "fixture" in spec:
+        spec = spec["fixture"]
+    if isinstance(spec, str):
+        if spec not in FIXTURES:
+            raise MalformedInput(f"unknown fixture {spec!r}")
+        return FIXTURES[spec]()
+    spec = _spec_from(spec)
+    basis = _basis_from(spec.get("basis"))
+    with _reading("chain spec"):
+        tensor = DenseTensor.from_json(spec["tensor"])
+    constraints = _constraints_from(spec.get("constraints", []), basis)
     return mps_mod.MPSTensor(tensor, basis, constraints)
 
 
 def _constraints_from(items, basis):
-    out = []
-    for item in items:
+    def constraint(item):
         u = item.get("u_phys")
         if u == "solve" or u is None:
-            u_mat = None
-        else:
-            u_mat = _tensor_from(u).data
-        if u_mat is None:
-            out.append((item["p_in"], None, item["p_out"]))
-        else:
-            out.append(
-                mps_mod.SymmetryConstraint(basis.index(item["p_in"]), u_mat, basis.index(item["p_out"]))
-            )
-    return out
+            return (item["p_in"], None, item["p_out"])
+        return mps_mod.SymmetryConstraint(
+            basis.index(item["p_in"]), DenseTensor.from_json(u).data, basis.index(item["p_out"]))
 
-
-def _pauli_from(obj) -> qc.PauliVector:
-    return qc.PauliVector.from_json(obj)
+    return _entries("constraints", constraint, items)
 
 
 # ---------------------------------------------------------------------------
@@ -218,8 +248,7 @@ def _pauli_from(obj) -> qc.PauliVector:
 def _cmd_basis(args, report):
     b = _basis_from(args.basis)
     if args.composite:
-        b2 = _basis_from(args.composite)
-        b = basis_mod.composite_basis(b, b2, mode=args.mode)
+        b = basis_mod.composite_basis(b, _basis_from(args.composite), mode=args.mode)
     gram = b.completeness_map()
     resid = float(np.linalg.norm(gram.conj().T @ gram - np.eye(b.dim**2)))
     report.check("completeness_unitary", resid < 1e-7, resid)
@@ -227,30 +256,26 @@ def _cmd_basis(args, report):
     report.check("group_closure", table is not None)
     report.outputs["dim"] = b.dim
     report.outputs["labels"] = list(b.labels)
-    if args.out_basis:
-        with open(args.out_basis, "w") as fh:
-            json.dump(b.to_json(), fh)
-        report.artifacts.append(args.out_basis)
+    report.artifact(args.out_basis, b.to_json)
 
 
 def _cmd_solve_family(args, report):
-    spec = _load_json(args.constraints)
+    spec = _spec_from(args.constraints)
     basis = _basis_from(spec.get("basis", args.basis))
-    constraints = _constraints_from(spec["constraints"], basis)
-    d = int(spec.get("d", args.d or basis.dim))
+    with _reading("spec"):
+        constraints = _constraints_from(spec["constraints"], basis)
+        d = spec.get("d", args.d)
+        d = basis.dim if d is None else int(d)
     family = mps_mod.solve_symmetry_family(basis, constraints, d=d)
     report.outputs["dimension"] = len(family)
     for t in family:
         rep = mps_mod.check_mf_symmetry(t)
         report.check("member_symmetry", rep.passed, rep.max_residual)
-    if args.out:
-        with open(args.out, "w") as fh:
-            json.dump([t.tensor.to_json() for t in family], fh)
-        report.artifacts.append(args.out)
+    report.artifact(args.out, lambda: [t.tensor.to_json() for t in family])
 
 
 def _cmd_check_mps(args, report):
-    A = _mps_arg(args.tensor)
+    A = _mps_from(args.tensor)
     rep = mps_mod.check_mf_symmetry(A)
     report.check("mf_symmetry", rep.passed, rep.max_residual)
     ok, const, resid = mps_mod.canonical_form_check(A)
@@ -259,7 +284,7 @@ def _cmd_check_mps(args, report):
 
 
 def _cmd_decompose_mps(args, report):
-    A = _mps_arg(args.tensor)
+    A = _mps_from(args.tensor)
     split = mps_mod.split_polar(A)
     report.check("polar_reconstruction", split.reconstruction_residual < 1e-9,
                  split.reconstruction_residual)
@@ -279,25 +304,21 @@ def _cmd_decompose_mps(args, report):
 
 
 def _cmd_spt(args, report):
-    basis = _basis_from(args.basis)
-    alpha = _alpha_from(args.alpha, len(basis.elements))
+    basis, alpha = _basis_alpha(args.basis, args.alpha)
     q = mps_mod.spt_solution(basis, alpha)
     rep = mps_mod.check_mf_symmetry(q)
     report.check("solution_symmetry", rep.passed, rep.max_residual)
     ok, _, resid = mps_mod.canonical_form_check(q)
     report.check("canonical_form", ok, resid)
-    if args.out:
-        with open(args.out, "w") as fh:
-            json.dump(q.tensor.to_json(), fh)
-        report.artifacts.append(args.out)
+    report.artifact(args.out, q.tensor.to_json)
 
 
 def _cmd_block(args, report):
-    A = _mps_arg(args.tensor)
+    A = _mps_from(args.tensor)
     order = mps_mod.map_order(A)
     report.outputs["bijective"] = order.bijective
     report.outputs["order"] = order.order
-    k = args.k if args.k else (order.order or 1)
+    k = args.k if args.k is not None else (order.order or 1)
     blocked = mps_mod.block(A, k)
     rep = mps_mod.check_mf_symmetry(blocked)
     report.check("blocked_symmetry", rep.passed, rep.max_residual)
@@ -307,18 +328,16 @@ def _cmd_block(args, report):
 
 
 def _cmd_expect(args, report):
-    basis = _basis_from(args.basis)
-    alpha = _alpha_from(args.alpha, len(basis.elements))
+    basis, alpha = _basis_alpha(args.basis, args.alpha)
     q = mps_mod.spt_solution(basis, alpha)
-    string = [_pauli_from(p) for p in _load_json(args.string)]
+    string = _entries("string", qc.PauliVector.from_json, _load_json(args.string))
     value = mps_mod.pauli_expectation([q] * len(string), string)
     report.outputs["value"] = _fmt(complex(value))
     report.check("evaluated", True)
 
 
 def _cmd_check_peps(args, report):
-    basis = _basis_from(args.basis)
-    alpha = _alpha_from(args.alpha, len(basis.elements))
+    basis, alpha = _basis_alpha(args.basis, args.alpha)
     q = peps_mod.topo_solution(basis, alpha)
     rep = peps_mod.check_peps_mf_symmetry(q)
     report.check("peps_mf_symmetry", rep.passed, rep.max_residual)
@@ -337,38 +356,30 @@ def _cmd_check_peps(args, report):
 
 
 def _cmd_topo_solve(args, report):
-    spec = _load_json(args.topo)
-    basis = _basis_from(spec.get("basis", args.basis))
-    alpha = np.array([complex(re, im) for re, im in spec["alpha"]])
+    spec, basis, alpha = _topo_from(args.topo, args.basis)
     q = peps_mod.topo_solution(basis, alpha)
     rep = peps_mod.check_peps_mf_symmetry(q)
     report.check("solution_symmetry", rep.passed, rep.max_residual)
     if spec.get("subgroup"):
-        sub = tuple(sorted(basis.index(l) for l in spec["subgroup"]))
-        tspec = peps_mod.TopoSymmetrySpec(basis, sub, float(spec.get("phi", 0.0)))
+        tspec = _topo_symmetry(spec, basis)
         topo = peps_mod.check_topo_symmetry(q, tspec, alpha=alpha)
         report.check("topo_symmetry", topo.passed,
                      max(topo.residuals.values(), default=0.0))
         report.outputs["phases"] = {basis.labels[k]: _fmt(v) for k, v in topo.phases.items()}
         inj = peps_mod.injectivity_check(q, tspec)
         report.check("non_injectivity_signature", bool(inj.consistent_with_spec))
-    if args.out:
-        with open(args.out, "w") as fh:
-            json.dump(q.tensor.to_json(), fh)
-        report.artifacts.append(args.out)
+    report.artifact(args.out, q.tensor.to_json)
 
 
 def _cmd_transfer(args, report):
-    basis = _basis_from(args.basis)
-    alpha = _alpha_from(args.alpha, len(basis.elements))
-    L = args.L or 2
-    spec = peps_mod.transfer_spectrum_analytic(alpha, basis, L)
+    basis, alpha = _basis_alpha(args.basis, args.alpha)
+    spec = peps_mod.transfer_spectrum_analytic(alpha, basis, args.L)
     report.outputs["e_values"] = {l: _fmt(complex(e)) for l, e in zip(spec.labels, spec.e_values)}
     report.outputs["t_values"] = {l: _fmt(complex(t)) for l, t in zip(spec.labels, spec.t_values)}
     report.outputs["degeneracy_of_max"] = spec.degeneracy_of_max
     if args.brute:
         q = peps_mod.topo_solution(basis, alpha)
-        brute = peps_mod.transfer_matrix_brute(q, L)
+        brute = peps_mod.transfer_matrix_brute(q, args.L)
         want = np.sort(np.abs(spec.t_values))[::-1]
         got = np.sort(np.abs(brute))[::-1][: len(want)]
         resid = float(np.max(np.abs(got - want)) / max(want.max(), 1e-300))
@@ -377,33 +388,28 @@ def _cmd_transfer(args, report):
 
 
 def _cmd_degeneracy(args, report):
-    spec = _load_json(args.topo)
-    basis = _basis_from(spec.get("basis", args.basis))
-    alpha = np.array([complex(re, im) for re, im in spec["alpha"]])
-    sub = tuple(sorted(basis.index(l) for l in spec["subgroup"]))
-    tspec = peps_mod.TopoSymmetrySpec(basis, sub, float(spec.get("phi", 0.0)))
-    L = int(spec.get("L", args.L or len(sub)))
+    spec, basis, alpha = _topo_from(args.topo, args.basis)
+    tspec = _topo_symmetry(spec, basis)
+    with _reading("spec"):
+        L = spec.get("L", args.L)
+        L = len(tspec.subgroup) if L is None else int(L)
+    if L < 1 or L % len(tspec.subgroup):
+        raise MalformedInput(f"L = {L} must be a positive multiple of the subgroup order")
     rep = peps_mod.degeneracy_report(tspec, alpha, L)
     report.check("degeneracy_signature", rep.passed)
     report.outputs["degeneracy_of_max"] = rep.spectrum.degeneracy_of_max
     report.outputs["subgroup_order"] = rep.subgroup_order
     report.outputs["max_value"] = _fmt(rep.max_value)
-    report.outputs["note"] = (
-        "degeneracy is a signature only; symmetry-broken order produces it too"
-    )
+    report.outputs["note"] = "degeneracy is a signature only; symmetry-broken order produces it too"
 
 
 def _cmd_simulate(args, report):
-    if args.peps:
-        spec = _load_json(args.peps)
-        basis = _basis_from(spec.get("basis", args.basis))
-        alpha = np.array([complex(re, im) for re, im in spec["alpha"]])
+    if args.peps is not None:
+        spec, basis, alpha = _topo_from(args.peps, args.basis)
         a = peps_mod.complete_with_isometry(peps_mod.topo_solution(basis, alpha))
-        rows, cols = int(args.rows or 2), int(args.cols or 2)
-        patch = protocol_mod.PepsPatch([[a] * cols for _ in range(rows)],
+        patch = protocol_mod.PepsPatch([[a] * args.cols for _ in range(args.rows)],
                                        spec.get("orientation", "ur"))
-        fails = 0
-        worst = 1.0
+        fails, worst = 0, 1.0
         for k in range(args.trials):
             run = protocol_mod.run_peps_protocol(patch, seed=args.seed + k)
             fails += not run.success
@@ -412,9 +418,7 @@ def _cmd_simulate(args, report):
         report.outputs["worst_fidelity"] = _fmt(worst)
         report.outputs["trials"] = args.trials
         return
-    A = _mps_arg(args.chain)
-    sites = args.sites or 4
-    tensors = [A] * sites
+    tensors = [_mps_from(args.chain)] * args.sites
     if args.enumerate:
         rep = protocol_mod.enumerate_outcomes(tensors, args.boundary)
         report.outputs["success_probability"] = _fmt(rep.success_probability)
@@ -426,7 +430,7 @@ def _cmd_simulate(args, report):
         run = protocol_mod.run_mps_protocol(tensors, args.boundary, seed=args.seed + k)
         successes += run.success
         worst = min(worst, run.fidelity) if run.success else worst
-    report.outputs["success_rate"] = _fmt(successes / max(args.trials, 1))
+    report.outputs["success_rate"] = _fmt(successes / args.trials)
     report.outputs["worst_success_fidelity"] = _fmt(worst)
     if args.boundary == "open":
         report.check("deterministic_success", successes == args.trials)
@@ -453,25 +457,23 @@ def _cmd_mpo(args, report):
         _, resid = tensors_mod.proportionality(got.reshape(-1), u0.reshape(-1))
         report.check("round_trip", resid < 1e-8, resid)
     elif args.mpo_action == "apply":
-        n = args.sites or 3
+        n = args.sites
         report.outputs["sites"] = n
-        if n < 1:
-            raise MalformedInput("--sites must be positive")
         mpo_mod.check_protocol_sites(n)  # before the d^n input is drawn
         rng = protocol_mod.philox_rng(args.seed)
         psi = rng.standard_normal(O.d**n) + 1j * rng.standard_normal(O.d**n)
         run = mpo_mod.apply_mpo_via_protocol([O] * n, psi, "open", seed=args.seed)
-        report.check("matches_direct_action", run.fidelity >= 1 - 1e-8, 1 - run.fidelity)
-    else:
-        raise MalformedInput(f"unknown mpo action {args.mpo_action!r}")
+        report.check("matches_direct_action", run.fidelity >= 1 - 1e-8, abs(1 - run.fidelity))
 
 
 def _cmd_clifford_synth(args, report):
-    spec = _load_json(args.map)
-    n, d = int(spec["n"]), int(spec["d"])
-    images = tuple(
-        (_pauli_from(i["source"]), _pauli_from(i["target"])) for i in spec["images"]
-    )
+    def image(entry):
+        return qc.PauliVector.from_json(entry["source"]), qc.PauliVector.from_json(entry["target"])
+
+    spec = _spec_from(args.map)
+    with _reading("spec"):
+        n, d = int(spec["n"]), int(spec["d"])
+        images = tuple(_entries("images", image, spec["images"]))
     m = qc.PartialCliffordMap(n, d, images)
     adm = qc.check_admissible(m)
     report.check("admissible", adm.admissible)
@@ -483,68 +485,64 @@ def _cmd_clifford_synth(args, report):
             worst = max(worst, float(np.linalg.norm(
                 u.data @ src.matrix() @ u.data.conj().T - tgt.matrix())))
         report.check("images_reproduced", worst < 1e-9, worst)
-        if args.out:
-            with open(args.out, "w") as fh:
-                json.dump(u.to_json(), fh)
-            report.artifacts.append(args.out)
+        report.artifact(args.out, u.to_json)
     else:
         report.outputs["failures"] = adm.failures
 
 
-HANDLERS = {
-    "basis": _cmd_basis,
-    "solve-family": _cmd_solve_family,
-    "check-mps": _cmd_check_mps,
-    "decompose-mps": _cmd_decompose_mps,
-    "spt": _cmd_spt,
-    "block": _cmd_block,
-    "expect": _cmd_expect,
-    "check-peps": _cmd_check_peps,
-    "topo-solve": _cmd_topo_solve,
-    "transfer": _cmd_transfer,
-    "degeneracy": _cmd_degeneracy,
-    "simulate": _cmd_simulate,
-    "mpo": _cmd_mpo,
-    "clifford-synth": _cmd_clifford_synth,
+# integer flags that count something; below 1 they are malformed input
+COUNTS = ("--L", "--k", "--d", "--sites", "--rows", "--cols", "--trials")
+
+# add_argument keywords of every flag that has any
+FLAGS = {
+    **dict.fromkeys(COUNTS, dict(type=int)),
+    "mpo_action": dict(choices=["check", "purify", "relative", "apply"]),
+    "--basis": dict(default="WH:2"),
+    "--mode": dict(default="product", choices=["product", "mixed_clock"]),
+    "--boundary": dict(default="open", choices=["open", "periodic"]),
+    "--seed": dict(type=int, default=0),
+    "--enumerate": dict(action="store_true"),
+    "--brute": dict(action="store_true"),
+}
+
+
+# subcommand -> (handler, the flags it reads besides --tol, its own defaults);
+# "!" marks a required flag and "--a|--b" a required choice of exactly one
+SUBCOMMANDS = {
+    "basis": (_cmd_basis, "--basis --composite --mode --out-basis", {}),
+    "solve-family": (_cmd_solve_family, "--constraints! --basis --d --out", {}),
+    "check-mps": (_cmd_check_mps, "--tensor!", {}),
+    "decompose-mps": (_cmd_decompose_mps, "--tensor!", {}),
+    "spt": (_cmd_spt, "--alpha! --basis --out", {}),
+    "block": (_cmd_block, "--tensor! --k", {}),
+    "expect": (_cmd_expect, "--alpha! --string! --basis", {}),
+    "check-peps": (_cmd_check_peps, "--alpha! --basis", {}),
+    "topo-solve": (_cmd_topo_solve, "--topo! --basis --out", {}),
+    "transfer": (_cmd_transfer, "--alpha! --basis --L --brute", {"L": 2}),
+    "degeneracy": (_cmd_degeneracy, "--topo! --basis --L", {}),
+    "simulate": (_cmd_simulate, "--chain|--peps --basis --sites --boundary --enumerate --trials "
+                 "--seed --rows --cols", {"sites": 4, "trials": 1, "rows": 2, "cols": 2}),
+    "mpo": (_cmd_mpo, "mpo_action --basis --sites --seed", {"sites": 3}),
+    "clifford-synth": (_cmd_clifford_synth, "--map! --out", {}),
 }
 
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
-        prog="mftn",
-        description="Measurement-and-feedback tensor network toolkit",
-    )
-    sub = parser.add_subparsers(dest="command")
-    common = dict(add_help=True)
-    for name in SUBCOMMANDS:
-        p = sub.add_parser(name, **common)
-        p.add_argument("--basis", default="WH:2")
-        p.add_argument("--constraints")
-        p.add_argument("--alpha")
-        p.add_argument("--tensor")
-        p.add_argument("--topo")
-        p.add_argument("--chain")
-        p.add_argument("--peps")
-        p.add_argument("--string")
-        p.add_argument("--map")
-        p.add_argument("--composite")
-        p.add_argument("--mode", default="product")
-        p.add_argument("--L", type=int)
-        p.add_argument("--k", type=int)
-        p.add_argument("--d", type=int)
-        p.add_argument("--sites", type=int)
-        p.add_argument("--rows", type=int)
-        p.add_argument("--cols", type=int)
-        p.add_argument("--boundary", default="open", choices=["open", "periodic"])
-        p.add_argument("--trials", type=int, default=1)
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--tol")
-        p.add_argument("--out")
-        p.add_argument("--out-basis")
-        p.add_argument("--enumerate", action="store_true")
-        p.add_argument("--brute", action="store_true")
-        if name == "mpo":
-            p.add_argument("mpo_action", choices=["check", "purify", "relative", "apply"])
+        prog="mftn", description="Measurement-and-feedback tensor network toolkit")
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (_, flags, defaults) in SUBCOMMANDS.items():
+        p = sub.add_parser(name)
+        for flag in flags.split() + ["--tol"]:
+            if "|" in flag:
+                group = p.add_mutually_exclusive_group(required=True)
+                for choice in flag.split("|"):
+                    group.add_argument(choice, **FLAGS.get(choice, {}))
+            elif flag.endswith("!"):
+                p.add_argument(flag[:-1], required=True, **FLAGS.get(flag[:-1], {}))
+            else:
+                p.add_argument(flag, **FLAGS.get(flag, {}))
+        p.set_defaults(**defaults)
     return parser
 
 
@@ -560,15 +558,11 @@ def _tolerance(text) -> float:
 
 
 def dispatch(argv) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         # argparse exits 0 for --help and 2 for errors, matching the contract
         return int(exc.code or 0)
-    if args.command is None:
-        parser.print_help()
-        return 2
     saved_tol = tensors_mod.DEFAULT_TOL
     try:
         try:
@@ -578,17 +572,20 @@ def dispatch(argv) -> int:
                 if args.tol is not None:
                     # stored as a float, as argparse did, so the inputs digest is unchanged
                     args.tol = tensors_mod.DEFAULT_TOL
-            report = RunReport(args.command, [vars(args)])
-            HANDLERS[args.command](args, report)
+            for flag in COUNTS:
+                if getattr(args, flag[2:], None) is not None and getattr(args, flag[2:]) < 1:
+                    raise MalformedInput(f"{flag} must be at least 1")
+            report = RunReport(args.command, vars(args))
+            SUBCOMMANDS[args.command][0](args, report)
         except MalformedInput as exc:
             print(json.dumps({"error": f"malformed input: {exc}"}))
             return 3
         except MftnError as exc:
             report.check("completed", False)
             report.outputs["error"] = str(exc)
-            report.finish(None)
+            report.finish()
             return 1
-        return report.finish(None)
+        return report.finish()
     finally:
         # the override holds for this report only
         tensors_mod.DEFAULT_TOL = saved_tol

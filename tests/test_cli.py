@@ -1,5 +1,6 @@
 """CLI dispatch: exit codes, report determinism, and operation coverage."""
 
+import argparse
 import json
 import tracemalloc
 
@@ -17,6 +18,82 @@ def run(capsys, argv):
 
 def report_of(out):
     return json.loads(out)
+
+
+ALPHA = json.dumps([[1, 0], [0.5, 0], [1, 0], [0.5, 0]])
+TOPO = json.dumps({"basis": "WH:2", "alpha": [[1, 0], [0, 0], [1, 0], [0, 0]],
+                   "subgroup": ["I", "X"]})
+STRING = json.dumps([{"n": 2, "d": 2, "v": [1, 0], "w": [0, 1], "phase_exp": 0}])
+MAP = json.dumps({"n": 1, "d": 2, "images": []})
+CONSTRAINTS = json.dumps({"basis": "WH:2", "constraints": []})
+
+# the inputs each subcommand requires; basis requires none
+REQUIRED = {
+    "solve-family": [["--constraints", CONSTRAINTS]],
+    "check-mps": [["--tensor", "aklt"]],
+    "decompose-mps": [["--tensor", "aklt"]],
+    "spt": [["--alpha", ALPHA]],
+    "block": [["--tensor", "aklt"]],
+    "expect": [["--alpha", ALPHA], ["--string", STRING]],
+    "check-peps": [["--alpha", ALPHA]],
+    "topo-solve": [["--topo", TOPO]],
+    "transfer": [["--alpha", ALPHA]],
+    "degeneracy": [["--topo", TOPO]],
+    "simulate": [["--chain", "aklt"]],
+    "mpo": [["check"]],
+    "clifford-synth": [["--map", MAP]],
+}
+
+# the flags each subcommand's handler reads, besides --tol
+FLAGS_READ = {
+    "basis": {"--basis", "--composite", "--mode", "--out-basis"},
+    "solve-family": {"--constraints", "--basis", "--d", "--out"},
+    "check-mps": {"--tensor"},
+    "decompose-mps": {"--tensor"},
+    "spt": {"--alpha", "--basis", "--out"},
+    "block": {"--tensor", "--k"},
+    "expect": {"--alpha", "--string", "--basis"},
+    "check-peps": {"--alpha", "--basis"},
+    "topo-solve": {"--topo", "--basis", "--out"},
+    "transfer": {"--alpha", "--basis", "--L", "--brute"},
+    "degeneracy": {"--topo", "--basis", "--L"},
+    "simulate": {"--chain", "--peps", "--basis", "--sites", "--boundary", "--enumerate",
+                 "--trials", "--seed", "--rows", "--cols"},
+    "mpo": {"--basis", "--sites", "--seed"},
+    "clifford-synth": {"--map", "--out"},
+}
+
+
+def _without(command, k):
+    inputs = REQUIRED[command]
+    return [command] + [a for j, chunk in enumerate(inputs) if j != k for a in chunk]
+
+
+# (argv, exit code, a fragment of the error): 2 is a bad argument, 3 malformed input
+REFUSED = [
+    *[(_without(c, k), 2, "required") for c in REQUIRED for k in range(len(REQUIRED[c]))],
+    ([], 2, "required"),
+    (["simulate", "--chain", "aklt", "--peps", TOPO], 2, "not allowed"),
+    (["basis", "--seed", "5"], 2, "unrecognized arguments"),
+    (["basis", "--composite", "WH:2", "--mode", "bogus"], 2, "invalid choice"),
+    (["block", "--tensor", "aklt", "--k", "x"], 2, "invalid int"),
+    (["basis", "--basis", "WH:abc"], 3, "basis"),
+    (["basis", "--basis", "WH:"], 3, "basis"),
+    (["basis", "--basis", "WH:1"], 3, "basis"),
+    (["simulate", "--chain", "aklt", "--sites", "0"], 3, "--sites"),
+    (["simulate", "--peps", TOPO, "--rows", "0"], 3, "--rows"),
+    (["simulate", "--peps", TOPO, "--cols", "0"], 3, "--cols"),
+    (["transfer", "--alpha", ALPHA, "--L", "0"], 3, "--L"),
+    (["block", "--tensor", "aklt", "--k", "0"], 3, "--k"),
+    (["block", "--tensor", "aklt", "--k", "-1"], 3, "--k"),
+    (["simulate", "--chain", "aklt", "--trials", "0"], 3, "--trials"),
+    (["degeneracy", "--topo", TOPO, "--L", "3"], 3, "multiple"),
+    (["topo-solve", "--topo", "{}"], 3, "'alpha'"),
+    (["degeneracy", "--topo", "{}"], 3, "'alpha'"),
+    (["simulate", "--peps", "{}"], 3, "'alpha'"),
+    (["clifford-synth", "--map", "{}"], 3, "'n'"),
+    (["expect", "--alpha", ALPHA, "--string", "[1]"], 3, "string entry 0"),
+]
 
 
 class TestDispatch:
@@ -97,6 +174,14 @@ class TestDispatch:
         assert rep["outputs"]["success_rate"] == 1.0
         assert rep["outputs"]["success_probability"] == pytest.approx(1.0)
 
+    @pytest.mark.parametrize("seed", range(6))
+    def test_mpo_apply_residual_is_not_negative(self, capsys, seed):
+        code, out = run(capsys, ["mpo", "apply", "--seed", str(seed)])
+        rep = report_of(out)
+        assert code == 0
+        assert rep["outputs"]["sites"] == 3
+        assert rep["checks"][0]["residual"] >= 0
+
     def test_mpo_subcommands(self, capsys):
         for action in ["check", "purify", "relative"]:
             code, _ = run(capsys, ["mpo", action, "--basis", "WH:2", "--seed", "5"])
@@ -154,6 +239,34 @@ class TestDispatch:
         r1.pop("elapsed_ms")
         r2.pop("elapsed_ms")
         assert r1 == r2
+
+
+class TestArguments:
+    def test_every_subcommand_with_required_inputs_is_listed(self):
+        assert set(REQUIRED) | {"basis"} == set(cli.SUBCOMMANDS) == set(FLAGS_READ)
+
+    @pytest.mark.parametrize("argv,code,fragment", REFUSED, ids=[
+        " ".join(a if len(a) < 16 else "<json>" for a in argv) or "no subcommand"
+        for argv, _, _ in REFUSED])
+    def test_refused_without_traceback(self, capsys, argv, code, fragment):
+        got = cli.dispatch(argv)
+        captured = capsys.readouterr()
+        assert got == code
+        assert "Traceback" not in captured.err
+        if code == 2:
+            assert fragment in captured.err
+        else:
+            error = report_of(captured.out)["error"]
+            assert error.startswith("malformed input: ")
+            assert fragment in error
+
+    def test_each_subcommand_takes_only_the_flags_its_handler_reads(self):
+        parser = cli.build_parser()
+        subparsers = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+        assert set(subparsers.choices) == set(FLAGS_READ)
+        for name, sub in subparsers.choices.items():
+            flags = {s for a in sub._actions for s in a.option_strings}
+            assert flags - {"-h", "--help", "--tol"} == FLAGS_READ[name], name
 
 
 class TestOperationCoverage:
