@@ -425,10 +425,11 @@ def _cmd_simulate(args, report):
         report.outputs["correctable_fraction"] = _fmt(rep.correctable_fraction)
         report.check("probabilities_normalized",
                      abs(sum(rep.probabilities) - 1) < 1e-9)
-    successes, worst = 0, 1.0
+    successes, worst, agree = 0, 1.0, True
     for k in range(args.trials):
         run = protocol_mod.run_mps_protocol(tensors, args.boundary, seed=args.seed + k)
         successes += run.success
+        agree &= run.success == run.predicted_success
         worst = min(worst, run.fidelity) if run.success else worst
     report.outputs["success_rate"] = _fmt(successes / args.trials)
     report.outputs["worst_success_fidelity"] = _fmt(worst)
@@ -436,6 +437,7 @@ def _cmd_simulate(args, report):
         report.check("deterministic_success", successes == args.trials)
     else:
         report.check("ran", True)
+    report.check("success_matches_prediction", agree)
 
 
 def _cmd_mpo(args, report):
@@ -499,15 +501,16 @@ FLAGS = {
     "mpo_action": dict(choices=["check", "purify", "relative", "apply"]),
     "--basis": dict(default="WH:2"),
     "--mode": dict(default="product", choices=["product", "mixed_clock"]),
-    "--boundary": dict(default="open", choices=["open", "periodic"]),
+    "--boundary": dict(choices=["open", "periodic"]),
     "--seed": dict(type=int, default=0),
-    "--enumerate": dict(action="store_true"),
+    "--enumerate": dict(action="store_true", default=None),
     "--brute": dict(action="store_true"),
 }
 
 
 # subcommand -> (handler, the flags it reads besides --tol, its own defaults);
-# "!" marks a required flag and "--a|--b" a required choice of exactly one
+# "!" marks a required flag and "--a|--b" a required choice of exactly one,
+# and a dict default holds the flags only that choice reads (see _Parser)
 SUBCOMMANDS = {
     "basis": (_cmd_basis, "--basis --composite --mode --out-basis", {}),
     "solve-family": (_cmd_solve_family, "--constraints! --basis --d --out", {}),
@@ -521,18 +524,34 @@ SUBCOMMANDS = {
     "transfer": (_cmd_transfer, "--alpha! --basis --L --brute", {"L": 2}),
     "degeneracy": (_cmd_degeneracy, "--topo! --basis --L", {}),
     "simulate": (_cmd_simulate, "--chain|--peps --basis --sites --boundary --enumerate --trials "
-                 "--seed --rows --cols", {"sites": 4, "trials": 1, "rows": 2, "cols": 2}),
+                 "--seed --rows --cols", {"trials": 1, "peps": {"rows": 2, "cols": 2},
+                 "chain": {"sites": 4, "boundary": "open", "enumerate": False}}),
     "mpo": (_cmd_mpo, "mpo_action --basis --sites --seed", {"sites": 3}),
     "clifford-synth": (_cmd_clifford_synth, "--map! --out", {}),
 }
 
 
+class _Parser(argparse.ArgumentParser):
+    """Refuses the flags only one choice reads (``branches``: choice -> {flag:
+    default}) unless that choice was given, then fills in their defaults."""
+
+    def parse_known_args(self, args=None, namespace=None):
+        ns, extras = super().parse_known_args(args, namespace)
+        for choice, defaults in getattr(self, "branches", {}).items():
+            for flag, default in defaults.items():
+                if getattr(ns, flag) is None:
+                    setattr(ns, flag, default)
+                elif getattr(ns, choice) is None:
+                    self.error(f"argument --{flag}: not allowed without argument --{choice}")
+        return ns, extras
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="mftn", description="Measurement-and-feedback tensor network toolkit")
+    parser = _Parser(prog="mftn", description="Measurement-and-feedback tensor network toolkit")
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (_, flags, defaults) in SUBCOMMANDS.items():
         p = sub.add_parser(name)
+        p.branches = {k: v for k, v in defaults.items() if isinstance(v, dict)}
         for flag in flags.split() + ["--tol"]:
             if "|" in flag:
                 group = p.add_mutually_exclusive_group(required=True)
@@ -542,7 +561,7 @@ def build_parser() -> argparse.ArgumentParser:
                 p.add_argument(flag[:-1], required=True, **FLAGS.get(flag[:-1], {}))
             else:
                 p.add_argument(flag, **FLAGS.get(flag, {}))
-        p.set_defaults(**defaults)
+        p.set_defaults(**{k: v for k, v in defaults.items() if k not in p.branches})
     return parser
 
 

@@ -542,6 +542,12 @@ def block(A: MPSTensor, k: int) -> MPSTensor:
     return MPSTensor.from_site_matrices(blocked, A.basis, new_constraints)
 
 
+def per_distinct(family, make) -> list:
+    """[make(x) for x in family], calling make once per distinct object."""
+    made = {id(x): make(x) for x in {id(x): x for x in family}.values()}
+    return [made[id(x)] for x in family]
+
+
 def pauli_expectation(family, pauli_string, boundary: str = "open") -> complex:
     """Weyl-Heisenberg string expectation on a chain of Q-form tensors.
 
@@ -561,12 +567,7 @@ def pauli_expectation(family, pauli_string, boundary: str = "open") -> complex:
         raise DimensionMismatchError("all tensors must share one basis dimension")
     if len(pauli_string) != len(family):
         raise DimensionMismatchError("need one two-qudit Pauli per site")
-    forms: dict[int, CliffordMagicForm] = {}
-    site_forms = []
-    for t in family:
-        if id(t) not in forms:
-            forms[id(t)] = clifford_magic_decompose(split_polar(t), basis)
-        site_forms.append(forms[id(t)])
+    site_forms = per_distinct(family, lambda t: clifford_magic_decompose(split_polar(t), basis))
 
     value = 1.0 + 0.0j
     wire = np.eye(D, dtype=np.complex128)

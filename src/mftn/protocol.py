@@ -5,7 +5,8 @@ every bond is measured in the MF basis with exact Born-rule sampling (outcome
 probabilities are computed from the actual resource state via sequential
 conditionals, never assumed uniform), defects are pushed by the constraint
 tables to the open boundary, and the corrected state is compared against the
-directly contracted target.
+target by a double-layer overlap (transfer matrices for chains, so a chain
+run is linear in its length).
 
 Measuring a bond pair in the state |P_j> = sum_ab (P_j)_ab |a b> / sqrt(D)
 inserts the matrix P_j^* / sqrt(D) on the bond, so the pushed defect class is
@@ -28,7 +29,7 @@ from .errors import (
     SizeGuardError,
     SymmetryError,
 )
-from .mps import chain_state, check_mf_symmetry, complete_constraints
+from .mps import chain_state, check_mf_symmetry, complete_constraints, per_distinct
 from .peps import PEPSTensor, push_image_pairs, slot_operator
 from .tensors import DenseTensor, default_tol, first_unitary_fit, state_fidelity
 
@@ -78,59 +79,31 @@ def born_choice(weights, rng: np.random.Generator) -> tuple[int, float]:
 # ---------------------------------------------------------------------------
 
 
-def _pair_transfer(mats) -> np.ndarray:
-    """sum_i A^i x conj(A^i): (D^2, D^2) map from left pair to right pair."""
-    return sum(np.kron(m, m.conj()) for m in mats)
+def _transfer(kets, bras) -> np.ndarray:
+    """sum_i K^i x conj(B^i) over (..., d, D, D) stacks: (..., D^2, D^2) pair maps."""
+    D = kets.shape[-1]
+    return np.einsum("...iab,...icd->...acbd", kets, bras.conj()).reshape(kets.shape[:-3] + (D * D, D * D))
 
 
-def _chain_norm2(transfers, bond_ops, D: int, boundary: str) -> float:
-    """Norm^2 of the chain with bond_ops[b] a ket matrix or None (unmeasured).
-
-    Unmeasured bonds leave both layers' legs free, which disconnects the
-    double-layer chain into independent segments.
-    """
+def _close_chain(maps, D: int, boundary: str) -> tuple[complex, float]:
+    """(value, log scale) of a double-layer chain of pair maps, rescaled at every site;
+    open ends pair the ket and bra edge legs, periodic chains take the trace."""
     delta = np.eye(D).reshape(-1)
-    n = len(transfers)
-    links = [None if op is None else np.kron(op, op.conj()) for op in bond_ops]
-    if boundary == "open":
-        total, v = 1.0, delta
-        for k in range(n):
-            v = v @ transfers[k]
-            if k < n - 1:
-                if links[k] is None:
-                    total *= (v @ delta).real
-                    v = delta
-                else:
-                    v = v @ links[k]
-        return float(total * (v @ delta).real)
-    if boundary == "periodic":
-        cuts = [b for b, l in enumerate(links) if l is None]
-        if not cuts:
-            m = np.eye(D * D, dtype=np.complex128)
-            for k in range(n):
-                m = m @ transfers[k] @ links[k]
-            return float(np.trace(m).real)
-        total = 1.0
-        for ci, cut in enumerate(cuts):
-            start = (cut + 1) % n
-            end = cuts[(ci + 1) % len(cuts)]
-            v, k = delta, start
-            while True:
-                v = v @ transfers[k]
-                if k == end:
-                    break
-                v = v @ links[k]
-                k = (k + 1) % n
-            total *= (v @ delta).real
-        return float(total)
-    raise BoundaryError(f"unknown boundary {boundary!r}")
+    env, log_scale = (delta if boundary == "open" else np.eye(D * D)), 0.0
+    for m in maps:
+        env = env @ m
+        s = np.linalg.norm(env)
+        if s == 0:
+            return 0j, 0.0
+        env, log_scale = env / s, log_scale + np.log(s)
+    return complex(env @ delta if boundary == "open" else np.trace(env)), float(log_scale)
 
 
 def _validate_chain(tensors, tol: float) -> MFBasis:
     if not tensors:
         raise ValueError("empty chain")
     basis = tensors[0].basis
-    for t in tensors:
+    for t in {id(t): t for t in tensors}.values():
         if t.basis.dim != basis.dim:
             raise DimensionMismatchError("all tensors must share the basis dimension")
         rep = check_mf_symmetry(t, tol)
@@ -143,23 +116,55 @@ def _validate_chain(tensors, tol: float) -> MFBasis:
     return basis
 
 
-def _sample_chain_bonds(tensors, basis, boundary, rng):
-    """Sequential exact Born sampling of all bond outcomes."""
-    D = basis.dim
-    transfers = [_pair_transfer(t.site_matrices()) for t in tensors]
-    nbonds = len(tensors) if boundary == "periodic" else len(tensors) - 1
-    bond_mats = [None] * nbonds
+def _sample_chain_bonds(transfers, basis, boundary, rng):
+    """Exact sequential Born sampling of the bond outcomes (Ferris & Vidal 2012).
+
+    ``env`` = T_0 L_0 ... T_b is the rescaled left environment of the bonds
+    measured so far.  Outcome j of bond b weighs delta env L_j T_{b+1} delta:
+    each unmeasured bond further right cuts the double layer, which scales
+    every candidate alike.  A periodic wrap bond closes the ring with a trace.
+    """
+    n = len(transfers)
+    delta = np.eye(basis.dim).reshape(-1)
+    projectors = np.stack([bond_projector(basis, j)[None] for j in range(len(basis.elements))])
+    links = _transfer(projectors, projectors)
+    env = np.eye(len(delta))
     outcomes, probs = [], []
-    for b in range(nbonds):
-        weights = []
-        for j in range(len(basis.elements)):
-            bond_mats[b] = bond_projector(basis, j)
-            weights.append(_chain_norm2(transfers, bond_mats, D, boundary))
-        j, p = born_choice(weights, rng)
+    for b in range(n if boundary == "periodic" else n - 1):
+        env = env @ transfers[b]
+        env /= np.linalg.norm(env)
+        if b == n - 1:
+            weights = np.einsum("ab,jba->j", env, links)
+        else:
+            weights = delta @ env @ links @ transfers[b + 1] @ delta
+        j, p = born_choice(weights.real, rng)
         outcomes.append(j)
         probs.append(p)
-        bond_mats[b] = bond_projector(basis, j)
-    return outcomes, probs, bond_mats
+        env = env @ links[j]
+    return outcomes, probs
+
+
+def _chain_fidelity(stacks, transfers, basis, outcomes, corrections, edge_fix, boundary) -> float:
+    """|<t|c>|^2 / (<t|t> <c|c>) of the corrected chain c against the target t.
+
+    c folds into the target's site stacks A^i each bond's P_j^* / sqrt(D)
+    (right of its left site), the sweep's A^i -> sum_i' u_ii' A^i' and the
+    open edge fix (on the last right leg): the chain analogue of peps_fidelity.
+    """
+    D = basis.dim
+    fixed = list(stacks)
+    for site, u in corrections:
+        fixed[site] = np.tensordot(u, fixed[site], axes=1)
+    for b, j in enumerate(outcomes):
+        fixed[b] = fixed[b] @ bond_projector(basis, j)
+    if edge_fix is not None:  # normalised: it holds the inverse of every bond's 1/sqrt(D)
+        fixed[-1] = fixed[-1] @ (edge_fix / np.linalg.norm(edge_fix))
+    tc, log_tc = _close_chain([_transfer(c, a) for c, a in zip(fixed, stacks)], D, boundary)
+    cc, log_cc = _close_chain([_transfer(c, c) for c in fixed], D, boundary)
+    tt, log_tt = _close_chain(transfers, D, boundary)
+    if tt.real <= 0 or cc.real <= 0:
+        return 0.0
+    return float(abs(tc) ** 2 / (tt.real * cc.real) * np.exp(2 * log_tc - log_tt - log_cc))
 
 
 def _resolve_scaled(basis, m, tol):
@@ -230,12 +235,12 @@ def apply_chain_corrections(state, corrections, edge_fix, boundary):
     return state
 
 
-def _chain_legs(tensors):
-    return ("edge_left",) + tuple(f"phys{k}" for k in range(len(tensors))) + ("edge_right",)
-
-
 def run_mps_protocol(tensors, boundary: str = "open", seed: int = 0, tol: float | None = None) -> ProtocolRun:
-    """Simulate one full MF preparation round for an MPS chain."""
+    """Simulate one full MF preparation round for an MPS chain, in linear time.
+
+    No d^n state is built, so ``final_state`` is None; ``chain_state`` and
+    ``apply_chain_corrections`` give a short chain's corrected state.
+    """
     t = default_tol(tol)
     tensors = list(tensors)
     if boundary not in ("open", "periodic"):
@@ -243,19 +248,15 @@ def run_mps_protocol(tensors, boundary: str = "open", seed: int = 0, tol: float 
     basis = _validate_chain(tensors, t)
     rng = philox_rng(seed)
     if len(tensors) == 1 and boundary == "open":
-        target = chain_state(tensors)
-        return ProtocolRun(seed, RNG_ALGORITHM, [], [], [],
-                           DenseTensor(target, _chain_legs(tensors)), 1.0, True, True)
-    outcomes, probs, bond_mats = _sample_chain_bonds(tensors, basis, boundary, rng)
-    completed = [complete_constraints(x) for x in tensors]
+        return ProtocolRun(seed, RNG_ALGORITHM, [], [], [], None, 1.0, True, True)
+    stacks = per_distinct(tensors, lambda x: np.stack(x.site_matrices()))
+    transfers = per_distinct(stacks, lambda s: _transfer(s, s))
+    outcomes, probs = _sample_chain_bonds(transfers, basis, boundary, rng)
+    completed = per_distinct(tensors, complete_constraints)
     corrections, edge_fix, predicted = push_chain_defects(completed, basis, outcomes, boundary, t)
-    state = apply_chain_corrections(chain_state(tensors, bond_mats, boundary), corrections,
-                                    edge_fix, boundary)
-    target = chain_state(tensors, None, boundary)
-    fid = state_fidelity(state, target)
-    legs = _chain_legs(tensors) if boundary == "open" else tuple(f"phys{k}" for k in range(len(tensors)))
+    fid = _chain_fidelity(stacks, transfers, basis, outcomes, corrections, edge_fix, boundary)
     return ProtocolRun(seed, RNG_ALGORITHM, outcomes, probs, corrections,
-                       DenseTensor(state, legs), fid, fid >= 1 - max(t, 1e-9), predicted)
+                       None, fid, fid >= 1 - max(t, 1e-9), predicted)
 
 
 @dataclass
@@ -288,22 +289,20 @@ def enumerate_outcomes(tensors, boundary: str = "open", tol: float | None = None
     nbonds = len(tensors) if boundary == "periodic" else len(tensors) - 1
     if (D * D) ** nbonds > 65536:
         raise SizeGuardError("outcome enumeration exceeds the desk-scale guard")
-    transfers = [_pair_transfer(x.site_matrices()) for x in tensors]
-    norm_free = _chain_norm2(transfers, [None] * nbonds, D, boundary)
+    # with every bond unmeasured each site is its own closed segment, of norm |A_k|^2
+    norm_free = np.prod([np.linalg.norm(x.tensor.data) ** 2 for x in tensors])
     target = chain_state(tensors, None, boundary)
-    completed = [complete_constraints(x) for x in tensors]
+    completed = per_distinct(tensors, complete_constraints)
     outs, probs, correctable, fids = [], [], [], []
     success_p = 0.0
     for combo in itertools.product(range(D * D), repeat=nbonds):
-        bond_mats = [bond_projector(basis, j) for j in combo]
-        p = _chain_norm2(transfers, bond_mats, D, boundary) / norm_free
+        projected = chain_state(tensors, [bond_projector(basis, j) for j in combo], boundary)
+        p = np.vdot(projected, projected).real / norm_free
         try:
             corrections, edge_fix, predicted = push_chain_defects(completed, basis, combo, boundary, t)
         except DefectStuckError:
             predicted, corrections, edge_fix = False, [], None
-        state = apply_chain_corrections(chain_state(tensors, bond_mats, boundary), corrections,
-                                        edge_fix, boundary)
-        fid = state_fidelity(state, target)
+        fid = state_fidelity(apply_chain_corrections(projected, corrections, edge_fix, boundary), target)
         outs.append(combo)
         probs.append(float(p))
         correctable.append(bool(predicted))

@@ -1,6 +1,7 @@
 """CLI dispatch: exit codes, report determinism, and operation coverage."""
 
 import argparse
+import dataclasses
 import json
 import tracemalloc
 
@@ -174,6 +175,28 @@ class TestDispatch:
         assert rep["outputs"]["success_rate"] == 1.0
         assert rep["outputs"]["success_probability"] == pytest.approx(1.0)
 
+    def test_simulate_thousand_site_chain(self, capsys):
+        code, out = run(capsys, ["simulate", "--chain", "aklt", "--sites", "1000"])
+        rep = report_of(out)
+        assert code == 0
+        assert rep["outputs"]["success_rate"] == 1.0
+        assert rep["outputs"]["worst_success_fidelity"] >= 1 - 1e-9
+
+    def test_simulate_checks_each_verdict_against_the_prediction(self, capsys, monkeypatch):
+        argv = ["simulate", "--chain", "aklt", "--sites", "3", "--boundary", "periodic",
+                "--trials", "12"]
+        code, out = run(capsys, argv)
+        rep = report_of(out)
+        assert code == 0
+        assert {"name": "success_matches_prediction", "passed": True} in rep["checks"]
+        assert 0 < rep["outputs"]["success_rate"] < 1
+        real = cli.protocol_mod.run_mps_protocol
+        monkeypatch.setattr(cli.protocol_mod, "run_mps_protocol", lambda *a, **k: dataclasses.replace(
+            real(*a, **k), predicted_success=False))
+        code, out = run(capsys, argv)
+        assert code == 1
+        assert {"name": "success_matches_prediction", "passed": False} in report_of(out)["checks"]
+
     @pytest.mark.parametrize("seed", range(6))
     def test_mpo_apply_residual_is_not_negative(self, capsys, seed):
         code, out = run(capsys, ["mpo", "apply", "--seed", str(seed)])
@@ -259,6 +282,30 @@ class TestArguments:
             error = report_of(captured.out)["error"]
             assert error.startswith("malformed input: ")
             assert fragment in error
+
+    @pytest.mark.parametrize("argv,flag", [
+        (["--chain", "aklt", "--rows", "5", "--cols", "7"], "--rows"),
+        (["--chain", "aklt", "--sites", "3", "--cols", "2"], "--cols"),
+        (["--peps", TOPO, "--sites", "3"], "--sites"),
+        (["--peps", TOPO, "--boundary", "open"], "--boundary"),
+        (["--peps", TOPO, "--enumerate"], "--enumerate"),
+    ], ids=["chain-rows", "chain-cols", "peps-sites", "peps-boundary", "peps-enumerate"])
+    def test_simulate_refuses_the_other_branch_flags(self, capsys, argv, flag):
+        got = cli.dispatch(["simulate"] + argv)
+        captured = capsys.readouterr()
+        assert got == 2
+        assert captured.out == ""
+        assert "Traceback" not in captured.err
+        assert f"argument {flag}: not allowed" in captured.err
+
+    @pytest.mark.parametrize("short,explicit", [
+        (["--chain", "aklt"], ["--sites", "4", "--boundary", "open"]),
+        (["--peps", TOPO], ["--rows", "2", "--cols", "2"]),
+    ], ids=["chain", "peps"])
+    def test_simulate_branch_defaults_are_the_explicit_values(self, capsys, short, explicit):
+        _, out = run(capsys, ["simulate"] + short)
+        _, out_explicit = run(capsys, ["simulate"] + short + explicit)
+        assert report_of(out)["inputs_digest"] == report_of(out_explicit)["inputs_digest"]
 
     def test_each_subcommand_takes_only_the_flags_its_handler_reads(self):
         parser = cli.build_parser()

@@ -1,21 +1,26 @@
 """Monte-Carlo MF protocol runs, exact enumeration, and PEPS patch routing."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from mftn.errors import BoundaryError, SizeGuardError
 from mftn.fixtures import aklt_tensor, cluster_tensor, copy_tensor
-from mftn.mps import MPSTensor, solve_symmetry_family, spt_solution
+from mftn.mps import MPSTensor, chain_state, complete_constraints, solve_symmetry_family, spt_solution
 from mftn.peps import complete_with_isometry, topo_solution
 from mftn.protocol import (
     PepsPatch,
+    apply_chain_corrections,
+    bond_projector,
     enumerate_outcomes,
     enumerate_peps_outcomes,
     peps_routing_complete,
+    push_chain_defects,
     run_mps_protocol,
     run_peps_protocol,
 )
-from mftn.tensors import DenseTensor
+from mftn.tensors import DenseTensor, default_tol, state_fidelity
 from conftest import random_complex
 
 
@@ -77,6 +82,59 @@ class TestMpsProtocol:
         # the {I, X} subgroup is pushable, Z/Y defects are stuck
         assert 0.0 < report.success_probability < 1.0
         assert report.success_probability == pytest.approx(0.5, abs=1e-9)
+
+
+def random_aklt_family_member(basis, rng):
+    """A random complex member of the family that obeys the AKLT constraints."""
+    family = solve_symmetry_family(basis, aklt_tensor().constraints, d=3)
+    coeffs = random_complex(rng, len(family))
+    data = sum(c * t.tensor.data for c, t in zip(coeffs, family))
+    return MPSTensor(DenseTensor(data, family[0].tensor.legs), basis, family[0].constraints)
+
+
+def dense_corrected_fidelity(chain, boundary, outcomes, target):
+    """The corrected chain's fidelity from dense d^n states (the oracle)."""
+    basis = chain[0].basis
+    completed = [complete_constraints(x) for x in chain]
+    corrections, edge_fix, _ = push_chain_defects(completed, basis, outcomes, boundary, default_tol(None))
+    projected = chain_state(chain, [bond_projector(basis, j) for j in outcomes], boundary)
+    return state_fidelity(apply_chain_corrections(projected, corrections, edge_fix, boundary), target)
+
+
+class TestChainMatchesDenseOracle:
+    """Transfer-matrix runs agree with dense d^n states and exact enumeration."""
+
+    @pytest.mark.parametrize("boundary", ["open", "periodic"])
+    @pytest.mark.parametrize("name", ["aklt", "cluster", "random"])
+    def test_fidelity_and_conditionals(self, wh2, rng, boundary, name):
+        fixtures = {"aklt": aklt_tensor, "cluster": cluster_tensor}
+        tensor = random_aklt_family_member(wh2, rng) if name == "random" else fixtures[name]()
+        for n in range(1, 11):
+            chain = [tensor] * n
+            target = chain_state(chain, None, boundary)
+            weights = {}
+            if n <= 5:
+                report = enumerate_outcomes(chain, boundary)
+                weights = dict(zip(report.outcomes, report.probabilities))
+            for seed in range(20):
+                run = run_mps_protocol(chain, boundary, seed=seed)
+                assert run.final_state is None
+                oracle = dense_corrected_fidelity(chain, boundary, run.outcomes, target)
+                assert abs(run.fidelity - oracle) < 1e-12, (n, seed)
+                if weights:
+                    assert abs(np.prod(run.probabilities) - weights[tuple(run.outcomes)]) < 1e-12
+
+    def test_two_hundred_sites_build_no_dense_state(self):
+        chain = [aklt_tensor()] * 200
+        run_mps_protocol(chain, "periodic", seed=0)  # warm the basis caches
+        tracemalloc.start()
+        try:
+            run = run_mps_protocol(chain, "open", seed=1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert run.success
+        assert peak < 10 * 2**20
 
 
 class TestEnumeration:
