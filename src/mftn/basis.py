@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BasisError, NonGroupBasisError, SymmetryError
+from .errors import BasisError, NonGroupBasisError, SizeGuardError, SymmetryError
 from .tensors import DenseTensor, default_tol
 
 
@@ -44,8 +44,21 @@ class MFBasis:
     normalization is applied at use sites.
     """
 
+    # the product table holds D^4 products of D x D matrices: 1.1 GiB at D = 16
+    MAX_DIM = 16
+
+    @classmethod
+    def guard_dim(cls, dim: int) -> int:
+        """dim, or SizeGuardError when it exceeds the desk-scale ``MAX_DIM``.
+
+        Constructors call this before they allocate the D^2 elements.
+        """
+        if dim > cls.MAX_DIM:
+            raise SizeGuardError(f"basis dimension {dim} exceeds the desk-scale guard of {cls.MAX_DIM}")
+        return dim
+
     def __init__(self, dim, elements, labels=None, is_group=None, cocycle=None, tol=None):
-        self.dim = int(dim)
+        self.dim = self.guard_dim(int(dim))
         self.elements = [np.array(e, dtype=np.complex128) for e in elements]
         for e in self.elements:
             e.setflags(write=False)
@@ -192,20 +205,18 @@ def weyl_heisenberg_basis(D: int) -> MFBasis:
     """
     if D < 2:
         raise ValueError("D must be at least 2")
+    MFBasis.guard_dim(D)
     x, z = shift_clock(D)
-    elements, labels, vw = [], [], []
+    elements, labels = [], []
     for v in range(D):
         for w in range(D):
             elements.append(np.linalg.matrix_power(x, v) @ np.linalg.matrix_power(z, w))
             labels.append(wh_label(v, w))
-            vw.append((v, w))
-    n = D * D
-    phases = np.empty((n, n), dtype=np.complex128)
-    for j, (v, w) in enumerate(vw):
-        for k, (vp, wp) in enumerate(vw):
-            phases[j, k] = np.exp(2j * np.pi * (v * wp - w * vp) / D)
+    # omega(j, k) = exp(2 pi i (v_j w_k - w_j v_k) / D) for j = v_j * D + w_j
+    v, w = np.divmod(np.arange(D * D), D)
+    phases = np.exp(2j * np.pi * (np.outer(v, w) - np.outer(w, v)) / D)
     basis = MFBasis(D, elements, labels=labels, is_group=True)
-    basis.cocycle = CocycleTable(n, phases)
+    basis.cocycle = CocycleTable(D * D, phases)
     return basis
 
 
@@ -216,6 +227,7 @@ def composite_basis(b1: MFBasis, b2: MFBasis, mode: str = "product") -> MFBasis:
     Weyl-Heisenberg inputs and generates from X_{d1} x I, I x X_{d2}, and the
     full clock Z_{d1 d2}.
     """
+    MFBasis.guard_dim(b1.dim * b2.dim)
     if mode == "product":
         if not (b1.is_group and b2.is_group):
             raise NonGroupBasisError("product mode requires two group bases")
@@ -268,7 +280,7 @@ def _generate_closure(gens: list[np.ndarray], limit: int) -> list[np.ndarray] | 
 def hadamard_latin_basis(H: list[np.ndarray], lam: np.ndarray) -> MFBasis:
     """Basis U_{ij}|k> = H^j_{ik} |lam(j,k)> from Hadamard matrices and a Latin square."""
     lam = np.asarray(lam, dtype=int)
-    D = lam.shape[0]
+    D = MFBasis.guard_dim(lam.shape[0])
     if lam.shape != (D, D):
         raise BasisError("Latin square must be D x D")
     for row in lam:

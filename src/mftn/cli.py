@@ -345,7 +345,7 @@ def _cmd_check_peps(args, report):
     ok, const, resid = peps_mod.peps_isometry_check(a)
     report.check("isometry_condition", ok, resid)
     split = peps_mod.peps_split_polar(q)
-    worst = max(split.commutant_residuals_a + split.commutant_residuals_b, default=0.0)
+    worst = max(split.commutant_residuals, default=0.0)
     report.check("q_commutants", worst < 1e-8, worst)
     if split.clifford is not None:
         report.check("clifford_form", split.clifford.reconstruction_residual < 1e-9,

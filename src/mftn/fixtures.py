@@ -11,8 +11,8 @@ import numpy as np
 
 from .basis import MFBasis, weyl_heisenberg_basis
 from .mpo import MPOTensor
-from .mps import MPSTensor, SymmetryConstraint
-from .tensors import DenseTensor, first_unitary_fit
+from .mps import MPSTensor, SymmetryConstraint, solve_pushes
+from .tensors import DenseTensor
 
 
 def aklt_tensor(basis: MFBasis | None = None) -> MPSTensor:
@@ -126,25 +126,17 @@ def controlled_pauli_mpo(basis: MFBasis):
     """MPO U = sum_a |a><a| x P_a sliced into tensors O^{(o,a)}_{lr} = d_oa (P_a)_{rl}.
 
     The push-through corrections are diagonal phase gates, solved here by the
-    orthogonal Procrustes fit per transported pair.
+    one push search on the o x (a, l, r) flattening, with P^T on l and the
+    pushed element on r.
     """
     D = basis.dim
     d = D * D
     arr = np.zeros((d, d, D, D), dtype=complex)
     for a, p in enumerate(basis.elements):
         arr[a, a] = p.T
-    tol = 1e-9 * np.linalg.norm(arr)
-
-    constraints = []
-    for idx, p in enumerate(basis.elements):
-        lhs = np.einsum("lm,oamr->oalr", p, arr).reshape(d, d * D * D)
-        candidates = (
-            (out_idx, np.einsum("oalr,rs->oals", arr, pp).reshape(d, d * D * D))
-            for out_idx, pp in enumerate(basis.elements)
-        )
-        fit = first_unitary_fit(lhs, candidates, tol)
-        if fit is None:
-            raise RuntimeError("controlled-Pauli MPO misses a transport rule")
-        out_idx, u = fit
-        constraints.append(SymmetryConstraint(idx, u, out_idx))
+    fits = solve_pushes(
+        arr.reshape(d, d * D * D), basis, (d, D, D), 1, [p.T for p in basis.elements], (2,), 1e-9,
+        lambda k: RuntimeError("controlled-Pauli MPO misses a transport rule"),
+    )
+    constraints = [SymmetryConstraint(k, u, out) for k, ((out,), u) in enumerate(fits)]
     return MPOTensor.from_array(arr, basis, constraints)

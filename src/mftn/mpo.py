@@ -37,7 +37,7 @@ from .protocol import (
     philox_rng,
     push_chain_defects,
 )
-from .tensors import DenseTensor, default_tol, proportionality, state_fidelity
+from .tensors import DenseTensor, default_tol, gram_proportionality, proportionality, state_fidelity
 
 MPO_LEGS = ("left", "right", "phys_in", "phys_out")
 
@@ -94,12 +94,9 @@ class MPOTensor:
 def check_mpo_isometry(O: MPOTensor, tol: float | None = None):
     """Contracting O against O† over phys_out and both virtual legs must give
     D * delta on the phys_in pair.  Returns (pass, constant, residual)."""
-    arr = O.array()
-    gram = np.einsum("oalr,oblr->ab", arr, arr.conj())
-    const, resid = proportionality(gram, np.eye(O.d))
     t = default_tol(tol)
-    ok = resid < t and abs(const - O.D) < max(t, 1e-9) * max(O.D, 1)
-    return ok, complex(const), float(resid)
+    ok, const, resid = gram_proportionality(O.tensor, ["phys_in"], t)
+    return ok and abs(const - O.D) < max(t, 1e-9) * max(O.D, 1), const, resid
 
 
 def check_mpo_symmetry(O: MPOTensor, tol: float | None = None) -> float:

@@ -1,20 +1,40 @@
-"""MPS tensors with measurement-feedback symmetry: checking, solving, structure.
+"""MF tensors, and MPS tensors among them: checking, solving, structure.
 
 Conventions
 -----------
-An MPS tensor A with legs (left, phys, right) of dimensions (D, d, D) is
-flattened to the d x D^2 matrix B = A.matrix(["phys"], ["left", "right"]).
-A symmetry constraint (P, U_P, P') states, per physical index,
+An MF tensor has a physical leg and n virtual legs of the basis dimension D
+(n = 2 for an MPS here, n = 4 for a PEPS in ``peps``), flattened to the
+d x D^n matrix B with columns over its virtual legs in a fixed order.  A
+push-through constraint (P, U_P, {P'_k}) moves the basis element P entering
+on an in-leg onto the elements P'_k on the out-legs:
+
+    U_P B W_in = B W_out,   W_in = P^T on the in-leg,  W_out = P'_k on out-leg k,
+
+with identities on every other leg.  The polar split B = V Q then gives
+
+    [Q, W_in† W_out] = 0,   W_in† W_out = P^* on the in-leg, P'_k on out-leg k,
+
+and V† U_P V = (W_in† W_out) R with R = V† V the projector onto range(Q).
+Read sideways, from the in-legs to the rows and out-legs of Q, Q is an
+isometry V_Q = scale * U_C (psi x I) for a Clifford U_C fixed by the pushes
+of the Weyl-Heisenberg generators.  One implementation of each of these
+steps serves every n.
+
+An MPS tensor A has legs (left, phys, right) of dimensions (D, d, D) and
+B = A.matrix(["phys"], ["left", "right"]); defects enter on the left leg and
+leave on the right one.  A constraint (P, U_P, P') states, per physical
+index,
 
     sum_j (U_P)_{ij} P A^j = A^i P'      (A^j the D x D matrix at phys = j)
 
-equivalently U_P B (P^T x I) = B (I x P').  The polar split B = V Q then gives
-[Q, P^* x P'] = 0 and V† U_P V = (P^* x P') R with R the projector onto
-range(Q), and the SPT-type analytic solution reads Q = sum_i alpha_i P_i^* x P_i.
+equivalently U_P B (P^T x I) = B (I x P'), so [Q, P^* x P'] = 0, and the
+SPT-type analytic solution reads Q = sum_i alpha_i P_i^* x P_i.
 """
 
 from __future__ import annotations
 
+import functools
+import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -30,8 +50,9 @@ from .errors import (
 )
 from .tensors import (
     DenseTensor,
-    contract,
     default_tol,
+    first_unitary_fit,
+    gram_proportionality,
     nullspace,
     numerical_rank,
     polar_nd,
@@ -41,14 +62,38 @@ from .tensors import (
     random_unitary,
 )
 
+# ---------------------------------------------------------------------------
+# the MF-tensor core, for any number of virtual legs
+# ---------------------------------------------------------------------------
+
+
+def leg_operator(dims, ops: dict) -> np.ndarray:
+    """ops[k] on leg k and the identity on every other leg of dimensions ``dims``."""
+    return functools.reduce(np.kron, [ops[k] if k in ops else np.eye(n) for k, n in enumerate(dims)])
+
+
+def push_operators(basis: MFBasis, n_legs: int, in_leg: int, p_in: int, outs: dict):
+    """(W_in, W_out) of one push over n_legs virtual legs: P_in^T on in_leg and
+    the basis element outs[k] on each out-leg k."""
+    dims = (basis.dim,) * n_legs
+    out_ops = {leg: basis.elements[k] for leg, k in outs.items()}
+    return leg_operator(dims, {in_leg: basis.elements[p_in].T}), leg_operator(dims, out_ops)
+
+
+def commutant(basis: MFBasis, n_legs: int, in_leg: int, p_in: int, outs: dict) -> np.ndarray:
+    """W_in† W_out of one push: P_in^* on in_leg and outs[k] on each out-leg k."""
+    ops = {leg: basis.elements[k] for leg, k in outs.items()}
+    ops[in_leg] = basis.elements[p_in].conj()
+    return leg_operator((basis.dim,) * n_legs, ops)
+
 
 @dataclass(frozen=True)
-class SymmetryConstraint:
-    """One push-through relation (P_in on left, U on phys, P_out on right)."""
+class Push:
+    """The incoming basis index of a push-through constraint and its unitary
+    correction on the physical leg."""
 
     p_in: int
     u_phys: np.ndarray
-    p_out: int
 
     def __post_init__(self):
         u = np.asarray(self.u_phys, dtype=np.complex128)
@@ -57,22 +102,23 @@ class SymmetryConstraint:
         u.setflags(write=False)
         object.__setattr__(self, "u_phys", u)
 
-    def __iter__(self):
-        """Unpack as (p_in, u_phys, p_out), the form of a constraint tuple."""
-        return iter((self.p_in, self.u_phys, self.p_out))
 
+class MFTensor:
+    """A tensor with a "phys" leg and the virtual legs ``LEGS``, each of the
+    basis dimension, bound to an MF basis.  Defects enter on ``IN_LEGS``."""
 
-class MPSTensor:
-    """An MPS tensor bound to an MF basis and its symmetry constraints."""
+    LEGS: tuple[str, ...] = ()
+    IN_LEGS: tuple[int, ...] = ()
 
-    def __init__(self, tensor: DenseTensor, basis: MFBasis, constraints=()):
-        if set(tensor.legs) != {"left", "phys", "right"}:
-            raise DimensionMismatchError("MPS tensor needs legs left/phys/right")
-        if tensor.leg_dim("left") != basis.dim or tensor.leg_dim("right") != basis.dim:
+    def __init__(self, tensor: DenseTensor, basis: MFBasis):
+        if set(tensor.legs) != set(self.LEGS) | {"phys"}:
+            raise DimensionMismatchError(
+                f"{type(self).__name__} needs legs {'/'.join(self.LEGS)}/phys"
+            )
+        if any(tensor.leg_dim(leg) != basis.dim for leg in self.LEGS):
             raise DimensionMismatchError("virtual legs must match the basis dimension")
         self.tensor = tensor
         self.basis = basis
-        self.constraints = list(constraints)
 
     @property
     def d(self) -> int:
@@ -83,8 +129,247 @@ class MPSTensor:
         return self.basis.dim
 
     def as_matrix(self) -> np.ndarray:
-        """d x D^2 flattening, columns (left, right) row-major."""
-        return self.tensor.matrix(["phys"], ["left", "right"])
+        """d x D^n flattening with columns over ``LEGS`` row-major."""
+        return self.tensor.matrix(["phys"], list(self.LEGS))
+
+    def pushes(self) -> list:
+        """(constraint, in-leg, {out-leg: basis index}) for every constraint."""
+        raise NotImplementedError
+
+    def push_images(self) -> dict:
+        """(in-leg, basis index) -> {out-leg: basis index} of the first push of each."""
+        images: dict = {}
+        for c, in_leg, outs in self.pushes():
+            images.setdefault((in_leg, c.p_in), outs)
+        return images
+
+
+@dataclass
+class SymmetryReport:
+    residuals: list[float]
+    tol: float
+
+    @property
+    def max_residual(self) -> float:
+        return max(self.residuals, default=0.0)
+
+    @property
+    def passed(self) -> bool:
+        return self.max_residual < self.tol
+
+    def require(self, message: str) -> None:
+        """Raise SymmetryError(message % max_residual) unless the report passed."""
+        if not self.passed:
+            raise SymmetryError(message % self.max_residual)
+
+
+def symmetry_report(A: MFTensor, tol: float | None = None) -> SymmetryReport:
+    """Relative residual ||U_P B W_in - B W_out|| / ||B|| of every push of A."""
+    b = A.as_matrix()
+    scale = max(np.linalg.norm(b), 1e-300)
+    residuals = []
+    for c, in_leg, outs in A.pushes():
+        w_in, w_out = push_operators(A.basis, len(A.LEGS), in_leg, c.p_in, outs)
+        residuals.append(float(np.linalg.norm(c.u_phys @ b @ w_in - b @ w_out)) / scale)
+    return SymmetryReport(residuals, default_tol(tol))
+
+
+@dataclass
+class PolarSplit:
+    """B = V Q with Q PSD Hermitian on the virtual legs and R = V† V."""
+
+    V: np.ndarray
+    Q: np.ndarray
+    R: np.ndarray
+    source: MFTensor
+    rank: int
+    reconstruction_residual: float
+    commutant_residuals: list[float] = field(default_factory=list)
+    null_space_match: bool = True
+
+
+def polar_structure(A: MFTensor, tol: float, cls=PolarSplit) -> PolarSplit:
+    """Polar split of A's flattening with its rank, its reconstruction and
+    commutant residuals (relative to ||Q||) and the null-space match of V and Q."""
+    b = A.as_matrix()
+    v, q = polar_nd(b, tol)
+    scale = max(np.linalg.norm(q), 1e-300)
+    commutants = (commutant(A.basis, len(A.LEGS), in_leg, c.p_in, outs) for c, in_leg, outs in A.pushes())
+    rank = numerical_rank(q, tol)
+    return cls(
+        V=v,
+        Q=q,
+        R=v.conj().T @ v,
+        source=A,
+        rank=rank,
+        reconstruction_residual=float(np.linalg.norm(v @ q - b)) / scale,
+        commutant_residuals=[float(np.linalg.norm(q @ s - s @ q)) / scale for s in commutants],
+        null_space_match=rank == numerical_rank(v, tol),
+    )
+
+
+def solve_pushes(b, basis: MFBasis, dims, in_leg: int, in_mats, out_legs, tol: float, fail):
+    """Yield (images, U) per incoming matrix: the first fit of
+    U b (m on in_leg) = b (P_images on out_legs).
+
+    Image tuples are scanned with single-leg pushes first, U is the
+    Procrustes unitary of each, ``tol`` is relative to ||b||, and no target
+    is built after the first fit.  When no tuple fits the k-th matrix, the
+    exception ``fail(k)`` is raised.
+    """
+    scale = max(np.linalg.norm(b), 1e-300)
+    ident = basis.identity_index
+    candidates = sorted(
+        itertools.product(range(len(basis.elements)), repeat=len(out_legs)),
+        key=lambda images: sum(k != ident for k in images),
+    )
+    for k, m in enumerate(in_mats):
+        targets = (
+            (images, b @ leg_operator(dims, {leg: basis.elements[i] for leg, i in zip(out_legs, images)}))
+            for images in candidates
+        )
+        fit = first_unitary_fit(b @ leg_operator(dims, {in_leg: m}), targets, tol * scale)
+        if fit is None:
+            raise fail(k)
+        yield fit
+
+
+def require_abelian(basis: MFBasis) -> None:
+    if basis.cocycle is None:
+        basis.cocycle = check_group_closure(basis)
+    if basis.cocycle is None:
+        raise NonGroupBasisError("operation requires a group basis")
+    idx, _ = basis.product_table()
+    if not np.array_equal(idx, idx.T):
+        raise NonGroupBasisError("operation requires an abelian quotient group")
+
+
+def abelian_coefficients(basis: MFBasis, alpha) -> np.ndarray:
+    """alpha as one nonzero complex vector over the elements of an abelian group basis."""
+    alpha = np.asarray(alpha, dtype=np.complex128).reshape(-1)
+    if alpha.shape[0] != len(basis.elements):
+        raise DimensionMismatchError("alpha needs one coefficient per basis element")
+    if not alpha.any():
+        raise ValueError("alpha must be nonzero")
+    require_abelian(basis)
+    return alpha
+
+
+@dataclass
+class CliffordMagicForm:
+    """V_Q = scale * U_C (psi x I): Q read sideways as an isometry."""
+
+    u_c: np.ndarray
+    psi: np.ndarray
+    scale: float
+    reconstruction_residual: float
+    basis: MFBasis
+
+
+def sideways_isometry(split: PolarSplit) -> np.ndarray:
+    """Q as the map from its in-leg columns to its rows and out-leg columns.
+
+    For an MPS, Q[(b,c),(a,d)] becomes the D^3 x D map a -> (b, c, d).
+    """
+    A = split.source
+    n, D = len(A.LEGS), A.D
+    outs = [n + k for k in range(n) if k not in A.IN_LEGS]
+    ins = [n + k for k in A.IN_LEGS]
+    v = split.Q.reshape((D,) * (2 * n)).transpose(list(range(n)) + outs + ins)
+    return v.reshape(D ** (n + len(outs)), D ** len(ins))
+
+
+def clifford_form(split: PolarSplit, basis: MFBasis) -> CliffordMagicForm:
+    """The sideways Clifford form V_Q = scale * U_C (psi x I) of Q.
+
+    U_C acts on the n legs of psi followed by one wire per in-leg.  It takes
+    the generator S (S in {X, Z}) on an in-leg's wire to S on that leg of
+    psi, times P'^† on each out-leg of psi and P'^T on its wire, where P'
+    are the images that pushing S^T through that in-leg leaves on the
+    out-legs.  psi is then read off U_C† V_Q = psi x I.
+    """
+    A = split.source
+    D, n = basis.dim, len(A.LEGS)
+    generators = wh_generators(basis)
+    if not qc._is_prime(D):
+        raise NonPrimeDimensionError("clifford form needs prime virtual dimension")
+    push_images = A.push_images()
+    out_legs = [k for k in range(n) if k not in A.IN_LEGS]
+    width = n + len(out_legs)
+    images = []
+    for wire, in_leg in enumerate(A.IN_LEGS):
+        for gen, pre_idx in generators:
+            if (in_leg, pre_idx) not in push_images:
+                raise SymmetryError(f"no constraint pushes basis element {basis.labels[pre_idx]}")
+            outs = {leg: basis.elements[k] for leg, k in push_images[(in_leg, pre_idx)].items()}
+            inner = {leg: p.conj().T for leg, p in outs.items()}
+            target = [leg_operator((D,) * n, {**inner, in_leg: gen})] + [outs[leg].T for leg in out_legs]
+            src = qc.matrix_to_pauli(leg_operator((D,) * width, {n + wire: gen}), width, D)
+            tgt = qc.matrix_to_pauli(functools.reduce(np.kron, target), width, D)
+            if src is None or tgt is None:
+                raise SymmetryError("generator image is not a Weyl-Heisenberg string")
+            images.append((src, tgt))
+    u_c = qc.synthesize_clifford(qc.PartialCliffordMap(width, D, tuple(images))).data
+    psi, scale, resid = factor_sideways_isometry(u_c, sideways_isometry(split))
+    return CliffordMagicForm(u_c, psi, scale, resid, basis)
+
+
+def factor_sideways_isometry(u_c: np.ndarray, v_q: np.ndarray):
+    """Factor V_Q = scale * U_C (psi x I_k) for a k-column sideways isometry.
+
+    psi is read off the wire trace of U_C† V_Q, normalized, and phase-fixed
+    so that its largest entry is real positive.  Returns (psi, scale,
+    relative reconstruction residual).  When V_Q factors, the wire trace has
+    norm ||V_Q|| / sqrt(k), so the test for a trace that vanishes is
+    relative to that, whatever the scale of Q.
+    """
+    k = v_q.shape[1]
+    w = (u_c.conj().T @ v_q).reshape(-1, k, k)
+    psi = np.einsum("paa->p", w) / k
+    nrm = float(np.linalg.norm(psi))
+    if nrm <= 1e-12 * np.linalg.norm(v_q) / np.sqrt(k):
+        raise SymmetryError("sideways isometry does not factor through the Clifford")
+    psi = psi / nrm
+    lead = psi[np.argmax(np.abs(psi))]
+    psi = psi * (abs(lead) / lead)
+    recon = u_c @ np.kron(psi[:, None], np.eye(k))
+    scale, _ = proportionality(v_q, recon)
+    resid = float(np.linalg.norm(v_q - scale * recon)) / max(np.linalg.norm(v_q), 1e-300)
+    return psi, abs(scale), resid
+
+
+# ---------------------------------------------------------------------------
+# MPS tensors
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class SymmetryConstraint(Push):
+    """One push-through relation (P_in on left, U on phys, P_out on right)."""
+
+    p_out: int
+
+    def __iter__(self):
+        """Unpack as (p_in, u_phys, p_out), the form of a constraint tuple."""
+        return iter((self.p_in, self.u_phys, self.p_out))
+
+
+class MPSTensor(MFTensor):
+    """An MPS tensor bound to an MF basis and its symmetry constraints."""
+
+    LEGS = ("left", "right")
+    IN_LEGS = (0,)
+
+    def __init__(self, tensor: DenseTensor, basis: MFBasis, constraints=()):
+        super().__init__(tensor, basis)
+        self.constraints = list(constraints)
+
+    def pushes(self) -> list:
+        return [(c, 0, {1: c.p_out}) for c in self.constraints]
+
+    def push_images(self) -> dict:
+        """The pushes closed over group products (see ``complete_constraints``)."""
+        return {(0, k): {1: out} for k, (_, out) in complete_constraints(self).items()}
 
     def site_matrices(self) -> list[np.ndarray]:
         """A^i as D x D matrices (left row, right column)."""
@@ -97,38 +382,14 @@ class MPSTensor:
         return cls(DenseTensor(arr, ("phys", "left", "right")), basis, constraints)
 
 
-@dataclass
-class SymmetryReport:
-    residuals: list[float]
-    tol: float
-
-    @property
-    def max_residual(self) -> float:
-        return max(self.residuals) if self.residuals else 0.0
-
-    @property
-    def passed(self) -> bool:
-        return self.max_residual < self.tol
-
-
 def check_mf_symmetry(A: MPSTensor, tol: float | None = None) -> SymmetryReport:
     """Relative residual of every push-through constraint."""
-    b = A.as_matrix()
-    eye = np.eye(A.D)
-    scale = max(np.linalg.norm(b), 1e-300)
-    residuals = []
-    for c in A.constraints:
-        win = np.kron(A.basis.elements[c.p_in].T, eye)
-        wout = np.kron(eye, A.basis.elements[c.p_out])
-        residuals.append(float(np.linalg.norm(c.u_phys @ b @ win - b @ wout)) / scale)
-    return SymmetryReport(residuals, default_tol(tol))
+    return symmetry_report(A, tol)
 
 
 def _constraint_row(basis, d, p_in, u, p_out):
     """Matrix of B -> U B (P^T x I) - B (I x P') acting on row-major vec(B)."""
-    eye = np.eye(basis.dim)
-    win = np.kron(basis.elements[p_in].T, eye)
-    wout = np.kron(eye, basis.elements[p_out])
+    win, wout = push_operators(basis, 2, 0, p_in, {1: p_out})
     return np.kron(u, win.T) - np.kron(np.eye(d), wout.T)
 
 
@@ -174,7 +435,6 @@ def _solve_unknown_corrections(basis, triples, d, rng):
     """
     rng = rng or np.random.default_rng(7)
     D = basis.dim
-    eye = np.eye(D)
     best = None
     for attempt in range(8):
         us = []
@@ -203,9 +463,8 @@ def _solve_unknown_corrections(basis, triples, d, rng):
                 if given_u is not None:
                     new_us.append(u)
                     continue
-                lhs = b @ np.kron(basis.elements[p_in].T, eye)
-                rhs = b @ np.kron(eye, basis.elements[p_out])
-                new_us.append(procrustes_unitary(rhs, lhs))
+                win, wout = push_operators(basis, 2, 0, p_in, {1: p_out})
+                new_us.append(procrustes_unitary(b @ wout, b @ win))
             if all(np.allclose(a, c, atol=1e-13) for a, c in zip(us, new_us)):
                 break
             us = new_us
@@ -218,56 +477,14 @@ def _solve_unknown_corrections(basis, triples, d, rng):
 
 def canonical_form_check(A: MPSTensor, tol: float | None = None):
     """Verify sum_i A^i A^i† is proportional to the identity; returns the constant."""
-    ket = A.tensor
-    bra = DenseTensor(ket.data.conj(), [f"{leg}'" for leg in ket.legs], copy=False)
-    acc = contract(ket, bra, [("phys", "phys'"), ("right", "right'")]).data
-    const, resid = proportionality(acc, np.eye(A.D))
-    return resid < default_tol(tol), complex(const), float(resid)
-
-
-@dataclass
-class PolarSplit:
-    """A = V Q with Q PSD Hermitian on (left, right) and R = V† V."""
-
-    V: np.ndarray
-    Q: np.ndarray
-    R: np.ndarray
-    source: MPSTensor
-    rank: int
-    reconstruction_residual: float
-    commutant_residuals: list[float] = field(default_factory=list)
-    null_space_match: bool = True
-
-
-def commutant_operator(basis: MFBasis, p_in: int, p_out: int) -> np.ndarray:
-    """P^* x P' on the flattened (left, right) pair; commutes with Q."""
-    return np.kron(basis.elements[p_in].conj(), basis.elements[p_out])
+    return gram_proportionality(A.tensor, ["left"], tol)
 
 
 def split_polar(A: MPSTensor, tol: float | None = None) -> PolarSplit:
     """Polar decomposition of the flattened tensor plus its symmetry checks."""
     t = default_tol(tol)
-    rep = check_mf_symmetry(A, t)
-    if not rep.passed:
-        raise SymmetryError(f"MF symmetry fails with residual {rep.max_residual:.3e}")
-    b = A.as_matrix()
-    v, q = polar_nd(b, t)
-    r = v.conj().T @ v
-    scale = max(np.linalg.norm(q), 1e-300)
-    resids = [
-        float(np.linalg.norm(q @ s - s @ q)) / scale
-        for s in (commutant_operator(A.basis, c.p_in, c.p_out) for c in A.constraints)
-    ]
-    return PolarSplit(
-        V=v,
-        Q=q,
-        R=r,
-        source=A,
-        rank=numerical_rank(q, t),
-        reconstruction_residual=float(np.linalg.norm(v @ q - b)) / scale,
-        commutant_residuals=resids,
-        null_space_match=numerical_rank(q, t) == numerical_rank(v, t),
-    )
+    check_mf_symmetry(A, t).require("MF symmetry fails with residual %.3e")
+    return polar_structure(A, t)
 
 
 @dataclass
@@ -289,9 +506,9 @@ def correction_consistency(split: PolarSplit, tol: float | None = None) -> Corre
     """
     A = split.source
     resids, bare = [], []
-    for c in A.constraints:
+    for c, in_leg, outs in A.pushes():
         lhs = split.V.conj().T @ c.u_phys @ split.V
-        s = commutant_operator(A.basis, c.p_in, c.p_out)
+        s = commutant(A.basis, 2, in_leg, c.p_in, outs)
         resids.append(float(np.linalg.norm(lhs - s @ split.R)))
         bare.append(float(np.linalg.norm(lhs - s)))
     return CorrectionReport(resids, bare, default_tol(tol))
@@ -326,83 +543,18 @@ def complete_constraints(A: MPSTensor) -> dict[int, tuple[np.ndarray, int]]:
     return known
 
 
-@dataclass
-class CliffordMagicForm:
-    """V_Q = scale * U_C (psi x I_D): Q read sideways as an isometry."""
-
-    u_c: np.ndarray
-    psi: np.ndarray
-    scale: float
-    reconstruction_residual: float
-    basis: MFBasis
-
-
-def sideways_isometry(split: PolarSplit) -> np.ndarray:
-    """Q[(b,c),(a,d)] rearranged to the D^3 x D map a -> (b, c, d)."""
-    D = split.source.D
-    q4 = split.Q.reshape(D, D, D, D)
-    return q4.transpose(0, 1, 3, 2).reshape(D**3, D)
-
-
 def clifford_magic_decompose(
     split: PolarSplit, basis: MFBasis, tol: float | None = None
 ) -> CliffordMagicForm:
-    """Extract the sideways Clifford form of Q.
+    """Extract the sideways Clifford form of Q (see ``clifford_form``).
 
     A Clifford U_C is synthesized with U_C (I x I x S) U_C† equal to the
     symmetry image (S x M(S^T)† x M(S^T)^T) of V_Q for the generators
     S in {X, Z}; psi is then recovered from U_C† V_Q = psi x I_D.
     """
-    A = split.source
-    if basis.dim != A.basis.dim:
+    if basis.dim != split.source.basis.dim:
         raise DimensionMismatchError("basis mismatch with the split source")
-    D = basis.dim
-    generators = wh_generators(basis)
-    if not qc._is_prime(D):
-        raise NonPrimeDimensionError("clifford form needs prime virtual dimension")
-
-    completed = complete_constraints(A)
-    v_q = sideways_isometry(split)
-
-    images = []
-    for slot_gen, pre_idx in generators:
-        if pre_idx not in completed:
-            raise SymmetryError(
-                f"no constraint pushes basis element {basis.labels[pre_idx]}"
-            )
-        img = basis.elements[completed[pre_idx][1]]
-        target = np.kron(slot_gen, np.kron(img.conj().T, img.T))
-        src = qc.matrix_to_pauli(np.kron(np.eye(D * D), slot_gen), 3, D)
-        tgt = qc.matrix_to_pauli(target, 3, D)
-        if src is None or tgt is None:
-            raise SymmetryError("generator image is not a Weyl-Heisenberg string")
-        images.append((src, tgt))
-
-    u_c = qc.synthesize_clifford(qc.PartialCliffordMap(3, D, tuple(images))).data
-    psi, scale, resid = factor_sideways_isometry(u_c, v_q)
-    return CliffordMagicForm(u_c, psi, scale, resid, basis)
-
-
-def factor_sideways_isometry(u_c: np.ndarray, v_q: np.ndarray):
-    """Factor V_Q = scale * U_C (psi x I_k) for a k-column sideways isometry.
-
-    psi is read off the wire trace of U_C† V_Q, normalized, and phase-fixed
-    so that its largest entry is real positive.  Returns (psi, scale,
-    relative reconstruction residual).
-    """
-    k = v_q.shape[1]
-    w = (u_c.conj().T @ v_q).reshape(-1, k, k)
-    psi = np.einsum("paa->p", w) / k
-    nrm = float(np.linalg.norm(psi))
-    if nrm < 1e-12:
-        raise SymmetryError("sideways isometry does not factor through the Clifford")
-    psi = psi / nrm
-    lead = psi[np.argmax(np.abs(psi))]
-    psi = psi * (abs(lead) / lead)
-    recon = u_c @ np.kron(psi[:, None], np.eye(k))
-    scale, _ = proportionality(v_q, recon)
-    resid = float(np.linalg.norm(v_q - scale * recon)) / max(np.linalg.norm(v_q), 1e-300)
-    return psi, abs(scale), resid
+    return clifford_form(split, basis)
 
 
 def is_stabilizer_state(psi: np.ndarray, n: int, d: int, tol: float = 1e-7) -> bool:
@@ -432,31 +584,14 @@ def spt_solution(basis: MFBasis, alpha, tol: float | None = None) -> MPSTensor:
     The attached constraints are SPT-type: (P_i, P_i^* x P_i, P_i) for every
     basis element.  Requires an abelian group basis.
     """
-    alpha = np.asarray(alpha, dtype=np.complex128).reshape(-1)
-    if alpha.shape[0] != len(basis.elements):
-        raise DimensionMismatchError("alpha needs one coefficient per basis element")
-    if not alpha.any():
-        raise ValueError("alpha must be nonzero")
-    require_abelian(basis)
+    alpha = abelian_coefficients(basis, alpha)
     q = sum(a * np.kron(p.conj(), p) for a, p in zip(alpha, basis.elements))
     constraints = [
         SymmetryConstraint(i, np.kron(p.conj(), p), i) for i, p in enumerate(basis.elements)
     ]
     out = MPSTensor(_q_to_mps_tensor(q, basis), basis, constraints)
-    rep = check_mf_symmetry(out, tol)
-    if not rep.passed:
-        raise SymmetryError(f"analytic solution fails its own symmetry: {rep.max_residual:.3e}")
+    check_mf_symmetry(out, tol).require("analytic solution fails its own symmetry: %.3e")
     return out
-
-
-def require_abelian(basis: MFBasis) -> None:
-    if basis.cocycle is None:
-        basis.cocycle = check_group_closure(basis)
-    if basis.cocycle is None:
-        raise NonGroupBasisError("operation requires a group basis")
-    idx, _ = basis.product_table()
-    if not np.array_equal(idx, idx.T):
-        raise NonGroupBasisError("operation requires an abelian quotient group")
 
 
 def spt_family_projector(basis: MFBasis) -> np.ndarray:

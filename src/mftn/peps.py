@@ -3,14 +3,15 @@ and transfer-matrix spectra.
 
 Conventions
 -----------
-A PEPS tensor A with legs (left, up, right, down, phys) is flattened to the
-d x D^4 matrix B = A.matrix(["phys"], ["left", "up", "right", "down"]).
-Push-through constraints come in two families:
+A PEPS tensor A with legs (left, up, right, down, phys) is the four-leg case
+of the MF tensors in ``mps``: it flattens to the d x D^4 matrix
+B = A.matrix(["phys"], ["left", "up", "right", "down"]), defects enter on the
+left and down legs and leave on the up and right ones.  Push-through
+constraints come in two families:
 
     A-type (P, U, P1, P2):  U B (P^T x I x I x I) = B (I x P1 x P2 x I)
     B-type (P, U, P1, P2):  U B (I x I x I x P^T) = B (I x P1 x P2 x I)
 
-so defects entering on the left or down leg are pushed to the up/right legs.
 The polar split B = V Q gives [Q, P^* x P1 x P2 x I] = 0 (A-type) and
 [Q, I x P1 x P2 x P^*] = 0 (B-type).  For an abelian group basis the
 topological solution is Q = sum_i alpha_i (P_i^* x P_i x P_i x P_i^*).
@@ -18,14 +19,12 @@ topological solution is Q = sum_i alpha_i (P_i^* x P_i x P_i x P_i^*).
 
 from __future__ import annotations
 
-import functools
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from . import clifford as qc
-from .basis import MFBasis, wh_generators
+from .basis import MFBasis
 from .errors import (
     DimensionMismatchError,
     NonGroupBasisError,
@@ -33,61 +32,49 @@ from .errors import (
     SizeGuardError,
     SymmetryError,
 )
-from .mps import factor_sideways_isometry, require_abelian
-from .tensors import (
-    DenseTensor,
-    default_tol,
-    first_unitary_fit,
-    numerical_rank,
-    polar_nd,
-    proportionality,
+from .mps import (
+    CliffordMagicForm,
+    MFTensor,
+    PolarSplit,
+    Push,
+    SymmetryReport,
+    abelian_coefficients,
+    clifford_form,
+    polar_structure,
+    require_abelian,
+    solve_pushes,
+    symmetry_report,
 )
+from .tensors import DenseTensor, default_tol, gram_proportionality, numerical_rank, proportionality
 
 VIRTUAL_LEGS = ("left", "up", "right", "down")
 
 
 @dataclass(frozen=True)
-class PEPSConstraint:
+class PEPSConstraint(Push):
     """(P_in, U on phys, P_out on up, P_out on right)."""
 
-    p_in: int
-    u_phys: np.ndarray
     out_up: int
     out_right: int
 
-    def __post_init__(self):
-        u = np.asarray(self.u_phys, dtype=np.complex128)
-        if np.linalg.norm(u @ u.conj().T - np.eye(u.shape[0])) > 1e-7 * u.shape[0]:
-            raise ValueError("u_phys must be unitary")
-        u.setflags(write=False)
-        object.__setattr__(self, "u_phys", u)
 
-
-class PEPSTensor:
+class PEPSTensor(MFTensor):
     """A five-leg PEPS tensor bound to an MF basis and its constraints."""
 
+    LEGS = VIRTUAL_LEGS
+    IN_LEGS = (0, 3)
+
     def __init__(self, tensor: DenseTensor, basis: MFBasis, constraints_a=(), constraints_b=()):
-        if set(tensor.legs) != set(VIRTUAL_LEGS) | {"phys"}:
-            raise DimensionMismatchError("PEPS tensor needs legs left/up/right/down/phys")
-        for leg in VIRTUAL_LEGS:
-            if tensor.leg_dim(leg) != basis.dim:
-                raise DimensionMismatchError("virtual legs must match the basis dimension")
-        self.tensor = tensor
-        self.basis = basis
+        super().__init__(tensor, basis)
         self.constraints_a = list(constraints_a)
         self.constraints_b = list(constraints_b)
 
-    @property
-    def d(self) -> int:
-        return self.tensor.leg_dim("phys")
-
-    @property
-    def D(self) -> int:
-        return self.basis.dim
-
-    def as_matrix(self) -> np.ndarray:
-        """d x D^4 flattening with columns (left, up, right, down) row-major."""
-        return self.tensor.matrix(["phys"], list(VIRTUAL_LEGS))
+    def pushes(self) -> list:
+        return [
+            (c, in_leg, {1: c.out_up, 2: c.out_right})
+            for in_leg, constraints in ((0, self.constraints_a), (3, self.constraints_b))
+            for c in constraints
+        ]
 
     @classmethod
     def from_matrix(cls, b: np.ndarray, basis: MFBasis, constraints_a=(), constraints_b=()):
@@ -97,108 +84,23 @@ class PEPSTensor:
         return cls(t.transpose_to(VIRTUAL_LEGS + ("phys",)), basis, constraints_a, constraints_b)
 
 
-def slot_operator(basis: MFBasis, slot: int, m: np.ndarray) -> np.ndarray:
-    """I x .. x m x .. x I on the four flattened virtual legs."""
-    D = basis.dim
-    ops = [np.eye(D)] * 4
-    ops[slot] = m
-    out = ops[0]
-    for o in ops[1:]:
-        out = np.kron(out, o)
-    return out
-
-
-def _in_op(basis, constraint_kind, p_idx):
-    p = basis.elements[p_idx]
-    slot = 0 if constraint_kind == "a" else 3
-    return slot_operator(basis, slot, p.T)
-
-
-def push_image_pairs(basis: MFBasis) -> list[tuple[int, int]]:
-    """All (P1, P2) index pairs for the two out legs, single-leg pushes first."""
-    n = len(basis.elements)
-    ident = basis.identity_index
-    return sorted(
-        itertools.product(range(n), range(n)),
-        key=lambda p: (p[0] != ident) + (p[1] != ident),
-    )
-
-
-def _out_op(basis, up_idx, right_idx):
-    return slot_operator(basis, 1, basis.elements[up_idx]) @ slot_operator(
-        basis, 2, basis.elements[right_idx]
-    )
-
-
-@dataclass
-class PepsSymmetryReport:
-    residuals_a: list[float]
-    residuals_b: list[float]
-    tol: float
-
-    @property
-    def max_residual(self) -> float:
-        return max(self.residuals_a + self.residuals_b, default=0.0)
-
-    @property
-    def passed(self) -> bool:
-        return self.max_residual < self.tol
-
-
-def check_peps_mf_symmetry(A: PEPSTensor, tol: float | None = None) -> PepsSymmetryReport:
-    """Relative residuals of the left-leg and down-leg push constraints."""
-    b = A.as_matrix()
-    scale = max(np.linalg.norm(b), 1e-300)
-    res_a, res_b = [], []
-    for kind, constraints, acc in (("a", A.constraints_a, res_a), ("b", A.constraints_b, res_b)):
-        for c in constraints:
-            lhs = c.u_phys @ b @ _in_op(A.basis, kind, c.p_in)
-            rhs = b @ _out_op(A.basis, c.out_up, c.out_right)
-            acc.append(float(np.linalg.norm(lhs - rhs)) / scale)
-    return PepsSymmetryReport(res_a, res_b, default_tol(tol))
+def check_peps_mf_symmetry(A: PEPSTensor, tol: float | None = None) -> SymmetryReport:
+    """Relative residuals of the left-leg, then the down-leg push constraints."""
+    return symmetry_report(A, tol)
 
 
 def peps_isometry_check(A: PEPSTensor, tol: float | None = None):
     """Contract A against itself over (phys, up, right): must be c * identity
     on the (left, down) pair."""
-    t = A.tensor.transpose_to(("phys", "up", "right", "left", "down"))
-    D = A.D
-    m = t.data.reshape(A.d * D * D, D * D)
-    gram = m.conj().T @ m
-    const, resid = proportionality(gram, np.eye(D * D))
-    return resid < default_tol(tol), complex(const), float(resid)
-
-
-def commutant_a(basis: MFBasis, c: PEPSConstraint) -> np.ndarray:
-    out = np.kron(basis.elements[c.p_in].conj(), basis.elements[c.out_up])
-    return np.kron(out, np.kron(basis.elements[c.out_right], np.eye(basis.dim)))
-
-
-def commutant_b(basis: MFBasis, c: PEPSConstraint) -> np.ndarray:
-    out = np.kron(np.eye(basis.dim), basis.elements[c.out_up])
-    return np.kron(out, np.kron(basis.elements[c.out_right], basis.elements[c.p_in].conj()))
+    return gram_proportionality(A.tensor, ["left", "down"], tol)
 
 
 @dataclass
-class PepsCliffordForm:
-    u_c: np.ndarray
-    psi: np.ndarray
-    scale: float
-    reconstruction_residual: float
+class PepsPolarSplit(PolarSplit):
+    """A PolarSplit whose commutant residuals list the A-type constraints, then
+    the B-type ones, with the sideways Clifford form or why it was skipped."""
 
-
-@dataclass
-class PepsPolarSplit:
-    V: np.ndarray
-    Q: np.ndarray
-    R: np.ndarray
-    source: PEPSTensor
-    rank: int
-    reconstruction_residual: float
-    commutant_residuals_a: list[float] = field(default_factory=list)
-    commutant_residuals_b: list[float] = field(default_factory=list)
-    null_space_match: bool = True
-    clifford: PepsCliffordForm | None = None
+    clifford: CliffordMagicForm | None = None
     clifford_error: str | None = None
 
 
@@ -210,92 +112,14 @@ def peps_split_polar(A: PEPSTensor, tol: float | None = None, want_clifford: boo
     and skipped with a recorded reason otherwise.
     """
     t = default_tol(tol)
-    rep = check_peps_mf_symmetry(A, t)
-    if not rep.passed:
-        raise SymmetryError(f"PEPS MF symmetry fails with residual {rep.max_residual:.3e}")
-    b = A.as_matrix()
-    v, q = polar_nd(b, t)
-    r = v.conj().T @ v
-    scale = max(np.linalg.norm(q), 1e-300)
-    res_a = [
-        float(np.linalg.norm(q @ s - s @ q)) / scale
-        for s in (commutant_a(A.basis, c) for c in A.constraints_a)
-    ]
-    res_b = [
-        float(np.linalg.norm(q @ s - s @ q)) / scale
-        for s in (commutant_b(A.basis, c) for c in A.constraints_b)
-    ]
-    split = PepsPolarSplit(
-        V=v,
-        Q=q,
-        R=r,
-        source=A,
-        rank=numerical_rank(q, t),
-        reconstruction_residual=float(np.linalg.norm(v @ q - b)) / scale,
-        commutant_residuals_a=res_a,
-        commutant_residuals_b=res_b,
-        null_space_match=numerical_rank(q, t) == numerical_rank(v, t),
-    )
+    check_peps_mf_symmetry(A, t).require("PEPS MF symmetry fails with residual %.3e")
+    split = polar_structure(A, t, PepsPolarSplit)
     if want_clifford:
         try:
-            split.clifford = _peps_clifford_form(split)
+            split.clifford = clifford_form(split, A.basis)
         except (NonPrimeDimensionError, NonGroupBasisError, SymmetryError) as exc:
             split.clifford_error = str(exc)
     return split
-
-
-def _constraint_lookup(constraints, p_idx):
-    for c in constraints:
-        if c.p_in == p_idx:
-            return c
-    return None
-
-
-def _peps_clifford_form(split: PepsPolarSplit) -> PepsCliffordForm:
-    """Sideways Clifford form of Q: V_Q = scale * U_C (psi x I_{D^2}).
-
-    V_Q reads Q as the isometry (left, down) -> (inner four legs, up, right);
-    U_C on C^{D^6} matches the generator push-through images on the two wire
-    slots, and psi lives on the four inner legs.
-    """
-    A = split.source
-    basis = A.basis
-    D = basis.dim
-    if not qc._is_prime(D):
-        raise NonPrimeDimensionError("clifford form needs prime virtual dimension")
-    generators = wh_generators(basis)
-
-    q8 = split.Q.reshape((D,) * 8)  # rows (lp,up,rp,dp), cols (l,u,r,d)
-    v_q = q8.transpose(0, 1, 2, 3, 5, 6, 4, 7).reshape(D**6, D**2)
-
-    def images_for(kind, wire_slot):
-        out = []
-        for gen, pre_idx in generators:
-            constraints = A.constraints_a if kind == "a" else A.constraints_b
-            c = _constraint_lookup(constraints, pre_idx)
-            if c is None:
-                raise SymmetryError(
-                    f"missing {kind}-type constraint for {basis.labels[pre_idx]}"
-                )
-            p1 = basis.elements[c.out_up]
-            p2 = basis.elements[c.out_right]
-            inner = [np.eye(D)] * 4
-            inner[0 if kind == "a" else 3] = gen
-            inner[1:3] = [p1.conj().T, p2.conj().T]
-            target = np.kron(functools.reduce(np.kron, inner), np.kron(p1.T, p2.T))
-            src_mats = [np.eye(D)] * 6
-            src_mats[wire_slot] = gen
-            src_p = qc.matrix_to_pauli(functools.reduce(np.kron, src_mats), 6, D)
-            tgt_p = qc.matrix_to_pauli(target, 6, D)
-            if src_p is None or tgt_p is None:
-                raise SymmetryError("push image is not a Weyl-Heisenberg string")
-            out.append((src_p, tgt_p))
-        return out
-
-    images = images_for("a", 4) + images_for("b", 5)
-    u_c = qc.synthesize_clifford(qc.PartialCliffordMap(6, D, tuple(images))).data
-    psi, scale, resid = factor_sideways_isometry(u_c, v_q)
-    return PepsCliffordForm(u_c, psi, scale, resid)
 
 
 def topo_pattern(basis: MFBasis, m_idx: int) -> np.ndarray:
@@ -349,12 +173,7 @@ def topo_solution(basis: MFBasis, alpha, tol: float | None = None) -> PEPSTensor
     The push tables for the left and down legs are solved numerically per
     basis element (single-leg pushes are tried first, then all image pairs).
     """
-    alpha = np.asarray(alpha, dtype=np.complex128).reshape(-1)
-    if alpha.shape[0] != len(basis.elements):
-        raise DimensionMismatchError("alpha needs one coefficient per basis element")
-    if not alpha.any():
-        raise ValueError("alpha must be nonzero")
-    require_abelian(basis)
+    alpha = abelian_coefficients(basis, alpha)
     q = sum(
         a * np.kron(np.kron(p.conj(), p), np.kron(p, p.conj()))
         for a, p in zip(alpha, basis.elements)
@@ -362,39 +181,23 @@ def topo_solution(basis: MFBasis, alpha, tol: float | None = None) -> PEPSTensor
     A = PEPSTensor.from_matrix(q, basis)
     A.constraints_a = derive_push_constraints(A, "a", tol)
     A.constraints_b = derive_push_constraints(A, "b", tol)
-    rep = check_peps_mf_symmetry(A, tol)
-    if not rep.passed:
-        raise SymmetryError(f"analytic solution fails its own symmetry: {rep.max_residual:.3e}")
+    check_peps_mf_symmetry(A, tol).require("analytic solution fails its own symmetry: %.3e")
     return A
 
 
 def derive_push_constraints(A: PEPSTensor, kind: str, tol: float | None = None):
     """Solve (U, P1, P2) per basis element for the requested constraint family.
 
-    For each incoming element the correction unitary is obtained from the
-    orthogonal Procrustes problem; candidate (P1, P2) image pairs are scanned
-    with single-leg pushes first.
+    A-type pushes enter on the left leg, B-type ones on the down leg; see
+    ``mps.solve_pushes`` for the search.
     """
-    t = max(default_tol(tol), 1e-8)
     basis = A.basis
-    b = A.as_matrix()
-    scale = max(np.linalg.norm(b), 1e-300)
-    pairs = push_image_pairs(basis)
-    out = []
-    for p_idx in range(len(basis.elements)):
-        lhs = b @ _in_op(basis, kind, p_idx)
-        candidates = (
-            ((up_idx, right_idx), b @ _out_op(basis, up_idx, right_idx))
-            for up_idx, right_idx in pairs
-        )
-        fit = first_unitary_fit(lhs, candidates, t * scale)
-        if fit is None:
-            raise SymmetryError(
-                f"no ({kind})-type push exists for element {basis.labels[p_idx]}"
-            )
-        (up_idx, right_idx), u = fit
-        out.append(PEPSConstraint(p_idx, u, up_idx, right_idx))
-    return out
+    fits = solve_pushes(
+        A.as_matrix(), basis, (A.D,) * 4, 0 if kind == "a" else 3,
+        [p.T for p in basis.elements], (1, 2), max(default_tol(tol), 1e-8),
+        lambda k: SymmetryError(f"no ({kind})-type push exists for element {basis.labels[k]}"),
+    )
+    return [PEPSConstraint(k, u, up, right) for k, ((up, right), u) in enumerate(fits)]
 
 
 @dataclass

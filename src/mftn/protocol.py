@@ -29,9 +29,9 @@ from .errors import (
     SizeGuardError,
     SymmetryError,
 )
-from .mps import chain_state, check_mf_symmetry, complete_constraints, per_distinct
-from .peps import PEPSTensor, push_image_pairs, slot_operator
-from .tensors import DenseTensor, default_tol, first_unitary_fit, state_fidelity
+from .mps import chain_state, check_mf_symmetry, complete_constraints, per_distinct, solve_pushes
+from .peps import PEPSTensor
+from .tensors import DenseTensor, default_tol, state_fidelity
 
 RNG_ALGORITHM = "philox4x64"
 
@@ -106,9 +106,7 @@ def _validate_chain(tensors, tol: float) -> MFBasis:
     for t in {id(t): t for t in tensors}.values():
         if t.basis.dim != basis.dim:
             raise DimensionMismatchError("all tensors must share the basis dimension")
-        rep = check_mf_symmetry(t, tol)
-        if not rep.passed:
-            raise SymmetryError(f"chain tensor fails MF symmetry: {rep.max_residual:.3e}")
+        check_mf_symmetry(t, tol).require("chain tensor fails MF symmetry: %.3e")
     try:
         basis.product_table()
     except NonGroupBasisError:
@@ -157,8 +155,8 @@ def _chain_fidelity(stacks, transfers, basis, outcomes, corrections, edge_fix, b
         fixed[site] = np.tensordot(u, fixed[site], axes=1)
     for b, j in enumerate(outcomes):
         fixed[b] = fixed[b] @ bond_projector(basis, j)
-    if edge_fix is not None:  # normalised: it holds the inverse of every bond's 1/sqrt(D)
-        fixed[-1] = fixed[-1] @ (edge_fix / np.linalg.norm(edge_fix))
+    if edge_fix is not None:
+        fixed[-1] = fixed[-1] @ edge_fix
     tc, log_tc = _close_chain([_transfer(c, a) for c, a in zip(fixed, stacks)], D, boundary)
     cc, log_cc = _close_chain([_transfer(c, c) for c in fixed], D, boundary)
     tt, log_tt = _close_chain(transfers, D, boundary)
@@ -168,15 +166,11 @@ def _chain_fidelity(stacks, transfers, basis, outcomes, corrections, edge_fix, b
 
 
 def _resolve_scaled(basis, m, tol):
-    """(class, phase, scale) with m = scale * phase * P_class."""
+    """(class, phase) with m = scale * phase * P_class for some scale > 0, or None."""
     scale = np.linalg.norm(m) / np.sqrt(basis.dim)
     if scale <= 0:
         return None
-    hit = basis.try_resolve(m / scale, tol)
-    if hit is None:
-        return None
-    cls, phase = hit
-    return cls, phase, scale
+    return basis.try_resolve(m / scale, tol)
 
 
 def push_chain_defects(completed, basis, outcomes, boundary, tol):
@@ -188,6 +182,9 @@ def push_chain_defects(completed, basis, outcomes, boundary, tol):
     on the physical legs, the inverse of the final defect for the open right
     edge (None for periodic chains), and whether the merged wrap-bond defect
     of a periodic chain is the identity class (always True for open chains).
+    The running defect carries its phase but not the bonds' 1/sqrt(D)
+    scale, so it cannot underflow; corrected states are therefore fixed up
+    to a positive factor, which every fidelity divides out.
     """
     D = basis.dim
     n = len(completed)
@@ -201,7 +198,7 @@ def push_chain_defects(completed, basis, outcomes, boundary, tol):
         hit = _resolve_scaled(basis, combined, tol)
         if hit is None:
             raise DefectStuckError("bond operator left the basis", site=b)
-        cls, phase, scale = hit
+        cls, phase = hit
         if boundary == "periodic" and b == nbonds - 1:
             predicted = cls == basis.identity_index
             break
@@ -214,7 +211,7 @@ def push_chain_defects(completed, basis, outcomes, boundary, tol):
             )
         u, out_cls = completed[site][cls]
         corrections.append((site, u))
-        carry = (scale * phase) * basis.elements[out_cls]
+        carry = phase * basis.elements[out_cls]
     if boundary == "open":
         edge_fix = np.linalg.inv(carry)
     return corrections, edge_fix, predicted
@@ -327,29 +324,16 @@ ORIENTATIONS = {
 
 def solve_push_table(A: PEPSTensor, in_slot: int, out_slots, tol: float | None = None):
     """Per-class push rules U B (P on in_slot) = B (P1 on out1)(P2 on out2)."""
-    t = max(default_tol(tol), 1e-8)
     basis = A.basis
-    b = A.as_matrix()
-    scale = max(np.linalg.norm(b), 1e-300)
-    pairs = push_image_pairs(basis)
-    table = {}
-    for cls in range(len(basis.elements)):
-        lhs = b @ slot_operator(basis, in_slot, basis.elements[cls])
-        candidates = (
-            ((c1, c2), b
-             @ slot_operator(basis, out_slots[0], basis.elements[c1])
-             @ slot_operator(basis, out_slots[1], basis.elements[c2]))
-            for c1, c2 in pairs
-        )
-        fit = first_unitary_fit(lhs, candidates, t * scale)
-        if fit is None:
-            raise DefectStuckError(
-                f"tensor admits no push for {basis.labels[cls]} on slot {in_slot}",
-                operator=basis.labels[cls],
-            )
-        (c1, c2), u = fit
-        table[cls] = (u, c1, c2)
-    return table
+    fits = solve_pushes(
+        A.as_matrix(), basis, (A.D,) * 4, in_slot, basis.elements, out_slots,
+        max(default_tol(tol), 1e-8),
+        lambda k: DefectStuckError(
+            f"tensor admits no push for {basis.labels[k]} on slot {in_slot}",
+            operator=basis.labels[k],
+        ),
+    )
+    return {k: (u, c1, c2) for k, ((c1, c2), u) in enumerate(fits)}
 
 
 class PepsPatch:
@@ -608,7 +592,7 @@ def _route_defects(patch: PepsPatch, outcomes: dict, tol: float):
             hit = _resolve_scaled(basis, m, tol)
             if hit is None:
                 raise DefectStuckError("bond operator left the basis", site=site)
-            cls, phase, _ = hit
+            cls, phase = hit
             if cls == ident:
                 continue
             table = patch.push_table(r, c, in_slot)
@@ -685,7 +669,7 @@ def run_peps_protocol(grid, orientation="ur", seed: int = 0, tol: float | None =
     outcomes, probs = _sample_peps_bonds(patch, rng)
     site_u, edge_ops = _route_defects(patch, outcomes, t)
     fid = peps_fidelity(patch, outcomes, site_u, edge_ops)
-    mats = {k: patch.basis.elements[j].conj() / np.sqrt(patch.D) for k, j in outcomes.items()}
+    mats = {k: bond_projector(patch.basis, j) for k, j in outcomes.items()}
     state = patch.dense_state(ket_mods=_ket_mods(patch, site_u, edge_ops), ket_bonds=mats)
     corrections = [(site, u) for site, u in sorted(site_u.items())]
     return ProtocolRun(
@@ -731,7 +715,7 @@ def enumerate_peps_outcomes(patch: PepsPatch, tol: float | None = None, fidelity
     success_p = 0.0
     for combo in itertools.product(range(n), repeat=len(order)):
         outcomes = dict(zip(order, combo))
-        mats = {k: patch.basis.elements[j].conj() / np.sqrt(patch.D) for k, j in outcomes.items()}
+        mats = {k: bond_projector(patch.basis, j) for k, j in outcomes.items()}
         p = patch.network_value(ket_bonds=mats, bra_bonds=mats).real / norm_free
         try:
             site_u, edge_ops = _route_defects(patch, outcomes, t)

@@ -231,6 +231,18 @@ def proportionality(a: np.ndarray, b: np.ndarray) -> tuple[complex, float]:
     return complex(c), float(resid)
 
 
+def gram_proportionality(t: DenseTensor, open_legs: Sequence[str], tol: float | None = None):
+    """Contract t with its conjugate over every leg but ``open_legs``.
+
+    Returns (passed, c, residual) for the Gram matrix against c * identity.
+    """
+    bra = DenseTensor(t.data.conj(), [f"{leg}'" for leg in t.legs], copy=False)
+    gram = contract(t, bra, [(leg, f"{leg}'") for leg in t.legs if leg not in open_legs]).data
+    n = int(np.sqrt(gram.size))
+    const, resid = proportionality(gram.reshape(n, n), np.eye(n))
+    return resid < default_tol(tol), complex(const), float(resid)
+
+
 def state_fidelity(x: np.ndarray, y: np.ndarray) -> float:
     """|<x|y>|^2 / (|x|^2 |y|^2): quotient by scale and global phase."""
     x = np.asarray(x).reshape(-1)

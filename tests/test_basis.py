@@ -12,7 +12,7 @@ from mftn.basis import (
     shift_clock,
     weyl_heisenberg_basis,
 )
-from mftn.errors import BasisError, NonGroupBasisError
+from mftn.errors import BasisError, NonGroupBasisError, SizeGuardError
 from mftn.tensors import default_tol, random_unitary
 
 # A 5x5 Latin square whose row permutations do not close under composition,
@@ -65,6 +65,28 @@ class TestWeylHeisenberg:
     def test_rejects_small_dimension(self):
         with pytest.raises(ValueError):
             weyl_heisenberg_basis(1)
+
+    def test_rejects_dimension_above_the_guard(self):
+        assert weyl_heisenberg_basis(MFBasis.MAX_DIM).dim == 16
+        with pytest.raises(SizeGuardError):
+            weyl_heisenberg_basis(17)
+        with pytest.raises(SizeGuardError):
+            MFBasis(17, [])
+        with pytest.raises(SizeGuardError):
+            composite_basis(weyl_heisenberg_basis(2), weyl_heisenberg_basis(9))
+
+    @pytest.mark.parametrize("D", [2, 3, 5, 8])
+    def test_cocycle_matches_the_elementwise_formula(self, D):
+        # the reference: omega(j, k) = exp(2 pi i (v w' - w v') / D), one pair at a time
+        vw = [(v, w) for v in range(D) for w in range(D)]
+        want = np.array([[np.exp(2j * np.pi * (v * wp - w * vp) / D) for vp, wp in vw]
+                         for v, w in vw])
+        b = weyl_heisenberg_basis(D)
+        np.testing.assert_allclose(b.cocycle.phases, want, rtol=0, atol=1e-13)
+        # and the definition P_k P_j = omega(j, k) P_j P_k
+        for j, k in [(1, D), (D + 1, 2 * D - 1), (D * D - 1, 1)]:
+            pj, pk = b.elements[j], b.elements[k]
+            np.testing.assert_allclose(pk @ pj, b.cocycle.omega(j, k) * pj @ pk, atol=1e-12)
 
 
 class TestComposite:

@@ -182,6 +182,13 @@ class TestDispatch:
         assert rep["outputs"]["success_rate"] == 1.0
         assert rep["outputs"]["worst_success_fidelity"] >= 1 - 1e-9
 
+    def test_simulate_long_chain_defect_does_not_underflow(self, capsys):
+        # a running defect that kept each bond's 1/sqrt(2) underflowed near 2,000 sites
+        code, out = run(capsys, ["simulate", "--chain", "aklt", "--sites", "2500"])
+        rep = report_of(out)
+        assert code == 0
+        assert rep["outputs"]["success_rate"] == 1.0
+
     def test_simulate_checks_each_verdict_against_the_prediction(self, capsys, monkeypatch):
         argv = ["simulate", "--chain", "aklt", "--sites", "3", "--boundary", "periodic",
                 "--trials", "12"]
@@ -235,6 +242,23 @@ class TestDispatch:
         assert {"name": "completed", "passed": False} in rep["checks"]
         assert "capped" in rep["outputs"]["error"]
         assert peak < 4**7 * 16  # smaller than one complex 7-site input
+
+    @pytest.mark.parametrize("argv", [["--basis", "WH:100"], ["--basis", "WH:3", "--composite", "WH:6"]],
+                             ids=["WH:100", "WH:3xWH:6"])
+    def test_basis_refuses_oversized_dimension_before_building_it(self, capsys, argv):
+        tracemalloc.start()
+        try:
+            got = cli.dispatch(["basis"] + argv)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        captured = capsys.readouterr()
+        assert got == 1
+        assert "Traceback" not in captured.err
+        rep = report_of(captured.out)
+        assert {"name": "completed", "passed": False} in rep["checks"]
+        assert "desk-scale guard" in rep["outputs"]["error"]
+        assert peak < 17**4 * 16  # smaller than the D^2 elements of a D = 17 basis
 
     def test_clifford_synth(self, capsys, tmp_path):
         spec = {

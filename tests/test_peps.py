@@ -106,7 +106,7 @@ class TestSplitPolar:
         q = topo_solution(wh2, x_power_alpha(wh2))
         split = peps_split_polar(q)
         assert split.null_space_match
-        assert max(split.commutant_residuals_a + split.commutant_residuals_b) < 1e-9
+        assert max(split.commutant_residuals) < 1e-9
         assert split.clifford is not None
         assert split.clifford.reconstruction_residual < 1e-9
         from mftn.clifford import is_clifford
@@ -118,7 +118,7 @@ class TestSplitPolar:
         q = topo_solution(wh2, x_power_alpha(wh2, charge=1))
         split = peps_split_polar(q)
         assert split.null_space_match
-        assert max(split.commutant_residuals_a + split.commutant_residuals_b) < 1e-9
+        assert max(split.commutant_residuals) < 1e-9
         assert split.clifford is not None and split.clifford.reconstruction_residual < 1e-9
 
     def test_interpolated_psi_has_magic(self, wh2):
@@ -132,7 +132,7 @@ class TestSplitPolar:
         q = topo_solution(wh3, x_power_alpha(wh3))
         split = peps_split_polar(q, want_clifford=False)
         assert split.null_space_match
-        assert max(split.commutant_residuals_a + split.commutant_residuals_b) < 1e-9
+        assert max(split.commutant_residuals) < 1e-9
 
 
 class TestTopoSymmetry:
