@@ -194,7 +194,7 @@ def derive_push_constraints(A: PEPSTensor, kind: str, tol: float | None = None):
     basis = A.basis
     fits = solve_pushes(
         A.as_matrix(), basis, (A.D,) * 4, 0 if kind == "a" else 3,
-        [p.T for p in basis.elements], (1, 2), max(default_tol(tol), 1e-8),
+        [p.T for p in basis.elements], (1, 2), default_tol(tol),
         lambda k: SymmetryError(f"no ({kind})-type push exists for element {basis.labels[k]}"),
     )
     return [PEPSConstraint(k, u, up, right) for k, ((up, right), u) in enumerate(fits)]

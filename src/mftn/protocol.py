@@ -327,7 +327,7 @@ def solve_push_table(A: PEPSTensor, in_slot: int, out_slots, tol: float | None =
     basis = A.basis
     fits = solve_pushes(
         A.as_matrix(), basis, (A.D,) * 4, in_slot, basis.elements, out_slots,
-        max(default_tol(tol), 1e-8),
+        default_tol(tol),
         lambda k: DefectStuckError(
             f"tensor admits no push for {basis.labels[k]} on slot {in_slot}",
             operator=basis.labels[k],
