@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BasisError, NonGroupBasisError, SizeGuardError, SymmetryError
-from .tensors import DenseTensor, default_tol
+from .tensors import DEFAULT_TOL, MATCH_FLOOR, DenseTensor
 
 
 @dataclass(frozen=True)
@@ -57,7 +57,7 @@ class MFBasis:
             raise SizeGuardError(f"basis dimension {dim} exceeds the desk-scale guard of {cls.MAX_DIM}")
         return dim
 
-    def __init__(self, dim, elements, labels=None, is_group=None, cocycle=None, tol=None):
+    def __init__(self, dim, elements, labels=None, is_group=None, cocycle=None):
         self.dim = self.guard_dim(int(dim))
         self.elements = [np.array(e, dtype=np.complex128) for e in elements]
         for e in self.elements:
@@ -65,12 +65,12 @@ class MFBasis:
         self.labels = list(labels) if labels is not None else [f"P{i}" for i in range(len(self.elements))]
         self.is_group = is_group
         self.cocycle = cocycle
-        self._validate(default_tol(tol))
+        self._validate()
         self._product_cache = None
         self._dagger_cache = None
         self._identity_index = None
 
-    def _validate(self, tol: float) -> None:
+    def _validate(self) -> None:
         d = self.dim
         if len(self.elements) != d * d:
             raise BasisError(f"need {d*d} elements, got {len(self.elements)}")
@@ -109,14 +109,14 @@ class MFBasis:
         d = self.dim
         return np.stack([p.reshape(-1) / np.sqrt(d) for p in self.elements], axis=1)
 
-    def resolve(self, m: np.ndarray, tol: float | None = None) -> tuple[int, complex]:
-        """Identify m = phase * P_k; raises when m is not in the basis."""
-        k, c, ok = _phase_match(self._conj_vecs, m, max(default_tol(tol), 1e-7))
+    def resolve(self, m: np.ndarray, tol: float = DEFAULT_TOL) -> tuple[int, complex]:
+        """Identify m = phase * P_k to max(tol, MATCH_FLOOR); raises when m is not in the basis."""
+        k, c, ok = _phase_match(self._conj_vecs, m, max(tol, MATCH_FLOOR))
         if not ok[0]:
             raise NonGroupBasisError("matrix is not a unit-phase multiple of any basis element")
         return int(k[0]), complex(c[0])
 
-    def try_resolve(self, m: np.ndarray, tol: float | None = None):
+    def try_resolve(self, m: np.ndarray, tol: float = DEFAULT_TOL):
         try:
             return self.resolve(m, tol)
         except NonGroupBasisError:
@@ -127,7 +127,7 @@ class MFBasis:
         if self._product_cache is None:
             stack = np.stack(self.elements)
             products = stack[:, None] @ stack[None, :]
-            idx, ph, ok = _phase_match(self._conj_vecs, products, max(default_tol(None), 1e-7))
+            idx, ph, ok = _phase_match(self._conj_vecs, products, MATCH_FLOOR)
             if not ok.all():
                 raise NonGroupBasisError("basis is not closed under multiplication")
             self._product_cache = (idx.reshape(products.shape[:2]), ph.reshape(products.shape[:2]))

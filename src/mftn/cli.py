@@ -86,8 +86,9 @@ def _fmt(x):
 
 
 class RunReport:
-    def __init__(self, command: str, inputs: dict):
+    def __init__(self, command: str, inputs: dict, tol: float):
         self.command = command
+        self.tol = tol
         text = json.dumps(inputs, sort_keys=True, default=str)
         self.inputs_digest = hashlib.sha256(text.encode()).hexdigest()
         self.checks = []
@@ -115,7 +116,7 @@ class RunReport:
             "checks": self.checks,
             "artifacts": self.artifacts,
             "outputs": self.outputs,
-            "tolerance": _fmt(tensors_mod.DEFAULT_TOL),
+            "tolerance": _fmt(self.tol),
             "elapsed_ms": int((time.monotonic() - self._t0) * 1000),
         }
         print(json.dumps(doc, sort_keys=True, indent=1))
@@ -266,32 +267,32 @@ def _cmd_solve_family(args, report):
         constraints = _constraints_from(spec["constraints"], basis)
         d = spec.get("d", args.d)
         d = basis.dim if d is None else int(d)
-    family = mps_mod.solve_symmetry_family(basis, constraints, d=d)
+    family = mps_mod.solve_symmetry_family(basis, constraints, d=d, tol=report.tol)
     report.outputs["dimension"] = len(family)
     for t in family:
-        rep = mps_mod.check_mf_symmetry(t)
+        rep = mps_mod.check_mf_symmetry(t, report.tol)
         report.check("member_symmetry", rep.passed, rep.max_residual)
     report.artifact(args.out, lambda: [t.tensor.to_json() for t in family])
 
 
 def _cmd_check_mps(args, report):
     A = _mps_from(args.tensor)
-    rep = mps_mod.check_mf_symmetry(A)
+    rep = mps_mod.check_mf_symmetry(A, report.tol)
     report.check("mf_symmetry", rep.passed, rep.max_residual)
-    ok, const, resid = mps_mod.canonical_form_check(A)
+    ok, const, resid = mps_mod.canonical_form_check(A, report.tol)
     report.check("canonical_form", ok, resid)
     report.outputs["canonical_constant"] = _fmt(const)
 
 
 def _cmd_decompose_mps(args, report):
     A = _mps_from(args.tensor)
-    split = mps_mod.split_polar(A)
+    split = mps_mod.split_polar(A, report.tol)
     report.check("polar_reconstruction", split.reconstruction_residual < 1e-9,
                  split.reconstruction_residual)
     report.check("null_space_match", split.null_space_match)
     worst = max(split.commutant_residuals, default=0.0)
     report.check("q_commutants", worst < 1e-8, worst)
-    corr = mps_mod.correction_consistency(split)
+    corr = mps_mod.correction_consistency(split, report.tol)
     report.check("correction_consistency", corr.passed, max(corr.residuals, default=0.0))
     try:
         form = mps_mod.clifford_magic_decompose(split, A.basis)
@@ -305,10 +306,10 @@ def _cmd_decompose_mps(args, report):
 
 def _cmd_spt(args, report):
     basis, alpha = _basis_alpha(args.basis, args.alpha)
-    q = mps_mod.spt_solution(basis, alpha)
-    rep = mps_mod.check_mf_symmetry(q)
+    q = mps_mod.spt_solution(basis, alpha, report.tol)
+    rep = mps_mod.check_mf_symmetry(q, report.tol)
     report.check("solution_symmetry", rep.passed, rep.max_residual)
-    ok, _, resid = mps_mod.canonical_form_check(q)
+    ok, _, resid = mps_mod.canonical_form_check(q, report.tol)
     report.check("canonical_form", ok, resid)
     report.artifact(args.out, q.tensor.to_json)
 
@@ -320,7 +321,7 @@ def _cmd_block(args, report):
     report.outputs["order"] = order.order
     k = args.k if args.k is not None else (order.order or 1)
     blocked = mps_mod.block(A, k)
-    rep = mps_mod.check_mf_symmetry(blocked)
+    rep = mps_mod.check_mf_symmetry(blocked, report.tol)
     report.check("blocked_symmetry", rep.passed, rep.max_residual)
     spt_type = all(c.p_in == c.p_out for c in blocked.constraints)
     report.outputs["blocked_spt_type"] = spt_type
@@ -329,44 +330,45 @@ def _cmd_block(args, report):
 
 def _cmd_expect(args, report):
     basis, alpha = _basis_alpha(args.basis, args.alpha)
-    q = mps_mod.spt_solution(basis, alpha)
+    q = mps_mod.spt_solution(basis, alpha, report.tol)
     string = _entries("string", qc.PauliVector.from_json, _load_json(args.string))
-    value = mps_mod.pauli_expectation([q] * len(string), string)
+    value = mps_mod.pauli_expectation([q] * len(string), string, tol=report.tol)
     report.outputs["value"] = _fmt(complex(value))
     report.check("evaluated", True)
 
 
 def _cmd_check_peps(args, report):
     basis, alpha = _basis_alpha(args.basis, args.alpha)
-    q = peps_mod.topo_solution(basis, alpha)
-    rep = peps_mod.check_peps_mf_symmetry(q)
+    tol = report.tol
+    q = peps_mod.topo_solution(basis, alpha, tol)
+    rep = peps_mod.check_peps_mf_symmetry(q, tol)
     report.check("peps_mf_symmetry", rep.passed, rep.max_residual)
-    a = peps_mod.complete_with_isometry(q)
-    ok, const, resid = peps_mod.peps_isometry_check(a)
+    a = peps_mod.complete_with_isometry(q, tol)
+    ok, const, resid = peps_mod.peps_isometry_check(a, tol)
     report.check("isometry_condition", ok, resid)
-    split = peps_mod.peps_split_polar(q)
+    split = peps_mod.peps_split_polar(q, tol)
     worst = max(split.commutant_residuals, default=0.0)
     report.check("q_commutants", worst < 1e-8, worst)
     if split.clifford is not None:
         report.check("clifford_form", split.clifford.reconstruction_residual < 1e-9,
                      split.clifford.reconstruction_residual)
-    inj = peps_mod.injectivity_check(q)
+    inj = peps_mod.injectivity_check(q, tol=tol)
     report.outputs["rank"] = inj.rank
     report.outputs["injective"] = inj.injective
 
 
 def _cmd_topo_solve(args, report):
     spec, basis, alpha = _topo_from(args.topo, args.basis)
-    q = peps_mod.topo_solution(basis, alpha)
-    rep = peps_mod.check_peps_mf_symmetry(q)
+    q = peps_mod.topo_solution(basis, alpha, report.tol)
+    rep = peps_mod.check_peps_mf_symmetry(q, report.tol)
     report.check("solution_symmetry", rep.passed, rep.max_residual)
     if spec.get("subgroup"):
         tspec = _topo_symmetry(spec, basis)
-        topo = peps_mod.check_topo_symmetry(q, tspec, alpha=alpha)
+        topo = peps_mod.check_topo_symmetry(q, tspec, alpha, report.tol)
         report.check("topo_symmetry", topo.passed,
                      max(topo.residuals.values(), default=0.0))
         report.outputs["phases"] = {basis.labels[k]: _fmt(v) for k, v in topo.phases.items()}
-        inj = peps_mod.injectivity_check(q, tspec)
+        inj = peps_mod.injectivity_check(q, tspec, report.tol)
         report.check("non_injectivity_signature", bool(inj.consistent_with_spec))
     report.artifact(args.out, q.tensor.to_json)
 
@@ -378,7 +380,7 @@ def _cmd_transfer(args, report):
     report.outputs["t_values"] = {l: _fmt(complex(t)) for l, t in zip(spec.labels, spec.t_values)}
     report.outputs["degeneracy_of_max"] = spec.degeneracy_of_max
     if args.brute:
-        q = peps_mod.topo_solution(basis, alpha)
+        q = peps_mod.topo_solution(basis, alpha, report.tol)
         brute = peps_mod.transfer_matrix_brute(q, args.L)
         want = np.sort(np.abs(spec.t_values))[::-1]
         got = np.sort(np.abs(brute))[::-1][: len(want)]
@@ -395,7 +397,7 @@ def _cmd_degeneracy(args, report):
         L = len(tspec.subgroup) if L is None else int(L)
     if L < 1 or L % len(tspec.subgroup):
         raise MalformedInput(f"L = {L} must be a positive multiple of the subgroup order")
-    rep = peps_mod.degeneracy_report(tspec, alpha, L)
+    rep = peps_mod.degeneracy_report(tspec, alpha, L, report.tol)
     report.check("degeneracy_signature", rep.passed)
     report.outputs["degeneracy_of_max"] = rep.spectrum.degeneracy_of_max
     report.outputs["subgroup_order"] = rep.subgroup_order
@@ -404,14 +406,16 @@ def _cmd_degeneracy(args, report):
 
 
 def _cmd_simulate(args, report):
+    tol = report.tol
     if args.peps is not None:
         spec, basis, alpha = _topo_from(args.peps, args.basis)
-        a = peps_mod.complete_with_isometry(peps_mod.topo_solution(basis, alpha))
-        patch = protocol_mod.PepsPatch([[a] * args.cols for _ in range(args.rows)],
-                                       spec.get("orientation", "ur"))
+        a = peps_mod.complete_with_isometry(peps_mod.topo_solution(basis, alpha, tol), tol)
+        with _reading("spec"):
+            patch = protocol_mod.PepsPatch([[a] * args.cols for _ in range(args.rows)],
+                                           spec.get("orientation", "ur"), tol)
         fails, worst = 0, 1.0
         for k in range(args.trials):
-            run = protocol_mod.run_peps_protocol(patch, seed=args.seed + k)
+            run = protocol_mod.run_peps_protocol(patch, seed=args.seed + k, tol=tol)
             fails += not run.success
             worst = min(worst, run.fidelity)
         report.check("all_trials_succeed", fails == 0)
@@ -420,14 +424,14 @@ def _cmd_simulate(args, report):
         return
     tensors = [_mps_from(args.chain)] * args.sites
     if args.enumerate:
-        rep = protocol_mod.enumerate_outcomes(tensors, args.boundary)
+        rep = protocol_mod.enumerate_outcomes(tensors, args.boundary, tol)
         report.outputs["success_probability"] = _fmt(rep.success_probability)
         report.outputs["correctable_fraction"] = _fmt(rep.correctable_fraction)
         report.check("probabilities_normalized",
                      abs(sum(rep.probabilities) - 1) < 1e-9)
     successes, worst, agree = 0, 1.0, True
     for k in range(args.trials):
-        run = protocol_mod.run_mps_protocol(tensors, args.boundary, seed=args.seed + k)
+        run = protocol_mod.run_mps_protocol(tensors, args.boundary, args.seed + k, tol)
         successes += run.success
         agree &= run.success == run.predicted_success
         worst = min(worst, run.fidelity) if run.success else worst
@@ -441,21 +445,22 @@ def _cmd_simulate(args, report):
 
 
 def _cmd_mpo(args, report):
+    tol = report.tol
     basis = _basis_from(args.basis)
     O = fixtures.controlled_pauli_mpo(basis)
     if args.mpo_action == "check":
-        ok, const, resid = mpo_mod.check_mpo_isometry(O)
+        ok, const, resid = mpo_mod.check_mpo_isometry(O, tol)
         report.check("isometry_condition", ok, resid)
         report.outputs["constant"] = _fmt(const)
-        rep = mpo_mod.mpo_slices(O)
+        rep = mpo_mod.mpo_slices(O, tol)
         report.check("slice_orthogonality", rep.passed, rep.orthogonality_residual)
     elif args.mpo_action == "purify":
-        u = mpo_mod.build_purifying_unitary(O)
+        u = mpo_mod.build_purifying_unitary(O, tol)
         resid = float(np.linalg.norm(u.data @ u.data.conj().T - np.eye(u.data.shape[0])))
         report.check("purifying_unitary", resid < 1e-10, resid)
     elif args.mpo_action == "relative":
         u0 = tensors_mod.random_unitary(O.d, protocol_mod.philox_rng(args.seed))
-        got = mpo_mod.relative_local_unitary(O, O.apply_phys_in(u0))
+        got = mpo_mod.relative_local_unitary(O, O.apply_phys_in(u0), tol)
         _, resid = tensors_mod.proportionality(got.reshape(-1), u0.reshape(-1))
         report.check("round_trip", resid < 1e-8, resid)
     elif args.mpo_action == "apply":
@@ -464,7 +469,7 @@ def _cmd_mpo(args, report):
         mpo_mod.check_protocol_sites(n)  # before the d^n input is drawn
         rng = protocol_mod.philox_rng(args.seed)
         psi = rng.standard_normal(O.d**n) + 1j * rng.standard_normal(O.d**n)
-        run = mpo_mod.apply_mpo_via_protocol([O] * n, psi, "open", seed=args.seed)
+        run = mpo_mod.apply_mpo_via_protocol([O] * n, psi, "open", args.seed, tol)
         report.check("matches_direct_action", run.fidelity >= 1 - 1e-8, abs(1 - run.fidelity))
 
 
@@ -582,32 +587,26 @@ def dispatch(argv) -> int:
     except SystemExit as exc:
         # argparse exits 0 for --help and 2 for errors, matching the contract
         return int(exc.code or 0)
-    saved_tol = tensors_mod.DEFAULT_TOL
     try:
-        try:
-            tol = args.tol if args.tol is not None else os.environ.get("MFTN_TOL")
-            if tol is not None:
-                tensors_mod.DEFAULT_TOL = _tolerance(tol)
-                if args.tol is not None:
-                    # stored as a float, as argparse did, so the inputs digest is unchanged
-                    args.tol = tensors_mod.DEFAULT_TOL
-            for flag in COUNTS:
-                if getattr(args, flag[2:], None) is not None and getattr(args, flag[2:]) < 1:
-                    raise MalformedInput(f"{flag} must be at least 1")
-            report = RunReport(args.command, vars(args))
-            SUBCOMMANDS[args.command][0](args, report)
-        except MalformedInput as exc:
-            print(json.dumps({"error": f"malformed input: {exc}"}))
-            return 3
-        except MftnError as exc:
-            report.check("completed", False)
-            report.outputs["error"] = str(exc)
-            report.finish()
-            return 1
-        return report.finish()
-    finally:
-        # the override holds for this report only
-        tensors_mod.DEFAULT_TOL = saved_tol
+        text = args.tol if args.tol is not None else os.environ.get("MFTN_TOL")
+        tol = tensors_mod.DEFAULT_TOL if text is None else _tolerance(text)
+        if args.tol is not None:
+            # stored as a float, as argparse did, so the inputs digest is unchanged
+            args.tol = tol
+        for flag in COUNTS:
+            if getattr(args, flag[2:], None) is not None and getattr(args, flag[2:]) < 1:
+                raise MalformedInput(f"{flag} must be at least 1")
+        report = RunReport(args.command, vars(args), tol)
+        SUBCOMMANDS[args.command][0](args, report)
+    except MalformedInput as exc:
+        print(json.dumps({"error": f"malformed input: {exc}"}))
+        return 3
+    except MftnError as exc:
+        report.check("completed", False)
+        report.outputs["error"] = str(exc)
+        report.finish()
+        return 1
+    return report.finish()
 
 
 def main() -> None:

@@ -17,7 +17,7 @@ import numpy as np
 
 from .basis import shift_clock
 from .errors import DimensionMismatchError, InadmissibleMapError, NonPrimeDimensionError
-from .tensors import DenseTensor
+from .tensors import PAULI_FLOOR, DenseTensor
 
 
 @dataclass(frozen=True)
@@ -111,7 +111,7 @@ def pauli_to_matrix(p: PauliVector) -> DenseTensor:
     return DenseTensor(p.matrix(), ("out", "in"))
 
 
-def match_pauli_matrix(m: np.ndarray, n: int, d: int, tol: float = 1e-8):
+def match_pauli_matrix(m: np.ndarray, n: int, d: int):
     """Recognize m = phase * XZ(v,w); returns (v, w, phase) or None.
 
     The phase may be any unit-modulus complex number here; use
@@ -124,7 +124,7 @@ def match_pauli_matrix(m: np.ndarray, n: int, d: int, tol: float = 1e-8):
     col0 = m[:, 0]
     r = int(np.argmax(np.abs(col0)))
     phase = col0[r]
-    if abs(abs(phase) - 1.0) > max(tol, 1e-6):
+    if abs(abs(phase) - 1.0) > PAULI_FLOOR:
         return None
     v = _digits(r, n, d)
     w = []
@@ -135,19 +135,19 @@ def match_pauli_matrix(m: np.ndarray, n: int, d: int, tol: float = 1e-8):
         wk = int(np.round(np.angle(ratio) * d / (2 * np.pi))) % d
         w.append(wk)
     candidate = PauliVector(n, d, tuple(v), tuple(w), 0).matrix()
-    if np.linalg.norm(m - phase * candidate) > max(tol, 1e-6) * np.sqrt(dim):
+    if np.linalg.norm(m - phase * candidate) > PAULI_FLOOR * np.sqrt(dim):
         return None
     return tuple(v), tuple(w), complex(phase)
 
 
-def matrix_to_pauli(m: np.ndarray, n: int, d: int, tol: float = 1e-8) -> PauliVector | None:
+def matrix_to_pauli(m: np.ndarray, n: int, d: int) -> PauliVector | None:
     """Like match_pauli_matrix but requires the phase to be a 2d-th root of unity."""
-    hit = match_pauli_matrix(m, n, d, tol)
+    hit = match_pauli_matrix(m, n, d)
     if hit is None:
         return None
     v, w, phase = hit
     t = int(np.round(np.angle(phase) * d / np.pi)) % (2 * d)
-    if abs(phase - np.exp(1j * np.pi * t / d)) > max(tol, 1e-6):
+    if abs(phase - np.exp(1j * np.pi * t / d)) > PAULI_FLOOR:
         return None
     return PauliVector(n, d, v, w, t)
 
@@ -379,7 +379,7 @@ def synthesize_clifford(m: PartialCliffordMap) -> DenseTensor:
     return DenseTensor(u, ("out", "in"))
 
 
-def is_clifford(U, n: int, d: int, tol: float = 1e-8) -> bool:
+def is_clifford(U, n: int, d: int) -> bool:
     """True iff U maps every X_k, Z_k generator to a phased Pauli string."""
     u = U.data if isinstance(U, DenseTensor) else np.asarray(U, dtype=np.complex128)
     dim = d**n
@@ -390,6 +390,6 @@ def is_clifford(U, n: int, d: int, tol: float = 1e-8) -> bool:
     for k in range(n):
         for gen in (PauliVector.x_gen(n, d, k), PauliVector.z_gen(n, d, k)):
             conj = u @ gen.matrix() @ u.conj().T
-            if match_pauli_matrix(conj, n, d, tol) is None:
+            if match_pauli_matrix(conj, n, d) is None:
                 return False
     return True

@@ -37,7 +37,8 @@ from .protocol import (
     philox_rng,
     push_chain_defects,
 )
-from .tensors import DenseTensor, default_tol, gram_proportionality, proportionality, state_fidelity
+from .tensors import (DEFAULT_TOL, UNITARY_FLOOR, VERDICT_FLOOR, DenseTensor, gram_proportionality,
+                      proportionality, state_fidelity)
 
 MPO_LEGS = ("left", "right", "phys_in", "phys_out")
 
@@ -91,15 +92,14 @@ class MPOTensor:
         return MPOTensor.from_array(arr, self.basis, self.constraints)
 
 
-def check_mpo_isometry(O: MPOTensor, tol: float | None = None):
+def check_mpo_isometry(O: MPOTensor, tol: float = DEFAULT_TOL):
     """Contracting O against O† over phys_out and both virtual legs must give
     D * delta on the phys_in pair.  Returns (pass, constant, residual)."""
-    t = default_tol(tol)
-    ok, const, resid = gram_proportionality(O.tensor, ["phys_in"], t)
-    return ok and abs(const - O.D) < max(t, 1e-9) * max(O.D, 1), const, resid
+    ok, const, resid = gram_proportionality(O.tensor, ["phys_in"], tol)
+    return ok and abs(const - O.D) < max(tol, VERDICT_FLOOR) * max(O.D, 1), const, resid
 
 
-def check_mpo_symmetry(O: MPOTensor, tol: float | None = None) -> float:
+def check_mpo_symmetry(O: MPOTensor, tol: float = DEFAULT_TOL) -> float:
     """Worst push-through residual over all input slices."""
     return max(
         (r for a in range(O.d) for r in check_mf_symmetry(O.slice_tensor(a), tol).residuals),
@@ -122,18 +122,17 @@ class SliceReport:
         )
 
 
-def mpo_slices(O: MPOTensor, tol: float | None = None) -> SliceReport:
+def mpo_slices(O: MPOTensor, tol: float = DEFAULT_TOL) -> SliceReport:
     """Slices V_a: C^D -> C^{dD} with their isometry and orthogonality checks.
 
     Orthogonality is sum_o A_a^o A_b^{o†} = delta_ab I_D; the precondition is
     the isometry condition together with the slice symmetry.
     """
-    t = default_tol(tol)
-    ok, _, resid = check_mpo_isometry(O, t)
+    ok, _, resid = check_mpo_isometry(O, tol)
     if not ok:
         raise SymmetryError(f"MPO isometry condition fails with residual {resid:.3e}")
-    sym = check_mpo_symmetry(O, t)
-    if sym >= max(t, 1e-9):
+    sym = check_mpo_symmetry(O, tol)
+    if sym >= max(tol, VERDICT_FLOOR):
         raise SymmetryError(f"MPO slice symmetry fails with residual {sym:.3e}")
     arr = O.array()
     D, d = O.D, O.d
@@ -143,24 +142,23 @@ def mpo_slices(O: MPOTensor, tol: float | None = None) -> SliceReport:
     iso = [float(np.linalg.norm(v.conj().T @ v - np.eye(D))) for v in slices]
     pair = np.einsum("oalr,obmr->ablm", arr, arr.conj())
     want = np.einsum("ab,lm->ablm", np.eye(d), np.eye(D))
-    return SliceReport(slices, iso, float(np.linalg.norm(pair - want)), t)
+    return SliceReport(slices, iso, float(np.linalg.norm(pair - want)), tol)
 
 
-def build_purifying_unitary(O: MPOTensor, tol: float | None = None) -> DenseTensor:
+def build_purifying_unitary(O: MPOTensor, tol: float = DEFAULT_TOL) -> DenseTensor:
     """U on C^{d D} with U(|a> x |l>) = V_a |l>; columns indexed by (a, l).
 
     Unitarity is equivalent to slice orthogonality; every push-through
     constraint lifts to U (I_d x P) = (U_P† x P') U and is re-verified.
     """
-    t = default_tol(tol)
-    report = mpo_slices(O, t)
+    report = mpo_slices(O, tol)
     if not report.passed:
         raise SymmetryError("slice orthogonality fails; purification is not unitary")
     d, D = O.d, O.D
     u = np.zeros((d * D, d * D), dtype=np.complex128)
     for a, v in enumerate(report.slices):
         u[:, a * D : (a + 1) * D] = v
-    if np.linalg.norm(u @ u.conj().T - np.eye(d * D)) > max(t, 1e-9) * d * D:
+    if np.linalg.norm(u @ u.conj().T - np.eye(d * D)) > max(tol, VERDICT_FLOOR) * d * D:
         raise SymmetryError("assembled purification is not unitary")
     for c in O.constraints:
         p = O.basis.elements[c.p_in]
@@ -168,19 +166,18 @@ def build_purifying_unitary(O: MPOTensor, tol: float | None = None) -> DenseTens
         # the slice symmetry lifts to U (I_d x P^T) = (U_P† x P'^T) U
         lhs = u @ np.kron(np.eye(d), p.T)
         rhs = np.kron(c.u_phys.conj().T, pp.T) @ u
-        if np.linalg.norm(lhs - rhs) > max(t, 1e-8) * np.linalg.norm(u):
+        if np.linalg.norm(lhs - rhs) > max(tol, UNITARY_FLOOR) * np.linalg.norm(u):
             raise SymmetryError("purifying unitary violates a push-through constraint")
     return DenseTensor(u, ("out", "in"))
 
 
-def relative_local_unitary(O: MPOTensor, O2: MPOTensor, tol: float | None = None) -> np.ndarray:
+def relative_local_unitary(O: MPOTensor, O2: MPOTensor, tol: float = DEFAULT_TOL) -> np.ndarray:
     """The d x d unitary with O2 = O composed with U_tilde on phys_in.
 
     Both MPOs must pass the slice checks with identical constraints; U† U'
     then factors exactly as U_tilde x I_D on the (phys_in, left) input space.
     The result is phase-fixed by making its leading entry real positive.
     """
-    t = default_tol(tol)
     if O.basis.dim != O2.basis.dim or O.d != O2.d:
         raise DimensionMismatchError("MPOs act on different spaces")
     same = len(O.constraints) == len(O2.constraints) and all(
@@ -191,12 +188,12 @@ def relative_local_unitary(O: MPOTensor, O2: MPOTensor, tol: float | None = None
     )
     if not same:
         raise SymmetryError("relative unitary requires identical constraint sets")
-    u = build_purifying_unitary(O, t).data
-    u2 = build_purifying_unitary(O2, t).data
+    u = build_purifying_unitary(O, tol).data
+    u2 = build_purifying_unitary(O2, tol).data
     w = (u.conj().T @ u2).reshape(O.d, O.D, O.d, O.D)
     ut = np.einsum("arbr->ab", w) / O.D
     resid = float(np.linalg.norm(w.reshape(O.d * O.D, -1) - np.kron(ut, np.eye(O.D))))
-    if resid > max(t, 1e-8) * np.sqrt(O.d * O.D):
+    if resid > max(tol, UNITARY_FLOOR) * np.sqrt(O.d * O.D):
         raise SymmetryError(
             f"U†U' does not factor as U_tilde x I_D (residual {resid:.3e})"
         )
@@ -206,7 +203,7 @@ def relative_local_unitary(O: MPOTensor, O2: MPOTensor, tol: float | None = None
     _, back_resid = proportionality(
         O2.array().reshape(-1), O.apply_phys_in(ut).array().reshape(-1)
     )
-    if back_resid > max(t, 1e-8):
+    if back_resid > max(tol, UNITARY_FLOOR):
         raise SymmetryError("recovered local unitary does not reproduce the second MPO")
     return ut
 
@@ -248,7 +245,7 @@ def direct_mpo_state(tensors, input_state) -> np.ndarray:
 
 
 def apply_mpo_via_protocol(tensors, input_state, boundary: str = "open", seed: int = 0,
-                           tol: float | None = None) -> ProtocolRun:
+                           tol: float = DEFAULT_TOL) -> ProtocolRun:
     """Apply a chain of MPO tensors to an input state through one MF round.
 
     Each site isometry |a> -> sum_{l,o,r} O^{(o,a)}_{lr} |l,o,r>/sqrt(D) is
@@ -259,7 +256,6 @@ def apply_mpo_via_protocol(tensors, input_state, boundary: str = "open", seed: i
     contraction; periodic chains are deliberately not sampled (post-selected
     accounting only, see ``periodic_mpo_accounting``).
     """
-    t = default_tol(tol)
     if boundary != "open":
         raise BoundaryError("protocol application supports open boundaries only")
     tensors = list(tensors)
@@ -272,7 +268,7 @@ def apply_mpo_via_protocol(tensors, input_state, boundary: str = "open", seed: i
     for o in tensors:
         if o.basis.dim != D or o.d != d:
             raise DimensionMismatchError("chain tensors must share dimensions")
-        if check_mpo_symmetry(o, t) >= max(t, 1e-9):
+        if check_mpo_symmetry(o, tol) >= max(tol, VERDICT_FLOOR):
             raise SymmetryError("chain tensor fails the MPO push-through symmetry")
     psi = np.asarray(input_state, dtype=np.complex128).reshape([d] * n)
     rng = philox_rng(seed)
@@ -296,14 +292,14 @@ def apply_mpo_via_protocol(tensors, input_state, boundary: str = "open", seed: i
         state = np.moveaxis(branches[j], [-2, -1], [1 + k, 2 + k])
 
     completed = [complete_constraints(o.slice_tensor(0)) for o in tensors]
-    corrections, edge_fix, _ = push_chain_defects(completed, basis, outcomes, "open", t)
+    corrections, edge_fix, _ = push_chain_defects(completed, basis, outcomes, "open", tol)
     state = apply_chain_corrections(state, corrections, edge_fix, "open")
 
     target = direct_mpo_state(tensors, input_state)
     fid = state_fidelity(state, target)
     legs = ("edge_left",) + tuple(f"out{k}" for k in range(n)) + ("edge_right",)
     return ProtocolRun(seed, RNG_ALGORITHM, outcomes, probs, corrections,
-                       DenseTensor(state, legs), fid, fid >= 1 - max(t, 1e-9), True)
+                       DenseTensor(state, legs), fid, fid >= 1 - max(tol, VERDICT_FLOOR), True)
 
 
 @dataclass
@@ -315,7 +311,7 @@ class PeriodicMpoReport:
     success_probability: float
 
 
-def periodic_mpo_accounting(tensors, input_state, tol: float | None = None) -> PeriodicMpoReport:
+def periodic_mpo_accounting(tensors, input_state, tol: float = DEFAULT_TOL) -> PeriodicMpoReport:
     """Exact post-selection accounting for periodic MPO application.
 
     Periodic chains cannot be corrected deterministically; this enumerates
@@ -323,7 +319,6 @@ def periodic_mpo_accounting(tensors, input_state, tol: float | None = None) -> P
     post-selected branches (merged defect proportional to the identity)
     reproduce the direct periodic MPO action.  No sampling is performed.
     """
-    t = default_tol(tol)
     tensors = list(tensors)
     n = len(tensors)
     basis = tensors[0].basis
@@ -352,7 +347,7 @@ def periodic_mpo_accounting(tensors, input_state, tol: float | None = None) -> P
         branch = np.trace(cur, axis1=0, axis2=cur.ndim - 1)
         # push bond defects into the wrap bond, correcting the o legs
         try:
-            corrections, _, ok = push_chain_defects(completed, basis, combo, "periodic", t)
+            corrections, _, ok = push_chain_defects(completed, basis, combo, "periodic", tol)
         except DefectStuckError:
             corrections, ok = [], False
         branch = apply_chain_corrections(branch, corrections, None, "periodic")

@@ -49,8 +49,8 @@ from .errors import (
     SymmetryError,
 )
 from .tensors import (
+    DEFAULT_TOL,
     DenseTensor,
-    default_tol,
     first_unitary_fit,
     gram_proportionality,
     nullspace,
@@ -163,7 +163,7 @@ class SymmetryReport:
             raise SymmetryError(message % self.max_residual)
 
 
-def symmetry_report(A: MFTensor, tol: float | None = None) -> SymmetryReport:
+def symmetry_report(A: MFTensor, tol: float = DEFAULT_TOL) -> SymmetryReport:
     """Relative residual ||U_P B W_in - B W_out|| / ||B|| of every push of A."""
     b = A.as_matrix()
     scale = max(np.linalg.norm(b), 1e-300)
@@ -171,7 +171,7 @@ def symmetry_report(A: MFTensor, tol: float | None = None) -> SymmetryReport:
     for c, in_leg, outs in A.pushes():
         w_in, w_out = push_operators(A.basis, len(A.LEGS), in_leg, c.p_in, outs)
         residuals.append(float(np.linalg.norm(c.u_phys @ b @ w_in - b @ w_out)) / scale)
-    return SymmetryReport(residuals, default_tol(tol))
+    return SymmetryReport(residuals, tol)
 
 
 @dataclass
@@ -382,7 +382,7 @@ class MPSTensor(MFTensor):
         return cls(DenseTensor(arr, ("phys", "left", "right")), basis, constraints)
 
 
-def check_mf_symmetry(A: MPSTensor, tol: float | None = None) -> SymmetryReport:
+def check_mf_symmetry(A: MPSTensor, tol: float = DEFAULT_TOL) -> SymmetryReport:
     """Relative residual of every push-through constraint."""
     return symmetry_report(A, tol)
 
@@ -398,7 +398,7 @@ def solve_symmetry_family(
     constraints,
     d: int,
     D: int | None = None,
-    tol: float | None = None,
+    tol: float = DEFAULT_TOL,
     rng: np.random.Generator | None = None,
 ) -> list[MPSTensor]:
     """Orthonormal basis of all A satisfying the given constraints.
@@ -475,16 +475,15 @@ def _solve_unknown_corrections(basis, triples, d, rng):
     return [(p_in, u, p_out) for (p_in, _, p_out), u in zip(triples, best[1])]
 
 
-def canonical_form_check(A: MPSTensor, tol: float | None = None):
+def canonical_form_check(A: MPSTensor, tol: float = DEFAULT_TOL):
     """Verify sum_i A^i A^i† is proportional to the identity; returns the constant."""
     return gram_proportionality(A.tensor, ["left"], tol)
 
 
-def split_polar(A: MPSTensor, tol: float | None = None) -> PolarSplit:
+def split_polar(A: MPSTensor, tol: float = DEFAULT_TOL) -> PolarSplit:
     """Polar decomposition of the flattened tensor plus its symmetry checks."""
-    t = default_tol(tol)
-    check_mf_symmetry(A, t).require("MF symmetry fails with residual %.3e")
-    return polar_structure(A, t)
+    check_mf_symmetry(A, tol).require("MF symmetry fails with residual %.3e")
+    return polar_structure(A, tol)
 
 
 @dataclass
@@ -498,7 +497,7 @@ class CorrectionReport:
         return max(self.residuals, default=0.0) < self.tol
 
 
-def correction_consistency(split: PolarSplit, tol: float | None = None) -> CorrectionReport:
+def correction_consistency(split: PolarSplit, tol: float = DEFAULT_TOL) -> CorrectionReport:
     """Check V† U_P V = (P^* x P') R for every constraint.
 
     ``bare_discrepancies`` records the distance to the unprojected P^* x P';
@@ -511,7 +510,7 @@ def correction_consistency(split: PolarSplit, tol: float | None = None) -> Corre
         s = commutant(A.basis, 2, in_leg, c.p_in, outs)
         resids.append(float(np.linalg.norm(lhs - s @ split.R)))
         bare.append(float(np.linalg.norm(lhs - s)))
-    return CorrectionReport(resids, bare, default_tol(tol))
+    return CorrectionReport(resids, bare, tol)
 
 
 def complete_constraints(A: MPSTensor) -> dict[int, tuple[np.ndarray, int]]:
@@ -543,9 +542,7 @@ def complete_constraints(A: MPSTensor) -> dict[int, tuple[np.ndarray, int]]:
     return known
 
 
-def clifford_magic_decompose(
-    split: PolarSplit, basis: MFBasis, tol: float | None = None
-) -> CliffordMagicForm:
+def clifford_magic_decompose(split: PolarSplit, basis: MFBasis) -> CliffordMagicForm:
     """Extract the sideways Clifford form of Q (see ``clifford_form``).
 
     A Clifford U_C is synthesized with U_C (I x I x S) U_C† equal to the
@@ -578,7 +575,7 @@ def _q_to_mps_tensor(q: np.ndarray, basis: MFBasis) -> DenseTensor:
     )
 
 
-def spt_solution(basis: MFBasis, alpha, tol: float | None = None) -> MPSTensor:
+def spt_solution(basis: MFBasis, alpha, tol: float = DEFAULT_TOL) -> MPSTensor:
     """Q = sum_i alpha_i P_i^* x P_i as an MPS tensor with a physical pair leg.
 
     The attached constraints are SPT-type: (P_i, P_i^* x P_i, P_i) for every
@@ -683,7 +680,7 @@ def per_distinct(family, make) -> list:
     return [made[id(x)] for x in family]
 
 
-def pauli_expectation(family, pauli_string, boundary: str = "open") -> complex:
+def pauli_expectation(family, pauli_string, boundary: str = "open", tol: float = DEFAULT_TOL) -> complex:
     """Weyl-Heisenberg string expectation on a chain of Q-form tensors.
 
     Site tensors must be Q-form (physical dimension D^2) over a prime-D
@@ -702,7 +699,7 @@ def pauli_expectation(family, pauli_string, boundary: str = "open") -> complex:
         raise DimensionMismatchError("all tensors must share one basis dimension")
     if len(pauli_string) != len(family):
         raise DimensionMismatchError("need one two-qudit Pauli per site")
-    site_forms = per_distinct(family, lambda t: clifford_magic_decompose(split_polar(t), basis))
+    site_forms = per_distinct(family, lambda t: clifford_magic_decompose(split_polar(t, tol), basis))
 
     value = 1.0 + 0.0j
     wire = np.eye(D, dtype=np.complex128)

@@ -45,7 +45,8 @@ from .mps import (
     solve_pushes,
     symmetry_report,
 )
-from .tensors import DenseTensor, default_tol, gram_proportionality, numerical_rank, proportionality
+from .tensors import (DEFAULT_TOL, MATCH_FLOOR, VERDICT_FLOOR, DenseTensor, gram_proportionality,
+                      numerical_rank, proportionality)
 
 VIRTUAL_LEGS = ("left", "up", "right", "down")
 
@@ -84,12 +85,12 @@ class PEPSTensor(MFTensor):
         return cls(t.transpose_to(VIRTUAL_LEGS + ("phys",)), basis, constraints_a, constraints_b)
 
 
-def check_peps_mf_symmetry(A: PEPSTensor, tol: float | None = None) -> SymmetryReport:
+def check_peps_mf_symmetry(A: PEPSTensor, tol: float = DEFAULT_TOL) -> SymmetryReport:
     """Relative residuals of the left-leg, then the down-leg push constraints."""
     return symmetry_report(A, tol)
 
 
-def peps_isometry_check(A: PEPSTensor, tol: float | None = None):
+def peps_isometry_check(A: PEPSTensor, tol: float = DEFAULT_TOL):
     """Contract A against itself over (phys, up, right): must be c * identity
     on the (left, down) pair."""
     return gram_proportionality(A.tensor, ["left", "down"], tol)
@@ -104,16 +105,15 @@ class PepsPolarSplit(PolarSplit):
     clifford_error: str | None = None
 
 
-def peps_split_polar(A: PEPSTensor, tol: float | None = None, want_clifford: bool = True) -> PepsPolarSplit:
+def peps_split_polar(A: PEPSTensor, tol: float = DEFAULT_TOL, want_clifford: bool = True) -> PepsPolarSplit:
     """Polar split over the grouped D^4 virtual space plus structure checks.
 
     Parts (i) and (ii) (null-space match and commutants) are always verified;
     the sideways Clifford form is attached for prime-D Weyl-Heisenberg bases
     and skipped with a recorded reason otherwise.
     """
-    t = default_tol(tol)
-    check_peps_mf_symmetry(A, t).require("PEPS MF symmetry fails with residual %.3e")
-    split = polar_structure(A, t, PepsPolarSplit)
+    check_peps_mf_symmetry(A, tol).require("PEPS MF symmetry fails with residual %.3e")
+    split = polar_structure(A, tol, PepsPolarSplit)
     if want_clifford:
         try:
             split.clifford = clifford_form(split, A.basis)
@@ -167,7 +167,7 @@ class TopoSymmetrySpec:
         return None
 
 
-def topo_solution(basis: MFBasis, alpha, tol: float | None = None) -> PEPSTensor:
+def topo_solution(basis: MFBasis, alpha, tol: float = DEFAULT_TOL) -> PEPSTensor:
     """Q = sum_i alpha_i (P_i^* x P_i x P_i x P_i^*) with derived constraints.
 
     The push tables for the left and down legs are solved numerically per
@@ -185,7 +185,7 @@ def topo_solution(basis: MFBasis, alpha, tol: float | None = None) -> PEPSTensor
     return A
 
 
-def derive_push_constraints(A: PEPSTensor, kind: str, tol: float | None = None):
+def derive_push_constraints(A: PEPSTensor, kind: str, tol: float = DEFAULT_TOL):
     """Solve (U, P1, P2) per basis element for the requested constraint family.
 
     A-type pushes enter on the left leg, B-type ones on the down leg; see
@@ -194,7 +194,7 @@ def derive_push_constraints(A: PEPSTensor, kind: str, tol: float | None = None):
     basis = A.basis
     fits = solve_pushes(
         A.as_matrix(), basis, (A.D,) * 4, 0 if kind == "a" else 3,
-        [p.T for p in basis.elements], (1, 2), default_tol(tol),
+        [p.T for p in basis.elements], (1, 2), tol,
         lambda k: SymmetryError(f"no ({kind})-type push exists for element {basis.labels[k]}"),
     )
     return [PEPSConstraint(k, u, up, right) for k, ((up, right), u) in enumerate(fits)]
@@ -216,7 +216,7 @@ class TopoSymmetryReport:
 
 
 def check_topo_symmetry(
-    A: PEPSTensor, spec: TopoSymmetrySpec, alpha=None, tol: float | None = None
+    A: PEPSTensor, spec: TopoSymmetrySpec, alpha=None, tol: float = DEFAULT_TOL
 ) -> TopoSymmetryReport:
     """Verify A = e^{i phi_M} A (M-pattern) for every subgroup element.
 
@@ -224,7 +224,6 @@ def check_topo_symmetry(
     coefficient vector alpha is supplied, the relation
     alpha_{P_i M} = e^{i phi_M} alpha_{P_i} is checked as well.
     """
-    t = default_tol(tol)
     b = A.as_matrix()
     phases: dict[int, float] = {}
     residuals: dict[int, float] = {}
@@ -234,7 +233,7 @@ def check_topo_symmetry(
         residuals[m_idx] = resid
         phases[m_idx] = float(np.angle(factor)) if abs(factor) > 1e-12 else 0.0
     gen = spec.generator()
-    if gen is not None and abs(np.exp(1j * phases[gen]) - np.exp(1j * spec.phi)) > max(t, 1e-7):
+    if gen is not None and abs(np.exp(1j * phases[gen]) - np.exp(1j * spec.phi)) > max(tol, MATCH_FLOOR):
         residuals[gen] = max(residuals[gen], abs(np.exp(1j * phases[gen]) - np.exp(1j * spec.phi)))
     coeff_resid = None
     if alpha is not None:
@@ -247,7 +246,7 @@ def check_topo_symmetry(
                 j = int(idx_tab[i, m_idx])
                 worst = max(worst, abs(alpha[j] - ph * alpha[i]))
         coeff_resid = worst / max(np.linalg.norm(alpha), 1e-300)
-    return TopoSymmetryReport(phases, residuals, coeff_resid, t)
+    return TopoSymmetryReport(phases, residuals, coeff_resid, tol)
 
 
 @dataclass
@@ -334,7 +333,7 @@ class DegeneracyReport:
     passed: bool
 
 
-def degeneracy_report(spec: TopoSymmetrySpec, alpha, L: int, tol: float | None = None) -> DegeneracyReport:
+def degeneracy_report(spec: TopoSymmetrySpec, alpha, L: int, tol: float = DEFAULT_TOL) -> DegeneracyReport:
     """Assert the m-fold degeneracy signature of the largest transfer eigenvalue.
 
     This is a signature only: degeneracy is also produced by symmetry-broken
@@ -343,12 +342,11 @@ def degeneracy_report(spec: TopoSymmetrySpec, alpha, L: int, tol: float | None =
     m = len(spec.subgroup)
     if L % m != 0:
         raise ValueError(f"L = {L} must be an integer multiple of the subgroup order {m}")
-    t = default_tol(tol)
     alpha = np.asarray(alpha, dtype=np.complex128).reshape(-1)
     spectrum = transfer_spectrum_analytic(alpha, spec.basis, L)
     mx = float(np.abs(spectrum.t_values).max())
     expected = float(np.sum(np.abs(alpha) ** 2) ** L)
-    ok = spectrum.degeneracy_of_max >= m and abs(mx - expected) <= max(t, 1e-9) * max(expected, 1.0)
+    ok = spectrum.degeneracy_of_max >= m and abs(mx - expected) <= max(tol, VERDICT_FLOOR) * max(expected, 1.0)
     return DegeneracyReport(spectrum, m, mx, expected, ok)
 
 
@@ -360,7 +358,7 @@ class InjectivityReport:
     consistent_with_spec: bool | None
 
 
-def injectivity_check(A: PEPSTensor, spec: TopoSymmetrySpec | None = None, tol: float | None = None) -> InjectivityReport:
+def injectivity_check(A: PEPSTensor, spec: TopoSymmetrySpec | None = None, tol: float = DEFAULT_TOL) -> InjectivityReport:
     """Numerical rank of A as a map from the virtual space to the physical one.
 
     With a nontrivial subgroup the tensor must be rank deficient.
@@ -376,18 +374,17 @@ def injectivity_check(A: PEPSTensor, spec: TopoSymmetrySpec | None = None, tol: 
     return InjectivityReport(rank, full, injective, consistent)
 
 
-def complete_with_isometry(Q: PEPSTensor, tol: float | None = None) -> PEPSTensor:
+def complete_with_isometry(Q: PEPSTensor, tol: float = DEFAULT_TOL) -> PEPSTensor:
     """Compress the physical leg of a Q-form tensor to rank(Q) via V.
 
     Returns A = V Q with V the canonical isometry from range(Q); the push
     constraints are re-derived for the compressed tensor.
     """
-    t = default_tol(tol)
     b = Q.as_matrix()
     if b.shape[0] != Q.D**4:
         raise DimensionMismatchError("expected a Q-form tensor with physical dim D^4")
     evals, evecs = np.linalg.eigh((b + b.conj().T) / 2)
-    keep = evals > t * max(evals.max(), 1e-300)
+    keep = evals > tol * max(evals.max(), 1e-300)
     v = evecs[:, keep].conj().T  # rank x D^4 isometry from range(Q)
     A = PEPSTensor.from_matrix(v @ b, Q.basis)
     A.constraints_a = derive_push_constraints(A, "a", tol)

@@ -16,6 +16,7 @@ the class of P_j^*.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,7 +32,7 @@ from .errors import (
 )
 from .mps import chain_state, check_mf_symmetry, complete_constraints, per_distinct, solve_pushes
 from .peps import PEPSTensor
-from .tensors import DenseTensor, default_tol, state_fidelity
+from .tensors import DEFAULT_TOL, VERDICT_FLOOR, DenseTensor, state_fidelity
 
 RNG_ALGORITHM = "philox4x64"
 
@@ -87,16 +88,18 @@ def _transfer(kets, bras) -> np.ndarray:
 
 def _close_chain(maps, D: int, boundary: str) -> tuple[complex, float]:
     """(value, log scale) of a double-layer chain of pair maps, rescaled at every site;
-    open ends pair the ket and bra edge legs, periodic chains take the trace."""
+    open ends pair the ket and bra edge legs, periodic chains take the trace.  The
+    logs are summed exactly, as a running sum drifts by about n eps."""
     delta = np.eye(D).reshape(-1)
-    env, log_scale = (delta if boundary == "open" else np.eye(D * D)), 0.0
+    env, logs = (delta if boundary == "open" else np.eye(D * D)), []
     for m in maps:
         env = env @ m
         s = np.linalg.norm(env)
         if s == 0:
             return 0j, 0.0
-        env, log_scale = env / s, log_scale + np.log(s)
-    return complex(env @ delta if boundary == "open" else np.trace(env)), float(log_scale)
+        env = env / s
+        logs.append(np.log(s))
+    return complex(env @ delta if boundary == "open" else np.trace(env)), math.fsum(logs)
 
 
 def _validate_chain(tensors, tol: float) -> MFBasis:
@@ -232,17 +235,16 @@ def apply_chain_corrections(state, corrections, edge_fix, boundary):
     return state
 
 
-def run_mps_protocol(tensors, boundary: str = "open", seed: int = 0, tol: float | None = None) -> ProtocolRun:
+def run_mps_protocol(tensors, boundary: str = "open", seed: int = 0, tol: float = DEFAULT_TOL) -> ProtocolRun:
     """Simulate one full MF preparation round for an MPS chain, in linear time.
 
     No d^n state is built, so ``final_state`` is None; ``chain_state`` and
     ``apply_chain_corrections`` give a short chain's corrected state.
     """
-    t = default_tol(tol)
     tensors = list(tensors)
     if boundary not in ("open", "periodic"):
         raise BoundaryError(f"unknown boundary {boundary!r}")
-    basis = _validate_chain(tensors, t)
+    basis = _validate_chain(tensors, tol)
     rng = philox_rng(seed)
     if len(tensors) == 1 and boundary == "open":
         return ProtocolRun(seed, RNG_ALGORITHM, [], [], [], None, 1.0, True, True)
@@ -250,10 +252,10 @@ def run_mps_protocol(tensors, boundary: str = "open", seed: int = 0, tol: float 
     transfers = per_distinct(stacks, lambda s: _transfer(s, s))
     outcomes, probs = _sample_chain_bonds(transfers, basis, boundary, rng)
     completed = per_distinct(tensors, complete_constraints)
-    corrections, edge_fix, predicted = push_chain_defects(completed, basis, outcomes, boundary, t)
+    corrections, edge_fix, predicted = push_chain_defects(completed, basis, outcomes, boundary, tol)
     fid = _chain_fidelity(stacks, transfers, basis, outcomes, corrections, edge_fix, boundary)
     return ProtocolRun(seed, RNG_ALGORITHM, outcomes, probs, corrections,
-                       None, fid, fid >= 1 - max(t, 1e-9), predicted)
+                       None, fid, fid >= 1 - max(tol, VERDICT_FLOOR), predicted)
 
 
 @dataclass
@@ -277,11 +279,10 @@ class EnumerationReport:
         return sum(self.correctable) / len(self.correctable)
 
 
-def enumerate_outcomes(tensors, boundary: str = "open", tol: float | None = None) -> EnumerationReport:
+def enumerate_outcomes(tensors, boundary: str = "open", tol: float = DEFAULT_TOL) -> EnumerationReport:
     """Exhaustive exact accounting over all measurement outcome tuples."""
-    t = default_tol(tol)
     tensors = list(tensors)
-    basis = _validate_chain(tensors, t)
+    basis = _validate_chain(tensors, tol)
     D = basis.dim
     nbonds = len(tensors) if boundary == "periodic" else len(tensors) - 1
     if (D * D) ** nbonds > 65536:
@@ -296,7 +297,7 @@ def enumerate_outcomes(tensors, boundary: str = "open", tol: float | None = None
         projected = chain_state(tensors, [bond_projector(basis, j) for j in combo], boundary)
         p = np.vdot(projected, projected).real / norm_free
         try:
-            corrections, edge_fix, predicted = push_chain_defects(completed, basis, combo, boundary, t)
+            corrections, edge_fix, predicted = push_chain_defects(completed, basis, combo, boundary, tol)
         except DefectStuckError:
             predicted, corrections, edge_fix = False, [], None
         fid = state_fidelity(apply_chain_corrections(projected, corrections, edge_fix, boundary), target)
@@ -322,12 +323,12 @@ ORIENTATIONS = {
 }
 
 
-def solve_push_table(A: PEPSTensor, in_slot: int, out_slots, tol: float | None = None):
+def solve_push_table(A: PEPSTensor, in_slot: int, out_slots, tol: float = DEFAULT_TOL):
     """Per-class push rules U B (P on in_slot) = B (P1 on out1)(P2 on out2)."""
     basis = A.basis
     fits = solve_pushes(
         A.as_matrix(), basis, (A.D,) * 4, in_slot, basis.elements, out_slots,
-        default_tol(tol),
+        tol,
         lambda k: DefectStuckError(
             f"tensor admits no push for {basis.labels[k]} on slot {in_slot}",
             operator=basis.labels[k],
@@ -344,11 +345,11 @@ class PepsPatch:
     (r+1, c)-(r, c) with the south site first.  Row 0 is the top row.
     """
 
-    def __init__(self, grid, orientations="ur", tol: float | None = None):
+    def __init__(self, grid, orientations="ur", tol: float = DEFAULT_TOL):
         self.grid = [list(row) for row in grid]
         self.rows = len(self.grid)
         self.cols = len(self.grid[0])
-        self.tol = default_tol(tol)
+        self.tol = tol
         basis = self.grid[0][0].basis
         for row in self.grid:
             for a in row:
@@ -359,6 +360,8 @@ class PepsPatch:
         if isinstance(orientations, str):
             orientations = [[orientations] * self.cols for _ in range(self.rows)]
         self.orient = [list(row) for row in orientations]
+        if [len(row) for row in self.orient] != [self.cols] * self.rows:
+            raise ValueError(f"orientation grid must be {self.rows} x {self.cols}")
         for row in self.orient:
             for o in row:
                 if o not in ORIENTATIONS:
@@ -652,14 +655,13 @@ def peps_fidelity(patch: PepsPatch, outcomes: dict, site_u, edge_ops) -> float:
     return float(abs(tc) ** 2 / denom)
 
 
-def run_peps_protocol(grid, orientation="ur", seed: int = 0, tol: float | None = None) -> ProtocolRun:
+def run_peps_protocol(grid, orientation="ur", seed: int = 0, tol: float = DEFAULT_TOL) -> ProtocolRun:
     """Simulate one MF preparation round for a small PEPS patch.
 
     ``orientation`` is a single drain direction or a per-site grid of
     directions from {ur, ul, dr, dl}; regions must drain consistently.
     """
-    t = default_tol(tol)
-    patch = grid if isinstance(grid, PepsPatch) else PepsPatch(grid, orientation, t)
+    patch = grid if isinstance(grid, PepsPatch) else PepsPatch(grid, orientation, tol)
     if patch.rows * patch.cols > 9:
         raise SizeGuardError("patch exceeds the 3 x 3 desk-scale guard")
     rng = philox_rng(seed)
@@ -667,7 +669,7 @@ def run_peps_protocol(grid, orientation="ur", seed: int = 0, tol: float | None =
         state = patch.dense_state()
         return ProtocolRun(seed, RNG_ALGORITHM, [], [], [], state, 1.0, True, True)
     outcomes, probs = _sample_peps_bonds(patch, rng)
-    site_u, edge_ops = _route_defects(patch, outcomes, t)
+    site_u, edge_ops = _route_defects(patch, outcomes, tol)
     fid = peps_fidelity(patch, outcomes, site_u, edge_ops)
     mats = {k: bond_projector(patch.basis, j) for k, j in outcomes.items()}
     state = patch.dense_state(ket_mods=_ket_mods(patch, site_u, edge_ops), ket_bonds=mats)
@@ -680,7 +682,7 @@ def run_peps_protocol(grid, orientation="ur", seed: int = 0, tol: float | None =
         corrections,
         state,
         fid,
-        fid >= 1 - max(t, 1e-9),
+        fid >= 1 - max(tol, VERDICT_FLOOR),
         True,
     )
 
@@ -699,13 +701,12 @@ def peps_routing_complete(patch: PepsPatch) -> bool:
     return True
 
 
-def enumerate_peps_outcomes(patch: PepsPatch, tol: float | None = None, fidelity_limit: int | None = None):
+def enumerate_peps_outcomes(patch: PepsPatch, tol: float = DEFAULT_TOL, fidelity_limit: int | None = None):
     """Exhaustive accounting over all PEPS outcome tuples (small patches).
 
     Returns an EnumerationReport; ``fidelity_limit`` caps how many outcome
     tuples get the (more expensive) fidelity contraction, None meaning all.
     """
-    t = default_tol(tol)
     order = patch.bonds()
     n = len(patch.basis.elements)
     if n ** len(order) > 65536:
@@ -718,7 +719,7 @@ def enumerate_peps_outcomes(patch: PepsPatch, tol: float | None = None, fidelity
         mats = {k: bond_projector(patch.basis, j) for k, j in outcomes.items()}
         p = patch.network_value(ket_bonds=mats, bra_bonds=mats).real / norm_free
         try:
-            site_u, edge_ops = _route_defects(patch, outcomes, t)
+            site_u, edge_ops = _route_defects(patch, outcomes, tol)
             ok = True
         except DefectStuckError:
             ok, site_u, edge_ops = False, {}, {}

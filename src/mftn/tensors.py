@@ -16,11 +16,16 @@ import numpy as np
 
 from .errors import DimensionMismatchError, LegError, NonHermitianError
 
+# The tolerance every ``tol`` parameter defaults to.  ``mftn --tol`` and ``MFTN_TOL``
+# pass another value down for one command; nothing assigns this one.
 DEFAULT_TOL = 1e-9
 
-
-def default_tol(tol: float | None) -> float:
-    return DEFAULT_TOL if tol is None else float(tol)
+# Floors: a check whose round-off can exceed a small tol runs at max(tol, floor), so
+# that no tol refuses an exact result.  Each comment says where the round-off comes from.
+MATCH_FLOOR = 1e-7  # phase x basis element, by projection; distinct elements are O(1) apart
+PAULI_FLOOR = 1e-6  # Pauli-string recognition, always at this value: d^n x d^n dense products
+UNITARY_FLOOR = 1e-8  # MPO identities between unitaries assembled from several products
+VERDICT_FLOOR = 1e-9  # fidelity, isometry and spectrum verdicts: round-off grows with size
 
 
 class DenseTensor:
@@ -174,7 +179,7 @@ def contract(
 # ---------------------------------------------------------------------------
 
 
-def polar_nd(m: np.ndarray, tol: float | None = None) -> tuple[np.ndarray, np.ndarray]:
+def polar_nd(m: np.ndarray, tol: float = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarray]:
     """Polar factorization m = V @ Q.
 
     Q = (m† m)^{1/2} is Hermitian PSD; V is the partial isometry supported
@@ -184,26 +189,26 @@ def polar_nd(m: np.ndarray, tol: float | None = None) -> tuple[np.ndarray, np.nd
     m = np.asarray(m, dtype=np.complex128)
     u, s, wh = np.linalg.svd(m, full_matrices=False)
     q = (wh.conj().T * s) @ wh
-    cutoff = default_tol(tol) * (s[0] if s.size and s[0] > 0 else 1.0)
+    cutoff = tol * (s[0] if s.size and s[0] > 0 else 1.0)
     r = int(np.sum(s > cutoff))
     v = u[:, :r] @ wh[:r, :]
     return v, q
 
 
-def numerical_rank(m: np.ndarray, tol: float | None = None) -> int:
+def numerical_rank(m: np.ndarray, tol: float = DEFAULT_TOL) -> int:
     s = np.linalg.svd(np.asarray(m), compute_uv=False)
     if s.size == 0 or s[0] == 0:
         return 0
-    return int(np.sum(s > default_tol(tol) * s[0]))
+    return int(np.sum(s > tol * s[0]))
 
 
-def nullspace(m: np.ndarray, tol: float | None = None) -> np.ndarray:
+def nullspace(m: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:
     """Orthonormal columns spanning the (right) null space of m."""
     m = np.asarray(m, dtype=np.complex128)
     if m.size == 0:
         return np.eye(m.shape[1], dtype=np.complex128)
     u, s, wh = np.linalg.svd(m)
-    cutoff = default_tol(tol) * (s[0] if s.size and s[0] > 0 else 1.0)
+    cutoff = tol * (s[0] if s.size and s[0] > 0 else 1.0)
     r = int(np.sum(s > cutoff))
     return wh[r:].conj().T
 
@@ -231,7 +236,7 @@ def proportionality(a: np.ndarray, b: np.ndarray) -> tuple[complex, float]:
     return complex(c), float(resid)
 
 
-def gram_proportionality(t: DenseTensor, open_legs: Sequence[str], tol: float | None = None):
+def gram_proportionality(t: DenseTensor, open_legs: Sequence[str], tol: float = DEFAULT_TOL):
     """Contract t with its conjugate over every leg but ``open_legs``.
 
     Returns (passed, c, residual) for the Gram matrix against c * identity.
@@ -240,7 +245,7 @@ def gram_proportionality(t: DenseTensor, open_legs: Sequence[str], tol: float | 
     gram = contract(t, bra, [(leg, f"{leg}'") for leg in t.legs if leg not in open_legs]).data
     n = int(np.sqrt(gram.size))
     const, resid = proportionality(gram.reshape(n, n), np.eye(n))
-    return resid < default_tol(tol), complex(const), float(resid)
+    return resid < tol, complex(const), float(resid)
 
 
 def state_fidelity(x: np.ndarray, y: np.ndarray) -> float:
@@ -295,7 +300,7 @@ def random_unitary(n: int, rng: np.random.Generator) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def polar_decompose(m: MatrixView, tol: float | None = None) -> tuple[DenseTensor, DenseTensor]:
+def polar_decompose(m: MatrixView, tol: float = DEFAULT_TOL) -> tuple[DenseTensor, DenseTensor]:
     """Polar split of a matrix view into (V, Q) tensors.
 
     V keeps the legs of the original tensor (same shapes); Q is square over

@@ -13,7 +13,7 @@ from mftn.basis import (
     weyl_heisenberg_basis,
 )
 from mftn.errors import BasisError, NonGroupBasisError, SizeGuardError
-from mftn.tensors import default_tol, random_unitary
+from mftn.tensors import DEFAULT_TOL, random_unitary
 
 # A 5x5 Latin square whose row permutations do not close under composition,
 # i.e. not the Cayley table of any group.
@@ -171,9 +171,9 @@ class TestClosureAndCocycle:
                 assert table.omega(j, k) == pytest.approx(want, abs=1e-12)
 
 
-def _loop_resolve(b, m, tol=None):
+def _loop_resolve(b, m, tol=DEFAULT_TOL):
     """The element-by-element trace test, kept as the reference for resolve."""
-    t = max(default_tol(tol), 1e-7)
+    t = max(tol, 1e-7)
     for k, p in enumerate(b.elements):
         c = np.trace(p.conj().T @ m) / b.dim
         if abs(abs(c) - 1.0) < t and np.linalg.norm(m - c * p) < t * b.dim:

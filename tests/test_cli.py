@@ -189,6 +189,17 @@ class TestDispatch:
         assert code == 0
         assert rep["outputs"]["success_rate"] == 1.0
 
+    @pytest.mark.parametrize("orientation", ["zz", [["ur"]], 5, [["ur", "ur"], ["ur", "zz"]]],
+                             ids=["unknown", "wrong-shape", "number", "unknown-entry"])
+    def test_simulate_refuses_a_malformed_peps_orientation(self, capsys, orientation):
+        spec = json.loads(TOPO)
+        spec["orientation"] = orientation
+        got = cli.dispatch(["simulate", "--peps", json.dumps(spec)])
+        captured = capsys.readouterr()
+        assert got == 3
+        assert "Traceback" not in captured.err
+        assert report_of(captured.out)["error"].startswith("malformed input: bad spec: ")
+
     def test_simulate_checks_each_verdict_against_the_prediction(self, capsys, monkeypatch):
         argv = ["simulate", "--chain", "aklt", "--sites", "3", "--boundary", "periodic",
                 "--trials", "12"]
@@ -390,39 +401,40 @@ class TestOperationCoverage:
 
 class TestToleranceOverride:
     def test_env_var_override(self, capsys, monkeypatch):
-        from mftn import tensors as tensors_mod
-
-        old = tensors_mod.DEFAULT_TOL
         monkeypatch.setenv("MFTN_TOL", "1e-6")
-        try:
-            code, out = run(capsys, ["basis", "--basis", "WH:2"])
-            assert code == 0
-            assert report_of(out)["tolerance"] == 1e-6
-        finally:
-            tensors_mod.DEFAULT_TOL = old
+        code, out = run(capsys, ["basis", "--basis", "WH:2"])
+        assert code == 0
+        assert report_of(out)["tolerance"] == 1e-6
 
     def test_tol_flag_override(self, capsys):
-        from mftn import tensors as tensors_mod
-
-        old = tensors_mod.DEFAULT_TOL
-        try:
-            code, out = run(capsys, ["basis", "--basis", "WH:2", "--tol", "1e-7"])
-            assert code == 0
-            assert report_of(out)["tolerance"] == 1e-7
-        finally:
-            tensors_mod.DEFAULT_TOL = old
+        code, out = run(capsys, ["basis", "--basis", "WH:2", "--tol", "1e-7"])
+        assert code == 0
+        assert report_of(out)["tolerance"] == 1e-7
 
 
     def test_tol_flag_does_not_outlive_dispatch(self, capsys):
         from mftn import tensors as tensors_mod
 
         old = tensors_mod.DEFAULT_TOL
-        try:
-            run(capsys, ["basis", "--basis", "WH:2", "--tol", "1e-7"])
-            assert tensors_mod.DEFAULT_TOL == old
-        finally:
-            tensors_mod.DEFAULT_TOL = old
+        run(capsys, ["basis", "--basis", "WH:2", "--tol", "1e-7"])
+        assert tensors_mod.DEFAULT_TOL == old
 
+    def test_dispatch_leaves_the_default_alone_while_it_runs(self, capsys, monkeypatch):
+        # the tolerance travels as a value: a handler sees the constant unchanged
+        from mftn import tensors as tensors_mod
+
+        seen = []
+        handler, flags, defaults = cli.SUBCOMMANDS["basis"]
+
+        def recording(args, report):
+            seen.append(tensors_mod.DEFAULT_TOL)
+            handler(args, report)
+
+        monkeypatch.setitem(cli.SUBCOMMANDS, "basis", (recording, flags, defaults))
+        code, out = run(capsys, ["basis", "--basis", "WH:2", "--tol", "1e-6"])
+        assert code == 0
+        assert seen == [1e-9]
+        assert report_of(out)["tolerance"] == 1e-6
 
     @pytest.mark.parametrize("value", ["abc", "nan", "inf", "0", "-1e-9"])
     @pytest.mark.parametrize("source", ["env", "flag"])
@@ -435,13 +447,63 @@ class TestToleranceOverride:
             monkeypatch.setenv("MFTN_TOL", value)
         else:
             argv.append(f"--tol={value}")
-        try:
-            code, out = run(capsys, argv)
-            assert code == 3
-            assert report_of(out)["error"].startswith("malformed input: ")
-            assert tensors_mod.DEFAULT_TOL == old
-        finally:
-            tensors_mod.DEFAULT_TOL = old
+        code, out = run(capsys, argv)
+        assert code == 3
+        assert report_of(out)["error"].startswith("malformed input: ")
+        assert tensors_mod.DEFAULT_TOL == old
+
+
+def noisy_aklt_spec():
+    """The AKLT chain spec plus complex noise of size 1e-7: symmetry residual 4.1e-7."""
+    from mftn import fixtures
+    from mftn.tensors import DenseTensor
+
+    A = fixtures.aklt_tensor()
+    rng = np.random.default_rng(0)
+    data = A.tensor.data
+    noise = 1e-7 * (rng.standard_normal(data.shape) + 1j * rng.standard_normal(data.shape))
+    constraints = [{"p_in": A.basis.labels[c.p_in], "p_out": A.basis.labels[c.p_out],
+                    "u_phys": DenseTensor(c.u_phys, ("row", "col")).to_json()}
+                   for c in A.constraints]
+    tensor = DenseTensor(data + noise, A.tensor.legs).to_json()
+    return json.dumps({"basis": "WH:2", "tensor": tensor, "constraints": constraints})
+
+
+class TestToleranceReachesTheLibrary:
+    """A noisy AKLT tensor passes its checks at 1e-6 and fails them at the default."""
+
+    @pytest.fixture(params=["default", "flag", "env"])
+    def source(self, request, monkeypatch):
+        if request.param == "env":
+            monkeypatch.setenv("MFTN_TOL", "1e-6")
+        return request.param
+
+    def argv(self, source, command):
+        argv = [command, "--tensor", noisy_aklt_spec()]
+        return argv + ["--tol", "1e-6"] if source == "flag" else argv
+
+    def test_check_mps(self, capsys, source):
+        code, out = run(capsys, self.argv(source, "check-mps"))
+        checks = {c["name"]: c for c in report_of(out)["checks"]}
+        assert checks["mf_symmetry"]["residual"] == pytest.approx(4.1e-7, rel=0.01)
+        loose = source != "default"
+        assert code == (0 if loose else 1)
+        assert checks["mf_symmetry"]["passed"] is loose
+        assert checks["canonical_form"]["passed"] is loose
+
+    def test_decompose_mps(self, capsys, source):
+        code, out = run(capsys, self.argv(source, "decompose-mps"))
+        rep = report_of(out)
+        checks = {c["name"]: c["passed"] for c in rep["checks"]}
+        assert code == 1
+        if source == "default":
+            assert checks == {"completed": False}
+            assert rep["outputs"]["error"].startswith("MF symmetry fails")
+        else:
+            # the split runs at 1e-6; the fixed 1e-8 commutant verdict still sees the noise
+            assert "error" not in rep["outputs"]
+            assert checks["correction_consistency"] and checks["polar_reconstruction"]
+            assert not checks["q_commutants"]
 
 
 class TestJsonFixtures:

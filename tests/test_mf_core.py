@@ -27,7 +27,7 @@ from mftn.mps import (
 )
 from mftn.peps import check_peps_mf_symmetry, peps_split_polar, topo_solution
 from mftn.protocol import ORIENTATIONS, solve_push_table
-from mftn.tensors import default_tol
+from mftn.tensors import DEFAULT_TOL
 
 WH2 = weyl_heisenberg_basis(2)
 WH3 = weyl_heisenberg_basis(3)
@@ -193,7 +193,7 @@ def test_spt_core_matches_kron_formulas(basis, examples):
 
 
 def check_push_tables(A, orientations):
-    el, t = A.basis.elements, default_tol(None)
+    el, t = A.basis.elements, DEFAULT_TOL
     for slot, constraints in ((0, A.constraints_a), (3, A.constraints_b)):
         want = push_scan(A, slot, [p.T for p in el], (1, 2), t)
         assert [(c.out_up, c.out_right) for c in constraints] == [w[0] for w in want]

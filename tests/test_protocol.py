@@ -20,7 +20,7 @@ from mftn.protocol import (
     run_mps_protocol,
     run_peps_protocol,
 )
-from mftn.tensors import DenseTensor, default_tol, state_fidelity
+from mftn.tensors import DEFAULT_TOL, DenseTensor, state_fidelity
 from conftest import random_complex
 
 
@@ -96,7 +96,7 @@ def dense_corrected_fidelity(chain, boundary, outcomes, target):
     """The corrected chain's fidelity from dense d^n states (the oracle)."""
     basis = chain[0].basis
     completed = [complete_constraints(x) for x in chain]
-    corrections, edge_fix, _ = push_chain_defects(completed, basis, outcomes, boundary, default_tol(None))
+    corrections, edge_fix, _ = push_chain_defects(completed, basis, outcomes, boundary, DEFAULT_TOL)
     projected = chain_state(chain, [bond_projector(basis, j) for j in outcomes], boundary)
     return state_fidelity(apply_chain_corrections(projected, corrections, edge_fix, boundary), target)
 
@@ -135,6 +135,11 @@ class TestChainMatchesDenseOracle:
             tracemalloc.stop()
         assert run.success
         assert peak < 10 * 2**20
+
+    def test_twenty_thousand_sites_keep_the_fidelity(self):
+        # a running sum of the per-site log scales gave 1 + 1.6e-9 here
+        run = run_mps_protocol([aklt_tensor()] * 20000, "open", seed=1)
+        assert abs(1 - run.fidelity) < 1e-10
 
 
 class TestEnumeration:
