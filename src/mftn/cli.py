@@ -31,7 +31,7 @@ from . import protocol as protocol_mod
 from . import tensors as tensors_mod
 from . import fixtures
 from .errors import MftnError
-from .tensors import DenseTensor
+from .tensors import COMMUTANT_FLOOR, EIGEN_FLOOR, UNITARY_FLOOR, VERDICT_FLOOR, DenseTensor
 
 # every public operation is reachable from exactly one subcommand
 OPERATIONS = {
@@ -287,17 +287,17 @@ def _cmd_check_mps(args, report):
 def _cmd_decompose_mps(args, report):
     A = _mps_from(args.tensor)
     split = mps_mod.split_polar(A, report.tol)
-    report.check("polar_reconstruction", split.reconstruction_residual < 1e-9,
-                 split.reconstruction_residual)
+    resid = split.reconstruction_residual
+    report.check("polar_reconstruction", resid < max(report.tol, VERDICT_FLOOR), resid)
     report.check("null_space_match", split.null_space_match)
     worst = max(split.commutant_residuals, default=0.0)
-    report.check("q_commutants", worst < 1e-8, worst)
+    report.check("q_commutants", worst < max(report.tol, COMMUTANT_FLOOR), worst)
     corr = mps_mod.correction_consistency(split, report.tol)
     report.check("correction_consistency", corr.passed, max(corr.residuals, default=0.0))
     try:
         form = mps_mod.clifford_magic_decompose(split, A.basis)
-        report.check("clifford_magic_reconstruction",
-                     form.reconstruction_residual < 1e-9, form.reconstruction_residual)
+        resid = form.reconstruction_residual
+        report.check("clifford_magic_reconstruction", resid < max(report.tol, VERDICT_FLOOR), resid)
         report.outputs["psi_is_stabilizer"] = mps_mod.is_stabilizer_state(form.psi, 2, A.D)
     except MftnError as exc:
         report.outputs["clifford_magic_skipped"] = str(exc)
@@ -348,10 +348,10 @@ def _cmd_check_peps(args, report):
     report.check("isometry_condition", ok, resid)
     split = peps_mod.peps_split_polar(q, tol)
     worst = max(split.commutant_residuals, default=0.0)
-    report.check("q_commutants", worst < 1e-8, worst)
+    report.check("q_commutants", worst < max(report.tol, COMMUTANT_FLOOR), worst)
     if split.clifford is not None:
-        report.check("clifford_form", split.clifford.reconstruction_residual < 1e-9,
-                     split.clifford.reconstruction_residual)
+        resid = split.clifford.reconstruction_residual
+        report.check("clifford_form", resid < max(report.tol, VERDICT_FLOOR), resid)
     inj = peps_mod.injectivity_check(q, tol=tol)
     report.outputs["rank"] = inj.rank
     report.outputs["injective"] = inj.injective
@@ -385,7 +385,7 @@ def _cmd_transfer(args, report):
         want = np.sort(np.abs(spec.t_values))[::-1]
         got = np.sort(np.abs(brute))[::-1][: len(want)]
         resid = float(np.max(np.abs(got - want)) / max(want.max(), 1e-300))
-        report.check("brute_matches_analytic", resid < 1e-8, resid)
+        report.check("brute_matches_analytic", resid < max(report.tol, EIGEN_FLOOR), resid)
     report.check("spectrum_computed", True)
 
 
@@ -413,7 +413,7 @@ def _cmd_simulate(args, report):
         with _reading("spec"):
             patch = protocol_mod.PepsPatch([[a] * args.cols for _ in range(args.rows)],
                                            spec.get("orientation", "ur"), tol)
-        fails, worst = 0, 1.0
+        fails, worst = 0, math.inf
         for k in range(args.trials):
             run = protocol_mod.run_peps_protocol(patch, seed=args.seed + k, tol=tol)
             fails += not run.success
@@ -429,14 +429,14 @@ def _cmd_simulate(args, report):
         report.outputs["correctable_fraction"] = _fmt(rep.correctable_fraction)
         report.check("probabilities_normalized",
                      abs(sum(rep.probabilities) - 1) < 1e-9)
-    successes, worst, agree = 0, 1.0, True
+    successes, worst, agree = 0, math.inf, True
     for k in range(args.trials):
         run = protocol_mod.run_mps_protocol(tensors, args.boundary, args.seed + k, tol)
         successes += run.success
         agree &= run.success == run.predicted_success
         worst = min(worst, run.fidelity) if run.success else worst
     report.outputs["success_rate"] = _fmt(successes / args.trials)
-    report.outputs["worst_success_fidelity"] = _fmt(worst)
+    report.outputs["worst_success_fidelity"] = _fmt(worst if successes else 1.0)
     if args.boundary == "open":
         report.check("deterministic_success", successes == args.trials)
     else:
@@ -462,7 +462,7 @@ def _cmd_mpo(args, report):
         u0 = tensors_mod.random_unitary(O.d, protocol_mod.philox_rng(args.seed))
         got = mpo_mod.relative_local_unitary(O, O.apply_phys_in(u0), tol)
         _, resid = tensors_mod.proportionality(got.reshape(-1), u0.reshape(-1))
-        report.check("round_trip", resid < 1e-8, resid)
+        report.check("round_trip", resid < max(report.tol, UNITARY_FLOOR), resid)
     elif args.mpo_action == "apply":
         n = args.sites
         report.outputs["sites"] = n
@@ -470,7 +470,8 @@ def _cmd_mpo(args, report):
         rng = protocol_mod.philox_rng(args.seed)
         psi = rng.standard_normal(O.d**n) + 1j * rng.standard_normal(O.d**n)
         run = mpo_mod.apply_mpo_via_protocol([O] * n, psi, "open", args.seed, tol)
-        report.check("matches_direct_action", run.fidelity >= 1 - 1e-8, abs(1 - run.fidelity))
+        report.check("matches_direct_action", run.fidelity >= 1 - max(report.tol, UNITARY_FLOOR),
+                     abs(1 - run.fidelity))
 
 
 def _cmd_clifford_synth(args, report):

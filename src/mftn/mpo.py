@@ -15,7 +15,6 @@ U† U' = U_tilde x I_D exactly.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,13 +26,15 @@ from .errors import (
     SizeGuardError,
     SymmetryError,
 )
-from .mps import MPSTensor, check_mf_symmetry, complete_constraints
+from .mps import MPSTensor, check_mf_symmetry, complete_constraints, per_distinct
 from .protocol import (
     RNG_ALGORITHM,
+    EnumerationReport,
     ProtocolRun,
     apply_chain_corrections,
     bond_projector,
     born_choice,
+    enumerate_branches,
     philox_rng,
     push_chain_defects,
 )
@@ -225,23 +226,64 @@ def check_protocol_sites(n: int) -> None:
         raise SizeGuardError(f"MPO protocol chains are capped at {MAX_PROTOCOL_SITES} sites")
 
 
-def direct_mpo_state(tensors, input_state) -> np.ndarray:
-    """Direct contraction of the MPO chain applied to the input.
+def _validate_mpo_chain(tensors, tol: float):
+    """(basis, closed constraint tables) of an MPO chain whose tensors share their
+    dimensions and pass the slice symmetry and the isometry condition."""
+    if not tensors:
+        raise ValueError("empty chain")
+    for o in {id(o): o for o in tensors}.values():
+        if o.D != tensors[0].D or o.d != tensors[0].d:
+            raise DimensionMismatchError("chain tensors must share dimensions")
+        if check_mpo_symmetry(o, tol) >= max(tol, VERDICT_FLOOR):
+            raise SymmetryError("chain tensor fails the MPO push-through symmetry")
+        ok, _, resid = check_mpo_isometry(o, tol)
+        if not ok:
+            raise SymmetryError(f"chain tensor fails the MPO isometry condition ({resid:.3e})")
+    return tensors[0].basis, per_distinct(tensors, lambda o: complete_constraints(o.slice_tensor(0)))
 
-    Output axes: (edge_left, o_1, ..., o_n, edge_right).
+
+def _mpo_step(cur, arr, k, bond=None):
+    """Contract site k, O[o, a, l, r], into cur through the bond matrix on r_{k-1}.
+
+    cur has axes (edge_left, o_0..o_{k-1}, r_{k-1}, a_k..a_{n-1}); so does the
+    result, with k + 1 for k.
+    """
+    if bond is not None:
+        arr = np.einsum("rs,oasq->oarq", bond, arr)
+    cur = np.tensordot(cur, arr, axes=([1 + k, 2 + k], [2, 1]))
+    return np.moveaxis(cur, [-2, -1], [1 + k, 2 + k])
+
+
+def _mpo_input(tensors, psi) -> np.ndarray:
+    """psi on (edge_left, r_{-1}, a_0..a_{n-1}), with r_{-1} the identity copy of
+    the edge leg, so that the first _mpo_step contracts site 0 like any other."""
+    psi = np.asarray(psi, dtype=np.complex128).reshape([tensors[0].d] * len(tensors))
+    return np.multiply.outer(np.eye(tensors[0].D), psi)
+
+
+def direct_mpo_state(tensors, psi, bond_ops=None, boundary: str = "open") -> np.ndarray:
+    """Direct contraction of the MPO chain applied to the input ``psi``.
+
+    ``bond_ops`` and ``boundary`` are as in ``mps.chain_state``: ``bond_ops[b]``
+    is an optional matrix on the bond after site b, and periodic chains trace
+    the wrap bond.  Output axes: (edge_left, o_1, ..., o_n, edge_right) for
+    open chains, (o_1, ..., o_n) for periodic ones.
     """
     tensors = list(tensors)
-    n = len(tensors)
-    d = tensors[0].d
-    psi = np.asarray(input_state, dtype=np.complex128).reshape([d] * n)
-    cur = np.tensordot(tensors[0].array(), psi, axes=([1], [0]))  # (o1, l, r1, a2..)
-    cur = np.moveaxis(cur, 1, 0)  # (l, o1, r1, a2..an)
-    for k in range(1, n):
-        arr = tensors[k].array()
-        # contract bond r_k (axis 1+k) and input a_{k+1} (axis 2+k)
-        cur = np.tensordot(cur, arr, axes=([1 + k, 2 + k], [2, 1]))
-        cur = np.moveaxis(cur, [-2, -1], [1 + k, 2 + k])
-    return cur
+    nbonds = len(tensors) if boundary == "periodic" else len(tensors) - 1
+    bond_ops = list(bond_ops) if bond_ops is not None else [None] * nbonds
+    if len(bond_ops) != nbonds:
+        raise DimensionMismatchError(f"need {nbonds} bond entries")
+    cur = _mpo_input(tensors, psi)
+    for k, o in enumerate(tensors):
+        cur = _mpo_step(cur, o.array(), k, bond_ops[k - 1] if k else None)
+    if boundary == "open":
+        return cur
+    if boundary != "periodic":
+        raise BoundaryError(f"unknown boundary {boundary!r}")
+    if bond_ops[-1] is not None:
+        cur = np.tensordot(cur, bond_ops[-1], axes=([-1], [0]))
+    return np.trace(cur, axis1=0, axis2=cur.ndim - 1)
 
 
 def apply_mpo_via_protocol(tensors, input_state, boundary: str = "open", seed: int = 0,
@@ -260,109 +302,55 @@ def apply_mpo_via_protocol(tensors, input_state, boundary: str = "open", seed: i
         raise BoundaryError("protocol application supports open boundaries only")
     tensors = list(tensors)
     n = len(tensors)
-    if n == 0:
-        raise ValueError("empty chain")
     check_protocol_sites(n)
-    basis = tensors[0].basis
-    D, d = basis.dim, tensors[0].d
-    for o in tensors:
-        if o.basis.dim != D or o.d != d:
-            raise DimensionMismatchError("chain tensors must share dimensions")
-        if check_mpo_symmetry(o, tol) >= max(tol, VERDICT_FLOOR):
-            raise SymmetryError("chain tensor fails the MPO push-through symmetry")
-    psi = np.asarray(input_state, dtype=np.complex128).reshape([d] * n)
+    basis, completed = _validate_mpo_chain(tensors, tol)
     rng = philox_rng(seed)
-
-    state = np.tensordot(tensors[0].array() / np.sqrt(D), psi, axes=([1], [0]))
-    state = np.moveaxis(state, 1, 0)  # (l, o1, r1, a2..an)
+    arrays = [o.array() / np.sqrt(basis.dim) for o in tensors]
+    state = _mpo_step(_mpo_input(tensors, input_state), arrays[0], 0)
     outcomes, probs = [], []
     for k in range(1, n):
-        arr = tensors[k].array() / np.sqrt(D)
-        # state axes: (l, o_0..o_{k-1}, r_{k-1}, a_k..a_{n-1}); absorb a_k
-        cur = np.tensordot(state, arr, axes=([k + 2], [1]))
-        # cur axes: (l, o_0..o_{k-1}, r_{k-1}, a_{k+1}.., o_k, l_k, r_k)
-        branches = [
-            np.tensordot(cur, bond_projector(basis, j), axes=([1 + k, cur.ndim - 2], [0, 1]))
-            for j in range(len(basis.elements))
-        ]
+        branches = [_mpo_step(state, arrays[k], k, bond_projector(basis, j))
+                    for j in range(len(basis.elements))]
         j, p = born_choice([float(np.vdot(x, x).real) for x in branches], rng)
         outcomes.append(j)
         probs.append(p)
-        # axes now: (l, o_1..o_k, a_{k+2}.., o_{k+1}, r_{k+1})
-        state = np.moveaxis(branches[j], [-2, -1], [1 + k, 2 + k])
+        state = branches[j]
 
-    completed = [complete_constraints(o.slice_tensor(0)) for o in tensors]
     corrections, edge_fix, _ = push_chain_defects(completed, basis, outcomes, "open", tol)
     state = apply_chain_corrections(state, corrections, edge_fix, "open")
 
-    target = direct_mpo_state(tensors, input_state)
-    fid = state_fidelity(state, target)
+    fid = state_fidelity(state, direct_mpo_state(tensors, input_state))
     legs = ("edge_left",) + tuple(f"out{k}" for k in range(n)) + ("edge_right",)
     return ProtocolRun(seed, RNG_ALGORITHM, outcomes, probs, corrections,
                        DenseTensor(state, legs), fid, fid >= 1 - max(tol, VERDICT_FLOOR), True)
 
 
-@dataclass
-class PeriodicMpoReport:
-    outcomes: list
-    probabilities: list
-    post_selected: list
-    fidelities: list
-    success_probability: float
-
-
-def periodic_mpo_accounting(tensors, input_state, tol: float = DEFAULT_TOL) -> PeriodicMpoReport:
+def periodic_mpo_accounting(tensors, input_state, tol: float = DEFAULT_TOL) -> EnumerationReport:
     """Exact post-selection accounting for periodic MPO application.
 
     Periodic chains cannot be corrected deterministically; this enumerates
-    every outcome tuple, reports its exact Born weight, and verifies that the
-    post-selected branches (merged defect proportional to the identity)
-    reproduce the direct periodic MPO action.  No sampling is performed.
+    every outcome tuple, reports its exact Born weight (normalised by the
+    unmeasured norm |psi|^2 D^n), and verifies that the correctable branches
+    (merged defect proportional to the identity) reproduce the direct
+    periodic MPO action.  No sampling is performed.
     """
     tensors = list(tensors)
-    n = len(tensors)
-    basis = tensors[0].basis
-    D, d = basis.dim, tensors[0].d
+    basis, completed = _validate_mpo_chain(tensors, tol)
+    n, D = len(tensors), basis.dim
     if (D * D) ** n > 4096:
         raise SizeGuardError("periodic accounting exceeds the desk-scale guard")
-    psi = np.asarray(input_state, dtype=np.complex128).reshape([d] * n)
+    psi = np.asarray(input_state, dtype=np.complex128)
+    norm_free = np.vdot(psi, psi).real * D**n
+    target = direct_mpo_state(tensors, psi, boundary="periodic")
 
-    # target: periodic MPO action, virtual legs traced
-    open_target = direct_mpo_state(tensors, input_state)
-    target = np.trace(open_target, axis1=0, axis2=open_target.ndim - 1)
-
-    slices = [o.array() for o in tensors]
-    completed = [complete_constraints(o.slice_tensor(0)) for o in tensors]
-    outs, weights, kept, branches = [], [], [], []
-    for combo in itertools.product(range(D * D), repeat=n):
-        mats = [bond_projector(basis, j) for j in combo]
-        cur = np.tensordot(slices[0] / np.sqrt(D), psi, axes=([1], [0]))
-        cur = np.moveaxis(cur, 1, 0)  # (l, o_0, r_0, a_1..)
-        for k in range(1, n):
-            cur = np.einsum("...r,rs->...s", np.moveaxis(cur, 1 + k, -1), mats[k - 1])
-            cur = np.moveaxis(cur, -1, 1 + k)
-            cur = np.tensordot(cur, slices[k] / np.sqrt(D), axes=([1 + k, 2 + k], [2, 1]))
-            cur = np.moveaxis(cur, [-2, -1], [1 + k, 2 + k])
-        cur = np.einsum("...r,rs->...s", cur, mats[n - 1])
-        branch = np.trace(cur, axis1=0, axis2=cur.ndim - 1)
+    def branch(combo):
+        state = direct_mpo_state(tensors, psi, [bond_projector(basis, j) for j in combo], "periodic")
         # push bond defects into the wrap bond, correcting the o legs
         try:
             corrections, _, ok = push_chain_defects(completed, basis, combo, "periodic", tol)
         except DefectStuckError:
             corrections, ok = [], False
-        branch = apply_chain_corrections(branch, corrections, None, "periodic")
-        outs.append(combo)
-        weights.append(float(np.vdot(branch, branch).real))
-        kept.append(bool(ok))
-        branches.append(branch)
-    total_weight = sum(weights)
-    probs, fids, success_p = [], [], 0.0
-    for w, ok, branch in zip(weights, kept, branches):
-        p = w / total_weight if total_weight > 0 else 0.0
-        probs.append(p)
-        if ok:
-            fids.append(state_fidelity(branch, target))
-            success_p += p
-        else:
-            fids.append(None)
-    return PeriodicMpoReport(outs, probs, kept, fids, float(success_p))
+        state = apply_chain_corrections(state, corrections, None, "periodic")
+        return np.vdot(state, state).real / norm_free, ok, state_fidelity(state, target) if ok else None
+
+    return enumerate_branches(D * D, n, branch)

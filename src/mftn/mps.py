@@ -155,7 +155,7 @@ class SymmetryReport:
 
     @property
     def passed(self) -> bool:
-        return self.max_residual < self.tol
+        return all(r < self.tol for r in self.residuals)  # a NaN residual fails
 
     def require(self, message: str) -> None:
         """Raise SymmetryError(message % max_residual) unless the report passed."""
@@ -397,7 +397,6 @@ def solve_symmetry_family(
     basis: MFBasis,
     constraints,
     d: int,
-    D: int | None = None,
     tol: float = DEFAULT_TOL,
     rng: np.random.Generator | None = None,
 ) -> list[MPSTensor]:
@@ -408,9 +407,7 @@ def solve_symmetry_family(
     correction unitary (alternating least squares, seeded from P^* x P' when
     d = D^2 and from the identity plus random restarts otherwise).
     """
-    D = basis.dim if D is None else D
-    if D != basis.dim:
-        raise DimensionMismatchError("D must equal the basis dimension")
+    D = basis.dim
     triples = [(basis.index(p_in), u, basis.index(p_out)) for p_in, u, p_out in constraints]
     if any(u is None for _, u, _ in triples):
         triples = _solve_unknown_corrections(basis, triples, d, rng)
@@ -680,17 +677,15 @@ def per_distinct(family, make) -> list:
     return [made[id(x)] for x in family]
 
 
-def pauli_expectation(family, pauli_string, boundary: str = "open", tol: float = DEFAULT_TOL) -> complex:
+def pauli_expectation(family, pauli_string, tol: float = DEFAULT_TOL) -> complex:
     """Weyl-Heisenberg string expectation on a chain of Q-form tensors.
 
     Site tensors must be Q-form (physical dimension D^2) over a prime-D
     Weyl-Heisenberg basis; the string holds one 2-qudit Pauli per site.
     The string is pushed backwards through the sideways Clifford structure,
     so the cost is linear in the chain length.  Edge virtual legs stay open,
-    and the value matches the dense contraction of the unnormalized chain.
+    and the value matches the dense contraction of the unnormalized open chain.
     """
-    if boundary != "open":
-        raise BoundaryError("only open boundaries are supported")
     if not family:
         raise ValueError("empty chain")
     basis = family[0].basis

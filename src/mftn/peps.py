@@ -294,32 +294,16 @@ def transfer_matrix_brute(Q: PEPSTensor, L: int) -> np.ndarray:
         raise SizeGuardError("transfer ring exceeds the desk-scale guard")
     b = Q.as_matrix()
     e = (b.conj().T @ b).reshape((D,) * 8) / D**2  # (l,u,r,d) bra x (l,u,r,d) ket
-    # per-site tensor with paired legs (l, u, r, d) in bra/ket layers
-    letters = "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ"
-    terms = []
-    out_up, out_dn = [], []
-    pos = 0
-
-    def take(k):
-        nonlocal pos
-        s = letters[pos : pos + k]
-        pos += k
-        return s
-
-    hor = [take(2) for _ in range(L)]  # (bra, ket) horizontal bond labels per bond
-    ups, dns = [], []
+    # per site: (bra, ket) labels of its left, up, right and down legs; the
+    # horizontal bond right of site s is labelled (2s, 2s + 1)
+    hor = [(2 * s, 2 * s + 1) for s in range(L)]
+    ups = [(2 * L + 4 * s, 2 * L + 4 * s + 1) for s in range(L)]
+    dns = [(2 * L + 4 * s + 2, 2 * L + 4 * s + 3) for s in range(L)]
+    operands = []
     for s in range(L):
-        u = take(2)
-        d = take(2)
-        ups.append(u)
-        dns.append(d)
-        left = hor[(s - 1) % L]
-        right = hor[s]
-        terms.append(left[0] + u[0] + right[0] + d[0] + left[1] + u[1] + right[1] + d[1])
-        out_up.append(u)
-        out_dn.append(d)
-    spec = ",".join(terms) + "->" + "".join(out_up) + "".join(out_dn)
-    ring = np.einsum(spec, *([e] * L), optimize=True)
+        legs = (hor[s - 1], ups[s], hor[s], dns[s])
+        operands += [e, [bra for bra, _ in legs] + [ket for _, ket in legs]]
+    ring = np.einsum(*operands, [x for leg in ups + dns for x in leg], optimize=True)
     dim = (D * D) ** L
     return np.linalg.eigvals(ring.reshape(dim, dim))
 

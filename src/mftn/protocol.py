@@ -30,7 +30,7 @@ from .errors import (
     SizeGuardError,
     SymmetryError,
 )
-from .mps import chain_state, check_mf_symmetry, complete_constraints, per_distinct, solve_pushes
+from .mps import MPSTensor, chain_state, check_mf_symmetry, complete_constraints, per_distinct, solve_pushes
 from .peps import PEPSTensor
 from .tensors import DEFAULT_TOL, VERDICT_FLOOR, DenseTensor, state_fidelity
 
@@ -279,35 +279,52 @@ class EnumerationReport:
         return sum(self.correctable) / len(self.correctable)
 
 
+def enumerate_branches(outcomes_per_bond: int, nbonds: int, branch) -> EnumerationReport:
+    """Exact accounting over every outcome tuple of ``nbonds`` measured bonds.
+
+    ``branch(combo)`` returns (Born probability, correctable, fidelity or None)
+    of one tuple; the correctable probabilities add up to the success
+    probability.  No branch is kept once it is accounted.
+    """
+    if outcomes_per_bond**nbonds > 65536:
+        raise SizeGuardError("outcome enumeration exceeds the desk-scale guard")
+    outs = list(itertools.product(range(outcomes_per_bond), repeat=nbonds))
+    rows = [branch(combo) for combo in outs]
+    probs = [float(p) for p, _, _ in rows]
+    correctable = [bool(ok) for _, ok, _ in rows]
+    success_p = sum(p for p, ok in zip(probs, correctable) if ok)
+    return EnumerationReport(outs, probs, correctable, [fid for _, _, fid in rows], float(success_p))
+
+
+def _power_of_two_scaled(t: MPSTensor) -> MPSTensor:
+    """t over the power of two nearest its largest entry: an exact rescaling that keeps
+    the d^n products of a tiny or a huge tensor from under- or overflowing."""
+    data = np.ascontiguousarray(t.tensor.data)
+    data = np.ldexp(data.view(np.float64), -np.frexp(np.abs(data).max())[1]).view(np.complex128)
+    return MPSTensor(DenseTensor(data, t.tensor.legs), t.basis, t.constraints)
+
+
 def enumerate_outcomes(tensors, boundary: str = "open", tol: float = DEFAULT_TOL) -> EnumerationReport:
     """Exhaustive exact accounting over all measurement outcome tuples."""
     tensors = list(tensors)
     basis = _validate_chain(tensors, tol)
     D = basis.dim
-    nbonds = len(tensors) if boundary == "periodic" else len(tensors) - 1
-    if (D * D) ** nbonds > 65536:
-        raise SizeGuardError("outcome enumeration exceeds the desk-scale guard")
+    tensors = per_distinct(tensors, _power_of_two_scaled)
     # with every bond unmeasured each site is its own closed segment, of norm |A_k|^2
     norm_free = np.prod([np.linalg.norm(x.tensor.data) ** 2 for x in tensors])
     target = chain_state(tensors, None, boundary)
     completed = per_distinct(tensors, complete_constraints)
-    outs, probs, correctable, fids = [], [], [], []
-    success_p = 0.0
-    for combo in itertools.product(range(D * D), repeat=nbonds):
+
+    def branch(combo):
         projected = chain_state(tensors, [bond_projector(basis, j) for j in combo], boundary)
-        p = np.vdot(projected, projected).real / norm_free
         try:
             corrections, edge_fix, predicted = push_chain_defects(completed, basis, combo, boundary, tol)
         except DefectStuckError:
             predicted, corrections, edge_fix = False, [], None
         fid = state_fidelity(apply_chain_corrections(projected, corrections, edge_fix, boundary), target)
-        outs.append(combo)
-        probs.append(float(p))
-        correctable.append(bool(predicted))
-        fids.append(float(fid))
-        if predicted:
-            success_p += p
-    return EnumerationReport(outs, probs, correctable, fids, float(success_p))
+        return np.vdot(projected, projected).real / norm_free, predicted, float(fid)
+
+    return enumerate_branches(D * D, len(tensors) if boundary == "periodic" else len(tensors) - 1, branch)
 
 
 # ---------------------------------------------------------------------------
@@ -429,7 +446,15 @@ class PepsPatch:
             return 2 if site == (r, c) else 0
         return 1 if site == (r, c) else 3
 
-    # -- double-layer contraction ------------------------------------------
+    # -- contractions --------------------------------------------------------
+    # einsum's integer-sublist form labels every leg; ``sides`` maps a bond to
+    # the labels of its (first, second) side, which a bond matrix joins
+
+    def _slot_labels(self, r, c, sides):
+        """Labels of site (r, c)'s legs left, up, right, down; None off ``sides``."""
+        slots = self.site_bond_slots(r, c)
+        return [sides[key][self._first_side(key) != (r, c)] if key in sides else None
+                for key in map(slots.get, range(4))]
 
     def network_value(self, ket_mods=None, bra_mods=None, ket_bonds=None, bra_bonds=None, cuts=frozenset()):
         """<bra|ket> with per-site phys/leg ops, bond matrices, and cut bonds.
@@ -438,44 +463,29 @@ class PepsPatch:
         ``*_bonds`` maps bond keys to ket/bra matrices; bonds in ``cuts`` are
         unmeasured: each layer's legs are traced separately.
         """
-        ket_mods = ket_mods or {}
-        bra_mods = bra_mods or {}
-        ket_bonds = ket_bonds or {}
-        bra_bonds = bra_bonds or {}
-        D = self.D
-        letters = "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ"
-        it = iter(letters)
-        sides = {key: (next(it), next(it)) for key in self.bonds() if key not in cuts}
-        operands, scripts = [], []
+        live_bonds = [key for key in self.bonds() if key not in cuts]
+        sides = {key: (2 * k, 2 * k + 1) for k, key in enumerate(live_bonds)}
+        operands = []
         for r in range(self.rows):
             for c in range(self.cols):
-                ket = self._site_array(r, c, ket_mods.get((r, c)))
-                bra = self._site_array(r, c, bra_mods.get((r, c)))
-                slots = self.site_bond_slots(r, c)
-                live = [s for s in range(4) if slots[s] is not None and slots[s] not in cuts]
-                arr = _fold_site(ket, bra, live, D)
-                labels = ""
-                for s in live:
-                    key = slots[s]
-                    first = self._first_side(key) == (r, c)
-                    labels += sides[key][0 if first else 1]
-                operands.append(arr)
-                scripts.append(labels)
-        for key, (a, b) in sides.items():
-            mk = ket_bonds.get(key)
-            mb = bra_bonds.get(key)
-            mk = np.eye(D) if mk is None else mk
-            mb = np.eye(D) if mb is None else mb
-            operands.append(np.kron(mk, mb.conj()))
-            scripts.append(a + b)
-        return complex(np.einsum(",".join(scripts) + "->", *operands, optimize=True))
+                labels = self._slot_labels(r, c, sides)
+                live = [s for s in range(4) if labels[s] is not None]
+                ket, bra = self._site_array(r, c, ket_mods), self._site_array(r, c, bra_mods)
+                operands += [_fold_site(ket, bra, live, self.D), [labels[s] for s in live]]
+        eye = np.eye(self.D)
+        for key in live_bonds:
+            mk, mb = (ket_bonds or {}).get(key, eye), (bra_bonds or {}).get(key, eye)
+            operands += [np.kron(mk, mb.conj()), list(sides[key])]
+        return complex(np.einsum(*operands, [], optimize=True))
 
     def _first_side(self, bond):
         kind, r, c = bond
         return (r, c) if kind == "h" else (r + 1, c)
 
-    def _site_array(self, r, c, mods):
+    def _site_array(self, r, c, site_mods):
+        """Site (r, c) as (left, up, right, down, phys) with its entry of ``site_mods`` applied."""
         arr = self.grid[r][c].tensor.transpose_to(("left", "up", "right", "down", "phys")).data
+        mods = (site_mods or {}).get((r, c))
         if mods is None:
             return arr
         u_phys, slot_ops = mods
@@ -491,60 +501,39 @@ class PepsPatch:
         Output legs: per site in raster order, the boundary virtual legs (in
         left/up/right/down order) followed by the physical leg.
         """
-        ket_mods = ket_mods or {}
-        ket_bonds = ket_bonds or {}
-        letters = "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ"
-        it = iter(letters)
-        side_letter = {}
-        operands, scripts = [], []
+        fresh = itertools.count()
+        sides, operands = {}, []
         for key in self.bonds():
-            m = ket_bonds.get(key)
-            if m is None:
-                l = next(it)
-                side_letter[(key, True)] = side_letter[(key, False)] = l
-            else:
-                l1, l2 = next(it), next(it)
-                side_letter[(key, True)] = l1
-                side_letter[(key, False)] = l2
-                operands.append(np.asarray(m))
-                scripts.append(l1 + l2)
-        out, out_legs, size = "", [], 1
-        slot_names = ("left", "up", "right", "down")
+            m = (ket_bonds or {}).get(key)
+            sides[key] = (next(fresh),) * 2 if m is None else (next(fresh), next(fresh))
+            if m is not None:
+                operands += [np.asarray(m), list(sides[key])]
+        out, out_legs, size = [], [], 1
         for r in range(self.rows):
             for c in range(self.cols):
-                arr = self._site_array(r, c, ket_mods.get((r, c)))
-                slots = self.site_bond_slots(r, c)
-                label = ""
-                for s in range(4):
-                    if slots[s] is None:
-                        l = next(it)
-                        label += l
-                        out += l
-                        out_legs.append(f"{slot_names[s]}_{r}_{c}")
+                arr = self._site_array(r, c, ket_mods)
+                labels = self._slot_labels(r, c, sides)
+                for s, name in enumerate(("left", "up", "right", "down")):
+                    if labels[s] is None:
+                        labels[s] = next(fresh)
+                        out.append(labels[s])
+                        out_legs.append(f"{name}_{r}_{c}")
                         size *= self.D
-                    else:
-                        label += side_letter[(slots[s], self._first_side(slots[s]) == (r, c))]
-                p = next(it)
-                label += p
-                out += p
+                labels.append(next(fresh))
+                out.append(labels[4])
                 out_legs.append(f"phys_{r}_{c}")
                 size *= arr.shape[4]
-                operands.append(arr)
-                scripts.append(label)
+                operands += [arr, labels]
         if size > max_size:
             return None
-        data = np.einsum(",".join(scripts) + "->" + out, *operands, optimize=True)
-        return DenseTensor(data, out_legs)
+        return DenseTensor(np.einsum(*operands, out, optimize=True), out_legs)
 
 
 def _fold_site(ket, bra, live, D):
     """Double tensor over a site with merged (ket, bra) pair legs on live bonds."""
-    kl = "abcd"
-    bl = "ABCD"
-    ket_spec = kl + "p"
-    bra_spec = "".join(bl[s] if s in live else kl[s] for s in range(4)) + "p"
-    out_spec = "".join(kl[s] + bl[s] for s in live)
-    arr = np.einsum(f"{ket_spec},{bra_spec}->{out_spec}", ket, bra.conj())
+    bra_legs = [5 + s if s in live else s for s in range(4)]
+    out = [leg for s in live for leg in (s, 5 + s)]
+    arr = np.einsum(ket, [0, 1, 2, 3, 4], bra.conj(), bra_legs + [4], out)
     return arr.reshape((D * D,) * len(live))
 
 
@@ -660,31 +649,21 @@ def run_peps_protocol(grid, orientation="ur", seed: int = 0, tol: float = DEFAUL
 
     ``orientation`` is a single drain direction or a per-site grid of
     directions from {ur, ul, dr, dl}; regions must drain consistently.
+    ``final_state`` is None, as for chains; ``dense_state`` with the
+    outcomes' ``bond_projector``s and the routed corrections (``_ket_mods``)
+    gives a small patch's corrected state.
     """
     patch = grid if isinstance(grid, PepsPatch) else PepsPatch(grid, orientation, tol)
     if patch.rows * patch.cols > 9:
         raise SizeGuardError("patch exceeds the 3 x 3 desk-scale guard")
     rng = philox_rng(seed)
     if not patch.bonds():
-        state = patch.dense_state()
-        return ProtocolRun(seed, RNG_ALGORITHM, [], [], [], state, 1.0, True, True)
+        return ProtocolRun(seed, RNG_ALGORITHM, [], [], [], None, 1.0, True, True)
     outcomes, probs = _sample_peps_bonds(patch, rng)
     site_u, edge_ops = _route_defects(patch, outcomes, tol)
     fid = peps_fidelity(patch, outcomes, site_u, edge_ops)
-    mats = {k: bond_projector(patch.basis, j) for k, j in outcomes.items()}
-    state = patch.dense_state(ket_mods=_ket_mods(patch, site_u, edge_ops), ket_bonds=mats)
-    corrections = [(site, u) for site, u in sorted(site_u.items())]
-    return ProtocolRun(
-        seed,
-        RNG_ALGORITHM,
-        [outcomes[k] for k in patch.bonds()],
-        probs,
-        corrections,
-        state,
-        fid,
-        fid >= 1 - max(tol, VERDICT_FLOOR),
-        True,
-    )
+    return ProtocolRun(seed, RNG_ALGORITHM, [outcomes[k] for k in patch.bonds()], probs,
+                       sorted(site_u.items()), None, fid, fid >= 1 - max(tol, VERDICT_FLOOR), True)
 
 
 def peps_routing_complete(patch: PepsPatch) -> bool:
@@ -708,28 +687,18 @@ def enumerate_peps_outcomes(patch: PepsPatch, tol: float = DEFAULT_TOL, fidelity
     tuples get the (more expensive) fidelity contraction, None meaning all.
     """
     order = patch.bonds()
-    n = len(patch.basis.elements)
-    if n ** len(order) > 65536:
-        raise SizeGuardError("outcome enumeration exceeds the desk-scale guard")
     norm_free = patch.network_value(cuts=frozenset(order)).real
-    outs, probs, correctable, fids = [], [], [], []
-    success_p = 0.0
-    for combo in itertools.product(range(n), repeat=len(order)):
+    position = itertools.count()
+
+    def branch(combo):
         outcomes = dict(zip(order, combo))
         mats = {k: bond_projector(patch.basis, j) for k, j in outcomes.items()}
         p = patch.network_value(ket_bonds=mats, bra_bonds=mats).real / norm_free
+        late = fidelity_limit is not None and next(position) >= fidelity_limit
         try:
             site_u, edge_ops = _route_defects(patch, outcomes, tol)
-            ok = True
         except DefectStuckError:
-            ok, site_u, edge_ops = False, {}, {}
-        fid = None
-        if ok and (fidelity_limit is None or len(fids) < fidelity_limit):
-            fid = peps_fidelity(patch, outcomes, site_u, edge_ops)
-        outs.append(combo)
-        probs.append(float(p))
-        correctable.append(ok)
-        fids.append(fid)
-        if ok:
-            success_p += p
-    return EnumerationReport(outs, probs, correctable, fids, float(success_p))
+            return p, False, None
+        return p, True, None if late else peps_fidelity(patch, outcomes, site_u, edge_ops)
+
+    return enumerate_branches(len(patch.basis.elements), len(order), branch)

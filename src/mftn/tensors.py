@@ -25,7 +25,9 @@ DEFAULT_TOL = 1e-9
 MATCH_FLOOR = 1e-7  # phase x basis element, by projection; distinct elements are O(1) apart
 PAULI_FLOOR = 1e-6  # Pauli-string recognition, always at this value: d^n x d^n dense products
 UNITARY_FLOOR = 1e-8  # MPO identities between unitaries assembled from several products
-VERDICT_FLOOR = 1e-9  # fidelity, isometry and spectrum verdicts: round-off grows with size
+VERDICT_FLOOR = 1e-9  # fidelity, isometry, spectrum and reconstruction verdicts: round-off grows with size
+COMMUTANT_FLOOR = 1e-8  # polar commutants: Q and its pseudo-inverse come from one eigendecomposition
+EIGEN_FLOOR = 1e-8  # brute transfer spectra: dense eigenvalues of a (D^2)^L x (D^2)^L ring
 
 
 class DenseTensor:

@@ -1,5 +1,7 @@
 """MPO isometry condition, slice structure, purification, and protocol runs."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -179,9 +181,41 @@ class TestPeriodicAccounting:
         report = periodic_mpo_accounting([cp_mpo] * 2, psi)
         assert sum(report.probabilities) == pytest.approx(1.0, abs=1e-9)
         assert 0 < report.success_probability < 1
-        for ok, fid in zip(report.post_selected, report.fidelities):
+        for ok, fid in zip(report.correctable, report.fidelities):
             if ok and fid is not None:
                 assert fid >= 1 - 1e-9
+
+    def test_probabilities_are_normalised_by_the_unmeasured_norm(self, cp_mpo, rng):
+        # no division by the branches' own total: the weights sum to |psi|^2 D^n exactly
+        psi = 3.0 * random_complex(rng, 4**3)
+        report = periodic_mpo_accounting([cp_mpo] * 3, psi)
+        assert abs(sum(report.probabilities) - 1) < 1e-12
+        assert report.correctable_fraction == 0.25
+
+    def test_refuses_a_broken_slice_symmetry(self, cp_mpo, rng):
+        # a unitary on phys_out keeps the isometry but not the stored constraints
+        v = random_unitary(cp_mpo.d, rng)
+        twisted = MPOTensor.from_array(np.einsum("po,oalr->palr", v, cp_mpo.array()),
+                                       cp_mpo.basis, cp_mpo.constraints)
+        assert check_mpo_isometry(twisted)[0]
+        with pytest.raises(SymmetryError, match="symmetry"):
+            periodic_mpo_accounting([cp_mpo, twisted], np.ones(16))
+
+    def test_refuses_a_broken_isometry(self, cp_mpo):
+        scaled = MPOTensor.from_array(2 * cp_mpo.array(), cp_mpo.basis, cp_mpo.constraints)
+        with pytest.raises(SymmetryError, match="isometry"):
+            periodic_mpo_accounting([scaled] * 2, np.ones(16))
+
+    def test_keeps_no_branch_in_memory(self, cp_mpo, rng):
+        psi = random_complex(rng, 4**4)
+        periodic_mpo_accounting([cp_mpo] * 2, np.ones(16))  # warm the caches
+        tracemalloc.start()
+        try:
+            periodic_mpo_accounting([cp_mpo] * 4, psi)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.75 * 2**20
 
 
 class TestProtocolMapEquality:

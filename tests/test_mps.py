@@ -58,6 +58,15 @@ class TestCheckSymmetry:
         rep = check_mf_symmetry(bad)
         assert rep.max_residual > 0.1
 
+    def test_overflowing_tensor_fails(self):
+        # entries near 1e300 overflow the norm, and a NaN residual must not pass
+        A = aklt_tensor()
+        huge = MPSTensor(DenseTensor(1e300 * A.tensor.data, A.tensor.legs), A.basis, A.constraints)
+        with np.errstate(all="ignore"):
+            rep = check_mf_symmetry(huge)
+        assert any(np.isnan(rep.residuals))
+        assert not rep.passed
+
 
 class TestSolveFamily:
     def test_first_family_two_dimensional(self, wh2):

@@ -6,7 +6,12 @@ from hypothesis import strategies as st
 
 from mftn.basis import weyl_heisenberg_basis
 from mftn.clifford import PauliVector
+from mftn.fixtures import controlled_pauli_mpo
+from mftn.mpo import periodic_mpo_accounting
+from mftn.mps import spt_solution
 from mftn.peps import transfer_spectrum_analytic
+from mftn.protocol import enumerate_outcomes
+from mftn.tensors import random_unitary
 
 WH2 = weyl_heisenberg_basis(2)
 WH3 = weyl_heisenberg_basis(3)
@@ -64,3 +69,25 @@ def test_pauli_composition_is_projective_homomorphism(d, va, wa, vb, wb, pa, pb)
     lhs = a.matrix() @ b.matrix()
     rhs = np.exp(2j * np.pi * c / d) * b.matrix() @ a.matrix()
     np.testing.assert_allclose(lhs, rhs, atol=1e-10)
+
+
+CP_MPO = controlled_pauli_mpo(WH2)
+
+
+@settings(max_examples=10, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), sites=st.integers(1, 3))
+def test_periodic_mpo_born_weights_sum_to_one(seed, sites):
+    # a random member of the controlled-Pauli family on a random input
+    rng = np.random.default_rng(seed)
+    member = CP_MPO.apply_phys_in(random_unitary(CP_MPO.d, rng))
+    psi = rng.standard_normal(4**sites) + 1j * rng.standard_normal(4**sites)
+    report = periodic_mpo_accounting([member] * sites, psi)
+    assert abs(sum(report.probabilities) - 1) < 1e-12
+
+
+@settings(max_examples=10, deadline=None)
+@given(alpha=complex_vectors(4).filter(lambda a: a.any()), sites=st.integers(2, 3),
+       boundary=st.sampled_from(["open", "periodic"]))
+def test_spt_chain_born_weights_sum_to_one(alpha, sites, boundary):
+    report = enumerate_outcomes([spt_solution(WH2, alpha)] * sites, boundary)
+    assert abs(sum(report.probabilities) - 1) < 1e-12
