@@ -101,11 +101,9 @@ def check_mpo_isometry(O: MPOTensor, tol: float = DEFAULT_TOL):
 
 
 def check_mpo_symmetry(O: MPOTensor, tol: float = DEFAULT_TOL) -> float:
-    """Worst push-through residual over all input slices."""
-    return max(
-        (r for a in range(O.d) for r in check_mf_symmetry(O.slice_tensor(a), tol).residuals),
-        default=0.0,
-    )
+    """Worst push-through residual over all input slices; NaN if any residual is NaN."""
+    residuals = [r for a in range(O.d) for r in check_mf_symmetry(O.slice_tensor(a), tol).residuals]
+    return float(np.max(residuals, initial=0.0))
 
 
 @dataclass
@@ -133,7 +131,7 @@ def mpo_slices(O: MPOTensor, tol: float = DEFAULT_TOL) -> SliceReport:
     if not ok:
         raise SymmetryError(f"MPO isometry condition fails with residual {resid:.3e}")
     sym = check_mpo_symmetry(O, tol)
-    if sym >= max(tol, VERDICT_FLOOR):
+    if not sym < max(tol, VERDICT_FLOOR):
         raise SymmetryError(f"MPO slice symmetry fails with residual {sym:.3e}")
     arr = O.array()
     D, d = O.D, O.d
@@ -234,7 +232,7 @@ def _validate_mpo_chain(tensors, tol: float):
     for o in {id(o): o for o in tensors}.values():
         if o.D != tensors[0].D or o.d != tensors[0].d:
             raise DimensionMismatchError("chain tensors must share dimensions")
-        if check_mpo_symmetry(o, tol) >= max(tol, VERDICT_FLOOR):
+        if not check_mpo_symmetry(o, tol) < max(tol, VERDICT_FLOOR):
             raise SymmetryError("chain tensor fails the MPO push-through symmetry")
         ok, _, resid = check_mpo_isometry(o, tol)
         if not ok:
@@ -275,8 +273,9 @@ def direct_mpo_state(tensors, psi, bond_ops=None, boundary: str = "open") -> np.
     if len(bond_ops) != nbonds:
         raise DimensionMismatchError(f"need {nbonds} bond entries")
     cur = _mpo_input(tensors, psi)
-    for k, o in enumerate(tensors):
-        cur = _mpo_step(cur, o.array(), k, bond_ops[k - 1] if k else None)
+    cur = _mpo_step(cur, tensors[0].array(), 0)
+    for k in range(1, len(tensors)):
+        cur = _mpo_step(cur, tensors[k].array(), k, bond_ops[k - 1])
     if boundary == "open":
         return cur
     if boundary != "periodic":
@@ -319,7 +318,8 @@ def apply_mpo_via_protocol(tensors, input_state, boundary: str = "open", seed: i
     corrections, edge_fix, _ = push_chain_defects(completed, basis, outcomes, "open", tol)
     state = apply_chain_corrections(state, corrections, edge_fix, "open")
 
-    fid = state_fidelity(state, direct_mpo_state(tensors, input_state))
+    target = direct_mpo_state(tensors, input_state)
+    fid = state_fidelity(state, target)
     legs = ("edge_left",) + tuple(f"out{k}" for k in range(n)) + ("edge_right",)
     return ProtocolRun(seed, RNG_ALGORITHM, outcomes, probs, corrections,
                        DenseTensor(state, legs), fid, fid >= 1 - max(tol, VERDICT_FLOOR), True)
@@ -336,7 +336,8 @@ def periodic_mpo_accounting(tensors, input_state, tol: float = DEFAULT_TOL) -> E
     """
     tensors = list(tensors)
     basis, completed = _validate_mpo_chain(tensors, tol)
-    n, D = len(tensors), basis.dim
+    n = len(tensors)
+    D = basis.dim
     if (D * D) ** n > 4096:
         raise SizeGuardError("periodic accounting exceeds the desk-scale guard")
     psi = np.asarray(input_state, dtype=np.complex128)
@@ -351,6 +352,9 @@ def periodic_mpo_accounting(tensors, input_state, tol: float = DEFAULT_TOL) -> E
         except DefectStuckError:
             corrections, ok = [], False
         state = apply_chain_corrections(state, corrections, None, "periodic")
-        return np.vdot(state, state).real / norm_free, ok, state_fidelity(state, target) if ok else None
+        p = np.vdot(state, state).real / norm_free
+        if not ok:
+            return p, False, None
+        return p, True, state_fidelity(state, target)
 
     return enumerate_branches(D * D, n, branch)

@@ -303,7 +303,8 @@ def transfer_matrix_brute(Q: PEPSTensor, L: int) -> np.ndarray:
     for s in range(L):
         legs = (hor[s - 1], ups[s], hor[s], dns[s])
         operands += [e, [bra for bra, _ in legs] + [ket for _, ket in legs]]
-    ring = np.einsum(*operands, [x for leg in ups + dns for x in leg], optimize=True)
+    out = [x for leg in ups + dns for x in leg]
+    ring = np.einsum(*operands, out, optimize=True)
     dim = (D * D) ** L
     return np.linalg.eigvals(ring.reshape(dim, dim))
 

@@ -279,6 +279,19 @@ class EnumerationReport:
         return sum(self.correctable) / len(self.correctable)
 
 
+MAX_ENUMERATED_TUPLES = 65536
+
+
+def check_enumeration_size(outcomes_per_bond: int, nbonds: int) -> None:
+    """Refuse an enumeration over more than ``MAX_ENUMERATED_TUPLES`` outcome tuples.
+
+    Callers check this before they build any state of the chain's or the
+    patch's size.
+    """
+    if outcomes_per_bond**nbonds > MAX_ENUMERATED_TUPLES:
+        raise SizeGuardError("outcome enumeration exceeds the desk-scale guard")
+
+
 def enumerate_branches(outcomes_per_bond: int, nbonds: int, branch) -> EnumerationReport:
     """Exact accounting over every outcome tuple of ``nbonds`` measured bonds.
 
@@ -286,22 +299,27 @@ def enumerate_branches(outcomes_per_bond: int, nbonds: int, branch) -> Enumerati
     of one tuple; the correctable probabilities add up to the success
     probability.  No branch is kept once it is accounted.
     """
-    if outcomes_per_bond**nbonds > 65536:
-        raise SizeGuardError("outcome enumeration exceeds the desk-scale guard")
+    check_enumeration_size(outcomes_per_bond, nbonds)
     outs = list(itertools.product(range(outcomes_per_bond), repeat=nbonds))
     rows = [branch(combo) for combo in outs]
     probs = [float(p) for p, _, _ in rows]
     correctable = [bool(ok) for _, ok, _ in rows]
+    fids = [fid for _, _, fid in rows]
     success_p = sum(p for p, ok in zip(probs, correctable) if ok)
-    return EnumerationReport(outs, probs, correctable, [fid for _, _, fid in rows], float(success_p))
+    return EnumerationReport(outs, probs, correctable, fids, float(success_p))
 
 
 def _power_of_two_scaled(t: MPSTensor) -> MPSTensor:
-    """t over the power of two nearest its largest entry: an exact rescaling that keeps
-    the d^n products of a tiny or a huge tensor from under- or overflowing."""
+    """t divided by the power of two nearest its largest entry.
+
+    The rescaling is exact, and it keeps the d^n products of a tiny or a huge
+    tensor from under- or overflowing.
+    """
     data = np.ascontiguousarray(t.tensor.data)
-    data = np.ldexp(data.view(np.float64), -np.frexp(np.abs(data).max())[1]).view(np.complex128)
-    return MPSTensor(DenseTensor(data, t.tensor.legs), t.basis, t.constraints)
+    exponent = np.frexp(np.abs(data).max())[1]
+    # scaling the float64 view scales real and imaginary parts alike
+    scaled = np.ldexp(data.view(np.float64), -exponent).view(np.complex128)
+    return MPSTensor(DenseTensor(scaled, t.tensor.legs), t.basis, t.constraints)
 
 
 def enumerate_outcomes(tensors, boundary: str = "open", tol: float = DEFAULT_TOL) -> EnumerationReport:
@@ -309,6 +327,8 @@ def enumerate_outcomes(tensors, boundary: str = "open", tol: float = DEFAULT_TOL
     tensors = list(tensors)
     basis = _validate_chain(tensors, tol)
     D = basis.dim
+    nbonds = len(tensors) if boundary == "periodic" else len(tensors) - 1
+    check_enumeration_size(D * D, nbonds)
     tensors = per_distinct(tensors, _power_of_two_scaled)
     # with every bond unmeasured each site is its own closed segment, of norm |A_k|^2
     norm_free = np.prod([np.linalg.norm(x.tensor.data) ** 2 for x in tensors])
@@ -322,9 +342,10 @@ def enumerate_outcomes(tensors, boundary: str = "open", tol: float = DEFAULT_TOL
         except DefectStuckError:
             predicted, corrections, edge_fix = False, [], None
         fid = state_fidelity(apply_chain_corrections(projected, corrections, edge_fix, boundary), target)
-        return np.vdot(projected, projected).real / norm_free, predicted, float(fid)
+        p = np.vdot(projected, projected).real / norm_free
+        return p, predicted, float(fid)
 
-    return enumerate_branches(D * D, len(tensors) if boundary == "periodic" else len(tensors) - 1, branch)
+    return enumerate_branches(D * D, nbonds, branch)
 
 
 # ---------------------------------------------------------------------------
@@ -463,6 +484,10 @@ class PepsPatch:
         ``*_bonds`` maps bond keys to ket/bra matrices; bonds in ``cuts`` are
         unmeasured: each layer's legs are traced separately.
         """
+        ket_mods = ket_mods or {}
+        bra_mods = bra_mods or {}
+        ket_bonds = ket_bonds or {}
+        bra_bonds = bra_bonds or {}
         live_bonds = [key for key in self.bonds() if key not in cuts]
         sides = {key: (2 * k, 2 * k + 1) for k, key in enumerate(live_bonds)}
         operands = []
@@ -470,11 +495,13 @@ class PepsPatch:
             for c in range(self.cols):
                 labels = self._slot_labels(r, c, sides)
                 live = [s for s in range(4) if labels[s] is not None]
-                ket, bra = self._site_array(r, c, ket_mods), self._site_array(r, c, bra_mods)
+                ket = self._site_array(r, c, ket_mods.get((r, c)))
+                bra = self._site_array(r, c, bra_mods.get((r, c)))
                 operands += [_fold_site(ket, bra, live, self.D), [labels[s] for s in live]]
         eye = np.eye(self.D)
         for key in live_bonds:
-            mk, mb = (ket_bonds or {}).get(key, eye), (bra_bonds or {}).get(key, eye)
+            mk = ket_bonds.get(key, eye)
+            mb = bra_bonds.get(key, eye)
             operands += [np.kron(mk, mb.conj()), list(sides[key])]
         return complex(np.einsum(*operands, [], optimize=True))
 
@@ -482,10 +509,9 @@ class PepsPatch:
         kind, r, c = bond
         return (r, c) if kind == "h" else (r + 1, c)
 
-    def _site_array(self, r, c, site_mods):
-        """Site (r, c) as (left, up, right, down, phys) with its entry of ``site_mods`` applied."""
+    def _site_array(self, r, c, mods):
+        """Site (r, c) as (left, up, right, down, phys) with ``mods`` applied."""
         arr = self.grid[r][c].tensor.transpose_to(("left", "up", "right", "down", "phys")).data
-        mods = (site_mods or {}).get((r, c))
         if mods is None:
             return arr
         u_phys, slot_ops = mods
@@ -501,17 +527,22 @@ class PepsPatch:
         Output legs: per site in raster order, the boundary virtual legs (in
         left/up/right/down order) followed by the physical leg.
         """
+        ket_mods = ket_mods or {}
+        ket_bonds = ket_bonds or {}
         fresh = itertools.count()
-        sides, operands = {}, []
+        sides = {}
+        operands = []
         for key in self.bonds():
-            m = (ket_bonds or {}).get(key)
-            sides[key] = (next(fresh),) * 2 if m is None else (next(fresh), next(fresh))
-            if m is not None:
+            m = ket_bonds.get(key)
+            if m is None:
+                sides[key] = (next(fresh),) * 2
+            else:
+                sides[key] = (next(fresh), next(fresh))
                 operands += [np.asarray(m), list(sides[key])]
         out, out_legs, size = [], [], 1
         for r in range(self.rows):
             for c in range(self.cols):
-                arr = self._site_array(r, c, ket_mods)
+                arr = self._site_array(r, c, ket_mods.get((r, c)))
                 labels = self._slot_labels(r, c, sides)
                 for s, name in enumerate(("left", "up", "right", "down")):
                     if labels[s] is None:
@@ -526,7 +557,8 @@ class PepsPatch:
                 operands += [arr, labels]
         if size > max_size:
             return None
-        return DenseTensor(np.einsum(*operands, out, optimize=True), out_legs)
+        data = np.einsum(*operands, out, optimize=True)
+        return DenseTensor(data, out_legs)
 
 
 def _fold_site(ket, bra, live, D):
@@ -662,8 +694,17 @@ def run_peps_protocol(grid, orientation="ur", seed: int = 0, tol: float = DEFAUL
     outcomes, probs = _sample_peps_bonds(patch, rng)
     site_u, edge_ops = _route_defects(patch, outcomes, tol)
     fid = peps_fidelity(patch, outcomes, site_u, edge_ops)
-    return ProtocolRun(seed, RNG_ALGORITHM, [outcomes[k] for k in patch.bonds()], probs,
-                       sorted(site_u.items()), None, fid, fid >= 1 - max(tol, VERDICT_FLOOR), True)
+    return ProtocolRun(
+        seed,
+        RNG_ALGORITHM,
+        [outcomes[k] for k in patch.bonds()],
+        probs,
+        sorted(site_u.items()),
+        None,
+        fid,
+        fid >= 1 - max(tol, VERDICT_FLOOR),
+        True,
+    )
 
 
 def peps_routing_complete(patch: PepsPatch) -> bool:
@@ -687,6 +728,7 @@ def enumerate_peps_outcomes(patch: PepsPatch, tol: float = DEFAULT_TOL, fidelity
     tuples get the (more expensive) fidelity contraction, None meaning all.
     """
     order = patch.bonds()
+    check_enumeration_size(len(patch.basis.elements), len(order))
     norm_free = patch.network_value(cuts=frozenset(order)).real
     position = itertools.count()
 
@@ -699,6 +741,8 @@ def enumerate_peps_outcomes(patch: PepsPatch, tol: float = DEFAULT_TOL, fidelity
             site_u, edge_ops = _route_defects(patch, outcomes, tol)
         except DefectStuckError:
             return p, False, None
-        return p, True, None if late else peps_fidelity(patch, outcomes, site_u, edge_ops)
+        if late:
+            return p, True, None
+        return p, True, peps_fidelity(patch, outcomes, site_u, edge_ops)
 
     return enumerate_branches(len(patch.basis.elements), len(order), branch)

@@ -6,7 +6,9 @@ import numpy as np
 import pytest
 
 from mftn.errors import BoundaryError, SymmetryError
+from mftn import mpo
 from mftn.fixtures import controlled_pauli_mpo
+from mftn.mps import SymmetryReport
 from mftn.mpo import (
     MPOTensor,
     apply_mpo_via_protocol,
@@ -205,6 +207,16 @@ class TestPeriodicAccounting:
         scaled = MPOTensor.from_array(2 * cp_mpo.array(), cp_mpo.basis, cp_mpo.constraints)
         with pytest.raises(SymmetryError, match="isometry"):
             periodic_mpo_accounting([scaled] * 2, np.ones(16))
+
+    def test_refuses_a_nan_symmetry_residual(self, cp_mpo, monkeypatch):
+        # builtin max skips a NaN that does not come first, and NaN >= floor is False
+        monkeypatch.setattr(mpo, "check_mf_symmetry",
+                            lambda A, tol: SymmetryReport([0.0, float("nan"), 0.0], tol))
+        assert np.isnan(mpo.check_mpo_symmetry(cp_mpo))
+        with pytest.raises(SymmetryError, match="push-through symmetry"):
+            periodic_mpo_accounting([cp_mpo] * 2, np.ones(16))
+        with pytest.raises(SymmetryError, match="slice symmetry"):
+            mpo_slices(cp_mpo)
 
     def test_keeps_no_branch_in_memory(self, cp_mpo, rng):
         psi = random_complex(rng, 4**4)

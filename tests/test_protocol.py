@@ -5,6 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from mftn import protocol
 from mftn.errors import BoundaryError, SizeGuardError
 from mftn.fixtures import aklt_tensor, cluster_tensor, copy_tensor
 from mftn.mps import MPSTensor, chain_state, complete_constraints, solve_symmetry_family, spt_solution
@@ -179,6 +180,16 @@ class TestEnumeration:
         with pytest.raises(SizeGuardError):
             enumerate_outcomes([aklt_tensor()] * 10, "open")
 
+    def test_size_guard_comes_before_the_dense_target(self, monkeypatch):
+        # a 40-site chain's dense state would need 3^40 amplitudes
+        def refuse(*args):
+            raise AssertionError("dense chain state built before the size guard")
+
+        monkeypatch.setattr(protocol, "chain_state", refuse)
+        for boundary in ("open", "periodic"):
+            with pytest.raises(SizeGuardError):
+                enumerate_outcomes([aklt_tensor()] * 40, boundary)
+
 
 class TestPepsProtocol:
     def test_single_site_trivial(self, wh2):
@@ -211,6 +222,17 @@ class TestPepsProtocol:
         assert report.success_probability == pytest.approx(1.0, abs=1e-9)
         assert report.probabilities == pytest.approx([1 / 256] * 256, abs=1e-10)
         assert all(f is None or f >= 1 - 1e-9 for f in report.fidelities)
+
+    def test_enumeration_size_guard_comes_before_any_contraction(self, wh2, monkeypatch):
+        # 12 bonds of 4 outcomes each: 4^12 tuples
+        patch = toric_patch(wh2, 3, 3)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("network contracted before the size guard")
+
+        monkeypatch.setattr(PepsPatch, "network_value", refuse)
+        with pytest.raises(SizeGuardError):
+            enumerate_peps_outcomes(patch)
 
     def test_three_by_three_four_corner(self, wh2):
         orient = [
