@@ -488,10 +488,7 @@ def _cmd_clifford_synth(args, report):
     if adm.admissible:
         u = qc.synthesize_clifford(m)
         report.check("is_clifford", qc.is_clifford(u.data, n, d))
-        worst = 0.0
-        for src, tgt in images:
-            worst = max(worst, float(np.linalg.norm(
-                u.data @ src.matrix() @ u.data.conj().T - tgt.matrix())))
+        worst = max((qc.image_residual(u.data, src, tgt) for src, tgt in images), default=0.0)
         report.check("images_reproduced", worst < 1e-9, worst)
         report.artifact(args.out, u.to_json)
     else:

@@ -5,6 +5,9 @@ global phase that is a 2d-th root of unity, tracked as an exponent in Z_{2d}.
 Synthesis completes a partial generator map to a full symplectic basis over
 Z_d (d prime) and builds the unitary from the joint eigenstate of the target
 Z images, so the requested conjugation relations hold exactly, phases included.
+Every Pauli string is a phased permutation (``PauliVector.monomial``), so
+synthesis and the Clifford checks apply strings to vectors and never multiply
+dense Pauli matrices; the one O(d^3n) step is the unitarity check.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ import numpy as np
 
 from .basis import shift_clock
 from .errors import DimensionMismatchError, InadmissibleMapError, NonPrimeDimensionError
-from .tensors import PAULI_FLOOR, DenseTensor
+from .tensors import PAULI_FLOOR, DenseTensor, fix_global_phase
 
 
 @dataclass(frozen=True)
@@ -92,10 +95,24 @@ class PauliVector:
         return (ab - ba) % self.d
 
     def matrix(self) -> np.ndarray:
+        """The dense d^n x d^n matrix, built as a Kronecker product of the sites."""
         x, z = shift_clock(self.d)
         sites = [np.linalg.matrix_power(x, vk) @ np.linalg.matrix_power(z, wk)
                  for vk, wk in zip(self.v, self.w)]
         return self.phase * functools.reduce(np.kron, sites, np.array([[1.0 + 0j]]))
+
+    def monomial(self) -> tuple[np.ndarray, np.ndarray]:
+        """(perm, phases) with P|j> = phases[j] |perm[j]> over the row-major basis.
+
+        Every Pauli string is a phased permutation, so applying one to a
+        vector costs O(d^n) where ``matrix`` costs O(d^2n).
+        """
+        d = self.d
+        digits = _digit_table(self.n, d)
+        perm = ((digits + np.array(self.v)) % d) @ (d ** np.arange(self.n - 1, -1, -1))
+        # Z^w |j> = omega^(w j) |j> with omega = e^{2 pi i / d}: exponents count pi / d
+        exps = (self.phase_exp + 2 * (digits @ np.array(self.w))) % (2 * d)
+        return perm, np.exp(1j * np.pi * np.arange(2 * d) / d)[exps]
 
     def to_json(self) -> dict:
         return {"n": self.n, "d": self.d, "v": list(self.v), "w": list(self.w),
@@ -106,9 +123,58 @@ class PauliVector:
         return cls(obj["n"], obj["d"], tuple(obj["v"]), tuple(obj["w"]), obj.get("phase_exp", 0))
 
 
+@functools.lru_cache(maxsize=32)
+def _digit_table(n: int, d: int) -> np.ndarray:
+    """Row j holds the n base-d digits of j, most significant first."""
+    table = np.stack(np.unravel_index(np.arange(d**n), (d,) * n), axis=1)
+    table.setflags(write=False)
+    return table
+
+
+def _apply(mono, block: np.ndarray) -> np.ndarray:
+    """P @ block for P = (perm, phases) from ``monomial``, on a vector or a column block."""
+    perm, phases = mono
+    out = np.empty(block.shape, dtype=np.complex128)
+    out[perm] = phases.reshape((-1,) + (1,) * (block.ndim - 1)) * block
+    return out
+
+
+def image_residual(u: np.ndarray, src: PauliVector, tgt: PauliVector, phase: complex = 1.0) -> float:
+    """||U src - phase tgt U|| in the Frobenius norm, in O(dim^2).
+
+    For unitary U this equals ||U src U† - phase tgt||, the distance of the
+    conjugated source from the requested image.
+    """
+    perm, phases = src.monomial()
+    tperm, tphases = tgt.monomial()
+    # row tperm[i] of tgt U is tphases[i] times row i of U
+    return float(np.linalg.norm(u[np.ix_(tperm, perm)] * phases - (phase * tphases)[:, None] * u))
+
+
 def pauli_to_matrix(p: PauliVector) -> DenseTensor:
     """Dense d^n x d^n matrix of a Pauli string, phase included."""
     return DenseTensor(p.matrix(), ("out", "in"))
+
+
+def _read_pauli(col0: np.ndarray, entry, n: int, d: int):
+    """(XZ(v, w), phase) that a matrix M would be if M = phase * XZ(v, w), or None.
+
+    ``col0`` is M's first column and ``entry(row, col)`` one entry of M:
+    the row of col0's unit entry gives v, and one entry per qudit gives w.
+    The candidate is not verified here.
+    """
+    r = int(np.argmax(np.abs(col0)))
+    phase = col0[r]
+    if abs(abs(phase) - 1.0) > PAULI_FLOOR:
+        return None
+    v = _digit_table(n, d)[r]
+    w = []
+    for k in range(n):
+        place = d ** (n - 1 - k)
+        # M e_k = phase omega^(w_k) |v + e_k>: digit k of r steps up by one, wrapping at d
+        ratio = entry(r + place * (1 if v[k] < d - 1 else 1 - d), place) / phase
+        w.append(int(np.round(np.angle(ratio) * d / (2 * np.pi))) % d)
+    return PauliVector(n, d, tuple(v), tuple(w), 0), complex(phase)
 
 
 def match_pauli_matrix(m: np.ndarray, n: int, d: int):
@@ -121,23 +187,24 @@ def match_pauli_matrix(m: np.ndarray, n: int, d: int):
     m = np.asarray(m)
     if m.shape != (dim, dim):
         return None
-    col0 = m[:, 0]
-    r = int(np.argmax(np.abs(col0)))
-    phase = col0[r]
-    if abs(abs(phase) - 1.0) > PAULI_FLOOR:
+    hit = _read_pauli(m[:, 0], lambda row, col: m[row, col], n, d)
+    if hit is None:
         return None
-    v = _digits(r, n, d)
-    w = []
-    for k in range(n):
-        col_idx = d ** (n - 1 - k)
-        row_idx = _index([(v[j] + (1 if j == k else 0)) % d for j in range(n)], d)
-        ratio = m[row_idx, col_idx] / phase
-        wk = int(np.round(np.angle(ratio) * d / (2 * np.pi))) % d
-        w.append(wk)
-    candidate = PauliVector(n, d, tuple(v), tuple(w), 0).matrix()
-    if np.linalg.norm(m - phase * candidate) > PAULI_FLOOR * np.sqrt(dim):
+    candidate, phase = hit
+    perm, phases = candidate.monomial()
+    dev = np.array(m, dtype=np.complex128)
+    dev[perm, np.arange(dim)] -= phase * phases
+    if np.linalg.norm(dev) > PAULI_FLOOR * np.sqrt(dim):
         return None
-    return tuple(v), tuple(w), complex(phase)
+    return candidate.v, candidate.w, phase
+
+
+def _phase_exponent(phase: complex, d: int) -> int | None:
+    """t with phase = e^{i pi t / d}, or None when phase is no 2d-th root of unity."""
+    t = int(np.round(np.angle(phase) * d / np.pi)) % (2 * d)
+    if abs(phase - np.exp(1j * np.pi * t / d)) > PAULI_FLOOR:
+        return None
+    return t
 
 
 def matrix_to_pauli(m: np.ndarray, n: int, d: int) -> PauliVector | None:
@@ -146,24 +213,24 @@ def matrix_to_pauli(m: np.ndarray, n: int, d: int) -> PauliVector | None:
     if hit is None:
         return None
     v, w, phase = hit
-    t = int(np.round(np.angle(phase) * d / np.pi)) % (2 * d)
-    if abs(phase - np.exp(1j * np.pi * t / d)) > PAULI_FLOOR:
+    t = _phase_exponent(phase, d)
+    return None if t is None else PauliVector(n, d, v, w, t)
+
+
+def kron_to_pauli(factors, d: int) -> PauliVector | None:
+    """The Pauli string kron(*factors) of single-qudit matrices, read factor by factor.
+
+    Only the total phase must be a 2d-th root of unity.  Returns None when a
+    factor is not a phased Pauli or the total phase is not such a root.
+    """
+    hits = [match_pauli_matrix(f, 1, d) for f in factors]
+    if any(h is None for h in hits):
         return None
-    return PauliVector(n, d, v, w, t)
-
-
-def _digits(idx: int, n: int, d: int) -> list[int]:
-    out = []
-    for k in range(n):
-        out.append((idx // d ** (n - 1 - k)) % d)
-    return out
-
-
-def _index(digits, d: int) -> int:
-    idx = 0
-    for x in digits:
-        idx = idx * d + int(x)
-    return idx
+    vs, ws, phases = zip(*hits)
+    t = _phase_exponent(np.prod(phases), d)
+    if t is None:
+        return None
+    return PauliVector(len(hits), d, tuple(v for (v,) in vs), tuple(w for (w,) in ws), t)
 
 
 @dataclass(frozen=True)
@@ -294,13 +361,12 @@ def _order_fixed_phase(n: int, d: int, v, w) -> int:
     raise InadmissibleMapError("no phase renders the completed generator order d")
 
 
-def synthesize_clifford(m: PartialCliffordMap) -> DenseTensor:
-    """Unitary U with U src U† = tgt for every requested image, phases exact.
+def complete_tableau(m: PartialCliffordMap) -> tuple[list[PauliVector], list[PauliVector]]:
+    """The images (X'_k, Z'_k) of every generator, the requested ones included.
 
     Restricted to prime d: the requested image columns are completed to a
-    full symplectic basis over Z_d, completed generators get order-d phases,
-    and U is assembled from the joint +1 eigenstate of the target Z images
-    and its orbit under the target X images.
+    full symplectic basis over Z_d, and completed generators get order-d
+    phases.  Raises when the map is inadmissible.
     """
     if not _is_prime(m.d):
         raise NonPrimeDimensionError(f"synthesis requires prime d, got {m.d}")
@@ -333,50 +399,66 @@ def synthesize_clifford(m: PartialCliffordMap) -> DenseTensor:
         pv = _order_fixed_phase(n, d, v[:n], v[n:])
         tx[s] = PauliVector(n, d, tuple(u[:n]), tuple(u[n:]), pu)
         tz[s] = PauliVector(n, d, tuple(v[:n]), tuple(v[n:]), pv)
+    return tx, tz
 
+
+def synthesize_clifford(m: PartialCliffordMap) -> DenseTensor:
+    """Unitary U with U src U† = tgt for every requested image, phases exact.
+
+    U is assembled from the completed tableau (``complete_tableau``): the
+    joint +1 eigenstate of the Z images and its orbit under the X images,
+    with every string applied as a monomial, so apart from the final
+    unitarity check the cost is O(n d^2n).
+    """
+    tx, tz = complete_tableau(m)
+    n, d = m.n, m.d
     dim = d**n
-    tz_mats = [t.matrix() for t in tz]
-    proj = np.eye(dim, dtype=np.complex128)
-    for tm in tz_mats:
-        acc = np.eye(dim, dtype=np.complex128)
-        stabsum = np.zeros_like(proj)
-        for _ in range(d):
-            stabsum += acc
-            acc = acc @ tm
-        proj = proj @ (stabsum / d)
-    col = int(np.argmax(np.linalg.norm(proj, axis=0)))
-    phi0 = proj[:, col]
-    nrm = np.linalg.norm(phi0)
-    if nrm < 1e-9:
-        raise InadmissibleMapError("target Z images admit no joint +1 eigenstate")
-    phi0 = phi0 / nrm
-    lead = phi0[np.argmax(np.abs(phi0))]
-    phi0 = phi0 * (abs(lead) / lead)
-
-    tx_pows = []
-    for t in tx:
-        tm = t.matrix()
-        pows = [np.eye(dim, dtype=np.complex128)]
+    phi0 = _joint_eigenvector(tz, dim)
+    u = phi0[:, None]
+    for t in tx:  # column x_0 .. x_{n-1} (row-major) is X'_{n-1}^x_{n-1} .. X'_0^x_0 phi0
+        mono = t.monomial()
+        pows = [u]
         for _ in range(d - 1):
-            pows.append(tm @ pows[-1])
-        tx_pows.append(pows)
-
-    u = np.empty((dim, dim), dtype=np.complex128)
-    for idx in range(dim):
-        x = _digits(idx, n, d)
-        vec = phi0
-        for k in range(n):
-            if x[k]:
-                vec = tx_pows[k][x[k]] @ vec
-        u[:, idx] = vec
+            pows.append(_apply(mono, pows[-1]))
+        u = np.stack(pows, axis=2).reshape(dim, -1)
 
     if np.linalg.norm(u @ u.conj().T - np.eye(dim)) > 1e-9 * dim:
         raise InadmissibleMapError("synthesis produced a non-unitary map")
     for src, tgt in m.images:
-        got = u @ src.matrix() @ u.conj().T
-        if np.linalg.norm(got - tgt.matrix()) > 1e-9 * dim:
+        if image_residual(u, src, tgt) > 1e-9 * dim:
             raise InadmissibleMapError("synthesized unitary fails a requested image")
     return DenseTensor(u, ("out", "in"))
+
+
+def _stabilized(zs, block: np.ndarray) -> np.ndarray:
+    """prod_s (1/d) sum_k Z_s^k applied to a vector or column block: the
+    projector onto the joint +1 eigenspace of the commuting strings zs."""
+    for z in zs:
+        mono = z.monomial()
+        acc = total = block
+        for _ in range(z.d - 1):
+            acc = _apply(mono, acc)
+            total = total + acc
+        block = total / z.d
+    return block
+
+
+def _joint_eigenvector(zs, dim: int) -> np.ndarray:
+    """The phase-fixed unit vector in the joint +1 eigenspace of n independent Z images.
+
+    The eigenspace is one state, so projecting |0..0> gives it unless the
+    state has no |0..0> component; a nonzero component of a stabilizer state
+    is at least dim^(-1/2).  Only then are all dim basis vectors projected,
+    keeping the one of largest norm.
+    """
+    phi0 = _stabilized(zs, np.eye(dim, 1, dtype=np.complex128)[:, 0])
+    if np.linalg.norm(phi0) < 0.5 / np.sqrt(dim):
+        proj = _stabilized(zs, np.eye(dim, dtype=np.complex128))
+        phi0 = proj[:, int(np.argmax(np.linalg.norm(proj, axis=0)))]
+    nrm = np.linalg.norm(phi0)
+    if nrm < 1e-9:
+        raise InadmissibleMapError("target Z images admit no joint +1 eigenstate")
+    return fix_global_phase(phi0 / nrm)
 
 
 def is_clifford(U, n: int, d: int) -> bool:
@@ -389,7 +471,22 @@ def is_clifford(U, n: int, d: int) -> bool:
         raise ValueError("input is not unitary")
     for k in range(n):
         for gen in (PauliVector.x_gen(n, d, k), PauliVector.z_gen(n, d, k)):
-            conj = u @ gen.matrix() @ u.conj().T
-            if match_pauli_matrix(conj, n, d) is None:
+            if not _conjugates_to_pauli(u, gen):
                 return False
     return True
+
+
+def _conjugates_to_pauli(u: np.ndarray, g: PauliVector) -> bool:
+    """Whether U g U† = phase * P for some Pauli string P, U unitary.
+
+    The candidate P is read off one column and n entries of U g U†, each
+    built as U (g U† e_c), and verified as U g = phase * P U, so neither the
+    conjugate nor the candidate is ever a dense matrix.
+    """
+    mono = g.monomial()
+    col0 = u @ _apply(mono, u[0].conj())
+    hit = _read_pauli(col0, lambda row, col: u[row] @ _apply(mono, u[col].conj()), g.n, g.d)
+    if hit is None:
+        return False
+    candidate, phase = hit
+    return image_residual(u, g, candidate, phase) <= PAULI_FLOOR * np.sqrt(u.shape[0])

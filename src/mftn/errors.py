@@ -48,6 +48,10 @@ class DefectStuckError(MftnError):
         self.operator = operator
 
 
+class NumericalRangeError(MftnError):
+    """A computed quantity under- or overflowed the floating-point range."""
+
+
 class SizeGuardError(MftnError):
     """Requested exhaustive computation exceeds the desk-scale guard."""
 

@@ -52,6 +52,7 @@ from .tensors import (
     DEFAULT_TOL,
     DenseTensor,
     first_unitary_fit,
+    fix_global_phase,
     gram_proportionality,
     nullspace,
     numerical_rank,
@@ -296,6 +297,7 @@ def clifford_form(split: PolarSplit, basis: MFBasis) -> CliffordMagicForm:
     push_images = A.push_images()
     out_legs = [k for k in range(n) if k not in A.IN_LEGS]
     width = n + len(out_legs)
+    eye = np.eye(D)
     images = []
     for wire, in_leg in enumerate(A.IN_LEGS):
         for gen, pre_idx in generators:
@@ -303,9 +305,10 @@ def clifford_form(split: PolarSplit, basis: MFBasis) -> CliffordMagicForm:
                 raise SymmetryError(f"no constraint pushes basis element {basis.labels[pre_idx]}")
             outs = {leg: basis.elements[k] for leg, k in push_images[(in_leg, pre_idx)].items()}
             inner = {leg: p.conj().T for leg, p in outs.items()}
-            target = [leg_operator((D,) * n, {**inner, in_leg: gen})] + [outs[leg].T for leg in out_legs]
-            src = qc.matrix_to_pauli(leg_operator((D,) * width, {n + wire: gen}), width, D)
-            tgt = qc.matrix_to_pauli(functools.reduce(np.kron, target), width, D)
+            inner[in_leg] = gen
+            target = [inner.get(leg, eye) for leg in range(n)] + [outs[leg].T for leg in out_legs]
+            src = qc.kron_to_pauli([gen if k == n + wire else eye for k in range(width)], D)
+            tgt = qc.kron_to_pauli(target, D)
             if src is None or tgt is None:
                 raise SymmetryError("generator image is not a Weyl-Heisenberg string")
             images.append((src, tgt))
@@ -318,8 +321,8 @@ def factor_sideways_isometry(u_c: np.ndarray, v_q: np.ndarray):
     """Factor V_Q = scale * U_C (psi x I_k) for a k-column sideways isometry.
 
     psi is read off the wire trace of U_C† V_Q, normalized, and phase-fixed
-    so that its largest entry is real positive.  Returns (psi, scale,
-    relative reconstruction residual).  When V_Q factors, the wire trace has
+    so that its lead entry is real positive (``fix_global_phase``).  Returns
+    (psi, scale, relative reconstruction residual).  When V_Q factors, the wire trace has
     norm ||V_Q|| / sqrt(k), so the test for a trace that vanishes is
     relative to that, whatever the scale of Q.
     """
@@ -329,9 +332,7 @@ def factor_sideways_isometry(u_c: np.ndarray, v_q: np.ndarray):
     nrm = float(np.linalg.norm(psi))
     if nrm <= 1e-12 * np.linalg.norm(v_q) / np.sqrt(k):
         raise SymmetryError("sideways isometry does not factor through the Clifford")
-    psi = psi / nrm
-    lead = psi[np.argmax(np.abs(psi))]
-    psi = psi * (abs(lead) / lead)
+    psi = fix_global_phase(psi / nrm)
     recon = u_c @ np.kron(psi[:, None], np.eye(k))
     scale, _ = proportionality(v_q, recon)
     resid = float(np.linalg.norm(v_q - scale * recon)) / max(np.linalg.norm(v_q), 1e-300)
@@ -557,8 +558,9 @@ def is_stabilizer_state(psi: np.ndarray, n: int, d: int, tol: float = 1e-7) -> b
     psi = psi / np.linalg.norm(psi)
     count = 0
     for a in np.ndindex(*([d] * (2 * n))):
-        p = qc.PauliVector(n, d, a[:n], a[n:], 0)
-        if abs(abs(np.vdot(psi, p.matrix() @ psi)) - 1.0) < tol:
+        perm, phases = qc.PauliVector(n, d, a[:n], a[n:], 0).monomial()
+        # <psi|P|psi>, with P psi placing phases[j] psi[j] at perm[j]
+        if abs(abs(np.vdot(psi[perm], phases * psi)) - 1.0) < tol:
             count += 1
     return count == d**n
 

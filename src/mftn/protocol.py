@@ -27,6 +27,7 @@ from .errors import (
     DefectStuckError,
     DimensionMismatchError,
     NonGroupBasisError,
+    NumericalRangeError,
     SizeGuardError,
     SymmetryError,
 )
@@ -65,9 +66,11 @@ def born_choice(weights, rng: np.random.Generator) -> tuple[int, float]:
 
     The weights are unnormalized Born weights of the candidate outcomes.
     Negative round-off is clipped to zero; a zero total means the projected
-    state vanished.
+    state vanished, and a weight that under- or overflowed is refused.
     """
     w = np.maximum(np.array(weights), 0.0)
+    if not np.all(np.isfinite(w)):
+        raise NumericalRangeError("Born weights are not finite")
     if w.sum() <= 0:
         raise SymmetryError("projected state has zero norm")
     p = w / w.sum()
@@ -248,7 +251,9 @@ def run_mps_protocol(tensors, boundary: str = "open", seed: int = 0, tol: float 
     rng = philox_rng(seed)
     if len(tensors) == 1 and boundary == "open":
         return ProtocolRun(seed, RNG_ALGORITHM, [], [], [], None, 1.0, True, True)
-    stacks = per_distinct(tensors, lambda x: np.stack(x.site_matrices()))
+    # the exact rescale keeps the Born weights of tiny or huge tensors finite
+    scaled = per_distinct(tensors, _power_of_two_scaled)
+    stacks = per_distinct(scaled, lambda x: np.stack(x.site_matrices()))
     transfers = per_distinct(stacks, lambda s: _transfer(s, s))
     outcomes, probs = _sample_chain_bonds(transfers, basis, boundary, rng)
     completed = per_distinct(tensors, complete_constraints)

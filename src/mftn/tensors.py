@@ -23,11 +23,24 @@ DEFAULT_TOL = 1e-9
 # Floors: a check whose round-off can exceed a small tol runs at max(tol, floor), so
 # that no tol refuses an exact result.  Each comment says where the round-off comes from.
 MATCH_FLOOR = 1e-7  # phase x basis element, by projection; distinct elements are O(1) apart
-PAULI_FLOOR = 1e-6  # Pauli-string recognition, always at this value: d^n x d^n dense products
+PAULI_FLOOR = 1e-6  # Pauli-string recognition, always at this value: inputs carry their own round-off
 UNITARY_FLOOR = 1e-8  # MPO identities between unitaries assembled from several products
 VERDICT_FLOOR = 1e-9  # fidelity, isometry, spectrum and reconstruction verdicts: round-off grows with size
 COMMUTANT_FLOOR = 1e-8  # polar commutants: Q and its pseudo-inverse come from one eigendecomposition
 EIGEN_FLOOR = 1e-8  # brute transfer spectra: dense eigenvalues of a (D^2)^L x (D^2)^L ring
+LEAD_FLOOR = 1e-9  # phase fixing: entries of equal modulus, as in a stabilizer state, differ by round-off
+
+
+def fix_global_phase(v: np.ndarray) -> np.ndarray:
+    """v times the unit phase that makes its lead entry real and positive.
+
+    The lead is the first entry whose modulus is within ``LEAD_FLOOR`` (relative)
+    of the largest, so round-off among entries of equal modulus cannot move it.
+    """
+    v = np.asarray(v)
+    mod = np.abs(v)
+    lead = v[np.argmax(mod >= mod.max() * (1 - LEAD_FLOOR))]
+    return v * (abs(lead) / lead)
 
 
 class DenseTensor:

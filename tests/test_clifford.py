@@ -1,18 +1,30 @@
 """Qudit Pauli arithmetic and Clifford synthesis from partial generator maps."""
 
+import json
+
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
+from mftn import cli
 from mftn.clifford import (
     PartialCliffordMap,
     PauliVector,
     check_admissible,
+    complete_tableau,
+    image_residual,
     is_clifford,
+    match_pauli_matrix,
     matrix_to_pauli,
     pauli_to_matrix,
     synthesize_clifford,
 )
 from mftn.errors import InadmissibleMapError, NonPrimeDimensionError
+from mftn.fixtures import aklt_tensor
+from mftn.mps import clifford_magic_decompose, is_stabilizer_state, split_polar
+from mftn.peps import peps_split_polar, topo_solution
+from mftn.tensors import fix_global_phase, random_unitary
 
 H2 = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
 T_GATE = np.diag([1.0, np.exp(1j * np.pi / 4)])
@@ -178,3 +190,139 @@ class TestIsClifford:
     def test_rejects_non_unitary(self):
         with pytest.raises(ValueError):
             is_clifford(np.diag([1.0, 2.0]), 1, 2)
+
+
+# -- the monomial layer against the dense path it replaced -----------------
+
+
+def dense_synthesis(m):
+    """The dense builder: U from d^n x d^n Pauli matrices and their products."""
+    tx, tz = complete_tableau(m)
+    n, d, dim = m.n, m.d, m.d**m.n
+    proj = np.eye(dim, dtype=complex)
+    for t in tz:
+        tm = t.matrix()
+        acc, stabsum = np.eye(dim, dtype=complex), np.zeros((dim, dim), dtype=complex)
+        for _ in range(d):
+            stabsum += acc
+            acc = acc @ tm
+        proj = proj @ (stabsum / d)
+    phi0 = proj[:, int(np.argmax(np.linalg.norm(proj, axis=0)))]
+    phi0 = fix_global_phase(phi0 / np.linalg.norm(phi0))
+    pows = [[np.linalg.matrix_power(t.matrix(), x) for x in range(d)] for t in tx]
+    u = np.empty((dim, dim), dtype=complex)
+    for idx in range(dim):
+        vec = phi0
+        for k, x in enumerate(np.unravel_index(idx, (d,) * n)):
+            vec = pows[k][x] @ vec
+        u[:, idx] = vec
+    return u
+
+
+def dense_is_clifford(u, n, d):
+    """Every U S U† (S = X_k, Z_k) has overlap dim with one of the d^2n dense strings."""
+    dim = d**n
+    strings = np.stack([xz(n, d, a[:n], a[n:]).matrix() for a in np.ndindex(*([d] * (2 * n)))])
+    for k in range(n):
+        for gen in (PauliVector.x_gen(n, d, k), PauliVector.z_gen(n, d, k)):
+            conj = u @ gen.matrix() @ u.conj().T
+            overlaps = np.abs(np.einsum("pij,ij->p", strings.conj(), conj))
+            if not np.any(np.abs(overlaps - dim) < 1e-6 * dim):
+                return False
+    return True
+
+
+def order_d_phase(v, w, d, r):
+    """A phase exponent making (phase * XZ(v, w))^d the identity: parity of (d - 1) v.w, plus 2r."""
+    return ((d - 1) * sum(x * y for x, y in zip(v, w))) % 2 + 2 * r
+
+
+@st.composite
+def admissible_maps(draw):
+    """Random images of X_0 and Z_0 that keep their commutation and their order."""
+    n, d = draw(st.integers(1, 5)), draw(st.sampled_from([2, 3]))
+    vec = st.lists(st.integers(0, d - 1), min_size=2 * n, max_size=2 * n)
+    a, b = draw(vec.filter(any)), draw(vec)
+    form = sum(a[n + k] * b[k] - a[k] * b[n + k] for k in range(n)) % d
+    assume(form)
+    # X_0 Z_0 = omega^(d-1) Z_0 X_0: scale b until the targets commute the same way
+    b = [x * pow(form, -1, d) * (d - 1) % d for x in b]
+    ra, rb = draw(st.integers(0, d - 1)), draw(st.integers(0, d - 1))
+    tx = xz(n, d, a[:n], a[n:], order_d_phase(a[:n], a[n:], d, ra))
+    tz = xz(n, d, b[:n], b[n:], order_d_phase(b[:n], b[n:], d, rb))
+    return PartialCliffordMap(n, d, ((PauliVector.x_gen(n, d, 0), tx), (PauliVector.z_gen(n, d, 0), tz)))
+
+
+# Z_0 -> omega Z_0 leaves |0..0> outside the joint eigenstate, so synthesis
+# projects every basis vector; the GHZ map projects |0..0> alone
+SHIFTED_CLOCK = PartialCliffordMap(2, 3, (
+    (xz(2, 3, [1, 0], [0, 0]), xz(2, 3, [1, 0], [0, 0])),
+    (xz(2, 3, [0, 0], [1, 0]), xz(2, 3, [0, 0], [1, 0], 2)),
+))
+GHZ = PartialCliffordMap(3, 2, (
+    (xz(3, 2, [1, 0, 0], [0, 0, 0]), xz(3, 2, [1, 1, 1], [0, 0, 0])),
+    (xz(3, 2, [0, 0, 0], [1, 0, 0]), xz(3, 2, [0, 0, 0], [1, 1, 1])),
+))
+
+
+class TestMonomials:
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(), n=st.integers(1, 3), d=st.sampled_from([2, 3, 5]))
+    def test_monomial_reproduces_the_dense_matrix(self, data, n, d):
+        digits = st.lists(st.integers(0, d - 1), min_size=n, max_size=n)
+        p = xz(n, d, data.draw(digits), data.draw(digits), data.draw(st.integers(0, 2 * d - 1)))
+        perm, phases = p.monomial()
+        dim = d**n
+        dense = np.zeros((dim, dim), dtype=complex)
+        dense[perm, np.arange(dim)] = phases
+        np.testing.assert_allclose(dense, p.matrix(), atol=1e-12)
+
+    @settings(max_examples=30, deadline=None)
+    @given(m=admissible_maps())
+    @example(m=SHIFTED_CLOCK)
+    @example(m=GHZ)
+    def test_synthesis_equals_the_dense_builder(self, m):
+        u = synthesize_clifford(m).data
+        assert np.abs(u - dense_synthesis(m)).max() < 1e-12
+
+    def test_image_residual_is_the_conjugation_distance(self, rng):
+        u = random_unitary(9, rng)
+        src, tgt = xz(2, 3, [1, 0], [0, 2]), xz(2, 3, [2, 1], [1, 0], 3)
+        dense = np.linalg.norm(u @ src.matrix() @ u.conj().T - 1j * tgt.matrix())
+        assert abs(image_residual(u, src, tgt, 1j) - dense) < 1e-12
+
+    def test_is_clifford_agrees_with_the_dense_oracle(self, rng):
+        qutrit_fourier = np.exp(2j * np.pi * np.outer(range(3), range(3)) / 3) / np.sqrt(3)
+        cases = [
+            (H2, 1, 2), (T_GATE, 1, 2), (np.kron(CNOT, np.eye(2)), 3, 2),
+            (np.kron(T_GATE, H2), 2, 2), (qutrit_fourier, 1, 3),
+            (np.diag([1, 1, np.exp(0.3j)]), 1, 3),
+            (np.kron(qutrit_fourier, np.diag([1, 1, np.exp(2j * np.pi / 9)])), 2, 3),
+            (synthesize_clifford(GHZ).data, 3, 2), (synthesize_clifford(SHIFTED_CLOCK).data, 2, 3),
+        ]
+        cases += [(random_unitary(d**n, rng), n, d) for n, d in ((1, 2), (2, 2), (1, 3), (2, 3))]
+        verdicts = [is_clifford(u, n, d) for u, n, d in cases]
+        assert verdicts == [dense_is_clifford(np.asarray(u, dtype=complex), n, d) for u, n, d in cases]
+        assert verdicts.count(True) == 5
+
+    def test_match_pauli_matrix_refuses_a_near_miss(self):
+        m = xz(2, 3, [1, 2], [0, 1], 1).matrix()
+        assert match_pauli_matrix(m, 2, 3) is not None
+        m[4, 3] += 1e-3
+        assert match_pauli_matrix(m, 2, 3) is None
+
+    def test_no_dense_pauli_matrix_is_built(self, monkeypatch, capsys, wh2):
+        def refuse(self):
+            raise AssertionError("dense Pauli matrix built")
+
+        monkeypatch.setattr(PauliVector, "matrix", refuse)
+        u = synthesize_clifford(GHZ).data
+        assert is_clifford(u, 3, 2)
+        form = clifford_magic_decompose(split_polar(aklt_tensor()), aklt_tensor().basis)
+        assert not is_stabilizer_state(form.psi, 2, 2)
+        toric = peps_split_polar(topo_solution(wh2, [1.0, 0.0, 1.0, 0.0]))
+        assert toric.clifford is not None
+        spec = {"n": 3, "d": 2, "images": [
+            {"source": src.to_json(), "target": tgt.to_json()} for src, tgt in GHZ.images]}
+        assert cli.dispatch(["clifford-synth", "--map", json.dumps(spec)]) == 0
+        assert '"images_reproduced"' in capsys.readouterr().out

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from mftn import protocol
-from mftn.errors import BoundaryError, SizeGuardError
+from mftn.errors import BoundaryError, NumericalRangeError, SizeGuardError
 from mftn.fixtures import aklt_tensor, cluster_tensor, copy_tensor
 from mftn.mps import MPSTensor, chain_state, complete_constraints, solve_symmetry_family, spt_solution
 from mftn.peps import complete_with_isometry, topo_solution
@@ -16,9 +16,11 @@ from mftn.protocol import (
     _route_defects,
     apply_chain_corrections,
     bond_projector,
+    born_choice,
     enumerate_outcomes,
     enumerate_peps_outcomes,
     peps_routing_complete,
+    philox_rng,
     push_chain_defects,
     run_mps_protocol,
     run_peps_protocol,
@@ -85,6 +87,22 @@ class TestMpsProtocol:
         # the {I, X} subgroup is pushable, Z/Y defects are stuck
         assert 0.0 < report.success_probability < 1.0
         assert report.success_probability == pytest.approx(0.5, abs=1e-9)
+
+
+class TestExtremeScales:
+    @pytest.mark.parametrize("a", [1e-100, 1e100])
+    def test_tiny_and_huge_tensors_run_like_unit_ones(self, wh2, a):
+        unit = spt_solution(wh2, [1.0, 0.5, 0, 0])
+        scaled = spt_solution(wh2, [a, a / 2, 0, 0])
+        for seed in range(10):
+            run = run_mps_protocol([scaled] * 3, "open", seed)
+            assert run.success and run.fidelity >= 1 - 1e-9
+            assert run.outcomes == run_mps_protocol([unit] * 3, "open", seed).outcomes
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_born_choice_refuses_non_finite_weights(self, bad):
+        with pytest.raises(NumericalRangeError):
+            born_choice([bad, 1.0], philox_rng(0))
 
 
 def random_aklt_family_member(basis, rng):

@@ -9,6 +9,7 @@ from mftn.tensors import (
     DenseTensor,
     contract,
     eig_hermitian,
+    fix_global_phase,
     polar_decompose,
     projector_onto,
     pseudo_inverse,
@@ -182,3 +183,19 @@ class TestPseudoInverse:
         t = DenseTensor(np.eye(2), ("r", "c"))
         with pytest.raises(ValueError):
             pseudo_inverse(t.view(["r"], ["c"]), 0.0)
+
+
+class TestPhaseFix:
+    def test_round_off_among_equal_moduli_does_not_move_the_lead(self, rng):
+        # a stabilizer-like vector: 27 entries of one modulus with qutrit phases
+        v = np.exp(2j * np.pi * rng.integers(0, 3, 27) / 3) / np.sqrt(27)
+        fixed = fix_global_phase(v)
+        assert abs(fixed[0] - abs(v[0])) < 1e-15
+        for k in range(27):
+            bumped = v.copy()
+            bumped[k] *= 1 + 1e-14
+            np.testing.assert_allclose(fix_global_phase(bumped), fixed, atol=1e-13)
+
+    def test_lead_is_the_largest_entry_otherwise(self):
+        v = np.array([0.1j, -0.9, 0.3])
+        np.testing.assert_allclose(fix_global_phase(v), -v, atol=1e-15)
