@@ -73,6 +73,15 @@ def leg_operator(dims, ops: dict) -> np.ndarray:
     return functools.reduce(np.kron, [ops[k] if k in ops else np.eye(n) for k, n in enumerate(dims)])
 
 
+def apply_leg_ops(b, dims, ops: dict) -> np.ndarray:
+    """b @ leg_operator(dims, ops), applying each op to its leg of b's columns
+    instead of forming the Kronecker product."""
+    t = b.reshape(-1, *dims)
+    for k, m in ops.items():
+        t = np.moveaxis(np.tensordot(t, m, axes=([k + 1], [0])), -1, k + 1)
+    return t.reshape(b.shape)
+
+
 def push_operators(basis: MFBasis, n_legs: int, in_leg: int, p_in: int, outs: dict):
     """(W_in, W_out) of one push over n_legs virtual legs: P_in^T on in_leg and
     the basis element outs[k] on each out-leg k."""
@@ -226,10 +235,10 @@ def solve_pushes(b, basis: MFBasis, dims, in_leg: int, in_mats, out_legs, tol: f
     )
     for k, m in enumerate(in_mats):
         targets = (
-            (images, b @ leg_operator(dims, {leg: basis.elements[i] for leg, i in zip(out_legs, images)}))
+            (images, apply_leg_ops(b, dims, {leg: basis.elements[i] for leg, i in zip(out_legs, images)}))
             for images in candidates
         )
-        fit = first_unitary_fit(b @ leg_operator(dims, {in_leg: m}), targets, tol * scale)
+        fit = first_unitary_fit(apply_leg_ops(b, dims, {in_leg: m}), targets, tol * scale)
         if fit is None:
             raise fail(k)
         yield fit

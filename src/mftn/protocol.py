@@ -15,6 +15,7 @@ the class of P_j^*.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -409,7 +410,11 @@ class PepsPatch:
             for o in row:
                 if o not in ORIENTATIONS:
                     raise ValueError(f"unknown orientation {o!r}")
+        # per-patch caches, like target_norm (the grid is fixed once built): push tables,
+        # einsum paths and the folded double tensors of unmodified sites
         self._tables: dict = {}
+        self._paths: dict = {}
+        self._folds: dict = {}
 
     def bonds(self):
         hs = [("h", r, c) for r in range(self.rows) for c in range(self.cols - 1)]
@@ -482,12 +487,17 @@ class PepsPatch:
         return [sides[key][self._first_side(key) != (r, c)] if key in sides else None
                 for key in map(slots.get, range(4))]
 
-    def network_value(self, ket_mods=None, bra_mods=None, ket_bonds=None, bra_bonds=None, cuts=frozenset()):
+    def network_value(self, ket_mods=None, bra_mods=None, ket_bonds=None, bra_bonds=None, cuts=frozenset(),
+                      batch=None):
         """<bra|ket> with per-site phys/leg ops, bond matrices, and cut bonds.
 
         ``*_mods`` maps (r, c) to (u_phys | None, [(slot, matrix), ...]);
         ``*_bonds`` maps bond keys to ket/bra matrices; bonds in ``cuts`` are
-        unmeasured: each layer's legs are traced separately.
+        unmeasured: each layer's legs are traced separately.  ``batch`` =
+        (key, stack) puts each (D^2, D^2) pair matrix of ``stack`` on bond
+        ``key`` in place of kron(ket, bra^*) and returns all the values as one
+        array.  Unmodified sites are folded once per patch, and each einsum
+        path is searched once per patch (the path ``optimize=True`` picks).
         """
         ket_mods = ket_mods or {}
         bra_mods = bra_mods or {}
@@ -499,16 +509,38 @@ class PepsPatch:
         for r in range(self.rows):
             for c in range(self.cols):
                 labels = self._slot_labels(r, c, sides)
-                live = [s for s in range(4) if labels[s] is not None]
-                ket = self._site_array(r, c, ket_mods.get((r, c)))
-                bra = self._site_array(r, c, bra_mods.get((r, c)))
-                operands += [_fold_site(ket, bra, live, self.D), [labels[s] for s in live]]
+                live = tuple(s for s in range(4) if labels[s] is not None)
+                operands += [self._folded(r, c, live, ket_mods.get((r, c)), bra_mods.get((r, c))),
+                             [labels[s] for s in live]]
         eye = np.eye(self.D)
         for key in live_bonds:
+            if batch is not None and key == batch[0]:
+                operands += [batch[1], [2 * len(live_bonds), *sides[key]]]
+                continue
             mk = ket_bonds.get(key, eye)
             mb = bra_bonds.get(key, eye)
             operands += [np.kron(mk, mb.conj()), list(sides[key])]
-        return complex(np.einsum(*operands, [], optimize=True))
+        out = [] if batch is None else [2 * len(live_bonds)]
+        plan = (tuple(map(tuple, operands[1::2])), tuple(a.shape for a in operands[::2]), tuple(out))
+        if plan not in self._paths:
+            self._paths[plan] = np.einsum_path(*operands, out, optimize=True)[0]
+        value = np.einsum(*operands, out, optimize=self._paths[plan])
+        return value if batch is not None else complex(value)
+
+    def _folded(self, r, c, live, ket_mod, bra_mod):
+        """Site (r, c)'s double tensor on ``live`` slots; unmodified ones are kept."""
+        if ket_mod is not None or bra_mod is not None:
+            return _fold_site(self._site_array(r, c, ket_mod), self._site_array(r, c, bra_mod), live, self.D)
+        key = (r, c, live)
+        if key not in self._folds:
+            arr = self._site_array(r, c, None)
+            self._folds[key] = _fold_site(arr, arr, live, self.D)
+        return self._folds[key]
+
+    @functools.cached_property
+    def target_norm(self) -> float:
+        """<t|t> of the clean target network, contracted once per patch."""
+        return self.network_value().real
 
     def _first_side(self, bond):
         kind, r, c = bond
@@ -651,18 +683,18 @@ def _ket_mods(patch: PepsPatch, site_u, edge_ops):
 
 
 def _sample_peps_bonds(patch: PepsPatch, rng):
+    """Sequential exact Born draws, one batched contraction per bond."""
     basis = patch.basis
     order = patch.bonds()
+    projectors = [bond_projector(basis, j) for j in range(len(basis.elements))]
+    pairs = np.stack([np.kron(m, m.conj()) for m in projectors])
     chosen: dict = {}
     probs = []
-    for key in order:
-        remaining = frozenset(k for k in order if k not in chosen and k != key)
-        weights = []
-        for j in range(len(basis.elements)):
-            mats = {k: bond_projector(basis, v) for k, v in chosen.items()}
-            mats[key] = bond_projector(basis, j)
-            weights.append(patch.network_value(ket_bonds=mats, bra_bonds=mats, cuts=remaining).real)
-        chosen[key], p = born_choice(weights, rng)
+    for k, key in enumerate(order):
+        mats = {b: projectors[j] for b, j in chosen.items()}
+        weights = patch.network_value(ket_bonds=mats, bra_bonds=mats, cuts=frozenset(order[k + 1:]),
+                                      batch=(key, pairs))
+        chosen[key], p = born_choice(weights.real, rng)
         probs.append(p)
     return chosen, probs
 
@@ -674,8 +706,7 @@ def peps_fidelity(patch: PepsPatch, outcomes: dict, site_u, edge_ops) -> float:
     mods = _ket_mods(patch, site_u, edge_ops)
     tc = patch.network_value(ket_mods=mods, ket_bonds=mats)
     cc = patch.network_value(ket_mods=mods, bra_mods=mods, ket_bonds=mats, bra_bonds=mats)
-    tt = patch.network_value()
-    denom = tt.real * cc.real
+    denom = patch.target_norm * cc.real
     if denom <= 0:
         return 0.0
     return float(abs(tc) ** 2 / denom)

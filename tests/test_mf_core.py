@@ -19,9 +19,11 @@ from hypothesis import strategies as st
 
 from mftn.basis import shift_clock, weyl_heisenberg_basis
 from mftn.mps import (
+    apply_leg_ops,
     check_mf_symmetry,
     clifford_magic_decompose,
     correction_consistency,
+    leg_operator,
     split_polar,
     spt_solution,
 )
@@ -268,3 +270,15 @@ def test_clifford_forms_do_not_depend_on_the_scale_of_q(scale):
         np.testing.assert_allclose(got.u_c, want.u_c, atol=1e-12)
         np.testing.assert_allclose(got.psi, want.psi, atol=1e-12)
         assert got.scale == pytest.approx(scale * want.scale, rel=1e-9)
+
+
+@settings(max_examples=40, deadline=None)
+@given(dims=st.lists(st.integers(1, 4), min_size=1, max_size=4), rows=st.integers(1, 5),
+       picks=st.sets(st.integers(0, 3)), seed=st.integers(0, 2**32 - 1))
+def test_apply_leg_ops_equals_the_kronecker_product(dims, rows, picks, seed):
+    rng = np.random.default_rng(seed)
+    b = rng.normal(size=(rows, int(np.prod(dims)))) + 1j * rng.normal(size=(rows, int(np.prod(dims))))
+    ops = {k: rng.normal(size=(dims[k],) * 2) + 1j * rng.normal(size=(dims[k],) * 2)
+           for k in sorted(picks) if k < len(dims)}
+    want = b @ leg_operator(dims, ops)
+    np.testing.assert_allclose(apply_leg_ops(b, dims, ops), want, atol=1e-12 * max(np.abs(want).max(), 1))

@@ -1,5 +1,6 @@
 """Monte-Carlo MF protocol runs, exact enumeration, and PEPS patch routing."""
 
+import itertools
 import tracemalloc
 
 import numpy as np
@@ -9,11 +10,12 @@ from mftn import protocol
 from mftn.errors import BoundaryError, NumericalRangeError, SizeGuardError
 from mftn.fixtures import aklt_tensor, cluster_tensor, copy_tensor
 from mftn.mps import MPSTensor, chain_state, complete_constraints, solve_symmetry_family, spt_solution
-from mftn.peps import complete_with_isometry, topo_solution
+from mftn.peps import PEPSTensor, complete_with_isometry, topo_solution
 from mftn.protocol import (
     PepsPatch,
     _ket_mods,
     _route_defects,
+    _sample_peps_bonds,
     apply_chain_corrections,
     bond_projector,
     born_choice,
@@ -25,7 +27,7 @@ from mftn.protocol import (
     run_mps_protocol,
     run_peps_protocol,
 )
-from mftn.tensors import DEFAULT_TOL, DenseTensor, state_fidelity
+from mftn.tensors import DEFAULT_TOL, DenseTensor, random_unitary, state_fidelity
 from conftest import random_complex
 
 
@@ -36,6 +38,17 @@ def toric_patch(wh2, rows, cols, orientations="ur"):
     a = complete_with_isometry(topo_solution(wh2, alpha))
     grid = [[a for _ in range(cols)] for _ in range(rows)]
     return PepsPatch(grid, orientations)
+
+
+FOUR_CORNER_3X3 = [["ul", "ur", "ur"], ["ul", "ur", "ur"], ["dl", "dr", "dr"]]
+
+
+def z3_toric_patch(wh3):
+    alpha = np.zeros(9)
+    for k in range(3):
+        alpha[wh3.resolve(np.linalg.matrix_power(wh3.element("X"), k))[0]] = 1.0
+    a = complete_with_isometry(topo_solution(wh3, alpha))
+    return PepsPatch([[a, a], [a, a]], "ur")
 
 
 class TestMpsProtocol:
@@ -238,7 +251,7 @@ class TestPepsProtocol:
         report = enumerate_peps_outcomes(patch, fidelity_limit=40)
         assert all(report.correctable)
         assert report.success_probability == pytest.approx(1.0, abs=1e-9)
-        assert report.probabilities == pytest.approx([1 / 256] * 256, abs=1e-10)
+        assert max(abs(p - 1 / 256) for p in report.probabilities) <= 1e-15
         assert all(f is None or f >= 1 - 1e-9 for f in report.fidelities)
 
     def test_enumeration_size_guard_comes_before_any_contraction(self, wh2, monkeypatch):
@@ -253,12 +266,7 @@ class TestPepsProtocol:
             enumerate_peps_outcomes(patch)
 
     def test_three_by_three_four_corner(self, wh2):
-        orient = [
-            ["ul", "ur", "ur"],
-            ["ul", "ur", "ur"],
-            ["dl", "dr", "dr"],
-        ]
-        patch = toric_patch(wh2, 3, 3, orient)
+        patch = toric_patch(wh2, 3, 3, FOUR_CORNER_3X3)
         assert peps_routing_complete(patch)
         for seed in range(3):
             run = run_peps_protocol(patch, seed=seed)
@@ -291,16 +299,142 @@ class TestClusterChain:
 
 class TestQutritPepsProtocol:
     def test_z3_toric_two_by_two(self, wh3):
-        alpha = np.zeros(9)
-        for k in range(3):
-            x = np.linalg.matrix_power(wh3.element("X"), k)
-            alpha[wh3.resolve(x)[0]] = 1.0
-        a = complete_with_isometry(topo_solution(wh3, alpha))
-        patch = PepsPatch([[a, a], [a, a]], "ur")
+        patch = z3_toric_patch(wh3)
         for seed in range(3):
             run = run_peps_protocol(patch, seed=seed)
             assert run.success and run.fidelity >= 1 - 1e-9
             assert run.probabilities == pytest.approx([1 / 9] * 4, abs=1e-9)
+
+
+def unfolded_value(patch, ket_mods, bra_mods, ket_bonds, bra_bonds, cuts):
+    """<bra|ket> as one fresh einsum over separate ket and bra layers, no folding.
+
+    A cut bond's legs, like a boundary leg, are traced against the same site's
+    bra leg; a live bond joins each layer's two sides through its own matrix.
+    """
+    fresh = itertools.count()
+    eye = np.eye(patch.D)
+    sides, operands = {}, []
+    for key in patch.bonds():
+        if key in cuts:
+            continue
+        sides[key] = {layer: (next(fresh), next(fresh)) for layer in "kb"}
+        operands += [ket_bonds.get(key, eye), list(sides[key]["k"])]
+        operands += [bra_bonds.get(key, eye).conj(), list(sides[key]["b"])]
+    for r in range(patch.rows):
+        for c in range(patch.cols):
+            ket_labels, bra_labels = [], []
+            for key in map(patch.site_bond_slots(r, c).get, range(4)):
+                if key in sides:
+                    side = patch._first_side(key) != (r, c)
+                    ket_labels.append(sides[key]["k"][side])
+                    bra_labels.append(sides[key]["b"][side])
+                else:
+                    ket_labels.append(next(fresh))
+                    bra_labels.append(ket_labels[-1])
+            phys = next(fresh)
+            operands += [patch._site_array(r, c, ket_mods.get((r, c))), ket_labels + [phys]]
+            operands += [patch._site_array(r, c, bra_mods.get((r, c))).conj(), bra_labels + [phys]]
+    return complex(np.einsum(*operands, [], optimize=True))
+
+
+class TestBatchedPepsContraction:
+    """One batched contraction per sampled bond, with per-patch plans and folds."""
+
+    @pytest.fixture(scope="class", params=["toric3x3", "z3-toric2x2"])
+    def built(self, request, wh2, wh3):
+        if request.param == "toric3x3":
+            return toric_patch(wh2, 3, 3, FOUR_CORNER_3X3)
+        return z3_toric_patch(wh3)
+
+    @pytest.fixture()
+    def patch(self, built):
+        """A fresh patch, with empty caches, on the class's tensors."""
+        return PepsPatch(built.grid, built.orient)
+
+    @pytest.fixture(params=["benchmark", "random"])
+    def sampled(self, request, patch, wh3, rng):
+        """The benchmark patch, or a 2 x 2 WH:3 patch of random tensors, whose
+        conditionals, unlike an MF-symmetric patch's, are not uniform."""
+        if request.param == "benchmark":
+            return patch
+        grid = [[PEPSTensor.from_matrix(random_complex(rng, 3, 81), wh3) for _ in range(2)] for _ in range(2)]
+        return PepsPatch(grid)
+
+    def test_batched_weights_equal_per_candidate_weights(self, sampled, monkeypatch):
+        patch = sampled
+        draws = []
+        original = PepsPatch.network_value
+
+        def recording(self, *args, **kwargs):
+            value = original(self, *args, **kwargs)
+            draws.append((kwargs, value.real))
+            return value
+
+        monkeypatch.setattr(PepsPatch, "network_value", recording)
+        _sample_peps_bonds(patch, philox_rng(0))
+        monkeypatch.undo()
+        projectors = [bond_projector(patch.basis, j) for j in range(len(patch.basis.elements))]
+        assert [kwargs["batch"][0] for kwargs, _ in draws] == patch.bonds()
+        for kwargs, batched in draws:
+            single = []
+            for m in projectors:
+                mats = {**kwargs["ket_bonds"], kwargs["batch"][0]: m}
+                single.append(patch.network_value(ket_bonds=mats, bra_bonds=mats, cuts=kwargs["cuts"]).real)
+            assert np.max(np.abs(batched - single)) <= 1e-14 * np.sum(single)
+
+    def test_cached_plan_equals_fresh_einsum(self, wh2, rng):
+        patch = toric_patch(wh2, 2, 3)
+        bonds = patch.bonds()
+
+        def arguments():
+            ket_mods = {(0, 0): (random_unitary(patch.grid[0][0].d, rng), [(2, random_complex(rng, 2, 2))]),
+                        (1, 2): (None, [(1, random_complex(rng, 2, 2))])}
+            bra_mods = {(0, 1): (random_unitary(patch.grid[0][1].d, rng), [(3, random_complex(rng, 2, 2))])}
+            ket_bonds = {key: random_complex(rng, 2, 2) for key in bonds[:4]}
+            bra_bonds = {key: random_complex(rng, 2, 2) for key in bonds[2:]}
+            return ket_mods, bra_mods, ket_bonds, bra_bonds, frozenset(bonds[5:])
+
+        patch.network_value(*arguments())  # searches and keeps the path
+        for _ in range(3):
+            args = arguments()
+            expected = unfolded_value(patch, *args)
+            assert abs(patch.network_value(*args) - expected) <= 1e-12 * abs(expected)
+
+    def test_outcomes_pinned(self, patch):
+        pinned = {
+            (3, 3): [(0, 1, 1, 0, 3, 1, 3, 0, 0, 0, 3, 1), (0, 0, 0, 3, 0, 1, 1, 1, 2, 3, 3, 0),
+                     (2, 3, 3, 3, 1, 3, 0, 2, 1, 0, 2, 2), (0, 0, 0, 3, 3, 2, 3, 1, 3, 3, 1, 3),
+                     (1, 2, 3, 1, 2, 3, 1, 3, 0, 2, 1, 3)],
+            (2, 2): [(0, 2, 4, 0), (0, 0, 0, 7), (6, 7, 6, 7), (0, 1, 1, 8), (3, 6, 8, 4)],
+        }
+        runs = [run_peps_protocol(patch, seed=s) for s in range(5)]
+        assert [tuple(run.outcomes) for run in runs] == pinned[patch.rows, patch.cols]
+        assert all(run.success for run in runs)
+
+    def test_one_contraction_per_bond_and_one_target_norm(self, patch, monkeypatch):
+        calls = []
+        original = PepsPatch.network_value
+
+        def counting(self, *args, **kwargs):
+            calls.append(kwargs.get("batch") is not None)
+            return original(self, *args, **kwargs)
+
+        monkeypatch.setattr(PepsPatch, "network_value", counting)
+        nbonds = len(patch.bonds())
+        _sample_peps_bonds(patch, philox_rng(0))
+        assert calls == [True] * nbonds
+        # <t|t> is contracted by the first trial only; each trial adds its two overlaps
+        for expected in (nbonds + 3, nbonds + 2):
+            calls.clear()
+            assert run_peps_protocol(patch, seed=1).success
+            assert len(calls) == expected
+
+    def test_caches_hold_no_dense_state(self, patch):
+        run_peps_protocol(patch, seed=0)
+        largest = max(a.size for a in patch._folds.values())
+        assert largest <= patch.D ** 8
+        assert all(isinstance(path, list) for path in patch._paths.values())
 
 
 class TestSamplingMatchesEnumeration:
