@@ -75,7 +75,8 @@ def leg_operator(dims, ops: dict) -> np.ndarray:
 
 def apply_leg_ops(b, dims, ops: dict) -> np.ndarray:
     """b @ leg_operator(dims, ops), applying each op to its leg of b's columns
-    instead of forming the Kronecker product."""
+    instead of forming the Kronecker product; b may also be one tensor of
+    shape ``dims``.  Ops act in the order of ``ops``."""
     t = b.reshape(-1, *dims)
     for k, m in ops.items():
         t = np.moveaxis(np.tensordot(t, m, axes=([k + 1], [0])), -1, k + 1)

@@ -32,7 +32,15 @@ from .errors import (
     SizeGuardError,
     SymmetryError,
 )
-from .mps import MPSTensor, chain_state, check_mf_symmetry, complete_constraints, per_distinct, solve_pushes
+from .mps import (
+    MPSTensor,
+    apply_leg_ops,
+    chain_state,
+    check_mf_symmetry,
+    complete_constraints,
+    per_distinct,
+    solve_pushes,
+)
 from .peps import PEPSTensor
 from .tensors import DEFAULT_TOL, VERDICT_FLOOR, DenseTensor, state_fidelity
 
@@ -410,10 +418,9 @@ class PepsPatch:
             for o in row:
                 if o not in ORIENTATIONS:
                     raise ValueError(f"unknown orientation {o!r}")
-        # per-patch caches, like target_norm (the grid is fixed once built): push tables,
-        # einsum paths and the folded double tensors of unmodified sites
+        # per-patch caches, like target_norm (the grid is fixed once built): push tables
+        # and the folded double tensors of unmodified sites
         self._tables: dict = {}
-        self._paths: dict = {}
         self._folds: dict = {}
 
     def bonds(self):
@@ -496,8 +503,7 @@ class PepsPatch:
         unmeasured: each layer's legs are traced separately.  ``batch`` =
         (key, stack) puts each (D^2, D^2) pair matrix of ``stack`` on bond
         ``key`` in place of kron(ket, bra^*) and returns all the values as one
-        array.  Unmodified sites are folded once per patch, and each einsum
-        path is searched once per patch (the path ``optimize=True`` picks).
+        array.  Unmodified sites are folded once per patch.
         """
         ket_mods = ket_mods or {}
         bra_mods = bra_mods or {}
@@ -520,12 +526,9 @@ class PepsPatch:
             mk = ket_bonds.get(key, eye)
             mb = bra_bonds.get(key, eye)
             operands += [np.kron(mk, mb.conj()), list(sides[key])]
-        out = [] if batch is None else [2 * len(live_bonds)]
-        plan = (tuple(map(tuple, operands[1::2])), tuple(a.shape for a in operands[::2]), tuple(out))
-        if plan not in self._paths:
-            self._paths[plan] = np.einsum_path(*operands, out, optimize=True)[0]
-        value = np.einsum(*operands, out, optimize=self._paths[plan])
-        return value if batch is not None else complex(value)
+        if batch is not None:
+            return np.einsum(*operands, [2 * len(live_bonds)], optimize=True)
+        return complex(np.einsum(*operands, [], optimize=True))
 
     def _folded(self, r, c, live, ket_mod, bra_mod):
         """Site (r, c)'s double tensor on ``live`` slots; unmodified ones are kept."""
@@ -552,11 +555,8 @@ class PepsPatch:
         if mods is None:
             return arr
         u_phys, slot_ops = mods
-        if u_phys is not None:
-            arr = np.tensordot(arr, np.asarray(u_phys).T, axes=([4], [0]))
-        for slot, m in slot_ops:
-            arr = np.moveaxis(np.tensordot(arr, m, axes=([slot], [0])), -1, slot)
-        return arr
+        ops = {} if u_phys is None else {4: np.asarray(u_phys).T}
+        return apply_leg_ops(arr, arr.shape, {**ops, **dict(slot_ops)})
 
     def dense_state(self, ket_mods=None, ket_bonds=None, max_size: int = 1 << 22):
         """Dense contraction of the ket layer, or None beyond ``max_size``.

@@ -6,7 +6,7 @@ import pytest
 from mftn.basis import weyl_heisenberg_basis
 from mftn.errors import SizeGuardError
 from mftn.fixtures import interpolated_alpha
-from mftn.mps import is_stabilizer_state
+from mftn.mps import is_stabilizer_state, leg_operator
 from mftn.peps import (
     PEPSTensor,
     TopoSymmetrySpec,
@@ -22,6 +22,8 @@ from mftn.peps import (
     transfer_matrix_brute,
     transfer_spectrum_analytic,
 )
+
+from mftn.tensors import numerical_rank
 
 from conftest import random_complex
 
@@ -100,6 +102,20 @@ class TestSymmetryAndIsometry:
         ok, _, _ = peps_isometry_check(bad)
         assert not ok
 
+
+    @pytest.mark.parametrize("a", [0.3, 0.5])
+    def test_push_fits_on_a_rank_deficient_q(self, wh2, a):
+        """Q has rank 8 of 16, so each Procrustes U is free off range(b): pin the
+        classes and U b, which is unique, against Kronecker-product targets."""
+        q = topo_solution(wh2, interpolated_alpha(wh2, a))
+        b = q.as_matrix()
+        assert numerical_rank(b) == 8
+        for in_leg, constraints in ((0, q.constraints_a), (3, q.constraints_b)):
+            assert [(c.p_in, c.out_up, c.out_right) for c in constraints] == [(k, 0, k) for k in range(4)]
+            for c in constraints:
+                source = b @ leg_operator((2,) * 4, {in_leg: wh2.elements[c.p_in].T})
+                target = b @ leg_operator((2,) * 4, {1: wh2.elements[c.out_up], 2: wh2.elements[c.out_right]})
+                assert np.linalg.norm(c.u_phys @ source - target) <= 1e-12 * np.linalg.norm(b)
 
 class TestSplitPolar:
     def test_toric_clifford_form(self, wh2):

@@ -338,8 +338,31 @@ def unfolded_value(patch, ket_mods, bra_mods, ket_bonds, bra_bonds, cuts):
     return complex(np.einsum(*operands, [], optimize=True))
 
 
+def assert_batched_weights_match(patch, monkeypatch):
+    """Each bond's batched Born weights equal its per-candidate network values."""
+    draws = []
+    original = PepsPatch.network_value
+
+    def recording(self, *args, **kwargs):
+        value = original(self, *args, **kwargs)
+        draws.append((kwargs, value.real))
+        return value
+
+    monkeypatch.setattr(PepsPatch, "network_value", recording)
+    _sample_peps_bonds(patch, philox_rng(0))
+    monkeypatch.undo()
+    projectors = [bond_projector(patch.basis, j) for j in range(len(patch.basis.elements))]
+    assert [kwargs["batch"][0] for kwargs, _ in draws] == patch.bonds()
+    for kwargs, batched in draws:
+        single = []
+        for m in projectors:
+            mats = {**kwargs["ket_bonds"], kwargs["batch"][0]: m}
+            single.append(patch.network_value(ket_bonds=mats, bra_bonds=mats, cuts=kwargs["cuts"]).real)
+        assert np.max(np.abs(batched - single)) <= 1e-14 * np.sum(single)
+
+
 class TestBatchedPepsContraction:
-    """One batched contraction per sampled bond, with per-patch plans and folds."""
+    """One batched contraction per sampled bond, with per-patch folded sites."""
 
     @pytest.fixture(scope="class", params=["toric3x3", "z3-toric2x2"])
     def built(self, request, wh2, wh3):
@@ -352,38 +375,16 @@ class TestBatchedPepsContraction:
         """A fresh patch, with empty caches, on the class's tensors."""
         return PepsPatch(built.grid, built.orient)
 
-    @pytest.fixture(params=["benchmark", "random"])
-    def sampled(self, request, patch, wh3, rng):
-        """The benchmark patch, or a 2 x 2 WH:3 patch of random tensors, whose
-        conditionals, unlike an MF-symmetric patch's, are not uniform."""
-        if request.param == "benchmark":
-            return patch
+    def test_batched_weights_equal_per_candidate_weights(self, patch, monkeypatch):
+        assert_batched_weights_match(patch, monkeypatch)
+
+    def test_batched_weights_on_random_tensors(self, wh3, rng, monkeypatch):
+        """A 2 x 2 WH:3 patch of random tensors, whose conditionals, unlike an
+        MF-symmetric patch's, are not uniform, so a conjugation slip shows."""
         grid = [[PEPSTensor.from_matrix(random_complex(rng, 3, 81), wh3) for _ in range(2)] for _ in range(2)]
-        return PepsPatch(grid)
+        assert_batched_weights_match(PepsPatch(grid), monkeypatch)
 
-    def test_batched_weights_equal_per_candidate_weights(self, sampled, monkeypatch):
-        patch = sampled
-        draws = []
-        original = PepsPatch.network_value
-
-        def recording(self, *args, **kwargs):
-            value = original(self, *args, **kwargs)
-            draws.append((kwargs, value.real))
-            return value
-
-        monkeypatch.setattr(PepsPatch, "network_value", recording)
-        _sample_peps_bonds(patch, philox_rng(0))
-        monkeypatch.undo()
-        projectors = [bond_projector(patch.basis, j) for j in range(len(patch.basis.elements))]
-        assert [kwargs["batch"][0] for kwargs, _ in draws] == patch.bonds()
-        for kwargs, batched in draws:
-            single = []
-            for m in projectors:
-                mats = {**kwargs["ket_bonds"], kwargs["batch"][0]: m}
-                single.append(patch.network_value(ket_bonds=mats, bra_bonds=mats, cuts=kwargs["cuts"]).real)
-            assert np.max(np.abs(batched - single)) <= 1e-14 * np.sum(single)
-
-    def test_cached_plan_equals_fresh_einsum(self, wh2, rng):
+    def test_folded_value_equals_fresh_einsum(self, wh2, rng):
         patch = toric_patch(wh2, 2, 3)
         bonds = patch.bonds()
 
@@ -395,7 +396,7 @@ class TestBatchedPepsContraction:
             bra_bonds = {key: random_complex(rng, 2, 2) for key in bonds[2:]}
             return ket_mods, bra_mods, ket_bonds, bra_bonds, frozenset(bonds[5:])
 
-        patch.network_value(*arguments())  # searches and keeps the path
+        patch.network_value(*arguments())  # folds and keeps the unmodified sites
         for _ in range(3):
             args = arguments()
             expected = unfolded_value(patch, *args)
@@ -434,7 +435,6 @@ class TestBatchedPepsContraction:
         run_peps_protocol(patch, seed=0)
         largest = max(a.size for a in patch._folds.values())
         assert largest <= patch.D ** 8
-        assert all(isinstance(path, list) for path in patch._paths.values())
 
 
 class TestSamplingMatchesEnumeration:
