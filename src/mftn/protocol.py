@@ -392,9 +392,12 @@ def solve_push_table(A: PEPSTensor, in_slot: int, out_slots, tol: float = DEFAUL
 class PepsPatch:
     """A rows x cols grid with per-site drain orientations.
 
-    Horizontal bond ("h", r, c) joins sites (r, c)-(r, c+1) with the west
-    site carrying the first bond index; vertical bond ("v", r, c) joins
-    (r+1, c)-(r, c) with the south site first.  Row 0 is the top row.
+    Horizontal bond ("h", r, c) joins sites (r, c)-(r, c+1) and vertical bond
+    ("v", r, c) joins (r+1, c)-(r, c); row 0 is the top row.  ``ends`` maps
+    each bond to its two (site, slot) ends and ``slot_bonds`` each site to its
+    bond per slot (None on the patch boundary).  A bond's first end, which
+    holds the first index of its bond matrix, is the one on an up or right
+    slot: the south site of a vertical bond, the west site of a horizontal one.
     """
 
     def __init__(self, grid, orientations="ur", tol: float = DEFAULT_TOL):
@@ -418,23 +421,21 @@ class PepsPatch:
             for o in row:
                 if o not in ORIENTATIONS:
                     raise ValueError(f"unknown orientation {o!r}")
+        self.ends = {("h", r, c): (((r, c), 2), ((r, c + 1), 0))
+                     for r in range(self.rows) for c in range(self.cols - 1)}
+        self.ends.update({("v", r, c): (((r + 1, c), 1), ((r, c), 3))
+                          for r in range(self.rows - 1) for c in range(self.cols)})
+        self.slot_bonds = {(r, c): [None] * 4 for r in range(self.rows) for c in range(self.cols)}
+        for key, ends in self.ends.items():
+            for site, slot in ends:
+                self.slot_bonds[site][slot] = key
         # per-patch caches, like target_norm (the grid is fixed once built): push tables
         # and the folded double tensors of unmodified sites
         self._tables: dict = {}
         self._folds: dict = {}
 
     def bonds(self):
-        hs = [("h", r, c) for r in range(self.rows) for c in range(self.cols - 1)]
-        vs = [("v", r, c) for r in range(self.rows - 1) for c in range(self.cols)]
-        return hs + vs
-
-    def site_bond_slots(self, r, c):
-        return {
-            0: ("h", r, c - 1) if c > 0 else None,
-            2: ("h", r, c) if c < self.cols - 1 else None,
-            1: ("v", r - 1, c) if r > 0 else None,
-            3: ("v", r, c) if r < self.rows - 1 else None,
-        }
+        return list(self.ends)
 
     def push_table(self, r, c, in_slot):
         key = (id(self.grid[r][c]), in_slot, ORIENTATIONS[self.orient[r][c]][1])
@@ -446,19 +447,12 @@ class PepsPatch:
 
     def processing_order(self):
         """Topological order of the defect-emission graph (Kahn)."""
-        deps = {(r, c): set() for r in range(self.rows) for c in range(self.cols)}
-        for r in range(self.rows):
-            for c in range(self.cols):
-                slots = self.site_bond_slots(r, c)
-                for out_slot in ORIENTATIONS[self.orient[r][c]][1]:
-                    bond = slots[out_slot]
-                    if bond is None:
-                        continue
-                    other = self._other_site(bond, (r, c))
-                    in_slots = ORIENTATIONS[self.orient[other[0]][other[1]]][0]
-                    other_slot = self._slot_of(bond, other)
-                    if other_slot in in_slots:
-                        deps[other].add((r, c))
+        flow = {(r, c): ORIENTATIONS[o] for r, row in enumerate(self.orient) for c, o in enumerate(row)}
+        deps = {site: set() for site in flow}
+        for ends in self.ends.values():
+            for (emitter, out_slot), (receiver, in_slot) in (ends, ends[::-1]):
+                if out_slot in flow[emitter][1] and in_slot in flow[receiver][0]:
+                    deps[receiver].add(emitter)
         order, ready = [], [s for s, d in deps.items() if not d]
         done = set()
         while ready:
@@ -472,44 +466,29 @@ class PepsPatch:
             raise DefectStuckError("orientation assignment has a cyclic defect flow")
         return order
 
-    def _other_site(self, bond, site):
-        kind, r, c = bond
-        if kind == "h":
-            return (r, c + 1) if site == (r, c) else (r, c)
-        return (r, c) if site == (r + 1, c) else (r + 1, c)
-
-    def _slot_of(self, bond, site):
-        kind, r, c = bond
-        if kind == "h":
-            return 2 if site == (r, c) else 0
-        return 1 if site == (r, c) else 3
-
     # -- contractions --------------------------------------------------------
     # einsum's integer-sublist form labels every leg; ``sides`` maps a bond to
-    # the labels of its (first, second) side, which a bond matrix joins
+    # the labels of its (first, second) end, which a bond matrix joins
 
     def _slot_labels(self, r, c, sides):
         """Labels of site (r, c)'s legs left, up, right, down; None off ``sides``."""
-        slots = self.site_bond_slots(r, c)
-        return [sides[key][self._first_side(key) != (r, c)] if key in sides else None
-                for key in map(slots.get, range(4))]
+        return [sides[key][self.ends[key].index(((r, c), slot))] if key in sides else None
+                for slot, key in enumerate(self.slot_bonds[r, c])]
 
-    def network_value(self, ket_mods=None, bra_mods=None, ket_bonds=None, bra_bonds=None, cuts=frozenset(),
-                      batch=None):
-        """<bra|ket> with per-site phys/leg ops, bond matrices, and cut bonds.
+    def network_value(self, pairs=None, ket_mods=None, bra_mods=None, cuts=frozenset()):
+        """<bra|ket> with per-site phys/leg ops, bond pair matrices, and cut bonds.
 
-        ``*_mods`` maps (r, c) to (u_phys | None, [(slot, matrix), ...]);
-        ``*_bonds`` maps bond keys to ket/bra matrices; bonds in ``cuts`` are
-        unmeasured: each layer's legs are traced separately.  ``batch`` =
-        (key, stack) puts each (D^2, D^2) pair matrix of ``stack`` on bond
-        ``key`` in place of kron(ket, bra^*) and returns all the values as one
-        array.  Unmodified sites are folded once per patch.
+        ``pairs`` maps a bond to its pair matrix kron(ket bond matrix, bra bond
+        matrix^*), of shape (D^2, D^2); an absent bond gets the identity.  At
+        most one bond may map to a stack of shape (m, D^2, D^2), whose m values
+        come back as one array.  ``*_mods`` maps (r, c) to (u_phys | None,
+        [(slot, matrix), ...]).  Bonds in ``cuts`` are unmeasured: each layer's
+        legs are traced separately.  Unmodified sites are folded once per patch.
         """
+        pairs = pairs or {}
         ket_mods = ket_mods or {}
         bra_mods = bra_mods or {}
-        ket_bonds = ket_bonds or {}
-        bra_bonds = bra_bonds or {}
-        live_bonds = [key for key in self.bonds() if key not in cuts]
+        live_bonds = [key for key in self.ends if key not in cuts]
         sides = {key: (2 * k, 2 * k + 1) for k, key in enumerate(live_bonds)}
         operands = []
         for r in range(self.rows):
@@ -518,17 +497,17 @@ class PepsPatch:
                 live = tuple(s for s in range(4) if labels[s] is not None)
                 operands += [self._folded(r, c, live, ket_mods.get((r, c)), bra_mods.get((r, c))),
                              [labels[s] for s in live]]
-        eye = np.eye(self.D)
+        eye, out = np.eye(self.D * self.D), []
         for key in live_bonds:
-            if batch is not None and key == batch[0]:
-                operands += [batch[1], [2 * len(live_bonds), *sides[key]]]
-                continue
-            mk = ket_bonds.get(key, eye)
-            mb = bra_bonds.get(key, eye)
-            operands += [np.kron(mk, mb.conj()), list(sides[key])]
-        if batch is not None:
-            return np.einsum(*operands, [2 * len(live_bonds)], optimize=True)
-        return complex(np.einsum(*operands, [], optimize=True))
+            m, labels = pairs.get(key, eye), list(sides[key])
+            if m.ndim == 3:
+                if out:
+                    raise ValueError("at most one bond may take a stack of pair matrices")
+                out = [2 * len(live_bonds)]
+                labels = out + labels
+            operands += [m, labels]
+        value = np.einsum(*operands, out, optimize=True)
+        return value if out else complex(value)
 
     def _folded(self, r, c, live, ket_mod, bra_mod):
         """Site (r, c)'s double tensor on ``live`` slots; unmodified ones are kept."""
@@ -545,9 +524,14 @@ class PepsPatch:
         """<t|t> of the clean target network, contracted once per patch."""
         return self.network_value().real
 
-    def _first_side(self, bond):
-        kind, r, c = bond
-        return (r, c) if kind == "h" else (r + 1, c)
+    @functools.cached_property
+    def outcome_pairs(self):
+        """Stacks over outcomes j of the pair matrices kron(P, P^*) and kron(P, 1),
+        with P = bond_projector(basis, j): the measured bond in both layers, or
+        in the ket layer alone."""
+        projectors = [bond_projector(self.basis, j) for j in range(len(self.basis.elements))]
+        return (np.stack([np.kron(m, m.conj()) for m in projectors]),
+                np.stack([np.kron(m, np.eye(self.D)) for m in projectors]))
 
     def _site_array(self, r, c, mods):
         """Site (r, c) as (left, up, right, down, phys) with ``mods`` applied."""
@@ -558,42 +542,40 @@ class PepsPatch:
         ops = {} if u_phys is None else {4: np.asarray(u_phys).T}
         return apply_leg_ops(arr, arr.shape, {**ops, **dict(slot_ops)})
 
-    def dense_state(self, ket_mods=None, ket_bonds=None, max_size: int = 1 << 22):
-        """Dense contraction of the ket layer, or None beyond ``max_size``.
+    def dense_state(self, ket_mods=None, ket_bonds=None):
+        """Dense contraction of the ket layer; past 2^22 amplitudes a SizeGuardError.
 
         Output legs: per site in raster order, the boundary virtual legs (in
         left/up/right/down order) followed by the physical leg.
         """
+        boundary_legs = 4 * self.rows * self.cols - 2 * len(self.ends)
+        if self.D**boundary_legs * math.prod(a.d for row in self.grid for a in row) > 1 << 22:
+            raise SizeGuardError("dense patch state exceeds 2^22 amplitudes")
         ket_mods = ket_mods or {}
         ket_bonds = ket_bonds or {}
         fresh = itertools.count()
         sides = {}
         operands = []
-        for key in self.bonds():
+        for key in self.ends:
             m = ket_bonds.get(key)
             if m is None:
                 sides[key] = (next(fresh),) * 2
             else:
                 sides[key] = (next(fresh), next(fresh))
                 operands += [np.asarray(m), list(sides[key])]
-        out, out_legs, size = [], [], 1
+        out, out_legs = [], []
         for r in range(self.rows):
             for c in range(self.cols):
-                arr = self._site_array(r, c, ket_mods.get((r, c)))
                 labels = self._slot_labels(r, c, sides)
                 for s, name in enumerate(("left", "up", "right", "down")):
                     if labels[s] is None:
                         labels[s] = next(fresh)
                         out.append(labels[s])
                         out_legs.append(f"{name}_{r}_{c}")
-                        size *= self.D
                 labels.append(next(fresh))
                 out.append(labels[4])
                 out_legs.append(f"phys_{r}_{c}")
-                size *= arr.shape[4]
-                operands += [arr, labels]
-        if size > max_size:
-            return None
+                operands += [self._site_array(r, c, ket_mods.get((r, c))), labels]
         data = np.einsum(*operands, out, optimize=True)
         return DenseTensor(data, out_legs)
 
@@ -610,9 +592,9 @@ def _route_defects(patch: PepsPatch, outcomes: dict, tol: float):
     """Symbolic defect sweep.  Returns per-site unitaries and boundary fixes.
 
     ``outcomes`` maps bond keys to measured basis indices.  Pending bond
-    matrices are tracked in [first-side, second-side] index order; receiving
-    on the first (west/south) side uses the matrix directly, on the second
-    (east/north) side its transpose.  Emissions compose exactly, so the
+    matrices are tracked in [first-end, second-end] index order (see
+    ``PepsPatch``); receiving on the first end uses the matrix directly, on
+    the second its transpose.  Emissions compose exactly, so the
     recorded corrections transform the measured network into the target one.
     """
     basis = patch.basis
@@ -627,7 +609,7 @@ def _route_defects(patch: PepsPatch, outcomes: dict, tol: float):
         if cls == ident and abs(phase - 1.0) < 1e-12:
             return
         g = phase * basis.elements[cls]
-        bond = patch.site_bond_slots(*site)[slot]
+        bond = patch.slot_bonds[site][slot]
         if bond is None:
             r, c = site
             prev = edge_ops.get((r, c, slot), np.eye(D, dtype=np.complex128))
@@ -635,7 +617,7 @@ def _route_defects(patch: PepsPatch, outcomes: dict, tol: float):
             return
         if consumed[bond]:
             raise DefectStuckError("emission into an already corrected bond", site=site)
-        if patch._first_side(bond) == site:
+        if patch.ends[bond][0] == (site, slot):
             pend[bond] = g @ pend[bond]
         else:
             pend[bond] = pend[bond] @ g.T
@@ -643,13 +625,12 @@ def _route_defects(patch: PepsPatch, outcomes: dict, tol: float):
     for site in patch.processing_order():
         r, c = site
         ins, outs = ORIENTATIONS[patch.orient[r][c]]
-        slots = patch.site_bond_slots(r, c)
         for in_slot in ins:
-            bond = slots[in_slot]
+            bond = patch.slot_bonds[site][in_slot]
             if bond is None or consumed[bond]:
                 continue
             consumed[bond] = True
-            m = pend[bond] if patch._first_side(bond) == site else pend[bond].T
+            m = pend[bond] if patch.ends[bond][0] == (site, in_slot) else pend[bond].T
             hit = _resolve_scaled(basis, m, tol)
             if hit is None:
                 raise DefectStuckError("bond operator left the basis", site=site)
@@ -672,7 +653,7 @@ def _route_defects(patch: PepsPatch, outcomes: dict, tol: float):
     return site_u, edge_ops
 
 
-def _ket_mods(patch: PepsPatch, site_u, edge_ops):
+def _ket_mods(site_u, edge_ops):
     mods = {}
     for (r, c), u in site_u.items():
         mods[(r, c)] = [u, []]
@@ -684,16 +665,13 @@ def _ket_mods(patch: PepsPatch, site_u, edge_ops):
 
 def _sample_peps_bonds(patch: PepsPatch, rng):
     """Sequential exact Born draws, one batched contraction per bond."""
-    basis = patch.basis
     order = patch.bonds()
-    projectors = [bond_projector(basis, j) for j in range(len(basis.elements))]
-    pairs = np.stack([np.kron(m, m.conj()) for m in projectors])
+    both = patch.outcome_pairs[0]
     chosen: dict = {}
     probs = []
     for k, key in enumerate(order):
-        mats = {b: projectors[j] for b, j in chosen.items()}
-        weights = patch.network_value(ket_bonds=mats, bra_bonds=mats, cuts=frozenset(order[k + 1:]),
-                                      batch=(key, pairs))
+        pairs = {b: both[j] for b, j in chosen.items()}
+        weights = patch.network_value(pairs={**pairs, key: both}, cuts=frozenset(order[k + 1:]))
         chosen[key], p = born_choice(weights.real, rng)
         probs.append(p)
     return chosen, probs
@@ -701,11 +679,10 @@ def _sample_peps_bonds(patch: PepsPatch, rng):
 
 def peps_fidelity(patch: PepsPatch, outcomes: dict, site_u, edge_ops) -> float:
     """Overlap fidelity of the corrected network against the clean target."""
-    basis = patch.basis
-    mats = {k: bond_projector(basis, j) for k, j in outcomes.items()}
-    mods = _ket_mods(patch, site_u, edge_ops)
-    tc = patch.network_value(ket_mods=mods, ket_bonds=mats)
-    cc = patch.network_value(ket_mods=mods, bra_mods=mods, ket_bonds=mats, bra_bonds=mats)
+    both, ket_only = patch.outcome_pairs
+    mods = _ket_mods(site_u, edge_ops)
+    tc = patch.network_value(pairs={k: ket_only[j] for k, j in outcomes.items()}, ket_mods=mods)
+    cc = patch.network_value(pairs={k: both[j] for k, j in outcomes.items()}, ket_mods=mods, bra_mods=mods)
     denom = patch.target_norm * cc.real
     if denom <= 0:
         return 0.0
@@ -717,9 +694,12 @@ def run_peps_protocol(grid, orientation="ur", seed: int = 0, tol: float = DEFAUL
 
     ``orientation`` is a single drain direction or a per-site grid of
     directions from {ur, ul, dr, dl}; regions must drain consistently.
+    Each bond's Born conditional comes from one contraction against the
+    pair matrices of all its outcomes, and the fidelity from two overlaps.
     ``final_state`` is None, as for chains; ``dense_state`` with the
-    outcomes' ``bond_projector``s and the routed corrections (``_ket_mods``)
-    gives a small patch's corrected state.
+    outcomes' ``bond_projector``s as ``ket_bonds`` and
+    ``_ket_mods(site_u, edge_ops)`` of the routed corrections gives a small
+    patch's corrected state (up to 2^22 amplitudes).
     """
     patch = grid if isinstance(grid, PepsPatch) else PepsPatch(grid, orientation, tol)
     if patch.rows * patch.cols > 9:
@@ -757,28 +737,31 @@ def peps_routing_complete(patch: PepsPatch) -> bool:
     return True
 
 
-def enumerate_peps_outcomes(patch: PepsPatch, tol: float = DEFAULT_TOL, fidelity_limit: int | None = None):
+def enumerate_peps_outcomes(patch: PepsPatch, tol: float = DEFAULT_TOL):
     """Exhaustive accounting over all PEPS outcome tuples (small patches).
 
-    Returns an EnumerationReport; ``fidelity_limit`` caps how many outcome
-    tuples get the (more expensive) fidelity contraction, None meaning all.
+    Returns an EnumerationReport with every correctable tuple's fidelity.
+    Tuples come with the last bond varying fastest, so one batched
+    contraction gives the Born weights of all its outcomes for each choice
+    of the other bonds.
     """
     order = patch.bonds()
     check_enumeration_size(len(patch.basis.elements), len(order))
     norm_free = patch.network_value(cuts=frozenset(order)).real
-    position = itertools.count()
+    both = patch.outcome_pairs[0]
+    weights = {}  # head of a tuple -> Born weights of the last bond's outcomes
 
     def branch(combo):
+        head, last = combo[:-1], combo[-1:]  # last is () on a patch without bonds
+        if head not in weights:
+            pairs = {key: both[j] for key, j in zip(order, head)} | dict.fromkeys(order[-1:], both)
+            weights[head] = np.asarray(patch.network_value(pairs).real) / norm_free
+        p = weights[head][last]
         outcomes = dict(zip(order, combo))
-        mats = {k: bond_projector(patch.basis, j) for k, j in outcomes.items()}
-        p = patch.network_value(ket_bonds=mats, bra_bonds=mats).real / norm_free
-        late = fidelity_limit is not None and next(position) >= fidelity_limit
         try:
             site_u, edge_ops = _route_defects(patch, outcomes, tol)
         except DefectStuckError:
             return p, False, None
-        if late:
-            return p, True, None
         return p, True, peps_fidelity(patch, outcomes, site_u, edge_ops)
 
     return enumerate_branches(len(patch.basis.elements), len(order), branch)

@@ -257,7 +257,7 @@ def test_criterion_8_peps_protocol():
     a = complete_with_isometry(topo_solution(WH2, alpha))
     ok = True
     patch2 = PepsPatch([[a, a], [a, a]], "ur")
-    report = enumerate_peps_outcomes(patch2, fidelity_limit=24)
+    report = enumerate_peps_outcomes(patch2)
     ok = ok and all(report.correctable)
     ok = ok and abs(report.success_probability - 1.0) < 1e-9
     ok = ok and all(f is None or f >= 1 - 1e-9 for f in report.fidelities)

@@ -226,6 +226,15 @@ class TestDispatch:
         assert outputs["success_rate"] == 0.0
         assert outputs["worst_success_fidelity"] == 1.0
 
+    def test_simulate_drains_a_peps_patch_downward(self, capsys):
+        # a vertical bond's up and down ends were once swapped when the sites were
+        # ordered, so a downward defect reached a bond that was already corrected
+        spec = json.dumps({"basis": "WH:2", "alpha": [[1, 0], [0, 0], [1, 0], [0, 0]], "orientation": "dr"})
+        code, out = run(capsys, ["simulate", "--peps", spec, "--rows", "3", "--cols", "3", "--trials", "8"])
+        rep = report_of(out)
+        assert code == 0
+        assert rep["checks"] == [{"name": "all_trials_succeed", "passed": True}]
+
     @pytest.mark.parametrize("orientation", ["zz", [["ur"]], 5, [["ur", "ur"], ["ur", "zz"]]],
                              ids=["unknown", "wrong-shape", "number", "unknown-entry"])
     def test_simulate_refuses_a_malformed_peps_orientation(self, capsys, orientation):

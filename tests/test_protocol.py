@@ -1,17 +1,21 @@
 """Monte-Carlo MF protocol runs, exact enumeration, and PEPS patch routing."""
 
+import graphlib
 import itertools
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from mftn import protocol
-from mftn.errors import BoundaryError, NumericalRangeError, SizeGuardError
+from mftn.errors import BoundaryError, DefectStuckError, NumericalRangeError, SizeGuardError
 from mftn.fixtures import aklt_tensor, cluster_tensor, copy_tensor
 from mftn.mps import MPSTensor, chain_state, complete_constraints, solve_symmetry_family, spt_solution
 from mftn.peps import PEPSTensor, complete_with_isometry, topo_solution
 from mftn.protocol import (
+    ORIENTATIONS,
     PepsPatch,
     _ket_mods,
     _route_defects,
@@ -243,12 +247,12 @@ class TestPepsProtocol:
         outcomes = dict(zip(patch.bonds(), run.outcomes))
         site_u, edge_ops = _route_defects(patch, outcomes, DEFAULT_TOL)
         mats = {k: bond_projector(wh2, j) for k, j in outcomes.items()}
-        corrected = patch.dense_state(ket_mods=_ket_mods(patch, site_u, edge_ops), ket_bonds=mats)
+        corrected = patch.dense_state(ket_mods=_ket_mods(site_u, edge_ops), ket_bonds=mats)
         assert state_fidelity(corrected.data, patch.dense_state().data) >= 1 - 1e-9
 
     def test_two_by_two_enumeration_all_correctable(self, wh2):
         patch = toric_patch(wh2, 2, 2)
-        report = enumerate_peps_outcomes(patch, fidelity_limit=40)
+        report = enumerate_peps_outcomes(patch)
         assert all(report.correctable)
         assert report.success_probability == pytest.approx(1.0, abs=1e-9)
         assert max(abs(p - 1 / 256) for p in report.probabilities) <= 1e-15
@@ -273,6 +277,34 @@ class TestPepsProtocol:
             assert run.success
             assert run.fidelity >= 1 - 1e-9
 
+    @pytest.mark.parametrize("rows, cols, orientation", [(2, 1, "dr"), (2, 2, "dr"), (2, 2, "dl"), (3, 3, "dr")])
+    def test_downward_drain(self, wh2, rows, cols, orientation):
+        # a vertical bond's up and down ends were once swapped when the sites were
+        # ordered, so a downward defect reached a bond that was already corrected
+        patch = toric_patch(wh2, rows, cols, orientation)
+        for seed in range(8):
+            run = run_peps_protocol(patch, seed=seed)
+            assert run.success
+            assert run.fidelity >= 1 - 1e-9
+
+    def test_single_site_enumeration(self, wh2):
+        report = enumerate_peps_outcomes(toric_patch(wh2, 1, 1))
+        assert report.outcomes == [()]
+        assert report.probabilities == [1.0]
+        assert report.correctable == [True]
+        assert report.fidelities == pytest.approx([1.0], abs=1e-12)
+
+    def test_dense_state_size_guard_comes_before_any_einsum(self, wh2, monkeypatch):
+        # 8^9 physical amplitudes times 2^12 for the boundary legs
+        patch = toric_patch(wh2, 3, 3)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("einsum called before the size guard")
+
+        monkeypatch.setattr(np, "einsum", refuse)
+        with pytest.raises(SizeGuardError):
+            patch.dense_state()
+
     def test_uniform_bond_probabilities(self, wh2):
         patch = toric_patch(wh2, 2, 2)
         run = run_peps_protocol(patch, seed=2)
@@ -283,6 +315,57 @@ class TestPepsProtocol:
         q = topo_solution(wh2, alpha)
         patch = PepsPatch([[q, q], [q, q]], "ur")
         assert peps_routing_complete(patch)
+
+
+def emission_graph(patch):
+    """Site -> the sites its defects feed, from the bond keys and ORIENTATIONS alone.
+
+    ("h", r, c) joins the right leg of (r, c) to the left leg of (r, c+1);
+    ("v", r, c) joins the down leg of (r, c) to the up leg of (r+1, c).
+    """
+    graph = {(r, c): set() for r in range(patch.rows) for c in range(patch.cols)}
+    for kind, r, c in patch.bonds():
+        if kind == "h":
+            a, b = ((r, c), 2), ((r, c + 1), 0)
+        else:
+            a, b = ((r, c), 3), ((r + 1, c), 1)
+        for (emitter, out_slot), (receiver, in_slot) in ((a, b), (b, a)):
+            outs = ORIENTATIONS[patch.orient[emitter[0]][emitter[1]]][1]
+            ins = ORIENTATIONS[patch.orient[receiver[0]][receiver[1]]][0]
+            if out_slot in outs and in_slot in ins:
+                graph[emitter].add(receiver)
+    return graph
+
+
+@st.composite
+def orientation_grids(draw):
+    rows, cols = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    row = st.lists(st.sampled_from(sorted(ORIENTATIONS)), min_size=cols, max_size=cols)
+    return draw(st.lists(row, min_size=rows, max_size=rows))
+
+
+@pytest.fixture(scope="module")
+def toric_site(wh2):
+    return toric_patch(wh2, 1, 1).grid[0][0]
+
+
+@settings(max_examples=80, deadline=None)
+@given(orient=orientation_grids())
+@example(orient=[["ur", "dr"], ["ul", "dl"]])  # defects circle the plaquette
+def test_processing_order_respects_the_emission_graph(toric_site, orient):
+    patch = PepsPatch([[toric_site] * len(orient[0]) for _ in orient], orient)
+    graph = emission_graph(patch)
+    feeders = {site: {s for s in graph if site in graph[s]} for site in graph}
+    try:
+        list(graphlib.TopologicalSorter(feeders).static_order())
+    except graphlib.CycleError:
+        with pytest.raises(DefectStuckError):
+            patch.processing_order()
+        return
+    order = patch.processing_order()
+    assert sorted(order) == sorted(graph)
+    position = {site: k for k, site in enumerate(order)}
+    assert all(position[emitter] < position[receiver] for emitter in graph for receiver in graph[emitter])
 
 
 class TestClusterChain:
@@ -311,6 +394,9 @@ def unfolded_value(patch, ket_mods, bra_mods, ket_bonds, bra_bonds, cuts):
 
     A cut bond's legs, like a boundary leg, are traced against the same site's
     bra leg; a live bond joins each layer's two sides through its own matrix.
+    The bond geometry is written out here, apart from the patch's bond table:
+    a bond matrix's first index sits on the west site of a horizontal bond and
+    on the south site of a vertical one.
     """
     fresh = itertools.count()
     eye = np.eye(patch.D)
@@ -324,9 +410,10 @@ def unfolded_value(patch, ket_mods, bra_mods, ket_bonds, bra_bonds, cuts):
     for r in range(patch.rows):
         for c in range(patch.cols):
             ket_labels, bra_labels = [], []
-            for key in map(patch.site_bond_slots(r, c).get, range(4)):
+            # left, up, right, down: (bond key, 0 on the bond's first side, 1 on its second)
+            slots = [(("h", r, c - 1), 1), (("v", r - 1, c), 0), (("h", r, c), 0), (("v", r, c), 1)]
+            for key, side in slots:
                 if key in sides:
-                    side = patch._first_side(key) != (r, c)
                     ket_labels.append(sides[key]["k"][side])
                     bra_labels.append(sides[key]["b"][side])
                 else:
@@ -336,6 +423,19 @@ def unfolded_value(patch, ket_mods, bra_mods, ket_bonds, bra_bonds, cuts):
             operands += [patch._site_array(r, c, ket_mods.get((r, c))), ket_labels + [phys]]
             operands += [patch._site_array(r, c, bra_mods.get((r, c))).conj(), bra_labels + [phys]]
     return complex(np.einsum(*operands, [], optimize=True))
+
+
+def pair_matrices(patch, ket_bonds, bra_bonds):
+    """``network_value``'s pairs: kron(ket, bra^*) on every bond either layer sets."""
+    eye = np.eye(patch.D)
+    return {key: np.kron(ket_bonds.get(key, eye), bra_bonds.get(key, eye).conj())
+            for key in {**ket_bonds, **bra_bonds}}
+
+
+def batched_bond(pairs):
+    """The one bond whose pair matrix is a stack."""
+    (key,) = [key for key, m in pairs.items() if m.ndim == 3]
+    return key
 
 
 def assert_batched_weights_match(patch, monkeypatch):
@@ -349,15 +449,16 @@ def assert_batched_weights_match(patch, monkeypatch):
         return value
 
     monkeypatch.setattr(PepsPatch, "network_value", recording)
-    _sample_peps_bonds(patch, philox_rng(0))
+    chosen, _ = _sample_peps_bonds(patch, philox_rng(0))
     monkeypatch.undo()
     projectors = [bond_projector(patch.basis, j) for j in range(len(patch.basis.elements))]
-    assert [kwargs["batch"][0] for kwargs, _ in draws] == patch.bonds()
-    for kwargs, batched in draws:
+    order = patch.bonds()
+    assert [batched_bond(kwargs["pairs"]) for kwargs, _ in draws] == order
+    for k, (kwargs, batched) in enumerate(draws):
         single = []
         for m in projectors:
-            mats = {**kwargs["ket_bonds"], kwargs["batch"][0]: m}
-            single.append(patch.network_value(ket_bonds=mats, bra_bonds=mats, cuts=kwargs["cuts"]).real)
+            mats = {**{b: projectors[chosen[b]] for b in order[:k]}, order[k]: m}
+            single.append(patch.network_value(pair_matrices(patch, mats, mats), cuts=kwargs["cuts"]).real)
         assert np.max(np.abs(batched - single)) <= 1e-14 * np.sum(single)
 
 
@@ -396,11 +497,20 @@ class TestBatchedPepsContraction:
             bra_bonds = {key: random_complex(rng, 2, 2) for key in bonds[2:]}
             return ket_mods, bra_mods, ket_bonds, bra_bonds, frozenset(bonds[5:])
 
-        patch.network_value(*arguments())  # folds and keeps the unmodified sites
+        def folded_value(ket_mods, bra_mods, ket_bonds, bra_bonds, cuts):
+            return patch.network_value(pair_matrices(patch, ket_bonds, bra_bonds), ket_mods, bra_mods, cuts)
+
+        folded_value(*arguments())  # folds and keeps the unmodified sites
         for _ in range(3):
             args = arguments()
             expected = unfolded_value(patch, *args)
-            assert abs(patch.network_value(*args) - expected) <= 1e-12 * abs(expected)
+            assert abs(folded_value(*args) - expected) <= 1e-12 * abs(expected)
+
+    def test_one_stacked_bond_at_most(self, wh2):
+        patch = toric_patch(wh2, 1, 3)
+        stack = patch.outcome_pairs[0]
+        with pytest.raises(ValueError, match="at most one bond"):
+            patch.network_value(dict.fromkeys(patch.bonds()[:2], stack))
 
     def test_outcomes_pinned(self, patch):
         pinned = {
@@ -418,7 +528,7 @@ class TestBatchedPepsContraction:
         original = PepsPatch.network_value
 
         def counting(self, *args, **kwargs):
-            calls.append(kwargs.get("batch") is not None)
+            calls.append(any(m.ndim == 3 for m in (kwargs.get("pairs") or {}).values()))
             return original(self, *args, **kwargs)
 
         monkeypatch.setattr(PepsPatch, "network_value", counting)
@@ -469,6 +579,6 @@ class TestSamplingMatchesEnumeration:
 
     def test_toric_patch(self, wh2):
         patch = toric_patch(wh2, 2, 2)
-        report = enumerate_peps_outcomes(patch, fidelity_limit=0)
+        report = enumerate_peps_outcomes(patch)
         weights = dict(zip(report.outcomes, report.probabilities))
         self.assert_runs_match(weights, (run_peps_protocol(patch, seed=s) for s in range(20)))
