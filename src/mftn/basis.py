@@ -68,6 +68,7 @@ class MFBasis:
         self._validate()
         self._product_cache = None
         self._dagger_cache = None
+        self._image_cache = {}
         self._identity_index = None
 
     def _validate(self) -> None:
@@ -133,6 +134,11 @@ class MFBasis:
             self._product_cache = (idx.reshape(products.shape[:2]), ph.reshape(products.shape[:2]))
         return self._product_cache
 
+    def compose(self, x, y) -> tuple[int, complex]:
+        """(class, phase) of the product of the (class, phase) pairs x and y."""
+        idx, ph = self._product_cache or self.product_table()
+        return int(idx[x[0], y[0]]), x[1] * y[1] * ph[x[0], y[0]]
+
     def dagger_table(self):
         """(index, phase) with P_i† = phase * P_k."""
         if self._dagger_cache is None:
@@ -142,6 +148,20 @@ class MFBasis:
                 np.array([c for _, c in pairs], dtype=np.complex128),
             )
         return self._dagger_cache
+
+    def conjugate_table(self) -> dict:
+        """j -> (k, phase) with P_j^* = phase * P_k; no entry when P_j^* leaves the basis."""
+        return self._image_table("conjugate", np.conj)
+
+    def transpose_table(self) -> dict:
+        """j -> (k, phase) with P_j^T = phase * P_k; no entry when P_j^T leaves the basis."""
+        return self._image_table("transpose", lambda stack: stack.transpose(0, 2, 1))
+
+    def _image_table(self, name, image) -> dict:
+        if name not in self._image_cache:
+            idx, ph, ok = _phase_match(self._conj_vecs, image(np.stack(self.elements)), MATCH_FLOOR)
+            self._image_cache[name] = {j: (int(k), complex(c)) for j, (k, c, hit) in enumerate(zip(idx, ph, ok)) if hit}
+        return self._image_cache[name]
 
     def to_json(self) -> dict:
         return {

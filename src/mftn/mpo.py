@@ -262,10 +262,9 @@ def _mpo_input(tensors, psi) -> np.ndarray:
 def direct_mpo_state(tensors, psi, bond_ops=None, boundary: str = "open") -> np.ndarray:
     """Direct contraction of the MPO chain applied to the input ``psi``.
 
-    ``bond_ops`` and ``boundary`` are as in ``mps.chain_state``: ``bond_ops[b]``
-    is an optional matrix on the bond after site b, and periodic chains trace
-    the wrap bond.  Output axes: (edge_left, o_1, ..., o_n, edge_right) for
-    open chains, (o_1, ..., o_n) for periodic ones.
+    ``bond_ops[b]`` is an optional matrix on the bond after site b, and
+    periodic chains trace the wrap bond.  Output axes: (edge_left, o_1, ...,
+    o_n, edge_right) for open chains, (o_1, ..., o_n) for periodic ones.
     """
     tensors = list(tensors)
     nbonds = len(tensors) if boundary == "periodic" else len(tensors) - 1
@@ -315,7 +314,7 @@ def apply_mpo_via_protocol(tensors, input_state, boundary: str = "open", seed: i
         probs.append(p)
         state = branches[j]
 
-    corrections, edge_fix, _ = push_chain_defects(completed, basis, outcomes, "open", tol)
+    corrections, edge_fix, _ = push_chain_defects(completed, basis, outcomes, "open")
     state = apply_chain_corrections(state, corrections, edge_fix, "open")
 
     target = direct_mpo_state(tensors, input_state)
@@ -348,7 +347,7 @@ def periodic_mpo_accounting(tensors, input_state, tol: float = DEFAULT_TOL) -> E
         state = direct_mpo_state(tensors, psi, [bond_projector(basis, j) for j in combo], "periodic")
         # push bond defects into the wrap bond, correcting the o legs
         try:
-            corrections, _, ok = push_chain_defects(completed, basis, combo, "periodic", tol)
+            corrections, _, ok = push_chain_defects(completed, basis, combo, "periodic")
         except DefectStuckError:
             corrections, ok = [], False
         state = apply_chain_corrections(state, corrections, None, "periodic")

@@ -726,27 +726,18 @@ def pauli_expectation(family, pauli_string, tol: float = DEFAULT_TOL) -> complex
     return complex(value * np.trace(wire))
 
 
-def chain_state(family, bond_ops=None, boundary: str = "open") -> np.ndarray:
-    """Dense chain contraction; open boundaries keep edge legs as axes 0 and -1.
-
-    ``bond_ops[b]`` is an optional matrix inserted on the bond after site b;
-    periodic chains trace the wrap bond (with its optional insertion).
-    """
-    n = len(family)
-    nbonds = n if boundary == "periodic" else n - 1
-    bond_ops = list(bond_ops) if bond_ops is not None else [None] * nbonds
-    if len(bond_ops) != nbonds:
-        raise DimensionMismatchError(f"need {nbonds} bond entries")
-    cur = np.stack(family[0].site_matrices())  # (d0, D, D)
-    for k in range(1, n):
-        if bond_ops[k - 1] is not None:
-            cur = np.einsum("...lr,rs->...ls", cur, bond_ops[k - 1])
-        nxt = np.stack(family[k].site_matrices())
-        cur = np.einsum("...lr,prs->...pls", cur, nxt)
+def chain_state(stacks, boundary: str = "open") -> np.ndarray:
+    """Dense contraction of a chain of (d, D, D) site stacks A^i (left row,
+    right column), a bond's matrix folded into a stack; open boundaries keep
+    edge legs as axes 0 and -1, periodic ones trace the wrap bond.  Each site
+    is one matrix product, with its stack viewed as (r, (p, s))."""
+    cur = stacks[0]  # (d0, D, D)
+    for nxt in stacks[1:]:
+        d, D, D_right = nxt.shape
+        out = cur.reshape(-1, D) @ nxt.transpose(1, 0, 2).reshape(D, d * D_right)
+        cur = out.reshape(cur.shape[:-1] + (d, D_right)).swapaxes(-3, -2)  # (..., p, l, s)
     if boundary == "open":
         return np.moveaxis(cur, -2, 0)  # (D_left, d_1..d_n, D_right)
     if boundary == "periodic":
-        if bond_ops[n - 1] is not None:
-            cur = np.einsum("...lr,rs->...ls", cur, bond_ops[n - 1])
         return np.einsum("...ll->...", cur)
     raise BoundaryError(f"unknown boundary {boundary!r}")

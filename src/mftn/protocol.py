@@ -33,7 +33,6 @@ from .errors import (
     SymmetryError,
 )
 from .mps import (
-    MPSTensor,
     apply_leg_ops,
     chain_state,
     check_mf_symmetry,
@@ -180,15 +179,7 @@ def _chain_fidelity(stacks, transfers, basis, outcomes, corrections, edge_fix, b
     return float(abs(tc) ** 2 / (tt.real * cc.real) * np.exp(2 * log_tc - log_tt - log_cc))
 
 
-def _resolve_scaled(basis, m, tol):
-    """(class, phase) with m = scale * phase * P_class for some scale > 0, or None."""
-    scale = np.linalg.norm(m) / np.sqrt(basis.dim)
-    if scale <= 0:
-        return None
-    return basis.try_resolve(m / scale, tol)
-
-
-def push_chain_defects(completed, basis, outcomes, boundary, tol):
+def push_chain_defects(completed, basis, outcomes, boundary):
     """Left-to-right defect sweep over the measured bonds of a chain.
 
     ``completed[k]`` is the closed constraint table of site k (see
@@ -197,26 +188,21 @@ def push_chain_defects(completed, basis, outcomes, boundary, tol):
     on the physical legs, the inverse of the final defect for the open right
     edge (None for periodic chains), and whether the merged wrap-bond defect
     of a periodic chain is the identity class (always True for open chains).
-    The running defect carries its phase but not the bonds' 1/sqrt(D)
-    scale, so it cannot underflow; corrected states are therefore fixed up
-    to a positive factor, which every fidelity divides out.
+    The running defect is a (class, phase) pair, phase * P_class, composed
+    exactly by ``MFBasis.compose`` and the conjugate table; it drops the
+    bonds' 1/sqrt(D) scale, so corrected states are fixed up to a positive
+    factor, which every fidelity divides out.
     """
-    D = basis.dim
-    n = len(completed)
-    nbonds = n if boundary == "periodic" else n - 1
+    nbonds = len(completed) if boundary == "periodic" else len(completed) - 1
+    conjugates = basis.conjugate_table()
     corrections = []
-    carry = np.eye(D, dtype=np.complex128)
-    predicted = True
-    edge_fix = None
+    cls, phase = basis.identity_index, 1.0 + 0j
     for b in range(nbonds):
-        combined = carry @ bond_projector(basis, outcomes[b])
-        hit = _resolve_scaled(basis, combined, tol)
-        if hit is None:
+        if outcomes[b] not in conjugates:
             raise DefectStuckError("bond operator left the basis", site=b)
-        cls, phase = hit
+        cls, phase = basis.compose((cls, phase), conjugates[outcomes[b]])
         if boundary == "periodic" and b == nbonds - 1:
-            predicted = cls == basis.identity_index
-            break
+            return corrections, None, cls == basis.identity_index
         site = b + 1
         if cls not in completed[site]:
             raise DefectStuckError(
@@ -224,26 +210,27 @@ def push_chain_defects(completed, basis, outcomes, boundary, tol):
                 site=site,
                 operator=basis.labels[cls],
             )
-        u, out_cls = completed[site][cls]
+        u, cls = completed[site][cls]
         corrections.append((site, u))
-        carry = phase * basis.elements[out_cls]
-    if boundary == "open":
-        edge_fix = np.linalg.inv(carry)
-    return corrections, edge_fix, predicted
+    return corrections, basis.elements[cls].conj().T / phase, True
 
 
 def apply_chain_corrections(state, corrections, edge_fix, boundary):
     """Apply the sweep's site unitaries and edge fix to a dense chain state.
 
     ``state`` has one axis per physical leg, framed by the two edge legs for
-    open chains; ``edge_fix`` (if any) acts on the last axis.
+    open chains; ``edge_fix`` (if any) acts on the last axis.  Each unitary
+    is one matmul on the state viewed as (prefix, d, suffix), with the d axis
+    brought to the front, so that it is a single matrix product.
     """
     offset = 1 if boundary == "open" else 0
+    shape = state.shape
     for site, u in corrections:
-        axis = site + offset
-        state = np.moveaxis(np.tensordot(u, state, axes=([1], [axis])), 0, axis)
+        prefix, d = math.prod(shape[:site + offset]), shape[site + offset]
+        legs = state.reshape(prefix, d, -1).transpose(1, 0, 2).reshape(d, -1)
+        state = (u @ legs).reshape(d, prefix, -1).transpose(1, 0, 2).reshape(shape)
     if edge_fix is not None:
-        state = np.tensordot(state, edge_fix, axes=([-1], [0]))
+        state = (state.reshape(-1, shape[-1]) @ edge_fix).reshape(shape)
     return state
 
 
@@ -260,13 +247,11 @@ def run_mps_protocol(tensors, boundary: str = "open", seed: int = 0, tol: float 
     rng = philox_rng(seed)
     if len(tensors) == 1 and boundary == "open":
         return ProtocolRun(seed, RNG_ALGORITHM, [], [], [], None, 1.0, True, True)
-    # the exact rescale keeps the Born weights of tiny or huge tensors finite
-    scaled = per_distinct(tensors, _power_of_two_scaled)
-    stacks = per_distinct(scaled, lambda x: np.stack(x.site_matrices()))
+    stacks = _site_stacks(tensors)
     transfers = per_distinct(stacks, lambda s: _transfer(s, s))
     outcomes, probs = _sample_chain_bonds(transfers, basis, boundary, rng)
     completed = per_distinct(tensors, complete_constraints)
-    corrections, edge_fix, predicted = push_chain_defects(completed, basis, outcomes, boundary, tol)
+    corrections, edge_fix, predicted = push_chain_defects(completed, basis, outcomes, boundary)
     fid = _chain_fidelity(stacks, transfers, basis, outcomes, corrections, edge_fix, boundary)
     return ProtocolRun(seed, RNG_ALGORITHM, outcomes, probs, corrections,
                        None, fid, fid >= 1 - max(tol, VERDICT_FLOOR), predicted)
@@ -323,36 +308,45 @@ def enumerate_branches(outcomes_per_bond: int, nbonds: int, branch) -> Enumerati
     return EnumerationReport(outs, probs, correctable, fids, float(success_p))
 
 
-def _power_of_two_scaled(t: MPSTensor) -> MPSTensor:
-    """t divided by the power of two nearest its largest entry.
+def _site_stacks(tensors) -> list:
+    """The (d, D, D) site stacks A^i of a chain, one per distinct tensor.
 
-    The rescaling is exact, and it keeps the d^n products of a tiny or a huge
-    tensor from under- or overflowing.
+    Each is divided by the power of two nearest its largest entry.  The
+    rescaling is exact, and it keeps the d^n products and Born weights of a
+    tiny or a huge tensor from under- or overflowing.
     """
-    data = np.ascontiguousarray(t.tensor.data)
-    exponent = np.frexp(np.abs(data).max())[1]
-    # scaling the float64 view scales real and imaginary parts alike
-    scaled = np.ldexp(data.view(np.float64), -exponent).view(np.complex128)
-    return MPSTensor(DenseTensor(scaled, t.tensor.legs), t.basis, t.constraints)
+    def scaled(t):
+        stack = np.stack(t.site_matrices())
+        # scaling the float64 view scales real and imaginary parts alike
+        return np.ldexp(stack.view(np.float64), -np.frexp(np.abs(stack).max())[1]).view(np.complex128)
+
+    return per_distinct(tensors, scaled)
 
 
 def enumerate_outcomes(tensors, boundary: str = "open", tol: float = DEFAULT_TOL) -> EnumerationReport:
-    """Exhaustive exact accounting over all measurement outcome tuples."""
+    """Exhaustive exact accounting over all measurement outcome tuples.
+
+    Site stacks, with each outcome's bond projector folded in, and constraint
+    tables are built once per call, not once per tuple.
+    """
     tensors = list(tensors)
     basis = _validate_chain(tensors, tol)
     D = basis.dim
     nbonds = len(tensors) if boundary == "periodic" else len(tensors) - 1
     check_enumeration_size(D * D, nbonds)
-    tensors = per_distinct(tensors, _power_of_two_scaled)
+    stacks = _site_stacks(tensors)
     # with every bond unmeasured each site is its own closed segment, of norm |A_k|^2
-    norm_free = np.prod([np.linalg.norm(x.tensor.data) ** 2 for x in tensors])
-    target = chain_state(tensors, None, boundary)
+    norm_free = np.prod([np.linalg.norm(s) ** 2 for s in stacks])
+    projectors = [bond_projector(basis, j) for j in range(D * D)]
+    # A^i P_j: each site stack with outcome j measured on the bond to its right
+    measured = per_distinct(stacks, lambda s: [s @ p for p in projectors])
+    target = chain_state(stacks, boundary)
     completed = per_distinct(tensors, complete_constraints)
 
     def branch(combo):
-        projected = chain_state(tensors, [bond_projector(basis, j) for j in combo], boundary)
+        projected = chain_state([m[j] for m, j in zip(measured, combo)] + stacks[nbonds:], boundary)
         try:
-            corrections, edge_fix, predicted = push_chain_defects(completed, basis, combo, boundary, tol)
+            corrections, edge_fix, predicted = push_chain_defects(completed, basis, combo, boundary)
         except DefectStuckError:
             predicted, corrections, edge_fix = False, [], None
         fid = state_fidelity(apply_chain_corrections(projected, corrections, edge_fix, boundary), target)
@@ -588,39 +582,46 @@ def _fold_site(ket, bra, live, D):
     return arr.reshape((D * D,) * len(live))
 
 
-def _route_defects(patch: PepsPatch, outcomes: dict, tol: float):
+def _route_defects(patch: PepsPatch, outcomes: dict):
     """Symbolic defect sweep.  Returns per-site unitaries and boundary fixes.
 
-    ``outcomes`` maps bond keys to measured basis indices.  Pending bond
-    matrices are tracked in [first-end, second-end] index order (see
-    ``PepsPatch``); receiving on the first end uses the matrix directly, on
-    the second its transpose.  Emissions compose exactly, so the
-    recorded corrections transform the measured network into the target one.
+    ``outcomes`` maps bond keys to measured basis indices.  Each pending bond
+    holds its matrix, in [first-end, second-end] index order (see
+    ``PepsPatch``), as a (class, phase) pair composed exactly through the
+    basis's tables; the second end sees the transpose.  Identity-class
+    emissions are dropped whatever their phase, which is a global scalar, so
+    the recorded corrections transform the measured network into the target
+    one up to a phase.
     """
     basis = patch.basis
-    D = patch.D
-    pend = {key: bond_projector(basis, j) for key, j in outcomes.items()}
-    consumed = {key: False for key in pend}
-    site_u = {}
-    edge_ops = {}
+    conjugates, transposes = basis.conjugate_table(), basis.transpose_table()
     ident = basis.identity_index
 
+    def in_basis(table, cls, phase, where):
+        if cls not in table:
+            raise DefectStuckError("bond operator left the basis", site=where)
+        k, ph = table[cls]
+        return k, phase * ph
+
+    pend = {key: in_basis(conjugates, j, 1.0, key) for key, j in outcomes.items()}
+    consumed = dict.fromkeys(pend, False)
+    site_u, edge_ops = {}, {}
+
     def emit(site, slot, cls, phase):
-        if cls == ident and abs(phase - 1.0) < 1e-12:
+        if cls == ident:
             return
-        g = phase * basis.elements[cls]
         bond = patch.slot_bonds[site][slot]
         if bond is None:
             r, c = site
-            prev = edge_ops.get((r, c, slot), np.eye(D, dtype=np.complex128))
-            edge_ops[(r, c, slot)] = prev @ g
+            prev = edge_ops.get((r, c, slot), np.eye(patch.D, dtype=np.complex128))
+            edge_ops[(r, c, slot)] = prev @ (phase * basis.elements[cls])
             return
         if consumed[bond]:
             raise DefectStuckError("emission into an already corrected bond", site=site)
         if patch.ends[bond][0] == (site, slot):
-            pend[bond] = g @ pend[bond]
-        else:
-            pend[bond] = pend[bond] @ g.T
+            pend[bond] = basis.compose((cls, phase), pend[bond])
+        else:  # the second end multiplies the bond matrix by g^T from the right
+            pend[bond] = basis.compose(pend[bond], in_basis(transposes, cls, phase, bond))
 
     for site in patch.processing_order():
         r, c = site
@@ -630,37 +631,29 @@ def _route_defects(patch: PepsPatch, outcomes: dict, tol: float):
             if bond is None or consumed[bond]:
                 continue
             consumed[bond] = True
-            m = pend[bond] if patch.ends[bond][0] == (site, in_slot) else pend[bond].T
-            hit = _resolve_scaled(basis, m, tol)
-            if hit is None:
-                raise DefectStuckError("bond operator left the basis", site=site)
-            cls, phase = hit
+            cls, phase = pend[bond]
+            if patch.ends[bond][0] != (site, in_slot):
+                cls, phase = in_basis(transposes, cls, phase, bond)
             if cls == ident:
                 continue
-            table = patch.push_table(r, c, in_slot)
-            u, c1, c2 = table[cls]
+            u, c1, c2 = patch.push_table(r, c, in_slot)[cls]
             prev = site_u.get(site, np.eye(patch.grid[r][c].d, dtype=np.complex128))
             site_u[site] = prev @ u
             emit(site, outs[0], c1, phase)
             emit(site, outs[1], c2, 1.0)
 
     for key, flag in consumed.items():
-        if flag:
-            continue
-        hit = _resolve_scaled(basis, pend[key], tol)
-        if hit is None or hit[0] != ident:
+        if not flag and pend[key][0] != ident:
             raise DefectStuckError("unconsumed non-identity defect", site=key)
     return site_u, edge_ops
 
 
 def _ket_mods(site_u, edge_ops):
-    mods = {}
-    for (r, c), u in site_u.items():
-        mods[(r, c)] = [u, []]
+    """Per-site (u_phys | None, [(slot, g^-1), ...]) undoing the routed defects."""
+    mods = {site: (u, []) for site, u in site_u.items()}
     for (r, c, slot), g in edge_ops.items():
-        mods.setdefault((r, c), [None, []])
-        mods[(r, c)][1].append((slot, np.linalg.inv(g)))
-    return {k: (v[0], v[1]) for k, v in mods.items()}
+        mods.setdefault((r, c), (None, []))[1].append((slot, np.linalg.inv(g)))
+    return mods
 
 
 def _sample_peps_bonds(patch: PepsPatch, rng):
@@ -708,27 +701,24 @@ def run_peps_protocol(grid, orientation="ur", seed: int = 0, tol: float = DEFAUL
     if not patch.bonds():
         return ProtocolRun(seed, RNG_ALGORITHM, [], [], [], None, 1.0, True, True)
     outcomes, probs = _sample_peps_bonds(patch, rng)
-    site_u, edge_ops = _route_defects(patch, outcomes, tol)
+    site_u, edge_ops = _route_defects(patch, outcomes)
     fid = peps_fidelity(patch, outcomes, site_u, edge_ops)
-    return ProtocolRun(
-        seed,
-        RNG_ALGORITHM,
-        [outcomes[k] for k in patch.bonds()],
-        probs,
-        sorted(site_u.items()),
-        None,
-        fid,
-        fid >= 1 - max(tol, VERDICT_FLOOR),
-        True,
-    )
+    return ProtocolRun(seed, RNG_ALGORITHM, [outcomes[k] for k in patch.bonds()], probs,
+                       sorted(site_u.items()), None, fid, fid >= 1 - max(tol, VERDICT_FLOOR), True)
 
 
 def peps_routing_complete(patch: PepsPatch) -> bool:
-    """Verify every defect class is pushable at every site and in-slot.
+    """Verify every defect class is pushable at every site and in-slot, that
+    the defect flow has no cycle, and that some end of every bond takes it in.
 
-    Corrections for simultaneous defects compose exactly, so completeness of
-    the per-class tables implies every outcome tuple is correctable.
+    A bond that both its ends drain into is never consumed, so its defect
+    stays on it; that refusal names the bond.  Corrections for simultaneous
+    defects compose exactly, so these checks imply every outcome tuple is
+    correctable.
     """
+    for key, ends in patch.ends.items():
+        if all(slot in ORIENTATIONS[patch.orient[r][c]][1] for (r, c), slot in ends):
+            raise DefectStuckError(f"both ends of bond {key} drain into it", site=key)
     for r in range(patch.rows):
         for c in range(patch.cols):
             for in_slot in ORIENTATIONS[patch.orient[r][c]][0]:
@@ -737,7 +727,7 @@ def peps_routing_complete(patch: PepsPatch) -> bool:
     return True
 
 
-def enumerate_peps_outcomes(patch: PepsPatch, tol: float = DEFAULT_TOL):
+def enumerate_peps_outcomes(patch: PepsPatch):
     """Exhaustive accounting over all PEPS outcome tuples (small patches).
 
     Returns an EnumerationReport with every correctable tuple's fidelity.
@@ -759,7 +749,7 @@ def enumerate_peps_outcomes(patch: PepsPatch, tol: float = DEFAULT_TOL):
         p = weights[head][last]
         outcomes = dict(zip(order, combo))
         try:
-            site_u, edge_ops = _route_defects(patch, outcomes, tol)
+            site_u, edge_ops = _route_defects(patch, outcomes)
         except DefectStuckError:
             return p, False, None
         return p, True, peps_fidelity(patch, outcomes, site_u, edge_ops)

@@ -3,6 +3,9 @@ import pytest
 
 from mftn.basis import weyl_heisenberg_basis
 
+# the benchmark's 3 x 3 patch: each quadrant drains to its own corner
+FOUR_CORNER_3X3 = [["ul", "ur", "ur"], ["ul", "ur", "ur"], ["dl", "dr", "dr"]]
+
 
 @pytest.fixture(scope="session")
 def wh2():
@@ -21,3 +24,8 @@ def rng():
 
 def random_complex(rng, *shape):
     return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+def site_stacks(family):
+    """The (d, D, D) site stacks of a chain of MPS tensors, as ``chain_state`` takes them."""
+    return [np.stack(t.site_matrices()) for t in family]

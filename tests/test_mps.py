@@ -32,7 +32,7 @@ from mftn.mps import (
 )
 from mftn.tensors import DenseTensor, projector_onto, proportionality
 
-from conftest import random_complex
+from conftest import random_complex, site_stacks
 
 
 def family_projector(family):
@@ -374,7 +374,7 @@ class TestPauliExpectation:
 
     def dense_expectation(self, family, string):
         # independent oracle: <psi| (I_edge x op x I_edge) |psi> by dense contraction
-        psi = chain_state(family)  # (D, d, d, ..., D)
+        psi = chain_state(site_stacks(family))  # (D, d, d, ..., D)
         n = len(family)
         op = np.array([[1.0 + 0j]])
         for s in string:
@@ -398,7 +398,7 @@ class TestPauliExpectation:
             wh2, aklt_alpha(wh2), 3, [((0, 0), (0, 0))] * 3
         )
         got = pauli_expectation(family, string)
-        psi = chain_state(family)
+        psi = chain_state(site_stacks(family))
         assert got == pytest.approx(np.vdot(psi, psi), rel=1e-9)
 
     def test_aklt_chain_random_strings(self, wh2, rng):
@@ -455,7 +455,7 @@ class TestQutritExpectation:
                 for _ in range(3)
             ]
             got = pauli_expectation(family, string)
-            psi = chain_state(family)
+            psi = chain_state(site_stacks(family))
             op = np.array([[1.0 + 0j]])
             for s in string:
                 op = np.kron(op, s.matrix())
@@ -463,3 +463,17 @@ class TestQutritExpectation:
             mid = np.moveaxis(mid, -2, 0)
             want = np.vdot(psi, mid)
             assert got == pytest.approx(want, rel=1e-8, abs=1e-8)
+
+
+@pytest.mark.parametrize("boundary", ["open", "periodic"])
+def test_chain_state_matches_one_einsum(rng, boundary):
+    # the reference: the whole chain as one einsum, with uneven physical dimensions
+    stacks = [random_complex(rng, d, 3, 3) for d in (2, 3, 1, 2)]
+    n = len(stacks)
+    left, right = (10, 11) if boundary == "open" else (12, 12)  # edge legs, or the wrap bond
+    operands = []
+    for k, s in enumerate(stacks):
+        operands += [s, [k, 20 + k if k else left, 21 + k if k < n - 1 else right]]
+    out = list(range(n)) if boundary == "periodic" else [left, *range(n), right]
+    want = np.einsum(*operands, out)
+    np.testing.assert_allclose(chain_state(stacks, boundary), want, rtol=0, atol=1e-12 * np.abs(want).max())

@@ -10,6 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mftn import protocol
+from mftn.basis import MFBasis
 from mftn.errors import BoundaryError, DefectStuckError, NumericalRangeError, SizeGuardError
 from mftn.fixtures import aklt_tensor, cluster_tensor, copy_tensor
 from mftn.mps import MPSTensor, chain_state, complete_constraints, solve_symmetry_family, spt_solution
@@ -31,8 +32,8 @@ from mftn.protocol import (
     run_mps_protocol,
     run_peps_protocol,
 )
-from mftn.tensors import DEFAULT_TOL, DenseTensor, random_unitary, state_fidelity
-from conftest import random_complex
+from mftn.tensors import DenseTensor, random_unitary, state_fidelity
+from conftest import FOUR_CORNER_3X3, random_complex, site_stacks
 
 
 def toric_patch(wh2, rows, cols, orientations="ur"):
@@ -42,9 +43,6 @@ def toric_patch(wh2, rows, cols, orientations="ur"):
     a = complete_with_isometry(topo_solution(wh2, alpha))
     grid = [[a for _ in range(cols)] for _ in range(rows)]
     return PepsPatch(grid, orientations)
-
-
-FOUR_CORNER_3X3 = [["ul", "ur", "ur"], ["ul", "ur", "ur"], ["dl", "dr", "dr"]]
 
 
 def z3_toric_patch(wh3):
@@ -134,8 +132,10 @@ def dense_corrected_fidelity(chain, boundary, outcomes, target):
     """The corrected chain's fidelity from dense d^n states (the oracle)."""
     basis = chain[0].basis
     completed = [complete_constraints(x) for x in chain]
-    corrections, edge_fix, _ = push_chain_defects(completed, basis, outcomes, boundary, DEFAULT_TOL)
-    projected = chain_state(chain, [bond_projector(basis, j) for j in outcomes], boundary)
+    corrections, edge_fix, _ = push_chain_defects(completed, basis, outcomes, boundary)
+    stacks = site_stacks(chain)
+    measured = [s @ bond_projector(basis, j) for s, j in zip(stacks, outcomes)]
+    projected = chain_state(measured + stacks[len(outcomes):], boundary)
     return state_fidelity(apply_chain_corrections(projected, corrections, edge_fix, boundary), target)
 
 
@@ -149,7 +149,7 @@ class TestChainMatchesDenseOracle:
         tensor = random_aklt_family_member(wh2, rng) if name == "random" else fixtures[name]()
         for n in range(1, 11):
             chain = [tensor] * n
-            target = chain_state(chain, None, boundary)
+            target = chain_state(site_stacks(chain), boundary)
             weights = {}
             if n <= 5:
                 report = enumerate_outcomes(chain, boundary)
@@ -215,6 +215,28 @@ class TestEnumeration:
         with pytest.raises(SizeGuardError):
             enumerate_outcomes([aklt_tensor()] * 10, "open")
 
+    def test_per_call_work_is_done_once_and_nothing_is_resolved(self, monkeypatch):
+        # site matrices once per distinct tensor, not once per tuple; the sweep
+        # composes (class, phase) pairs and never projects a matrix onto the basis
+        calls = []
+        original = MPSTensor.site_matrices
+
+        def counting(self):
+            calls.append(id(self))
+            return original(self)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("try_resolve called by a chain enumeration")
+
+        monkeypatch.setattr(MPSTensor, "site_matrices", counting)
+        monkeypatch.setattr(MFBasis, "try_resolve", refuse)
+        a, b = aklt_tensor(), aklt_tensor()
+        for boundary in ("open", "periodic"):
+            calls.clear()
+            report = enumerate_outcomes([a, b, a, b], boundary)
+            assert len(report.outcomes) == 4 ** (4 if boundary == "periodic" else 3)
+            assert sorted(calls) == sorted([id(a), id(b)])
+
     def test_size_guard_comes_before_the_dense_target(self, monkeypatch):
         # a 40-site chain's dense state would need 3^40 amplitudes
         def refuse(*args):
@@ -245,7 +267,7 @@ class TestPepsProtocol:
         assert run.final_state is None
         # the dense oracle: the measured network with the routed corrections applied
         outcomes = dict(zip(patch.bonds(), run.outcomes))
-        site_u, edge_ops = _route_defects(patch, outcomes, DEFAULT_TOL)
+        site_u, edge_ops = _route_defects(patch, outcomes)
         mats = {k: bond_projector(wh2, j) for k, j in outcomes.items()}
         corrected = patch.dense_state(ket_mods=_ket_mods(site_u, edge_ops), ket_bonds=mats)
         assert state_fidelity(corrected.data, patch.dense_state().data) >= 1 - 1e-9
@@ -309,6 +331,25 @@ class TestPepsProtocol:
         patch = toric_patch(wh2, 2, 2)
         run = run_peps_protocol(patch, seed=2)
         assert run.probabilities == pytest.approx([0.25] * 4, abs=1e-9)
+
+    def test_a_bond_both_ends_drain_into_is_refused(self, wh2):
+        # neither site takes bond ("h", 0, 0) in, so its defect is never consumed
+        patch = toric_patch(wh2, 1, 2, [["ur", "ul"]])
+        with pytest.raises(DefectStuckError, match=r"\('h', 0, 0\)") as refused:
+            peps_routing_complete(patch)
+        assert refused.value.site == ("h", 0, 0)
+        assert enumerate_peps_outcomes(patch).correctable_fraction == 0.25
+
+    @pytest.mark.parametrize("cols", [2, 3])
+    def test_routing_complete_exactly_when_every_tuple_is_correctable(self, wh2, cols):
+        site = toric_patch(wh2, 1, 1).grid[0][0]
+        for row in itertools.product(sorted(ORIENTATIONS), repeat=cols):
+            patch = PepsPatch([[site] * cols], [list(row)])
+            try:
+                accepted = peps_routing_complete(patch)
+            except DefectStuckError:
+                accepted = False
+            assert accepted == (enumerate_peps_outcomes(patch).correctable_fraction == 1), row
 
     def test_routing_completeness_q_form(self, wh2):
         alpha = np.ones(4)
