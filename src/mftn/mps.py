@@ -178,10 +178,12 @@ def symmetry_report(A: MFTensor, tol: float = DEFAULT_TOL) -> SymmetryReport:
     """Relative residual ||U_P B W_in - B W_out|| / ||B|| of every push of A."""
     b = A.as_matrix()
     scale = max(np.linalg.norm(b), 1e-300)
+    dims, elements = (A.D,) * len(A.LEGS), A.basis.elements
     residuals = []
     for c, in_leg, outs in A.pushes():
-        w_in, w_out = push_operators(A.basis, len(A.LEGS), in_leg, c.p_in, outs)
-        residuals.append(float(np.linalg.norm(c.u_phys @ b @ w_in - b @ w_out)) / scale)
+        moved = apply_leg_ops(c.u_phys @ b, dims, {in_leg: elements[c.p_in].T})
+        pushed = apply_leg_ops(b, dims, {leg: elements[k] for leg, k in outs.items()})
+        residuals.append(float(np.linalg.norm(moved - pushed)) / scale)
     return SymmetryReport(residuals, tol)
 
 
@@ -223,12 +225,18 @@ def solve_pushes(b, basis: MFBasis, dims, in_leg: int, in_mats, out_legs, tol: f
     """Yield (images, U) per incoming matrix: the first fit of
     U b (m on in_leg) = b (P_images on out_legs).
 
-    Image tuples are scanned with single-leg pushes first, U is the
-    Procrustes unitary of each, ``tol`` is relative to ||b||, and no target
-    is built after the first fit.  When no tuple fits the k-th matrix, the
-    exception ``fail(k)`` is raised.
+    Image tuples are scanned with single-leg pushes first, ``tol`` is
+    relative to ||b||, and no target is built after the first fit.  Every
+    source and target lies in range(b), so the search runs on R = L† b, with
+    L an orthonormal basis of range(b) of numpy's ``matrix_rank`` size r: one
+    r x r Procrustes unitary U_r per candidate.  U = L U_r L† + (I - L L†) is
+    the identity off range(b), whatever basis L LAPACK returns.  When no
+    tuple fits the k-th matrix, the exception ``fail(k)`` is raised.
     """
     scale = max(np.linalg.norm(b), 1e-300)
+    l, s, _ = np.linalg.svd(b, full_matrices=False)
+    l = l[:, : int(np.sum(s > s.max(initial=0.0) * max(b.shape) * np.finfo(s.dtype).eps))]
+    r_b, off_range = l.conj().T @ b, np.eye(len(l)) - l @ l.conj().T
     ident = basis.identity_index
     candidates = sorted(
         itertools.product(range(len(basis.elements)), repeat=len(out_legs)),
@@ -236,13 +244,13 @@ def solve_pushes(b, basis: MFBasis, dims, in_leg: int, in_mats, out_legs, tol: f
     )
     for k, m in enumerate(in_mats):
         targets = (
-            (images, apply_leg_ops(b, dims, {leg: basis.elements[i] for leg, i in zip(out_legs, images)}))
+            (images, apply_leg_ops(r_b, dims, {leg: basis.elements[i] for leg, i in zip(out_legs, images)}))
             for images in candidates
         )
-        fit = first_unitary_fit(apply_leg_ops(b, dims, {in_leg: m}), targets, tol * scale)
+        fit = first_unitary_fit(apply_leg_ops(r_b, dims, {in_leg: m}), targets, tol * scale)
         if fit is None:
             raise fail(k)
-        yield fit
+        yield fit[0], l @ fit[1] @ l.conj().T + off_range
 
 
 def require_abelian(basis: MFBasis) -> None:

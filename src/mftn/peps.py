@@ -20,7 +20,7 @@ topological solution is Q = sum_i alpha_i (P_i^* x P_i x P_i x P_i^*).
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -362,8 +362,10 @@ def injectivity_check(A: PEPSTensor, spec: TopoSymmetrySpec | None = None, tol: 
 def complete_with_isometry(Q: PEPSTensor, tol: float = DEFAULT_TOL) -> PEPSTensor:
     """Compress the physical leg of a Q-form tensor to rank(Q) via V.
 
-    Returns A = V Q with V the canonical isometry from range(Q); the push
-    constraints are re-derived for the compressed tensor.
+    Returns A = V Q with V the canonical isometry from range(Q).  An exact
+    push's U commutes with Q^2 and so keeps range(Q): each constraint of Q
+    carries over as V U V† with the same images.  A's symmetry is checked,
+    so constraints that do not hold on Q raise SymmetryError.
     """
     b = Q.as_matrix()
     if b.shape[0] != Q.D**4:
@@ -371,9 +373,13 @@ def complete_with_isometry(Q: PEPSTensor, tol: float = DEFAULT_TOL) -> PEPSTenso
     evals, evecs = np.linalg.eigh((b + b.conj().T) / 2)
     keep = evals > tol * max(evals.max(), 1e-300)
     v = evecs[:, keep].conj().T  # rank x D^4 isometry from range(Q)
-    A = PEPSTensor.from_matrix(v @ b, Q.basis)
-    A.constraints_a = derive_push_constraints(A, "a", tol)
-    A.constraints_b = derive_push_constraints(A, "b", tol)
+    try:
+        carried = [[replace(c, u_phys=v @ c.u_phys @ v.conj().T) for c in cs]
+                   for cs in (Q.constraints_a, Q.constraints_b)]
+    except ValueError as exc:  # V U V† is not unitary: U leaves range(Q)
+        raise SymmetryError(f"a push of Q leaves range(Q): {exc}") from exc
+    A = PEPSTensor.from_matrix(v @ b, Q.basis, *carried)
+    check_peps_mf_symmetry(A, tol).require("Q's pushes do not hold on V Q: residual %.3e")
     return A
 
 

@@ -26,6 +26,19 @@ def random_complex(rng, *shape):
     return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
 
 
+def x_power_alpha(basis, charge=0):
+    """alpha_i = omega_k^i on the X-power subgroup {X^i}."""
+    D = basis.dim
+    alpha = np.zeros(len(basis.elements), dtype=complex)
+    x = basis.element("X")
+    cur = np.eye(D, dtype=complex)
+    for i in range(D):
+        idx, _ = basis.resolve(cur)
+        alpha[idx] = np.exp(2j * np.pi * charge * i / D)
+        cur = x @ cur
+    return alpha
+
+
 def site_stacks(family):
     """The (d, D, D) site stacks of a chain of MPS tensors, as ``chain_state`` takes them."""
     return [np.stack(t.site_matrices()) for t in family]

@@ -1,10 +1,13 @@
 """MF PEPS symmetries, topological solutions, and transfer-matrix spectra."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+from mftn import mps, peps
 from mftn.basis import weyl_heisenberg_basis
-from mftn.errors import SizeGuardError
+from mftn.errors import SizeGuardError, SymmetryError
 from mftn.fixtures import interpolated_alpha
 from mftn.mps import is_stabilizer_state, leg_operator
 from mftn.peps import (
@@ -15,6 +18,7 @@ from mftn.peps import (
     check_topo_symmetry,
     complete_with_isometry,
     degeneracy_report,
+    derive_push_constraints,
     injectivity_check,
     peps_isometry_check,
     peps_split_polar,
@@ -25,20 +29,7 @@ from mftn.peps import (
 
 from mftn.tensors import numerical_rank
 
-from conftest import random_complex
-
-
-def x_power_alpha(basis, charge=0):
-    """alpha_i = omega_k^i on the X-power subgroup {X^i}."""
-    D = basis.dim
-    alpha = np.zeros(len(basis.elements), dtype=complex)
-    x = basis.element("X")
-    cur = np.eye(D, dtype=complex)
-    for i in range(D):
-        idx, _ = basis.resolve(cur)
-        alpha[idx] = np.exp(2j * np.pi * charge * i / D)
-        cur = x @ cur
-    return alpha
+from conftest import random_complex, x_power_alpha
 
 
 def z_power_alpha(basis, charge=0):
@@ -102,20 +93,47 @@ class TestSymmetryAndIsometry:
         ok, _, _ = peps_isometry_check(bad)
         assert not ok
 
+    def test_completion_refuses_constraints_that_do_not_hold(self, wh2):
+        q = topo_solution(wh2, x_power_alpha(wh2))
+        c = q.constraints_a[1]
+        q.constraints_a[1] = replace(c, out_right=(c.out_right + 1) % 4)
+        with pytest.raises(SymmetryError):
+            complete_with_isometry(q)
+
+    def test_completion_runs_no_push_search(self, wh2, monkeypatch):
+        q = topo_solution(wh2, interpolated_alpha(wh2, 0.3))
+        monkeypatch.setattr(mps, "solve_pushes", None)
+        monkeypatch.setattr(peps, "solve_pushes", None)
+        a = complete_with_isometry(q)
+        assert a.d == 8
+        assert [(c.out_up, c.out_right) for c in a.constraints_a] == [(0, k) for k in range(4)]
 
     @pytest.mark.parametrize("a", [0.3, 0.5])
-    def test_push_fits_on_a_rank_deficient_q(self, wh2, a):
-        """Q has rank 8 of 16, so each Procrustes U is free off range(b): pin the
-        classes and U b, which is unique, against Kronecker-product targets."""
+    def test_push_fits_on_a_rank_deficient_q(self, wh2, a, monkeypatch):
+        """Q has rank 8 of 16.  Each U maps b as the Kronecker-product targets
+        ask, is the identity off range(b), and moves by less than 1e-12 when
+        every target is built as a Kronecker product and perturbed by 1e-14."""
         q = topo_solution(wh2, interpolated_alpha(wh2, a))
         b = q.as_matrix()
         assert numerical_rank(b) == 8
+        range_b = np.linalg.svd(b)[0][:, :8]
+        off_range = np.eye(16) - range_b @ range_b.conj().T
         for in_leg, constraints in ((0, q.constraints_a), (3, q.constraints_b)):
             assert [(c.p_in, c.out_up, c.out_right) for c in constraints] == [(k, 0, k) for k in range(4)]
             for c in constraints:
                 source = b @ leg_operator((2,) * 4, {in_leg: wh2.elements[c.p_in].T})
                 target = b @ leg_operator((2,) * 4, {1: wh2.elements[c.out_up], 2: wh2.elements[c.out_right]})
                 assert np.linalg.norm(c.u_phys @ source - target) <= 1e-12 * np.linalg.norm(b)
+                assert np.abs(off_range @ c.u_phys - off_range).max() <= 1e-12
+        noise = np.random.default_rng(7)
+        monkeypatch.setattr(mps, "apply_leg_ops", lambda m, dims, ops: (
+            m @ leg_operator(dims, ops) + 1e-14 * random_complex(noise, *m.shape)))
+        for kind, constraints in (("a", q.constraints_a), ("b", q.constraints_b)):
+            again = derive_push_constraints(q, kind)
+            assert [(c.p_in, c.out_up, c.out_right) for c in again] == [(k, 0, k) for k in range(4)]
+            for c, moved in zip(constraints, again):
+                assert np.abs(moved.u_phys - c.u_phys).max() < 1e-12
+
 
 class TestSplitPolar:
     def test_toric_clifford_form(self, wh2):

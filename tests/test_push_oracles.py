@@ -1,0 +1,93 @@
+"""The range-reduced push search agrees with the full-space oracle.
+
+Both searches must pick the same image tuple for every element and in-leg
+and the same U b; where b has full row rank, U is unique and must agree too.
+Random coefficient vectors alpha come from Hypothesis-drawn seeds.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from mftn.basis import weyl_heisenberg_basis
+from mftn.fixtures import controlled_pauli_mpo, interpolated_alpha
+from mftn.mps import solve_pushes, spt_solution
+from mftn.peps import complete_with_isometry, topo_solution
+from mftn.protocol import ORIENTATIONS
+from mftn.tensors import DEFAULT_TOL
+from conftest import random_complex, x_power_alpha
+from push_oracles import full_space_pushes
+
+WH2 = weyl_heisenberg_basis(2)
+WH3 = weyl_heisenberg_basis(3)
+ATOL = 1e-12
+SEEDS = st.integers(0, 2**32 - 1)
+
+
+class NoPush(Exception):
+    pass
+
+
+def assert_searches_agree(b, basis, dims, in_leg, in_mats, out_legs):
+    want = full_space_pushes(b, basis, dims, in_leg, in_mats, out_legs, DEFAULT_TOL)
+    got = solve_pushes(b, basis, dims, in_leg, in_mats, out_legs, DEFAULT_TOL, NoPush)
+    scale = np.linalg.norm(b)
+    full_row_rank = np.linalg.matrix_rank(b) == b.shape[0]
+    for oracle in want:
+        if oracle is None:
+            with pytest.raises(NoPush):
+                next(got)
+            return
+        images, u = next(got)
+        assert images == oracle[0]
+        assert np.linalg.norm(u @ b - oracle[1] @ b) <= ATOL * scale
+        if full_row_rank:
+            assert np.abs(u - oracle[1]).max() <= ATOL
+
+
+def assert_peps_searches_agree(q, completed=True):
+    """Q's own pushes on the left and down legs, then every push table of
+    its compression V Q, which has full row rank.  V needs Q's Hermitian
+    part to be positive on range(Q), as it is for a PSD Q."""
+    elements = q.basis.elements
+    for in_leg in (0, 3):
+        assert_searches_agree(q.as_matrix(), q.basis, (q.D,) * 4, in_leg, [p.T for p in elements], (1, 2))
+    if completed:
+        a = complete_with_isometry(q)
+        for in_slots, out_slots in ORIENTATIONS.values():
+            for in_slot in in_slots:
+                assert_searches_agree(a.as_matrix(), a.basis, (a.D,) * 4, in_slot, elements, out_slots)
+
+
+@settings(max_examples=10, deadline=None)
+@given(SEEDS)
+def test_random_wh2_topo_solutions(seed):
+    """A random complex alpha gives a normal Q of full rank 16, which need not be PSD."""
+    q = topo_solution(WH2, random_complex(np.random.default_rng(seed), 4))
+    assert_peps_searches_agree(q, completed=False)
+
+
+@settings(max_examples=8, deadline=None)
+@given(st.floats(0.0, 0.9))
+def test_interpolated_wh2_topo_solutions(a):
+    assert_peps_searches_agree(topo_solution(WH2, interpolated_alpha(WH2, a)))
+
+
+def test_wh3_x_power_topo_solution():
+    assert_peps_searches_agree(topo_solution(WH3, x_power_alpha(WH3)))
+
+
+@settings(max_examples=8, deadline=None)
+@given(st.sampled_from([WH2, WH3]), SEEDS)
+def test_random_spt_solutions(basis, seed):
+    a = spt_solution(basis, random_complex(np.random.default_rng(seed), len(basis.elements)))
+    assert_searches_agree(a.as_matrix(), basis, (basis.dim,) * 2, 0, [p.T for p in basis.elements], (1,))
+
+
+@pytest.mark.parametrize("basis", [WH2, WH3], ids=["wh2", "wh3"])
+def test_controlled_pauli_mpo(basis):
+    """The search on the o x (a, l, r) flattening that builds the fixture."""
+    D = basis.dim
+    b = controlled_pauli_mpo(basis).array().reshape(D * D, -1)
+    assert_searches_agree(b, basis, (D * D, D, D), 1, [p.T for p in basis.elements], (2,))
