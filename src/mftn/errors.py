@@ -19,6 +19,10 @@ class NonHermitianError(MftnError):
     """A matrix required to be Hermitian is not, beyond tolerance."""
 
 
+class NotPositiveError(MftnError):
+    """A matrix required to be positive semidefinite and nonzero is not, beyond tolerance."""
+
+
 class BasisError(MftnError):
     """A candidate measurement basis violates an MF-basis invariant."""
 

@@ -29,6 +29,7 @@ from .errors import (
     DimensionMismatchError,
     NonGroupBasisError,
     NonPrimeDimensionError,
+    NotPositiveError,
     SizeGuardError,
     SymmetryError,
 )
@@ -365,13 +366,22 @@ def complete_with_isometry(Q: PEPSTensor, tol: float = DEFAULT_TOL) -> PEPSTenso
     Returns A = V Q with V the canonical isometry from range(Q).  An exact
     push's U commutes with Q^2 and so keeps range(Q): each constraint of Q
     carries over as V U V† with the same images.  A's symmetry is checked,
-    so constraints that do not hold on Q raise SymmetryError.
+    so constraints that do not hold on Q raise SymmetryError.  V spans the
+    eigenvalues of Q's Hermitian part above tol·max|λ|, which is range(Q)
+    only for a positive semidefinite Q: an eigenvalue below -tol·max|λ|, or
+    none above the cut, raises NotPositiveError.
     """
     b = Q.as_matrix()
     if b.shape[0] != Q.D**4:
         raise DimensionMismatchError("expected a Q-form tensor with physical dim D^4")
     evals, evecs = np.linalg.eigh((b + b.conj().T) / 2)
-    keep = evals > tol * max(evals.max(), 1e-300)
+    cut = tol * np.abs(evals).max()
+    if evals.min() < -cut:
+        raise NotPositiveError(f"Q is not positive semidefinite: eigenvalue {evals.min():.3e} "
+                               f"of its Hermitian part is below -{cut:.3e}")
+    keep = evals > cut
+    if not keep.any():
+        raise NotPositiveError("Q's Hermitian part has no eigenvalue above the cut, so range(Q) is empty")
     v = evecs[:, keep].conj().T  # rank x D^4 isometry from range(Q)
     try:
         carried = [[replace(c, u_phys=v @ c.u_phys @ v.conj().T) for c in cs]

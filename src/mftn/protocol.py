@@ -44,6 +44,7 @@ from .peps import PEPSTensor
 from .tensors import DEFAULT_TOL, VERDICT_FLOOR, DenseTensor, state_fidelity
 
 RNG_ALGORITHM = "philox4x64"
+MAX_DENSE_ELEMENTS = 1 << 22  # largest dense patch state or contraction front
 
 
 @dataclass
@@ -423,6 +424,8 @@ class PepsPatch:
         for key, ends in self.ends.items():
             for site, slot in ends:
                 self.slot_bonds[site][slot] = key
+        # raster order along the long side, so that the contraction front spans the short side
+        self.sweep_order = sorted(self.slot_bonds, key=lambda rc: rc if self.rows > self.cols else rc[::-1])
         # per-patch caches, like target_norm (the grid is fixed once built): push tables
         # and the folded double tensors of unmodified sites
         self._tables: dict = {}
@@ -461,8 +464,8 @@ class PepsPatch:
         return order
 
     # -- contractions --------------------------------------------------------
-    # einsum's integer-sublist form labels every leg; ``sides`` maps a bond to
-    # the labels of its (first, second) end, which a bond matrix joins
+    # every leg carries a label; ``sides`` maps a bond to the labels of its
+    # (first, second) end, which a bond matrix joins
 
     def _slot_labels(self, r, c, sides):
         """Labels of site (r, c)'s legs left, up, right, down; None off ``sides``."""
@@ -478,30 +481,33 @@ class PepsPatch:
         come back as one array.  ``*_mods`` maps (r, c) to (u_phys | None,
         [(slot, matrix), ...]).  Bonds in ``cuts`` are unmeasured: each layer's
         legs are traced separately.  Unmodified sites are folded once per patch.
+
+        The sites join the front one at a time in ``sweep_order``, each after
+        the pair matrices of the bonds whose first end it holds; an identity
+        bond's two ends share one label, and a stack's outcome leg stays open.
         """
-        pairs = pairs or {}
+        pairs = {key: m for key, m in (pairs or {}).items() if key not in cuts}
+        stacked = [key for key, m in pairs.items() if m.ndim == 3]
+        if len(stacked) > 1:
+            raise ValueError("at most one bond may take a stack of pair matrices")
         ket_mods = ket_mods or {}
         bra_mods = bra_mods or {}
-        live_bonds = [key for key in self.ends if key not in cuts]
-        sides = {key: (2 * k, 2 * k + 1) for k, key in enumerate(live_bonds)}
-        operands = []
-        for r in range(self.rows):
-            for c in range(self.cols):
-                labels = self._slot_labels(r, c, sides)
-                live = tuple(s for s in range(4) if labels[s] is not None)
-                operands += [self._folded(r, c, live, ket_mods.get((r, c)), bra_mods.get((r, c))),
-                             [labels[s] for s in live]]
-        eye, out = np.eye(self.D * self.D), []
-        for key in live_bonds:
-            m, labels = pairs.get(key, eye), list(sides[key])
-            if m.ndim == 3:
-                if out:
-                    raise ValueError("at most one bond may take a stack of pair matrices")
-                out = [2 * len(live_bonds)]
-                labels = out + labels
-            operands += [m, labels]
-        value = np.einsum(*operands, out, optimize=True)
-        return value if out else complex(value)
+        sides = {key: (2 * k, 2 * k + 1 if key in pairs else 2 * k)
+                 for k, key in enumerate(self.ends) if key not in cuts}
+        front, front_labels = np.ones(()), []
+        for r, c in self.sweep_order:
+            labels = self._slot_labels(r, c, sides)
+            live = tuple(s for s in range(4) if labels[s] is not None)
+            site = self._folded(r, c, live, ket_mods.get((r, c)), bra_mods.get((r, c)))
+            site_labels = [labels[s] for s in live]
+            for s in live:
+                key = self.slot_bonds[r, c][s]
+                if key in pairs and self.ends[key][0] == ((r, c), s):
+                    m = pairs[key]
+                    outcome_leg = [-1] if m.ndim == 3 else []
+                    site, site_labels = _contract(site, site_labels, m, outcome_leg + list(sides[key]))
+            front, front_labels = _contract(front, front_labels, site, site_labels)
+        return front if stacked else complex(front)
 
     def _folded(self, r, c, live, ket_mod, bra_mod):
         """Site (r, c)'s double tensor on ``live`` slots; unmodified ones are kept."""
@@ -543,7 +549,7 @@ class PepsPatch:
         left/up/right/down order) followed by the physical leg.
         """
         boundary_legs = 4 * self.rows * self.cols - 2 * len(self.ends)
-        if self.D**boundary_legs * math.prod(a.d for row in self.grid for a in row) > 1 << 22:
+        if self.D**boundary_legs * math.prod(a.d for row in self.grid for a in row) > MAX_DENSE_ELEMENTS:
             raise SizeGuardError("dense patch state exceeds 2^22 amplitudes")
         ket_mods = ket_mods or {}
         ket_bonds = ket_bonds or {}
@@ -572,6 +578,17 @@ class PepsPatch:
                 operands += [self._site_array(r, c, ket_mods.get((r, c))), labels]
         data = np.einsum(*operands, out, optimize=True)
         return DenseTensor(data, out_legs)
+
+
+def _contract(a, a_labels, b, b_labels):
+    """Product of a and b summed over their shared labels; the other legs stay
+    open, a's first.  The labels are renumbered for this one call."""
+    shared = set(a_labels) & set(b_labels)
+    keep = [x for x in a_labels + b_labels if x not in shared]
+    compact = {x: k for k, x in enumerate(dict.fromkeys(a_labels + b_labels))}
+    value = np.einsum(a, [compact[x] for x in a_labels], b, [compact[x] for x in b_labels],
+                      [compact[x] for x in keep])
+    return value, keep
 
 
 def _fold_site(ket, bra, live, D):
@@ -689,14 +706,19 @@ def run_peps_protocol(grid, orientation="ur", seed: int = 0, tol: float = DEFAUL
     directions from {ur, ul, dr, dl}; regions must drain consistently.
     Each bond's Born conditional comes from one contraction against the
     pair matrices of all its outcomes, and the fidelity from two overlaps.
+    A patch whose contraction front, (D^2)^(min(rows, cols) + 1) x D^2
+    elements, exceeds 2^22 is refused with SizeGuardError before anything
+    is contracted or solved.
     ``final_state`` is None, as for chains; ``dense_state`` with the
     outcomes' ``bond_projector``s as ``ket_bonds`` and
     ``_ket_mods(site_u, edge_ops)`` of the routed corrections gives a small
     patch's corrected state (up to 2^22 amplitudes).
     """
     patch = grid if isinstance(grid, PepsPatch) else PepsPatch(grid, orientation, tol)
-    if patch.rows * patch.cols > 9:
-        raise SizeGuardError("patch exceeds the 3 x 3 desk-scale guard")
+    # the sweep's widest front: a pair leg per short-side bond, one more while a line
+    # is half swept, and the sampled bond's outcome leg
+    if (patch.D * patch.D) ** (min(patch.rows, patch.cols) + 2) > MAX_DENSE_ELEMENTS:
+        raise SizeGuardError("patch's contraction front exceeds 2^22 elements")
     rng = philox_rng(seed)
     if not patch.bonds():
         return ProtocolRun(seed, RNG_ALGORITHM, [], [], [], None, 1.0, True, True)

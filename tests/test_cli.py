@@ -235,6 +235,34 @@ class TestDispatch:
         assert code == 0
         assert rep["checks"] == [{"name": "all_trials_succeed", "passed": True}]
 
+    def test_simulate_runs_a_four_by_four_patch(self, capsys):
+        spec = json.dumps({"basis": "WH:2", "alpha": [[1, 0], [0, 0], [1, 0], [0, 0]]})
+        code, out = run(capsys, ["simulate", "--peps", spec, "--rows", "4", "--cols", "4", "--trials", "3"])
+        rep = report_of(out)
+        assert code == 0
+        assert rep["checks"] == [{"name": "all_trials_succeed", "passed": True}]
+        assert rep["outputs"]["worst_fidelity"] >= 1 - 1e-9
+
+    @pytest.mark.parametrize("alpha, cause", [
+        ([[-1, 0], [0, 0], [0, 0], [0, 0]], "not positive semidefinite"),
+        ([[1, 0], [-2, 0], [0, 0], [0, 0]], "not positive semidefinite"),
+        ([[0, 1], [0, 0], [0, 0], [0, 0]], "no eigenvalue above the cut"),
+    ], ids=["negative", "indefinite", "imaginary"])
+    @pytest.mark.parametrize("command", ["simulate", "check-peps"])
+    def test_a_q_without_a_positive_range_is_reported(self, capsys, command, alpha, cause):
+        # the compression V Q once died reshaping an empty range, or used a space other than range(Q)
+        if command == "simulate":
+            argv = ["simulate", "--peps", json.dumps({"basis": "WH:2", "alpha": alpha})]
+        else:
+            argv = ["check-peps", "--basis", "WH:2", "--alpha", json.dumps(alpha)]
+        code = cli.dispatch(argv)
+        captured = capsys.readouterr()
+        assert code == 1
+        assert "Traceback" not in captured.err
+        rep = report_of(captured.out)
+        assert {"name": "completed", "passed": False} in rep["checks"]
+        assert cause in rep["outputs"]["error"]
+
     @pytest.mark.parametrize("orientation", ["zz", [["ur"]], 5, [["ur", "ur"], ["ur", "zz"]]],
                              ids=["unknown", "wrong-shape", "number", "unknown-entry"])
     def test_simulate_refuses_a_malformed_peps_orientation(self, capsys, orientation):

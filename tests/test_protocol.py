@@ -309,6 +309,25 @@ class TestPepsProtocol:
             assert run.success
             assert run.fidelity >= 1 - 1e-9
 
+    def test_three_by_six_runs_past_the_old_label_limit(self, wh2):
+        # 27 bonds once took 54 einsum labels in one call, past einsum's 52
+        patch = toric_patch(wh2, 3, 6)
+        assert len(patch.bonds()) == 27
+        run = run_peps_protocol(patch, seed=4)
+        assert run.success and run.fidelity >= 1 - 1e-9
+
+    def test_front_size_guard_comes_before_any_contraction(self, wh2, monkeypatch):
+        # a 10 x 10 WH:2 front holds (4^10) x 4 x 4 = 2^24 elements
+        patch = toric_patch(wh2, 10, 10)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("network contracted or push table solved before the size guard")
+
+        monkeypatch.setattr(PepsPatch, "network_value", refuse)
+        monkeypatch.setattr(PepsPatch, "push_table", refuse)
+        with pytest.raises(SizeGuardError, match="front"):
+            run_peps_protocol(patch)
+
     def test_single_site_enumeration(self, wh2):
         report = enumerate_peps_outcomes(toric_patch(wh2, 1, 1))
         assert report.outcomes == [()]
@@ -431,13 +450,15 @@ class TestQutritPepsProtocol:
 
 
 def unfolded_value(patch, ket_mods, bra_mods, ket_bonds, bra_bonds, cuts):
-    """<bra|ket> as one fresh einsum over separate ket and bra layers, no folding.
+    """<bra|ket> over separate ket and bra layers, no folded pair legs, in one fresh einsum.
 
-    A cut bond's legs, like a boundary leg, are traced against the same site's
-    bra leg; a live bond joins each layer's two sides through its own matrix.
-    The bond geometry is written out here, apart from the patch's bond table:
-    a bond matrix's first index sits on the west site of a horizontal bond and
-    on the south site of a vertical one.
+    Each site's ket and bra first sum over the physical leg and over the legs
+    a cut bond or the boundary traces against the same site's bra leg, so a
+    3 x 3 patch needs at most 48 labels, within einsum's 52.  A live bond joins
+    each layer's two sides through its own matrix.  The bond geometry is
+    written out here, apart from the patch's bond table: a bond matrix's first
+    index sits on the west site of a horizontal bond and on the south site of
+    a vertical one.
     """
     fresh = itertools.count()
     eye = np.eye(patch.D)
@@ -450,19 +471,15 @@ def unfolded_value(patch, ket_mods, bra_mods, ket_bonds, bra_bonds, cuts):
         operands += [bra_bonds.get(key, eye).conj(), list(sides[key]["b"])]
     for r in range(patch.rows):
         for c in range(patch.cols):
-            ket_labels, bra_labels = [], []
             # left, up, right, down: (bond key, 0 on the bond's first side, 1 on its second)
             slots = [(("h", r, c - 1), 1), (("v", r - 1, c), 0), (("h", r, c), 0), (("v", r, c), 1)]
-            for key, side in slots:
-                if key in sides:
-                    ket_labels.append(sides[key]["k"][side])
-                    bra_labels.append(sides[key]["b"][side])
-                else:
-                    ket_labels.append(next(fresh))
-                    bra_labels.append(ket_labels[-1])
-            phys = next(fresh)
-            operands += [patch._site_array(r, c, ket_mods.get((r, c))), ket_labels + [phys]]
-            operands += [patch._site_array(r, c, bra_mods.get((r, c))).conj(), bra_labels + [phys]]
+            live = [s for s, (key, _) in enumerate(slots) if key in sides]
+            bra_legs = "".join("ABCD"[s] if s in live else "abcd"[s] for s in range(4))
+            out = "".join("abcd"[s] for s in live) + "".join("ABCD"[s] for s in live)
+            ket = patch._site_array(r, c, ket_mods.get((r, c)))
+            bra = patch._site_array(r, c, bra_mods.get((r, c))).conj()
+            operands += [np.einsum(f"abcdp,{bra_legs}p->{out}", ket, bra),
+                         [sides[slots[s][0]][layer][slots[s][1]] for layer in "kb" for s in live]]
     return complex(np.einsum(*operands, [], optimize=True))
 
 
@@ -547,11 +564,43 @@ class TestBatchedPepsContraction:
             expected = unfolded_value(patch, *args)
             assert abs(folded_value(*args) - expected) <= 1e-12 * abs(expected)
 
+    @pytest.mark.parametrize("rows, cols", [(4, 4), (2, 6)])
+    def test_batched_weights_on_larger_patches(self, wh2, rows, cols, monkeypatch):
+        assert_batched_weights_match(toric_patch(wh2, rows, cols), monkeypatch)
+
     def test_one_stacked_bond_at_most(self, wh2):
         patch = toric_patch(wh2, 1, 3)
         stack = patch.outcome_pairs[0]
         with pytest.raises(ValueError, match="at most one bond"):
             patch.network_value(dict.fromkeys(patch.bonds()[:2], stack))
+
+    @pytest.mark.parametrize("rows, cols, orientations", [
+        (1, 2, "ur"), (2, 3, "ur"), (3, 2, "ur"), (3, 3, "ur"), (3, 3, FOUR_CORNER_3X3),
+    ], ids=["1x2", "2x3", "3x2", "3x3", "3x3-four-corner"])
+    def test_sweep_equals_fresh_einsum_on_random_networks(self, wh2, rng, rows, cols, orientations):
+        """Random distinct site tensors, site ops, bond matrices and cuts, so that a
+        slip in the sweep's order, labels or bond ends shows."""
+        grid = [[PEPSTensor.from_matrix(random_complex(rng, 3, 16), wh2) for _ in range(cols)]
+                for _ in range(rows)]
+        patch = PepsPatch(grid, orientations)
+        bonds = patch.bonds()
+        sites = [(r, c) for r in range(rows) for c in range(cols)]
+
+        def some(items):
+            return [items[k] for k in sorted(rng.choice(len(items), rng.integers(len(items) + 1), replace=False))]
+
+        def mods():
+            return {site: (random_unitary(3, rng) if rng.random() < 0.5 else None,
+                           [(slot, random_complex(rng, 2, 2)) for slot in range(4) if rng.random() < 0.3])
+                    for site in some(sites)}
+
+        for _ in range(4):
+            ket_bonds = {key: random_complex(rng, 2, 2) for key in some(bonds)}
+            bra_bonds = {key: random_complex(rng, 2, 2) for key in some(bonds)}
+            args = mods(), mods(), ket_bonds, bra_bonds, frozenset(some(bonds))
+            expected = unfolded_value(patch, *args)
+            got = patch.network_value(pair_matrices(patch, ket_bonds, bra_bonds), *args[:2], args[4])
+            assert abs(got - expected) <= 1e-12 * abs(expected)
 
     def test_outcomes_pinned(self, patch):
         pinned = {
