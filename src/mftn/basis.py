@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BasisError, NonGroupBasisError, SizeGuardError, SymmetryError
-from .tensors import DEFAULT_TOL, MATCH_FLOOR, DenseTensor
+from .tensors import DEFAULT_TOL, MATCH_FLOOR, UNITARY_INPUT_BOUND, DenseTensor, isometry_residual
 
 
 @dataclass(frozen=True)
@@ -27,9 +27,9 @@ class CocycleTable:
         ph = np.asarray(self.phases, dtype=np.complex128)
         if ph.shape != (self.dim_sq, self.dim_sq):
             raise BasisError("cocycle table must be D^2 x D^2")
-        if not np.allclose(np.abs(ph), 1.0, atol=1e-9):
+        if not np.allclose(np.abs(ph), 1.0, atol=DEFAULT_TOL):
             raise BasisError("cocycle phases must have unit modulus")
-        if not np.allclose(np.diag(ph), 1.0, atol=1e-9):
+        if not np.allclose(np.diag(ph), 1.0, atol=DEFAULT_TOL):
             raise BasisError("omega(j,j) must be 1")
         object.__setattr__(self, "phases", ph)
 
@@ -77,14 +77,12 @@ class MFBasis:
             raise BasisError(f"need {d*d} elements, got {len(self.elements)}")
         if len(self.labels) != d * d or len(set(self.labels)) != d * d:
             raise BasisError("labels must be unique, one per element")
-        eye = np.eye(d)
         for lab, p in zip(self.labels, self.elements):
             if p.shape != (d, d):
                 raise BasisError(f"element {lab} is not {d}x{d}")
-            if np.linalg.norm(p @ p.conj().T - eye) > 1e-7 * d:
+            if isometry_residual(p) > UNITARY_INPUT_BOUND:
                 raise BasisError(f"element {lab} is not unitary")
-        gram = self.completeness_map()
-        if np.linalg.norm(gram.conj().T @ gram - np.eye(d * d)) > 1e-7 * d * d:
+        if isometry_residual(self.completeness_map()) > UNITARY_INPUT_BOUND:
             raise BasisError("orthogonality/completeness failure: |i> -> vec(P_i)/sqrt(D) is not unitary")
         self._conj_vecs = np.stack(self.elements).conj().reshape(d * d, d * d)
 
@@ -201,7 +199,7 @@ def wh_generators(basis: MFBasis) -> list[tuple[np.ndarray, int]]:
     out = []
     for gen in (x, z):
         k, phase = basis.resolve(gen.T)
-        if abs(phase - 1.0) > 1e-9:
+        if abs(phase - 1.0) > DEFAULT_TOL:
             raise SymmetryError("transpose of a generator is not a canonical basis element")
         out.append((gen, k))
     return out
@@ -288,7 +286,7 @@ def _generate_closure(gens: list[np.ndarray], limit: int) -> list[np.ndarray] | 
             for g in gens:
                 prod = g @ m
                 conj_vecs = np.stack(found).conj().reshape(len(found), d * d)
-                if not _phase_match(conj_vecs, prod, 1e-9)[2][0]:
+                if not _phase_match(conj_vecs, prod, MATCH_FLOOR)[2][0]:
                     found.append(prod)
                     nxt.append(prod)
                     if len(found) > limit:
@@ -313,9 +311,10 @@ def hadamard_latin_basis(H: list[np.ndarray], lam: np.ndarray) -> MFBasis:
         raise BasisError("need one Hadamard matrix per row index j")
     for h in H:
         h = np.asarray(h)
-        if h.shape != (D, D) or not np.allclose(np.abs(h), 1.0, atol=1e-9):
+        if h.shape != (D, D) or not np.allclose(np.abs(h), 1.0, atol=DEFAULT_TOL):
             raise BasisError("Hadamard entries must all have unit modulus")
-        if np.linalg.norm(h @ h.conj().T - D * np.eye(D)) > 1e-7 * D:
+        # H / sqrt(D) unitary to UNITARY_INPUT_BOUND / D keeps ||H H† - D I|| within UNITARY_INPUT_BOUND x D
+        if isometry_residual(h / np.sqrt(D)) > UNITARY_INPUT_BOUND / D:
             raise BasisError("H H† must equal D * identity")
     elements, labels = [], []
     for i in range(D):

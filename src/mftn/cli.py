@@ -31,7 +31,8 @@ from . import protocol as protocol_mod
 from . import tensors as tensors_mod
 from . import fixtures
 from .errors import MftnError
-from .tensors import COMMUTANT_FLOOR, EIGEN_FLOOR, UNITARY_FLOOR, VERDICT_FLOOR, DenseTensor
+from .tensors import (COMMUTANT_FLOOR, EIGEN_FLOOR, NORM_GUARD, UNITARY_FLOOR, VERDICT_FLOOR, DenseTensor,
+                      isometry_residual)
 
 # every public operation is reachable from exactly one subcommand
 OPERATIONS = {
@@ -250,9 +251,8 @@ def _cmd_basis(args, report):
     b = _basis_from(args.basis)
     if args.composite:
         b = basis_mod.composite_basis(b, _basis_from(args.composite), mode=args.mode)
-    gram = b.completeness_map()
-    resid = float(np.linalg.norm(gram.conj().T @ gram - np.eye(b.dim**2)))
-    report.check("completeness_unitary", resid < 1e-7, resid)
+    resid = isometry_residual(b.completeness_map())
+    report.check("completeness_unitary", resid < VERDICT_FLOOR, resid)
     table = basis_mod.check_group_closure(b)
     report.check("group_closure", table is not None)
     report.outputs["dim"] = b.dim
@@ -384,7 +384,7 @@ def _cmd_transfer(args, report):
         brute = peps_mod.transfer_matrix_brute(q, args.L)
         want = np.sort(np.abs(spec.t_values))[::-1]
         got = np.sort(np.abs(brute))[::-1][: len(want)]
-        resid = float(np.max(np.abs(got - want)) / max(want.max(), 1e-300))
+        resid = float(np.max(np.abs(got - want)) / max(want.max(), NORM_GUARD))
         report.check("brute_matches_analytic", resid < max(report.tol, EIGEN_FLOOR), resid)
     report.check("spectrum_computed", True)
 
@@ -428,7 +428,7 @@ def _cmd_simulate(args, report):
         report.outputs["success_probability"] = _fmt(rep.success_probability)
         report.outputs["correctable_fraction"] = _fmt(rep.correctable_fraction)
         report.check("probabilities_normalized",
-                     abs(sum(rep.probabilities) - 1) < 1e-9)
+                     abs(sum(rep.probabilities) - 1) < VERDICT_FLOOR)
     successes, worst, agree = 0, math.inf, True
     for k in range(args.trials):
         run = protocol_mod.run_mps_protocol(tensors, args.boundary, args.seed + k, tol)
@@ -456,8 +456,8 @@ def _cmd_mpo(args, report):
         report.check("slice_orthogonality", rep.passed, rep.orthogonality_residual)
     elif args.mpo_action == "purify":
         u = mpo_mod.build_purifying_unitary(O, tol)
-        resid = float(np.linalg.norm(u.data @ u.data.conj().T - np.eye(u.data.shape[0])))
-        report.check("purifying_unitary", resid < 1e-10, resid)
+        resid = isometry_residual(u.data)
+        report.check("purifying_unitary", resid < VERDICT_FLOOR, resid)
     elif args.mpo_action == "relative":
         u0 = tensors_mod.random_unitary(O.d, protocol_mod.philox_rng(args.seed))
         got = mpo_mod.relative_local_unitary(O, O.apply_phys_in(u0), tol)
@@ -470,8 +470,7 @@ def _cmd_mpo(args, report):
         rng = protocol_mod.philox_rng(args.seed)
         psi = rng.standard_normal(O.d**n) + 1j * rng.standard_normal(O.d**n)
         run = mpo_mod.apply_mpo_via_protocol([O] * n, psi, "open", args.seed, tol)
-        report.check("matches_direct_action", run.fidelity >= 1 - max(report.tol, UNITARY_FLOOR),
-                     abs(1 - run.fidelity))
+        report.check("matches_direct_action", run.success, abs(1 - run.fidelity))
 
 
 def _cmd_clifford_synth(args, report):
@@ -489,7 +488,7 @@ def _cmd_clifford_synth(args, report):
         u = qc.synthesize_clifford(m)
         report.check("is_clifford", qc.is_clifford(u.data, n, d))
         worst = max((qc.image_residual(u.data, src, tgt) for src, tgt in images), default=0.0)
-        report.check("images_reproduced", worst < 1e-9, worst)
+        report.check("images_reproduced", worst < VERDICT_FLOOR, worst)
         report.artifact(args.out, u.to_json)
     else:
         report.outputs["failures"] = adm.failures

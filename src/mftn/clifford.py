@@ -20,7 +20,8 @@ import numpy as np
 
 from .basis import shift_clock
 from .errors import DimensionMismatchError, InadmissibleMapError, NonPrimeDimensionError
-from .tensors import PAULI_FLOOR, DenseTensor, fix_global_phase
+from .tensors import (DEFAULT_TOL, PAULI_FLOOR, UNITARY_INPUT_BOUND, VERDICT_FLOOR, DenseTensor, fix_global_phase,
+                      isometry_residual)
 
 
 @dataclass(frozen=True)
@@ -422,10 +423,10 @@ def synthesize_clifford(m: PartialCliffordMap) -> DenseTensor:
             pows.append(_apply(mono, pows[-1]))
         u = np.stack(pows, axis=2).reshape(dim, -1)
 
-    if np.linalg.norm(u @ u.conj().T - np.eye(dim)) > 1e-9 * dim:
+    if isometry_residual(u) > VERDICT_FLOOR:
         raise InadmissibleMapError("synthesis produced a non-unitary map")
     for src, tgt in m.images:
-        if image_residual(u, src, tgt) > 1e-9 * dim:
+        if image_residual(u, src, tgt) > VERDICT_FLOOR * dim:
             raise InadmissibleMapError("synthesized unitary fails a requested image")
     return DenseTensor(u, ("out", "in"))
 
@@ -456,7 +457,7 @@ def _joint_eigenvector(zs, dim: int) -> np.ndarray:
         proj = _stabilized(zs, np.eye(dim, dtype=np.complex128))
         phi0 = proj[:, int(np.argmax(np.linalg.norm(proj, axis=0)))]
     nrm = np.linalg.norm(phi0)
-    if nrm < 1e-9:
+    if nrm < DEFAULT_TOL:
         raise InadmissibleMapError("target Z images admit no joint +1 eigenstate")
     return fix_global_phase(phi0 / nrm)
 
@@ -467,7 +468,7 @@ def is_clifford(U, n: int, d: int) -> bool:
     dim = d**n
     if u.shape != (dim, dim):
         raise DimensionMismatchError(f"expected a {dim} x {dim} unitary")
-    if np.linalg.norm(u @ u.conj().T - np.eye(dim)) > 1e-7 * dim:
+    if isometry_residual(u) > UNITARY_INPUT_BOUND:
         raise ValueError("input is not unitary")
     for k in range(n):
         for gen in (PauliVector.x_gen(n, d, k), PauliVector.z_gen(n, d, k)):

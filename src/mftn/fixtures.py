@@ -12,7 +12,7 @@ import numpy as np
 from .basis import MFBasis, weyl_heisenberg_basis
 from .mpo import MPOTensor
 from .mps import MPSTensor, SymmetryConstraint, solve_pushes
-from .tensors import DenseTensor
+from .tensors import DEFAULT_TOL, DenseTensor
 
 
 def aklt_tensor(basis: MFBasis | None = None) -> MPSTensor:
@@ -135,7 +135,7 @@ def controlled_pauli_mpo(basis: MFBasis):
     for a, p in enumerate(basis.elements):
         arr[a, a] = p.T
     fits = solve_pushes(
-        arr.reshape(d, d * D * D), basis, (d, D, D), 1, [p.T for p in basis.elements], (2,), 1e-9,
+        arr.reshape(d, d * D * D), basis, (d, D, D), 1, [p.T for p in basis.elements], (2,), DEFAULT_TOL,
         lambda k: RuntimeError("controlled-Pauli MPO misses a transport rule"),
     )
     constraints = [SymmetryConstraint(k, u, out) for k, ((out,), u) in enumerate(fits)]

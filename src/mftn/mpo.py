@@ -38,8 +38,8 @@ from .protocol import (
     philox_rng,
     push_chain_defects,
 )
-from .tensors import (DEFAULT_TOL, UNITARY_FLOOR, VERDICT_FLOOR, DenseTensor, gram_proportionality,
-                      proportionality, state_fidelity)
+from .tensors import (DEFAULT_TOL, UNITARY_FLOOR, VERDICT_FLOOR, DenseTensor, fix_global_phase,
+                      gram_proportionality, isometry_residual, proportionality, state_fidelity)
 
 MPO_LEGS = ("left", "right", "phys_in", "phys_out")
 
@@ -108,6 +108,9 @@ def check_mpo_symmetry(O: MPOTensor, tol: float = DEFAULT_TOL) -> float:
 
 @dataclass
 class SliceReport:
+    """Slices with their ``isometry_residual``s, judged at max(tol, VERDICT_FLOOR), and
+    the absolute orthogonality residual ||sum_o A_a^o A_b^o† - delta_ab I||, judged at tol."""
+
     slices: list
     isometry_residuals: list
     orthogonality_residual: float
@@ -116,7 +119,7 @@ class SliceReport:
     @property
     def passed(self) -> bool:
         return (
-            max(self.isometry_residuals, default=0.0) < self.tol
+            max(self.isometry_residuals, default=0.0) < max(self.tol, VERDICT_FLOOR)
             and self.orthogonality_residual < self.tol
         )
 
@@ -138,7 +141,7 @@ def mpo_slices(O: MPOTensor, tol: float = DEFAULT_TOL) -> SliceReport:
     slices = [
         np.ascontiguousarray(arr[:, a].transpose(0, 2, 1).reshape(d * D, D)) for a in range(d)
     ]  # rows (o, r), cols l
-    iso = [float(np.linalg.norm(v.conj().T @ v - np.eye(D))) for v in slices]
+    iso = [isometry_residual(v) for v in slices]
     pair = np.einsum("oalr,obmr->ablm", arr, arr.conj())
     want = np.einsum("ab,lm->ablm", np.eye(d), np.eye(D))
     return SliceReport(slices, iso, float(np.linalg.norm(pair - want)), tol)
@@ -157,7 +160,7 @@ def build_purifying_unitary(O: MPOTensor, tol: float = DEFAULT_TOL) -> DenseTens
     u = np.zeros((d * D, d * D), dtype=np.complex128)
     for a, v in enumerate(report.slices):
         u[:, a * D : (a + 1) * D] = v
-    if np.linalg.norm(u @ u.conj().T - np.eye(d * D)) > max(tol, VERDICT_FLOOR) * d * D:
+    if isometry_residual(u) > max(tol, VERDICT_FLOOR):
         raise SymmetryError("assembled purification is not unitary")
     for c in O.constraints:
         p = O.basis.elements[c.p_in]
@@ -175,14 +178,14 @@ def relative_local_unitary(O: MPOTensor, O2: MPOTensor, tol: float = DEFAULT_TOL
 
     Both MPOs must pass the slice checks with identical constraints; U† U'
     then factors exactly as U_tilde x I_D on the (phys_in, left) input space.
-    The result is phase-fixed by making its leading entry real positive.
+    The result is phase-fixed by ``fix_global_phase``.
     """
     if O.basis.dim != O2.basis.dim or O.d != O2.d:
         raise DimensionMismatchError("MPOs act on different spaces")
     same = len(O.constraints) == len(O2.constraints) and all(
         c1.p_in == c2.p_in
         and c1.p_out == c2.p_out
-        and np.allclose(c1.u_phys, c2.u_phys, atol=1e-9)
+        and np.allclose(c1.u_phys, c2.u_phys, atol=tol)
         for c1, c2 in zip(O.constraints, O2.constraints)
     )
     if not same:
@@ -196,9 +199,7 @@ def relative_local_unitary(O: MPOTensor, O2: MPOTensor, tol: float = DEFAULT_TOL
         raise SymmetryError(
             f"U†U' does not factor as U_tilde x I_D (residual {resid:.3e})"
         )
-    flat = ut.reshape(-1)
-    lead = next(x for x in flat if abs(x) > 1e-9)  # first-nonzero-entry-positive
-    ut = ut * (abs(lead) / lead)
+    ut = fix_global_phase(ut)
     _, back_resid = proportionality(
         O2.array().reshape(-1), O.apply_phys_in(ut).array().reshape(-1)
     )

@@ -49,11 +49,18 @@ from .errors import (
     SymmetryError,
 )
 from .tensors import (
+    ALS_RESIDUAL_FLOOR,
+    ALS_STEP_FLOOR,
     DEFAULT_TOL,
+    MATCH_FLOOR,
+    NORM_GUARD,
+    UNITARY_INPUT_BOUND,
+    ZERO_FLOOR,
     DenseTensor,
     first_unitary_fit,
     fix_global_phase,
     gram_proportionality,
+    isometry_residual,
     nullspace,
     numerical_rank,
     polar_nd,
@@ -108,7 +115,7 @@ class Push:
 
     def __post_init__(self):
         u = np.asarray(self.u_phys, dtype=np.complex128)
-        if np.linalg.norm(u @ u.conj().T - np.eye(u.shape[0])) > 1e-7 * u.shape[0]:
+        if u.shape != (len(u), len(u)) or isometry_residual(u) > UNITARY_INPUT_BOUND:
             raise ValueError("u_phys must be unitary")
         u.setflags(write=False)
         object.__setattr__(self, "u_phys", u)
@@ -177,7 +184,7 @@ class SymmetryReport:
 def symmetry_report(A: MFTensor, tol: float = DEFAULT_TOL) -> SymmetryReport:
     """Relative residual ||U_P B W_in - B W_out|| / ||B|| of every push of A."""
     b = A.as_matrix()
-    scale = max(np.linalg.norm(b), 1e-300)
+    scale = max(np.linalg.norm(b), NORM_GUARD)
     dims, elements = (A.D,) * len(A.LEGS), A.basis.elements
     residuals = []
     for c, in_leg, outs in A.pushes():
@@ -206,7 +213,7 @@ def polar_structure(A: MFTensor, tol: float, cls=PolarSplit) -> PolarSplit:
     commutant residuals (relative to ||Q||) and the null-space match of V and Q."""
     b = A.as_matrix()
     v, q = polar_nd(b, tol)
-    scale = max(np.linalg.norm(q), 1e-300)
+    scale = max(np.linalg.norm(q), NORM_GUARD)
     commutants = (commutant(A.basis, len(A.LEGS), in_leg, c.p_in, outs) for c, in_leg, outs in A.pushes())
     rank = numerical_rank(q, tol)
     return cls(
@@ -233,7 +240,7 @@ def solve_pushes(b, basis: MFBasis, dims, in_leg: int, in_mats, out_legs, tol: f
     the identity off range(b), whatever basis L LAPACK returns.  When no
     tuple fits the k-th matrix, the exception ``fail(k)`` is raised.
     """
-    scale = max(np.linalg.norm(b), 1e-300)
+    scale = max(np.linalg.norm(b), NORM_GUARD)
     l, s, _ = np.linalg.svd(b, full_matrices=False)
     l = l[:, : int(np.sum(s > s.max(initial=0.0) * max(b.shape) * np.finfo(s.dtype).eps))]
     r_b, off_range = l.conj().T @ b, np.eye(len(l)) - l @ l.conj().T
@@ -348,12 +355,12 @@ def factor_sideways_isometry(u_c: np.ndarray, v_q: np.ndarray):
     w = (u_c.conj().T @ v_q).reshape(-1, k, k)
     psi = np.einsum("paa->p", w) / k
     nrm = float(np.linalg.norm(psi))
-    if nrm <= 1e-12 * np.linalg.norm(v_q) / np.sqrt(k):
+    if nrm <= ZERO_FLOOR * np.linalg.norm(v_q) / np.sqrt(k):
         raise SymmetryError("sideways isometry does not factor through the Clifford")
     psi = fix_global_phase(psi / nrm)
     recon = u_c @ np.kron(psi[:, None], np.eye(k))
     scale, _ = proportionality(v_q, recon)
-    resid = float(np.linalg.norm(v_q - scale * recon)) / max(np.linalg.norm(v_q), 1e-300)
+    resid = float(np.linalg.norm(v_q - scale * recon)) / max(np.linalg.norm(v_q), NORM_GUARD)
     return psi, abs(scale), resid
 
 
@@ -481,12 +488,12 @@ def _solve_unknown_corrections(basis, triples, d, rng):
                     continue
                 win, wout = push_operators(basis, 2, 0, p_in, {1: p_out})
                 new_us.append(procrustes_unitary(b @ wout, b @ win))
-            if all(np.allclose(a, c, atol=1e-13) for a, c in zip(us, new_us)):
+            if all(np.allclose(a, c, atol=ALS_STEP_FLOOR) for a, c in zip(us, new_us)):
                 break
             us = new_us
         if best is None or resid < best[0]:
             best = (resid, us)
-        if best[0] < 1e-10:
+        if best[0] < ALS_RESIDUAL_FLOOR:
             break
     return [(p_in, u, p_out) for (p_in, _, p_out), u in zip(triples, best[1])]
 
@@ -570,15 +577,15 @@ def clifford_magic_decompose(split: PolarSplit, basis: MFBasis) -> CliffordMagic
     return clifford_form(split, basis)
 
 
-def is_stabilizer_state(psi: np.ndarray, n: int, d: int, tol: float = 1e-7) -> bool:
-    """Exhaustive Pauli test: stabilizer iff |<psi|XZ(a)|psi>| = 1 on d^n classes."""
+def is_stabilizer_state(psi: np.ndarray, n: int, d: int) -> bool:
+    """Exhaustive Pauli test: stabilizer iff |<psi|XZ(a)|psi>| = 1, to ``MATCH_FLOOR``, on d^n classes."""
     psi = np.asarray(psi, dtype=np.complex128).reshape(-1)
     psi = psi / np.linalg.norm(psi)
     count = 0
     for a in np.ndindex(*([d] * (2 * n))):
         perm, phases = qc.PauliVector(n, d, a[:n], a[n:], 0).monomial()
         # <psi|P|psi>, with P psi placing phases[j] psi[j] at perm[j]
-        if abs(abs(np.vdot(psi[perm], phases * psi)) - 1.0) < tol:
+        if abs(abs(np.vdot(psi[perm], phases * psi)) - 1.0) < MATCH_FLOOR:
             count += 1
     return count == d**n
 

@@ -46,8 +46,8 @@ from .mps import (
     solve_pushes,
     symmetry_report,
 )
-from .tensors import (DEFAULT_TOL, MATCH_FLOOR, VERDICT_FLOOR, DenseTensor, gram_proportionality,
-                      numerical_rank, proportionality)
+from .tensors import (DEFAULT_TOL, EIGEN_FLOOR, MATCH_FLOOR, NORM_GUARD, VERDICT_FLOOR, ZERO_FLOOR, DenseTensor,
+                      gram_proportionality, numerical_rank, proportionality)
 
 VIRTUAL_LEGS = ("left", "up", "right", "down")
 
@@ -146,7 +146,7 @@ class TopoSymmetrySpec:
                 if int(idx_tab[a, b]) not in members:
                     raise NonGroupBasisError("subgroup is not closed under multiplication")
         n = self.exponent()
-        if abs(np.exp(1j * n * self.phi) - 1.0) > 1e-9:
+        if abs(np.exp(1j * n * self.phi) - 1.0) > DEFAULT_TOL:
             raise ValueError("n * phi must vanish mod 2 pi for the subgroup exponent n")
 
     def exponent(self) -> int:
@@ -232,7 +232,7 @@ def check_topo_symmetry(
         moved = b @ topo_pattern(A.basis, m_idx)
         factor, resid = proportionality(moved, b)
         residuals[m_idx] = resid
-        phases[m_idx] = float(np.angle(factor)) if abs(factor) > 1e-12 else 0.0
+        phases[m_idx] = float(np.angle(factor)) if abs(factor) > ZERO_FLOOR else 0.0
     gen = spec.generator()
     if gen is not None and abs(np.exp(1j * phases[gen]) - np.exp(1j * spec.phi)) > max(tol, MATCH_FLOOR):
         residuals[gen] = max(residuals[gen], abs(np.exp(1j * phases[gen]) - np.exp(1j * spec.phi)))
@@ -246,7 +246,7 @@ def check_topo_symmetry(
             for i in range(len(alpha)):
                 j = int(idx_tab[i, m_idx])
                 worst = max(worst, abs(alpha[j] - ph * alpha[i]))
-        coeff_resid = worst / max(np.linalg.norm(alpha), 1e-300)
+        coeff_resid = worst / max(np.linalg.norm(alpha), NORM_GUARD)
     return TopoSymmetryReport(phases, residuals, coeff_resid, tol)
 
 
@@ -259,12 +259,12 @@ class TransferSpectrum:
     degeneracy_of_max: int
 
 
-def _degeneracy_of_max(values: np.ndarray, rel: float = 1e-8) -> int:
+def _degeneracy_of_max(values: np.ndarray) -> int:
     mags = np.abs(values)
     top = mags.max() if mags.size else 0.0
     if top == 0.0:
         return int(mags.size)
-    return int(np.sum(mags > top * (1 - rel)))
+    return int(np.sum(mags > top * (1 - EIGEN_FLOOR)))
 
 
 def transfer_spectrum_analytic(alpha, basis: MFBasis, L: int) -> TransferSpectrum:

@@ -41,10 +41,11 @@ from .mps import (
     solve_pushes,
 )
 from .peps import PEPSTensor
-from .tensors import DEFAULT_TOL, VERDICT_FLOOR, DenseTensor, state_fidelity
+from .tensors import BORN_FLOOR, DEFAULT_TOL, VERDICT_FLOOR, DenseTensor, state_fidelity
 
 RNG_ALGORITHM = "philox4x64"
 MAX_DENSE_ELEMENTS = 1 << 22  # largest dense patch state or contraction front
+MAX_TRIAL_WORK = 1 << 30  # (bonds + 2) x sites x widest front of one PEPS trial: a few seconds
 
 
 @dataclass
@@ -74,15 +75,22 @@ def born_choice(weights, rng: np.random.Generator) -> tuple[int, float]:
     """Draw index j with probability weights[j] / sum(weights); returns (j, p_j).
 
     The weights are unnormalized Born weights of the candidate outcomes.
-    Negative round-off is clipped to zero; a zero total means the projected
-    state vanished, and a weight that under- or overflowed is refused.
+    Negative round-off, down to -``BORN_FLOOR`` x sum |w|, is clipped to zero;
+    a weight below that is refused, as is one that under- or overflowed.  A
+    zero total means the projected state vanished.
     """
-    w = np.maximum(np.array(weights), 0.0)
-    if not np.all(np.isfinite(w)):
+    w = np.array(weights)
+    if not np.isfinite(w).all():
         raise NumericalRangeError("Born weights are not finite")
-    if w.sum() <= 0:
+    lowest = w.min(initial=0.0)
+    if lowest < 0:
+        if lowest < -BORN_FLOOR * np.abs(w).sum():
+            raise NumericalRangeError("a Born weight is negative beyond round-off")
+        w = np.maximum(w, 0.0)
+    total = w.sum()
+    if total <= 0:
         raise SymmetryError("projected state has zero norm")
-    p = w / w.sum()
+    p = w / total
     j = int(rng.choice(len(p), p=p))
     return j, float(p[j])
 
@@ -707,8 +715,9 @@ def run_peps_protocol(grid, orientation="ur", seed: int = 0, tol: float = DEFAUL
     Each bond's Born conditional comes from one contraction against the
     pair matrices of all its outcomes, and the fidelity from two overlaps.
     A patch whose contraction front, (D^2)^(min(rows, cols) + 1) x D^2
-    elements, exceeds 2^22 is refused with SizeGuardError before anything
-    is contracted or solved.
+    elements, exceeds 2^22, or whose trial work, (bonds + 2) x sites x front,
+    exceeds 2^30, is refused with SizeGuardError before anything is
+    contracted or solved.
     ``final_state`` is None, as for chains; ``dense_state`` with the
     outcomes' ``bond_projector``s as ``ket_bonds`` and
     ``_ket_mods(site_u, edge_ops)`` of the routed corrections gives a small
@@ -717,8 +726,12 @@ def run_peps_protocol(grid, orientation="ur", seed: int = 0, tol: float = DEFAUL
     patch = grid if isinstance(grid, PepsPatch) else PepsPatch(grid, orientation, tol)
     # the sweep's widest front: a pair leg per short-side bond, one more while a line
     # is half swept, and the sampled bond's outcome leg
-    if (patch.D * patch.D) ** (min(patch.rows, patch.cols) + 2) > MAX_DENSE_ELEMENTS:
+    front = (patch.D * patch.D) ** (min(patch.rows, patch.cols) + 2)
+    if front > MAX_DENSE_ELEMENTS:
         raise SizeGuardError("patch's contraction front exceeds 2^22 elements")
+    # every bond's draw and the two fidelity overlaps sweep each site through the front
+    if (len(patch.bonds()) + 2) * patch.rows * patch.cols * front > MAX_TRIAL_WORK:
+        raise SizeGuardError("patch's trial work exceeds 2^30 front elements swept")
     rng = philox_rng(seed)
     if not patch.bonds():
         return ProtocolRun(seed, RNG_ALGORITHM, [], [], [], None, 1.0, True, True)

@@ -17,29 +17,55 @@ import numpy as np
 from .errors import DimensionMismatchError, LegError, NonHermitianError
 
 # The tolerance every ``tol`` parameter defaults to.  ``mftn --tol`` and ``MFTN_TOL``
-# pass another value down for one command; nothing assigns this one.
+# pass another value down for one command; nothing assigns this one.  Checks that take
+# no tol (unit-modulus phases and entries, canonical generator transposes) run at it.
 DEFAULT_TOL = 1e-9
 
 # Floors: a check whose round-off can exceed a small tol runs at max(tol, floor), so
 # that no tol refuses an exact result.  Each comment says where the round-off comes from.
-MATCH_FLOOR = 1e-7  # phase x basis element, by projection; distinct elements are O(1) apart
+MATCH_FLOOR = 1e-7  # phase x basis element by projection (distinct elements are O(1) apart); stabilizer |<P>| = 1
 PAULI_FLOOR = 1e-6  # Pauli-string recognition, always at this value: inputs carry their own round-off
 UNITARY_FLOOR = 1e-8  # MPO identities between unitaries assembled from several products
 VERDICT_FLOOR = 1e-9  # fidelity, isometry, spectrum and reconstruction verdicts: round-off grows with size
 COMMUTANT_FLOOR = 1e-8  # polar commutants: Q and its pseudo-inverse come from one eigendecomposition
-EIGEN_FLOOR = 1e-8  # brute transfer spectra: dense eigenvalues of a (D^2)^L x (D^2)^L ring
+EIGEN_FLOOR = 1e-8  # transfer spectra: dense eigenvalues of a (D^2)^L ring, and ties for the largest
 LEAD_FLOOR = 1e-9  # phase fixing: entries of equal modulus, as in a stabilizer state, differ by round-off
+
+# The two bounds on ``isometry_residual``.  A unitary the caller hands in is refused above
+# UNITARY_INPUT_BOUND; a unitary or isometry the package built is judged at VERDICT_FLOOR,
+# or at max(tol, VERDICT_FLOOR) where a tol is in scope.
+UNITARY_INPUT_BOUND = 1e-7  # basis elements, completeness map, Push.u_phys, Hadamard matrices, is_clifford's U
+
+NORM_GUARD = 1e-300  # divisor floor: a zero norm divides as this, so a zero tensor has residual 0, not NaN
+ZERO_FLOOR = 1e-12  # a trace or proportionality factor of unit scale counts as zero below this
+BORN_FLOOR = 1e-9  # round-off can leave an exact-zero Born weight below 0 by this times sum |w|, no more
+
+# When the alternating least-squares correction search stops: iteration controls, not verdicts
+ALS_STEP_FLOOR = 1e-13  # corrections that move by less than this, entrywise, have converged
+ALS_RESIDUAL_FLOOR = 1e-10  # a restart that reaches this residual ends the search
+
+
+def isometry_residual(m: np.ndarray) -> float:
+    """||m† m - I||_F / n for an m with n columns: zero exactly when m is an isometry.
+
+    For a square m this equals ||m m† - I||_F / n, because m m† and m† m are
+    unitarily similar (m = W P gives m m† = W P² W†).
+    """
+    m = np.asarray(m)
+    n = m.shape[1]
+    return float(np.linalg.norm(m.conj().T @ m - np.eye(n))) / n
 
 
 def fix_global_phase(v: np.ndarray) -> np.ndarray:
     """v times the unit phase that makes its lead entry real and positive.
 
-    The lead is the first entry whose modulus is within ``LEAD_FLOOR`` (relative)
-    of the largest, so round-off among entries of equal modulus cannot move it.
+    The lead is the first entry, in row-major order, whose modulus is within
+    ``LEAD_FLOOR`` (relative) of the largest, so round-off among entries of
+    equal modulus cannot move it.
     """
     v = np.asarray(v)
     mod = np.abs(v)
-    lead = v[np.argmax(mod >= mod.max() * (1 - LEAD_FLOOR))]
+    lead = v.reshape(-1)[np.argmax(mod >= mod.max() * (1 - LEAD_FLOOR))]
     return v * (abs(lead) / lead)
 
 

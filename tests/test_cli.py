@@ -243,6 +243,14 @@ class TestDispatch:
         assert rep["checks"] == [{"name": "all_trials_succeed", "passed": True}]
         assert rep["outputs"]["worst_fidelity"] >= 1 - 1e-9
 
+    def test_simulate_refuses_a_nine_by_nine_patch_before_working(self, capsys):
+        spec = json.dumps({"basis": "WH:2", "alpha": [[1, 0], [0, 0], [1, 0], [0, 0]]})
+        code, out = run(capsys, ["simulate", "--peps", spec, "--rows", "9", "--cols", "9"])
+        rep = report_of(out)
+        assert code == 1
+        assert rep["checks"] == [{"name": "completed", "passed": False}]
+        assert "trial work" in rep["outputs"]["error"]
+
     @pytest.mark.parametrize("alpha, cause", [
         ([[-1, 0], [0, 0], [0, 0], [0, 0]], "not positive semidefinite"),
         ([[1, 0], [-2, 0], [0, 0], [0, 0]], "not positive semidefinite"),

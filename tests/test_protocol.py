@@ -114,10 +114,16 @@ class TestExtremeScales:
             assert run.success and run.fidelity >= 1 - 1e-9
             assert run.outcomes == run_mps_protocol([unit] * 3, "open", seed).outcomes
 
-    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_born_choice_refuses_non_finite_weights(self, bad):
         with pytest.raises(NumericalRangeError):
             born_choice([bad, 1.0], philox_rng(0))
+
+    def test_born_choice_refuses_negative_weights_beyond_round_off(self):
+        # a weight below -BORN_FLOOR x sum |w| was once clipped to zero without a word
+        with pytest.raises(NumericalRangeError, match="negative"):
+            born_choice([-2e-9, 1.0], philox_rng(0))
+        assert born_choice([-1e-16, 0.25, 0.75], philox_rng(0))[1] in (0.25, 0.75)
 
 
 def random_aklt_family_member(basis, rng):
@@ -326,6 +332,19 @@ class TestPepsProtocol:
         monkeypatch.setattr(PepsPatch, "network_value", refuse)
         monkeypatch.setattr(PepsPatch, "push_table", refuse)
         with pytest.raises(SizeGuardError, match="front"):
+            run_peps_protocol(patch)
+
+    def test_work_guard_comes_before_any_contraction(self, wh2, monkeypatch):
+        # a 9 x 9 WH:2 front is exactly 2^22 elements and passes the front guard, but
+        # (144 bonds + 2) x 81 sites x 2^22 is about 5e10: hours of einsum per trial
+        patch = toric_patch(wh2, 9, 9)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("network contracted or push table solved before the work guard")
+
+        monkeypatch.setattr(PepsPatch, "network_value", refuse)
+        monkeypatch.setattr(PepsPatch, "push_table", refuse)
+        with pytest.raises(SizeGuardError, match="work"):
             run_peps_protocol(patch)
 
     def test_single_site_enumeration(self, wh2):
