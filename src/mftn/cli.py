@@ -205,10 +205,10 @@ def _topo_from(arg, default_basis):
     return spec, basis, alpha
 
 
-def _topo_symmetry(spec, basis) -> peps_mod.TopoSymmetrySpec:
+def _topo_symmetry(spec, basis, tol) -> peps_mod.TopoSymmetrySpec:
     with _reading("spec"):
         sub = tuple(sorted(basis.index(l) for l in spec["subgroup"]))
-        return peps_mod.TopoSymmetrySpec(basis, sub, float(spec.get("phi", 0.0)))
+        return peps_mod.TopoSymmetrySpec(basis, sub, float(spec.get("phi", 0.0)), tol)
 
 
 FIXTURES = {"aklt": fixtures.aklt_tensor, "cluster": fixtures.cluster_tensor}
@@ -363,7 +363,7 @@ def _cmd_topo_solve(args, report):
     rep = peps_mod.check_peps_mf_symmetry(q, report.tol)
     report.check("solution_symmetry", rep.passed, rep.max_residual)
     if spec.get("subgroup"):
-        tspec = _topo_symmetry(spec, basis)
+        tspec = _topo_symmetry(spec, basis, report.tol)
         topo = peps_mod.check_topo_symmetry(q, tspec, alpha, report.tol)
         report.check("topo_symmetry", topo.passed,
                      max(topo.residuals.values(), default=0.0))
@@ -391,7 +391,7 @@ def _cmd_transfer(args, report):
 
 def _cmd_degeneracy(args, report):
     spec, basis, alpha = _topo_from(args.topo, args.basis)
-    tspec = _topo_symmetry(spec, basis)
+    tspec = _topo_symmetry(spec, basis, report.tol)
     with _reading("spec"):
         L = spec.get("L", args.L)
         L = len(tspec.subgroup) if L is None else int(L)

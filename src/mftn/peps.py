@@ -132,11 +132,14 @@ def topo_pattern(basis: MFBasis, m_idx: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class TopoSymmetrySpec:
-    """Subgroup {M} of the MF group with the generator phase phi."""
+    """Subgroup {M} of the MF group with the generator phase phi; n phi must
+    vanish mod 2 pi within max(tol, MATCH_FLOOR), as ``check_topo_symmetry``
+    judges the phase."""
 
     basis: MFBasis
     subgroup: tuple[int, ...]
     phi: float = 0.0
+    tol: float = DEFAULT_TOL
 
     def __post_init__(self):
         idx_tab, _ = self.basis.product_table()
@@ -146,7 +149,7 @@ class TopoSymmetrySpec:
                 if int(idx_tab[a, b]) not in members:
                     raise NonGroupBasisError("subgroup is not closed under multiplication")
         n = self.exponent()
-        if abs(np.exp(1j * n * self.phi) - 1.0) > DEFAULT_TOL:
+        if abs(np.exp(1j * n * self.phi) - 1.0) > max(self.tol, MATCH_FLOOR):
             raise ValueError("n * phi must vanish mod 2 pi for the subgroup exponent n")
 
     def exponent(self) -> int:
@@ -171,8 +174,11 @@ class TopoSymmetrySpec:
 def topo_solution(basis: MFBasis, alpha, tol: float = DEFAULT_TOL) -> PEPSTensor:
     """Q = sum_i alpha_i (P_i^* x P_i x P_i x P_i^*) with derived constraints.
 
-    The push tables for the left and down legs are solved numerically per
-    basis element (single-leg pushes are tried first, then all image pairs).
+    The left-leg (A-type) pushes are solved numerically per basis element
+    (single-leg pushes are tried first, then all image pairs).  Q does not
+    change when its left and down legs are swapped on both sides, so each
+    down-leg (B-type) push is S U_A S with the same images, S being that
+    swap of the D^4 physical index.  Both families are then checked.
     """
     alpha = abelian_coefficients(basis, alpha)
     q = sum(
@@ -181,7 +187,9 @@ def topo_solution(basis: MFBasis, alpha, tol: float = DEFAULT_TOL) -> PEPSTensor
     )
     A = PEPSTensor.from_matrix(q, basis)
     A.constraints_a = derive_push_constraints(A, "a", tol)
-    A.constraints_b = derive_push_constraints(A, "b", tol)
+    dims = (basis.dim,) * 8  # (left, up, right, down) of the physical index, then of the columns
+    A.constraints_b = [replace(c, u_phys=c.u_phys.reshape(dims).transpose(3, 1, 2, 0, 7, 5, 6, 4).reshape(q.shape))
+                       for c in A.constraints_a]
     check_peps_mf_symmetry(A, tol).require("analytic solution fails its own symmetry: %.3e")
     return A
 

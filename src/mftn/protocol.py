@@ -40,7 +40,7 @@ from .mps import (
     per_distinct,
     solve_pushes,
 )
-from .peps import PEPSTensor
+from .peps import PEPSTensor, check_peps_mf_symmetry
 from .tensors import BORN_FLOOR, DEFAULT_TOL, VERDICT_FLOOR, DenseTensor, state_fidelity
 
 RNG_ALGORITHM = "philox4x64"
@@ -392,6 +392,26 @@ def solve_push_table(A: PEPSTensor, in_slot: int, out_slots, tol: float = DEFAUL
     return {k: (u, c1, c2) for k, ((c1, c2), u) in enumerate(fits)}
 
 
+def carried_push_table(A: PEPSTensor, in_slot: int, out_slots):
+    """``solve_push_table``'s table read from A's carried pushes, or None.
+
+    A's constraints push P_t^T in on the left (A-type) or down (B-type) leg
+    and out on (up, right).  With P_k^T = ph P_t from the basis's transpose
+    table, P_k = ph P_t^T, so class k takes conj(ph) U_t and the images of
+    P_t.  None when the out-slots are not (up, right), the in-slot is not
+    left or down, or some class has no carried push or no transpose in the
+    basis; the caller checks that the pushes hold.
+    """
+    if out_slots != (1, 2) or in_slot not in (0, 3):
+        return None
+    carried: dict = {}
+    for c in A.constraints_a if in_slot == 0 else A.constraints_b:
+        carried.setdefault(c.p_in, c)
+    table = {k: (np.conj(ph) * carried[t].u_phys, carried[t].out_up, carried[t].out_right)
+             for k, (t, ph) in A.basis.transpose_table().items() if t in carried}
+    return table if len(table) == len(A.basis.elements) else None
+
+
 class PepsPatch:
     """A rows x cols grid with per-site drain orientations.
 
@@ -434,21 +454,33 @@ class PepsPatch:
                 self.slot_bonds[site][slot] = key
         # raster order along the long side, so that the contraction front spans the short side
         self.sweep_order = sorted(self.slot_bonds, key=lambda rc: rc if self.rows > self.cols else rc[::-1])
-        # per-patch caches, like target_norm (the grid is fixed once built): push tables
-        # and the folded double tensors of unmodified sites
+        # per-patch caches, like target_norm (the grid is fixed once built): push tables,
+        # whether each tensor's carried pushes hold, and the folded double tensors of
+        # unmodified sites
         self._tables: dict = {}
+        self._carried_hold: dict = {}
         self._folds: dict = {}
 
     def bonds(self):
         return list(self.ends)
 
     def push_table(self, r, c, in_slot):
-        key = (id(self.grid[r][c]), in_slot, ORIENTATIONS[self.orient[r][c]][1])
+        """The site's push table for in_slot: read from the tensor's carried
+        pushes when they give it and hold at the patch's tol (checked once
+        per tensor), else searched by ``solve_push_table``."""
+        a, out_slots = self.grid[r][c], ORIENTATIONS[self.orient[r][c]][1]
+        key = (id(a), in_slot, out_slots)
         if key not in self._tables:
-            self._tables[key] = solve_push_table(
-                self.grid[r][c], in_slot, ORIENTATIONS[self.orient[r][c]][1], self.tol
-            )
+            table = carried_push_table(a, in_slot, out_slots)
+            if table is None or not self._carried_pushes_hold(a):
+                table = solve_push_table(a, in_slot, out_slots, self.tol)
+            self._tables[key] = table
         return self._tables[key]
+
+    def _carried_pushes_hold(self, a) -> bool:
+        if id(a) not in self._carried_hold:
+            self._carried_hold[id(a)] = check_peps_mf_symmetry(a, self.tol).passed
+        return self._carried_hold[id(a)]
 
     def processing_order(self):
         """Topological order of the defect-emission graph (Kahn)."""

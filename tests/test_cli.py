@@ -589,6 +589,23 @@ class TestToleranceReachesTheLibrary:
             assert checks["q_commutants"] and checks["clifford_magic_reconstruction"]
 
 
+@pytest.mark.parametrize("tol, code", [(["--tol", "1e-3"], 0), ([], 3)], ids=["loose", "default"])
+def test_topo_phase_is_judged_at_the_command_tol(capsys, tol, code):
+    # 3 x 2.0944 misses 2 pi by 1.5e-5; the phase check allows max(tol, 1e-7)
+    omega = np.exp(2j * np.pi / 3)
+    alpha = [[1, 0]] + [[0, 0]] * 8
+    alpha[3], alpha[6] = [omega.real, omega.imag], [omega.real, -omega.imag]  # X and X^2 of WH:3
+    spec = {"basis": "WH:3", "alpha": alpha, "subgroup": ["I", "X", "X^2"], "phi": 2.0944}
+    got, out = run(capsys, ["topo-solve", "--topo", json.dumps(spec)] + tol)
+    assert got == code
+    rep = report_of(out)
+    if code == 0:
+        assert {c["name"] for c in rep["checks"] if c["passed"]} == \
+            {"solution_symmetry", "topo_symmetry", "non_injectivity_signature"}
+    else:
+        assert rep["error"] == "malformed input: bad spec: n * phi must vanish mod 2 pi for the subgroup exponent n"
+
+
 class TestJsonFixtures:
     def test_shipped_aklt_json_round_trips(self, capsys):
         import mftn
