@@ -138,6 +138,11 @@ class MFTensor:
         self.tensor = tensor
         self.basis = basis
 
+    def __setattr__(self, name, value):
+        if name in self.__dict__:
+            raise AttributeError(f"{type(self).__name__}.{name} is fixed when the tensor is built")
+        super().__setattr__(name, value)
+
     @property
     def d(self) -> int:
         return self.tensor.leg_dim("phys")
@@ -161,6 +166,20 @@ class MFTensor:
             images.setdefault((in_leg, c.p_in), outs)
         return images
 
+    @functools.cached_property
+    def push_residuals(self) -> tuple[float, ...]:
+        """Relative residual ||U_P B W_in - B W_out|| / ||B|| of every push: computed at most
+        once, as the tensor is fixed when it is built; ``symmetry_report`` judges it at any tol."""
+        b = self.as_matrix()
+        scale = max(np.linalg.norm(b), NORM_GUARD)
+        dims, elements = (self.D,) * len(self.LEGS), self.basis.elements
+        residuals = []
+        for c, in_leg, outs in self.pushes():
+            moved = apply_leg_ops(c.u_phys @ b, dims, {in_leg: elements[c.p_in].T})
+            pushed = apply_leg_ops(b, dims, {leg: elements[k] for leg, k in outs.items()})
+            residuals.append(float(np.linalg.norm(moved - pushed)) / scale)
+        return tuple(residuals)
+
 
 @dataclass
 class SymmetryReport:
@@ -182,16 +201,8 @@ class SymmetryReport:
 
 
 def symmetry_report(A: MFTensor, tol: float = DEFAULT_TOL) -> SymmetryReport:
-    """Relative residual ||U_P B W_in - B W_out|| / ||B|| of every push of A."""
-    b = A.as_matrix()
-    scale = max(np.linalg.norm(b), NORM_GUARD)
-    dims, elements = (A.D,) * len(A.LEGS), A.basis.elements
-    residuals = []
-    for c, in_leg, outs in A.pushes():
-        moved = apply_leg_ops(c.u_phys @ b, dims, {in_leg: elements[c.p_in].T})
-        pushed = apply_leg_ops(b, dims, {leg: elements[k] for leg, k in outs.items()})
-        residuals.append(float(np.linalg.norm(moved - pushed)) / scale)
-    return SymmetryReport(residuals, tol)
+    """A's ``push_residuals``, judged at tol."""
+    return SymmetryReport(list(A.push_residuals), tol)
 
 
 @dataclass
@@ -388,7 +399,7 @@ class MPSTensor(MFTensor):
 
     def __init__(self, tensor: DenseTensor, basis: MFBasis, constraints=()):
         super().__init__(tensor, basis)
-        self.constraints = list(constraints)
+        self.constraints = tuple(constraints)
 
     def pushes(self) -> list:
         return [(c, 0, {1: c.p_out}) for c in self.constraints]

@@ -68,8 +68,8 @@ class PEPSTensor(MFTensor):
 
     def __init__(self, tensor: DenseTensor, basis: MFBasis, constraints_a=(), constraints_b=()):
         super().__init__(tensor, basis)
-        self.constraints_a = list(constraints_a)
-        self.constraints_b = list(constraints_b)
+        self.constraints_a = tuple(constraints_a)
+        self.constraints_b = tuple(constraints_b)
 
     def pushes(self) -> list:
         return [
@@ -185,11 +185,12 @@ def topo_solution(basis: MFBasis, alpha, tol: float = DEFAULT_TOL) -> PEPSTensor
         a * np.kron(np.kron(p.conj(), p), np.kron(p, p.conj()))
         for a, p in zip(alpha, basis.elements)
     )
-    A = PEPSTensor.from_matrix(q, basis)
-    A.constraints_a = derive_push_constraints(A, "a", tol)
+    bare = PEPSTensor.from_matrix(q, basis)
+    pushes_a = derive_push_constraints(bare, "a", tol)
     dims = (basis.dim,) * 8  # (left, up, right, down) of the physical index, then of the columns
-    A.constraints_b = [replace(c, u_phys=c.u_phys.reshape(dims).transpose(3, 1, 2, 0, 7, 5, 6, 4).reshape(q.shape))
-                       for c in A.constraints_a]
+    pushes_b = [replace(c, u_phys=c.u_phys.reshape(dims).transpose(3, 1, 2, 0, 7, 5, 6, 4).reshape(q.shape))
+                for c in pushes_a]
+    A = PEPSTensor(bare.tensor, basis, pushes_a, pushes_b)
     check_peps_mf_symmetry(A, tol).require("analytic solution fails its own symmetry: %.3e")
     return A
 

@@ -454,11 +454,9 @@ class PepsPatch:
                 self.slot_bonds[site][slot] = key
         # raster order along the long side, so that the contraction front spans the short side
         self.sweep_order = sorted(self.slot_bonds, key=lambda rc: rc if self.rows > self.cols else rc[::-1])
-        # per-patch caches, like target_norm (the grid is fixed once built): push tables,
-        # whether each tensor's carried pushes hold, and the folded double tensors of
-        # unmodified sites
+        # per-patch caches, like target_norm (the grid is fixed once built): push tables
+        # and the folded double tensors of unmodified sites
         self._tables: dict = {}
-        self._carried_hold: dict = {}
         self._folds: dict = {}
 
     def bonds(self):
@@ -466,21 +464,16 @@ class PepsPatch:
 
     def push_table(self, r, c, in_slot):
         """The site's push table for in_slot: read from the tensor's carried
-        pushes when they give it and hold at the patch's tol (checked once
-        per tensor), else searched by ``solve_push_table``."""
+        pushes when they give it and hold at the patch's tol (the tensor keeps
+        their residuals), else searched by ``solve_push_table``."""
         a, out_slots = self.grid[r][c], ORIENTATIONS[self.orient[r][c]][1]
         key = (id(a), in_slot, out_slots)
         if key not in self._tables:
             table = carried_push_table(a, in_slot, out_slots)
-            if table is None or not self._carried_pushes_hold(a):
+            if table is None or not check_peps_mf_symmetry(a, self.tol).passed:
                 table = solve_push_table(a, in_slot, out_slots, self.tol)
             self._tables[key] = table
         return self._tables[key]
-
-    def _carried_pushes_hold(self, a) -> bool:
-        if id(a) not in self._carried_hold:
-            self._carried_hold[id(a)] = check_peps_mf_symmetry(a, self.tol).passed
-        return self._carried_hold[id(a)]
 
     def processing_order(self):
         """Topological order of the defect-emission graph (Kahn)."""

@@ -39,6 +39,7 @@ UNITARY_INPUT_BOUND = 1e-7  # basis elements, completeness map, Push.u_phys, Had
 NORM_GUARD = 1e-300  # divisor floor: a zero norm divides as this, so a zero tensor has residual 0, not NaN
 ZERO_FLOOR = 1e-12  # a trace or proportionality factor of unit scale counts as zero below this
 BORN_FLOOR = 1e-9  # round-off can leave an exact-zero Born weight below 0 by this times sum |w|, no more
+HERMITIAN_INPUT_BOUND = 1e-10  # eig_hermitian refuses a view farther from Hermitian, relative to max(||m||, 1)
 
 # When the alternating least-squares correction search stops: iteration controls, not verdicts
 ALS_STEP_FLOOR = 1e-13  # corrections that move by less than this, entrywise, have converged
@@ -354,7 +355,7 @@ def polar_decompose(m: MatrixView, tol: float = DEFAULT_TOL) -> tuple[DenseTenso
     return vt, qt
 
 
-def eig_hermitian(m: MatrixView, tol: float = 1e-10) -> tuple[list[float], DenseTensor]:
+def eig_hermitian(m: MatrixView, tol: float = HERMITIAN_INPUT_BOUND) -> tuple[list[float], DenseTensor]:
     """Eigenvalues (descending) and orthonormal eigenvectors of a Hermitian view."""
     mat = m.matrix
     if mat.shape[0] != mat.shape[1]:

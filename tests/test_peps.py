@@ -96,9 +96,9 @@ class TestSymmetryAndIsometry:
     def test_completion_refuses_constraints_that_do_not_hold(self, wh2):
         q = topo_solution(wh2, x_power_alpha(wh2))
         c = q.constraints_a[1]
-        q.constraints_a[1] = replace(c, out_right=(c.out_right + 1) % 4)
+        broken = q.constraints_a[:1] + (replace(c, out_right=(c.out_right + 1) % 4),) + q.constraints_a[2:]
         with pytest.raises(SymmetryError):
-            complete_with_isometry(q)
+            complete_with_isometry(PEPSTensor(q.tensor, wh2, broken, q.constraints_b))
 
     def test_completion_runs_no_push_search(self, wh2, monkeypatch):
         q = topo_solution(wh2, interpolated_alpha(wh2, 0.3))

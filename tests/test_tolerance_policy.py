@@ -1,6 +1,7 @@
-"""One tolerance policy: every bound lives in ``mftn.tensors``, and every
-unitarity or isometry residual is ``isometry_residual``, compared against
-``UNITARY_INPUT_BOUND`` (inputs) or ``VERDICT_FLOOR`` (verdicts)."""
+"""One tolerance policy: every bound is a named module-level constant of
+``mftn.tensors``, and every unitarity or isometry residual is
+``isometry_residual``, compared against ``UNITARY_INPUT_BOUND`` (inputs) or
+``VERDICT_FLOOR`` (verdicts)."""
 
 import ast
 from pathlib import Path
@@ -10,9 +11,9 @@ import pytest
 
 from mftn.basis import MFBasis, hadamard_latin_basis, weyl_heisenberg_basis
 from mftn.clifford import is_clifford
-from mftn.errors import BasisError
+from mftn.errors import BasisError, NonHermitianError
 from mftn.mps import Push
-from mftn.tensors import UNITARY_INPUT_BOUND, isometry_residual, random_unitary
+from mftn.tensors import HERMITIAN_INPUT_BOUND, UNITARY_INPUT_BOUND, DenseTensor, eig_hermitian, isometry_residual, random_unitary
 
 from conftest import random_complex
 
@@ -24,11 +25,15 @@ def _has_eye(node):
     return any(isinstance(n, ast.Call) and getattr(n.func, "attr", None) == "eye" for n in ast.walk(node))
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_no_bare_threshold_outside_tensors(path):
+    """A small float appears only as the value of a module-level named constant of tensors.py."""
     tree = ast.parse(path.read_text())
+    named = {id(node.value) for node in tree.body if path.name == "tensors.py"
+             and isinstance(node, ast.Assign) and all(isinstance(t, ast.Name) for t in node.targets)}
     small = [node.lineno for node in ast.walk(tree)
-             if isinstance(node, ast.Constant) and isinstance(node.value, float) and 0 < node.value < 1e-3]
+             if isinstance(node, ast.Constant) and isinstance(node.value, float) and 0 < node.value < 1e-3
+             and id(node) not in named]
     assert small == [], f"bare thresholds at lines {small}: name them in mftn.tensors"
 
 
@@ -118,3 +123,18 @@ def test_input_checks_refuse_just_above_their_bound(name):
     check(0.99 * UNITARY_INPUT_BOUND)
     with pytest.raises(error, match="unitary|H H"):
         check(1.01 * UNITARY_INPUT_BOUND)
+
+
+def _hermitian_view(resid):
+    """diag(2, 3) plus an antisymmetric c, with c chosen so that eig_hermitian's
+    ||m - m†|| / max(||m||, 1) equals resid."""
+    c = resid * np.sqrt(13) / (2 * np.sqrt(2))
+    m = np.array([[2.0, c], [-c, 3.0]])
+    return DenseTensor(m, ("r", "c")).view(["r"], ["c"])
+
+
+def test_eig_hermitian_refuses_just_above_its_bound():
+    vals, _ = eig_hermitian(_hermitian_view(0.99 * HERMITIAN_INPUT_BOUND))
+    assert vals == pytest.approx([3.0, 2.0])
+    with pytest.raises(NonHermitianError):
+        eig_hermitian(_hermitian_view(1.01 * HERMITIAN_INPUT_BOUND))
