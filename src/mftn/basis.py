@@ -8,12 +8,13 @@ closure detection and cocycle (commutation phase) tables.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import BasisError, NonGroupBasisError, SizeGuardError, SymmetryError
-from .tensors import DEFAULT_TOL, MATCH_FLOOR, UNITARY_INPUT_BOUND, DenseTensor, isometry_residual
+from .tensors import DEFAULT_TOL, MATCH_FLOOR, UNITARY_INPUT_BOUND, DenseTensor, Fixed, isometry_residual
 
 
 @dataclass(frozen=True)
@@ -27,9 +28,9 @@ class CocycleTable:
         ph = np.asarray(self.phases, dtype=np.complex128)
         if ph.shape != (self.dim_sq, self.dim_sq):
             raise BasisError("cocycle table must be D^2 x D^2")
-        if not np.allclose(np.abs(ph), 1.0, atol=DEFAULT_TOL):
+        if not np.allclose(np.abs(ph), 1.0, rtol=0, atol=DEFAULT_TOL):
             raise BasisError("cocycle phases must have unit modulus")
-        if not np.allclose(np.diag(ph), 1.0, atol=DEFAULT_TOL):
+        if not np.allclose(np.diag(ph), 1.0, rtol=0, atol=DEFAULT_TOL):
             raise BasisError("omega(j,j) must be 1")
         object.__setattr__(self, "phases", ph)
 
@@ -37,7 +38,7 @@ class CocycleTable:
         return complex(self.phases[j, k])
 
 
-class MFBasis:
+class MFBasis(Fixed):
     """A set of D^2 unitaries with Tr(P_i† P_j) = D delta_ij.
 
     Elements are stored unnormalized; the 1/sqrt(D) measurement-state
@@ -57,19 +58,13 @@ class MFBasis:
             raise SizeGuardError(f"basis dimension {dim} exceeds the desk-scale guard of {cls.MAX_DIM}")
         return dim
 
-    def __init__(self, dim, elements, labels=None, is_group=None, cocycle=None):
+    def __init__(self, dim, elements, labels=None):
         self.dim = self.guard_dim(int(dim))
-        self.elements = [np.array(e, dtype=np.complex128) for e in elements]
+        self.elements = tuple(np.array(e, dtype=np.complex128) for e in elements)
         for e in self.elements:
             e.setflags(write=False)
-        self.labels = list(labels) if labels is not None else [f"P{i}" for i in range(len(self.elements))]
-        self.is_group = is_group
-        self.cocycle = cocycle
+        self.labels = tuple(labels) if labels is not None else tuple(f"P{i}" for i in range(len(self.elements)))
         self._validate()
-        self._product_cache = None
-        self._dagger_cache = None
-        self._image_cache = {}
-        self._identity_index = None
 
     def _validate(self) -> None:
         d = self.dim
@@ -93,15 +88,22 @@ class MFBasis:
         return self.elements[self.index(key)]
 
     def index(self, key) -> int:
+        """The index of a label, or an index in 0..D^2-1 itself; ValueError for anything else."""
+        if isinstance(key, (bool, np.bool_)):
+            raise ValueError(f"{key!r} is not a basis index or label")
         if isinstance(key, (int, np.integer)):
+            if not 0 <= key < len(self.elements):
+                raise ValueError(f"basis index {key} is outside 0..{len(self.elements) - 1}")
             return int(key)
         return self.labels.index(key)
 
     @property
     def identity_index(self) -> int:
-        if self._identity_index is None:
-            self._identity_index = self.resolve(np.eye(self.dim))[0]
-        return self._identity_index
+        return self._identity
+
+    @functools.cached_property
+    def _identity(self) -> int:
+        return self.resolve(np.eye(self.dim))[0]
 
     def completeness_map(self) -> np.ndarray:
         """Matrix whose i-th column is vec(P_i)/sqrt(D)."""
@@ -121,45 +123,66 @@ class MFBasis:
         except NonGroupBasisError:
             return None
 
+    @functools.cached_property
+    def _products(self):
+        """(index, phase) tables for P_i P_j = phase * P_k, or None when some product leaves the basis."""
+        stack = np.stack(self.elements)
+        products = stack[:, None] @ stack[None, :]
+        idx, ph, ok = _phase_match(self._conj_vecs, products, MATCH_FLOOR)
+        return (idx.reshape(products.shape[:2]), ph.reshape(products.shape[:2])) if ok.all() else None
+
     def product_table(self):
         """(index, phase) tables for P_i P_j = phase * P_k, for group bases."""
-        if self._product_cache is None:
-            stack = np.stack(self.elements)
-            products = stack[:, None] @ stack[None, :]
-            idx, ph, ok = _phase_match(self._conj_vecs, products, MATCH_FLOOR)
-            if not ok.all():
-                raise NonGroupBasisError("basis is not closed under multiplication")
-            self._product_cache = (idx.reshape(products.shape[:2]), ph.reshape(products.shape[:2]))
-        return self._product_cache
+        if self._products is None:
+            raise NonGroupBasisError("basis is not closed under multiplication")
+        return self._products
 
     def compose(self, x, y) -> tuple[int, complex]:
         """(class, phase) of the product of the (class, phase) pairs x and y."""
-        idx, ph = self._product_cache or self.product_table()
+        idx, ph = self._products or self.product_table()
         return int(idx[x[0], y[0]]), x[1] * y[1] * ph[x[0], y[0]]
 
-    def dagger_table(self):
-        """(index, phase) with P_i† = phase * P_k."""
-        if self._dagger_cache is None:
-            pairs = [self.resolve(p.conj().T) for p in self.elements]
-            self._dagger_cache = (
-                np.array([k for k, _ in pairs], dtype=np.intp),
-                np.array([c for _, c in pairs], dtype=np.complex128),
-            )
-        return self._dagger_cache
+    @functools.cached_property
+    def cocycle(self) -> CocycleTable | None:
+        """The commutation phases when the basis closes under multiplication, else None.
+
+        P_k P_j = ph[k,j] P_a and P_j P_k = ph[j,k] P_a give omega(j,k) as the
+        ratio of two product-table phases.  In a non-abelian quotient group the
+        pairs whose two products differ have no commutation phase; their entries
+        are the same ratio, and ``mps.require_abelian`` rejects such bases.
+        """
+        if self._products is None:
+            return None
+        ph = self._products[1]
+        omega = ph.T / ph
+        return CocycleTable(len(self.elements), omega / np.abs(omega))
+
+    @property
+    def is_group(self) -> bool:
+        return self.cocycle is not None
 
     def conjugate_table(self) -> dict:
         """j -> (k, phase) with P_j^* = phase * P_k; no entry when P_j^* leaves the basis."""
-        return self._image_table("conjugate", np.conj)
+        return self._images["conjugate"]
 
     def transpose_table(self) -> dict:
         """j -> (k, phase) with P_j^T = phase * P_k; no entry when P_j^T leaves the basis."""
-        return self._image_table("transpose", lambda stack: stack.transpose(0, 2, 1))
+        return self._images["transpose"]
 
-    def _image_table(self, name, image) -> dict:
-        if name not in self._image_cache:
-            idx, ph, ok = _phase_match(self._conj_vecs, image(np.stack(self.elements)), MATCH_FLOOR)
-            self._image_cache[name] = {j: (int(k), complex(c)) for j, (k, c, hit) in enumerate(zip(idx, ph, ok)) if hit}
-        return self._image_cache[name]
+    def dagger_table(self) -> dict:
+        """j -> (k, phase) with P_j† = phase * P_k; no entry when P_j† leaves the basis."""
+        return self._images["dagger"]
+
+    @functools.cached_property
+    def _images(self) -> dict:
+        """The conjugate, transpose and dagger tables, matched in one projection."""
+        stack = np.stack(self.elements)
+        images = {"conjugate": stack.conj(), "transpose": stack.transpose(0, 2, 1)}
+        images["dagger"] = images["conjugate"].transpose(0, 2, 1)
+        idx, ph, ok = _phase_match(self._conj_vecs, np.concatenate(list(images.values())), MATCH_FLOOR)
+        n = len(stack)
+        return {name: {j: (int(idx[i * n + j]), complex(ph[i * n + j])) for j in range(n) if ok[i * n + j]}
+                for i, name in enumerate(images)}
 
     def to_json(self) -> dict:
         return {
@@ -171,13 +194,10 @@ class MFBasis:
     @classmethod
     def from_json(cls, obj: dict) -> "MFBasis":
         elements = [DenseTensor.from_json(e).data for e in obj["elements"]]
-        b = cls(obj["dim"], elements, labels=obj.get("labels"))
-        b.cocycle = check_group_closure(b)
-        b.is_group = b.cocycle is not None
-        return b
+        return cls(obj["dim"], elements, labels=obj.get("labels"))
 
     def __repr__(self) -> str:
-        return f"MFBasis(dim={self.dim}, group={self.is_group})"
+        return f"MFBasis(dim={self.dim})"  # deriving is_group here would cost the product table
 
 
 def shift_clock(d: int) -> tuple[np.ndarray, np.ndarray]:
@@ -217,7 +237,7 @@ def wh_label(v: int, w: int) -> str:
 
 
 def weyl_heisenberg_basis(D: int) -> MFBasis:
-    """The Weyl-Heisenberg group {X^v Z^w} with its exact cocycle.
+    """The Weyl-Heisenberg group {X^v Z^w}, with cocycle exp(2 pi i (v w' - w v') / D).
 
     Element order is v*D + w, so the first D elements are the Z powers.
     """
@@ -230,12 +250,7 @@ def weyl_heisenberg_basis(D: int) -> MFBasis:
         for w in range(D):
             elements.append(np.linalg.matrix_power(x, v) @ np.linalg.matrix_power(z, w))
             labels.append(wh_label(v, w))
-    # omega(j, k) = exp(2 pi i (v_j w_k - w_j v_k) / D) for j = v_j * D + w_j
-    v, w = np.divmod(np.arange(D * D), D)
-    phases = np.exp(2j * np.pi * (np.outer(v, w) - np.outer(w, v)) / D)
-    basis = MFBasis(D, elements, labels=labels, is_group=True)
-    basis.cocycle = CocycleTable(D * D, phases)
-    return basis
+    return MFBasis(D, elements, labels=labels)
 
 
 def composite_basis(b1: MFBasis, b2: MFBasis, mode: str = "product") -> MFBasis:
@@ -254,8 +269,8 @@ def composite_basis(b1: MFBasis, b2: MFBasis, mode: str = "product") -> MFBasis:
             for l2, p2 in zip(b2.labels, b2.elements):
                 elements.append(np.kron(p1, p2))
                 labels.append(f"{l1}*{l2}")
-        basis = MFBasis(b1.dim * b2.dim, elements, labels=labels)
-    elif mode == "mixed_clock":
+        return MFBasis(b1.dim * b2.dim, elements, labels=labels)
+    if mode == "mixed_clock":
         d1, d2, d = b1.dim, b2.dim, b1.dim * b2.dim
         (x1, _), (x2, _) = shift_clock(d1), shift_clock(d2)
         if b1.try_resolve(x1) is None or b2.try_resolve(x2) is None:
@@ -267,12 +282,8 @@ def composite_basis(b1: MFBasis, b2: MFBasis, mode: str = "product") -> MFBasis:
             raise NonGroupBasisError(
                 "mixed_clock generators do not close into d1^2 d2^2 distinct elements"
             )
-        basis = MFBasis(d, elements)
-    else:
-        raise ValueError(f"unknown mode {mode!r}")
-    basis.cocycle = check_group_closure(basis)
-    basis.is_group = basis.cocycle is not None
-    return basis
+        return MFBasis(d, elements)
+    raise ValueError(f"unknown mode {mode!r}")
 
 
 def _generate_closure(gens: list[np.ndarray], limit: int) -> list[np.ndarray] | None:
@@ -311,7 +322,7 @@ def hadamard_latin_basis(H: list[np.ndarray], lam: np.ndarray) -> MFBasis:
         raise BasisError("need one Hadamard matrix per row index j")
     for h in H:
         h = np.asarray(h)
-        if h.shape != (D, D) or not np.allclose(np.abs(h), 1.0, atol=DEFAULT_TOL):
+        if h.shape != (D, D) or not np.allclose(np.abs(h), 1.0, rtol=0, atol=DEFAULT_TOL):
             raise BasisError("Hadamard entries must all have unit modulus")
         # H / sqrt(D) unitary to UNITARY_INPUT_BOUND / D keeps ||H H† - D I|| within UNITARY_INPUT_BOUND x D
         if isometry_residual(h / np.sqrt(D)) > UNITARY_INPUT_BOUND / D:
@@ -324,26 +335,12 @@ def hadamard_latin_basis(H: list[np.ndarray], lam: np.ndarray) -> MFBasis:
                 u[lam[j, k], k] = H[j][i, k]
             elements.append(u)
             labels.append(f"U[{i},{j}]")
-    basis = MFBasis(D, elements, labels=labels)
-    basis.cocycle = check_group_closure(basis)
-    basis.is_group = basis.cocycle is not None
-    return basis
+    return MFBasis(D, elements, labels=labels)
 
 
 def check_group_closure(b: MFBasis) -> CocycleTable | None:
-    """Cocycle table when the basis closes under multiplication, else None.
-
-    P_k P_j = ph[k,j] P_a and P_j P_k = ph[j,k] P_a give omega(j,k) as the
-    ratio of two product-table phases.  In a non-abelian quotient group the
-    pairs whose two products differ have no commutation phase; their entries
-    are the same ratio, and ``mps.require_abelian`` rejects such bases.
-    """
-    try:
-        _, ph = b.product_table()
-    except NonGroupBasisError:
-        return None
-    omega = ph.T / ph
-    return CocycleTable(len(b.elements), omega / np.abs(omega))
+    """Cocycle table when the basis closes under multiplication, else None (``MFBasis.cocycle``)."""
+    return b.cocycle
 
 
 def _phase_match(conj_vecs, m, thr):

@@ -34,17 +34,12 @@ from .errors import MftnError
 from .tensors import (COMMUTANT_FLOOR, EIGEN_FLOOR, NORM_GUARD, UNITARY_FLOOR, VERDICT_FLOOR, DenseTensor,
                       isometry_residual)
 
-# every public operation is reachable from exactly one subcommand
+# the public operations the CLI calls, each with the one subcommand that reaches it
 OPERATIONS = {
     "contract": "check-mps",
-    "polar_decompose": "decompose-mps",
-    "eig_hermitian": "decompose-mps",
-    "pseudo_inverse": "decompose-mps",
     "weyl_heisenberg_basis": "basis",
     "composite_basis": "basis",
-    "hadamard_latin_basis": "basis",
     "check_group_closure": "basis",
-    "pauli_to_matrix": "clifford-synth",
     "check_admissible": "clifford-synth",
     "synthesize_clifford": "clifford-synth",
     "is_clifford": "clifford-synth",

@@ -40,7 +40,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import clifford as qc
-from .basis import MFBasis, check_group_closure, wh_generators
+from .basis import MFBasis, wh_generators
 from .errors import (
     BoundaryError,
     DimensionMismatchError,
@@ -57,6 +57,7 @@ from .tensors import (
     UNITARY_INPUT_BOUND,
     ZERO_FLOOR,
     DenseTensor,
+    Fixed,
     first_unitary_fit,
     fix_global_phase,
     gram_proportionality,
@@ -121,7 +122,7 @@ class Push:
         object.__setattr__(self, "u_phys", u)
 
 
-class MFTensor:
+class MFTensor(Fixed):
     """A tensor with a "phys" leg and the virtual legs ``LEGS``, each of the
     basis dimension, bound to an MF basis.  Defects enter on ``IN_LEGS``."""
 
@@ -137,11 +138,6 @@ class MFTensor:
             raise DimensionMismatchError("virtual legs must match the basis dimension")
         self.tensor = tensor
         self.basis = basis
-
-    def __setattr__(self, name, value):
-        if name in self.__dict__:
-            raise AttributeError(f"{type(self).__name__}.{name} is fixed when the tensor is built")
-        super().__setattr__(name, value)
 
     @property
     def d(self) -> int:
@@ -272,9 +268,7 @@ def solve_pushes(b, basis: MFBasis, dims, in_leg: int, in_mats, out_legs, tol: f
 
 
 def require_abelian(basis: MFBasis) -> None:
-    if basis.cocycle is None:
-        basis.cocycle = check_group_closure(basis)
-    if basis.cocycle is None:
+    if not basis.is_group:
         raise NonGroupBasisError("operation requires a group basis")
     idx, _ = basis.product_table()
     if not np.array_equal(idx, idx.T):
@@ -499,7 +493,7 @@ def _solve_unknown_corrections(basis, triples, d, rng):
                     continue
                 win, wout = push_operators(basis, 2, 0, p_in, {1: p_out})
                 new_us.append(procrustes_unitary(b @ wout, b @ win))
-            if all(np.allclose(a, c, atol=ALS_STEP_FLOOR) for a, c in zip(us, new_us)):
+            if all(np.allclose(a, c, rtol=0, atol=ALS_STEP_FLOOR) for a, c in zip(us, new_us)):
                 break
             us = new_us
         if best is None or resid < best[0]:

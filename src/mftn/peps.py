@@ -283,11 +283,11 @@ def transfer_spectrum_analytic(alpha, basis: MFBasis, L: int) -> TransferSpectru
     require_abelian(basis)
     alpha = np.asarray(alpha, dtype=np.complex128).reshape(-1)
     idx_tab, _ = basis.product_table()
-    dag_idx, _ = basis.dagger_table()
+    daggers = basis.dagger_table()
     n = len(basis.elements)
     e = np.zeros(n, dtype=np.complex128)
     for i in range(n):
-        di = int(dag_idx[i])
+        di = daggers[i][0]
         e[i] = sum(alpha[j] * np.conj(alpha[int(idx_tab[di, j])]) for j in range(n))
     t = e**L
     return TransferSpectrum(L, e, t, list(basis.labels), _degeneracy_of_max(t))

@@ -70,6 +70,19 @@ def fix_global_phase(v: np.ndarray) -> np.ndarray:
     return v * (abs(lead) / lead)
 
 
+class Fixed:
+    """A value whose attributes are set once, when it is built.
+
+    Facts derived from them are ``functools.cached_property``s, which store
+    past ``__setattr__``; assigning one, before or after first use, is refused.
+    """
+
+    def __setattr__(self, name, value):
+        if name in self.__dict__ or hasattr(type(self), name):
+            raise AttributeError(f"{type(self).__name__}.{name} is fixed when the value is built")
+        super().__setattr__(name, value)
+
+
 class DenseTensor:
     """Immutable complex tensor with uniquely named legs.
 

@@ -89,6 +89,17 @@ class TestWeylHeisenberg:
             np.testing.assert_allclose(pk @ pj, b.cocycle.omega(j, k) * pj @ pk, atol=1e-12)
 
 
+class TestIndex:
+    def test_labels_and_in_range_integers(self, wh2):
+        assert wh2.index("XZ") == 3
+        assert wh2.index(3) == 3 and wh2.index(np.int64(0)) == 0
+
+    @pytest.mark.parametrize("key", [4, 99, -1, np.int64(-4), True, False, np.True_, "Y"])
+    def test_refuses_what_names_no_element(self, wh2, key):
+        with pytest.raises(ValueError):
+            wh2.index(key)
+
+
 class TestComposite:
     def test_product_of_wh2(self, wh2):
         b = composite_basis(wh2, wh2, mode="product")
@@ -113,9 +124,11 @@ class TestComposite:
         assert b.is_group
 
     def test_product_requires_groups(self, wh2):
-        broken = MFBasis(2, wh2.elements, labels=wh2.labels, is_group=False)
+        broken = hadamard_latin_basis([fourier_matrix(5)] * 5, NON_GROUP_LATIN_5)
         with pytest.raises(NonGroupBasisError):
-            composite_basis(broken, broken, mode="product")
+            composite_basis(broken, wh2, mode="product")
+        with pytest.raises(NonGroupBasisError):
+            composite_basis(wh2, broken, mode="product")
 
 
 class TestHadamardLatin:

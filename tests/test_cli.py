@@ -433,32 +433,91 @@ class TestArguments:
             assert flags - {"-h", "--help", "--tol"} == FLAGS_READ[name], name
 
 
+def _aklt_spec_with_p_in(p_in):
+    """The AKLT chain spec with its first constraint's p_in replaced."""
+    from mftn import fixtures
+    from mftn.tensors import DenseTensor
+
+    A = fixtures.aklt_tensor()
+    constraints = [{"p_in": A.basis.labels[c.p_in], "p_out": A.basis.labels[c.p_out],
+                    "u_phys": DenseTensor(c.u_phys, ("row", "col")).to_json()}
+                   for c in A.constraints]
+    constraints[0]["p_in"] = p_in
+    return json.dumps({"basis": "WH:2", "tensor": A.tensor.to_json(), "constraints": constraints})
+
+
+class TestBasisIndices:
+    """An integer basis index outside 0..D^2-1, or a bool, is malformed input."""
+
+    @pytest.mark.parametrize("argv", [
+        ["check-mps", "--tensor", _aklt_spec_with_p_in(99)],
+        ["check-mps", "--tensor", _aklt_spec_with_p_in(-1)],
+        ["check-mps", "--tensor", _aklt_spec_with_p_in(True)],
+        ["topo-solve", "--topo", json.dumps({**json.loads(TOPO), "subgroup": [0, -1]})],
+    ], ids=["p_in-99", "p_in-minus-1", "p_in-true", "subgroup-minus-1"])
+    def test_out_of_range_index_exits_three(self, capsys, argv):
+        got = cli.dispatch(argv)
+        captured = capsys.readouterr()
+        assert got == 3
+        assert "Traceback" not in captured.err
+        assert report_of(captured.out)["error"].startswith("malformed input: ")
+
+    def test_in_range_integer_indices_are_read(self, capsys):
+        code, out = run(capsys, ["check-mps", "--tensor", _aklt_spec_with_p_in(0)])
+        assert code == 0
+        assert all(c["passed"] for c in report_of(out)["checks"])
+
+
+# argv that reach the operations ``cli.OPERATIONS`` files under each subcommand
+REACHING = {
+    "check-mps": [["check-mps", "--tensor", "aklt"]],
+    "basis": [["basis", "--composite", "WH:2"]],
+    "clifford-synth": [["clifford-synth", "--map", MAP]],
+    "solve-family": [["solve-family", "--constraints", CONSTRAINTS]],
+    "decompose-mps": [["decompose-mps", "--tensor", "aklt"]],
+    "spt": [["spt", "--alpha", ALPHA]],
+    "block": [["block", "--tensor", "aklt"]],
+    "expect": [["expect", "--alpha", ALPHA, "--string", STRING]],
+    "check-peps": [["check-peps", "--alpha", ALPHA]],
+    "topo-solve": [["topo-solve", "--topo", TOPO]],
+    "transfer": [["transfer", "--alpha", ALPHA, "--brute"]],
+    "degeneracy": [["degeneracy", "--topo", TOPO]],
+    "simulate": [["simulate", "--chain", "aklt", "--enumerate"], ["simulate", "--peps", TOPO]],
+    "mpo": [["mpo", action] for action in ("check", "purify", "relative", "apply")],
+}
+
+
 class TestOperationCoverage:
-    def test_every_operation_reachable_from_exactly_one_subcommand(self):
-        spec_ops = {
-            "contract", "polar_decompose", "eig_hermitian", "pseudo_inverse",
-            "weyl_heisenberg_basis", "composite_basis", "hadamard_latin_basis",
-            "check_group_closure", "pauli_to_matrix", "check_admissible",
-            "synthesize_clifford", "is_clifford", "check_mf_symmetry",
-            "solve_symmetry_family", "canonical_form_check", "split_polar",
-            "correction_consistency", "clifford_magic_decompose", "spt_solution",
-            "block", "map_order", "pauli_expectation", "check_peps_mf_symmetry",
-            "peps_isometry_check", "peps_split_polar", "topo_solution",
-            "check_topo_symmetry", "transfer_spectrum_analytic",
-            "transfer_matrix_brute", "degeneracy_report", "injectivity_check",
-            "run_mps_protocol", "run_peps_protocol", "enumerate_outcomes",
-            "check_mpo_isometry", "mpo_slices", "build_purifying_unitary",
-            "relative_local_unitary", "apply_mpo_via_protocol",
-        }
-        assert set(cli.OPERATIONS) == spec_ops
-        assert set(cli.OPERATIONS.values()) <= set(cli.SUBCOMMANDS)
-        # each operation maps to exactly one subcommand by construction of the
-        # dict; verify every advertised subcommand carries at least one op
-        # except the pure dispatcher itself
+    def test_every_operation_reachable_from_exactly_one_subcommand(self, capsys, monkeypatch):
+        import sys
+
         import mftn
 
-        for op in spec_ops:
-            assert cli.OPERATIONS[op] in cli.SUBCOMMANDS
+        assert set(cli.OPERATIONS.values()) <= set(cli.SUBCOMMANDS)
+        assert set(REACHING) == set(cli.OPERATIONS.values())
+        # a counter bound in every module of the package that binds the operation
+        calls = dict.fromkeys(cli.OPERATIONS, 0)
+
+        def counted(op, original):
+            def spy(*args, **kwargs):
+                calls[op] += 1
+                return original(*args, **kwargs)
+            return spy
+
+        for op in cli.OPERATIONS:
+            original = getattr(mftn, op)
+            for name, module in list(sys.modules.items()):
+                if name.startswith("mftn"):
+                    for attr, value in list(vars(module).items()):
+                        if value is original:
+                            monkeypatch.setattr(module, attr, counted(op, original))
+        uncalled = []
+        for command, argvs in REACHING.items():
+            calls.update(dict.fromkeys(calls, 0))
+            for argv in argvs:
+                assert run(capsys, argv)[0] == 0, argv
+            uncalled += [op for op, sub in cli.OPERATIONS.items() if sub == command and not calls[op]]
+        assert not uncalled, f"operations no subcommand reaches: {uncalled}"
 
     def test_check_mps_calls_contract(self, capsys, monkeypatch):
         import sys

@@ -45,7 +45,7 @@ class TestIsometry:
         from mftn.basis import MFBasis
         from mftn.mps import SymmetryConstraint
 
-        trivial = MFBasis(1, [np.eye(1)], labels=["I"], is_group=True)
+        trivial = MFBasis(1, [np.eye(1)], labels=["I"])
         arr = np.zeros((2, 2, 1, 1), dtype=complex)
         arr[0, 0] = arr[1, 1] = 1.0
         ident = MPOTensor.from_array(arr, trivial, [SymmetryConstraint(0, np.eye(2), 0)])
@@ -245,7 +245,7 @@ class TestIdentityMpoProtocol:
         from mftn.basis import MFBasis
         from mftn.mps import SymmetryConstraint
 
-        trivial = MFBasis(1, [np.eye(1)], labels=["I"], is_group=True)
+        trivial = MFBasis(1, [np.eye(1)], labels=["I"])
         arr = np.zeros((2, 2, 1, 1), dtype=complex)
         arr[0, 0] = arr[1, 1] = 1.0
         ident = MPOTensor.from_array(arr, trivial, [SymmetryConstraint(0, np.eye(2), 0)])

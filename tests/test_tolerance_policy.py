@@ -9,11 +9,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from mftn.basis import MFBasis, hadamard_latin_basis, weyl_heisenberg_basis
+from mftn.basis import CocycleTable, MFBasis, hadamard_latin_basis, weyl_heisenberg_basis
 from mftn.clifford import is_clifford
-from mftn.errors import BasisError, NonHermitianError
-from mftn.mps import Push
-from mftn.tensors import HERMITIAN_INPUT_BOUND, UNITARY_INPUT_BOUND, DenseTensor, eig_hermitian, isometry_residual, random_unitary
+from mftn.errors import BasisError, NonHermitianError, SymmetryError
+from mftn.fixtures import controlled_pauli_mpo
+from mftn.mpo import MPOTensor, relative_local_unitary
+from mftn.mps import Push, SymmetryConstraint
+from mftn.tensors import DEFAULT_TOL, HERMITIAN_INPUT_BOUND, UNITARY_INPUT_BOUND, DenseTensor, eig_hermitian, isometry_residual, random_unitary
 
 from conftest import random_complex
 
@@ -35,6 +37,29 @@ def test_no_bare_threshold_outside_tensors(path):
              if isinstance(node, ast.Constant) and isinstance(node.value, float) and 0 < node.value < 1e-3
              and id(node) not in named]
     assert small == [], f"bare thresholds at lines {small}: name them in mftn.tensors"
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_implicit_rtol(path):
+    """np.allclose and np.isclose add rtol = 1e-5 unless told otherwise, widening a named atol."""
+    tree = ast.parse(path.read_text())
+    implicit = [node.lineno for node in ast.walk(tree)
+                if isinstance(node, ast.Call) and getattr(node.func, "attr", None) in ("allclose", "isclose")
+                and not any(k.arg == "rtol" for k in node.keywords)]
+    assert implicit == [], f"np.allclose/np.isclose without rtol at lines {implicit}"
+
+
+def test_cocycle_table_refuses_a_relative_error_above_its_bound(wh2):
+    CocycleTable(4, wh2.cocycle.phases * (1 + 0.5 * DEFAULT_TOL))
+    with pytest.raises(BasisError, match="unit modulus"):
+        CocycleTable(4, wh2.cocycle.phases * (1 + 1e-6))
+
+
+def test_relative_unitary_refuses_constraints_rotated_by_more_than_tol(wh2):
+    O = controlled_pauli_mpo(wh2)
+    rotated = [SymmetryConstraint(c.p_in, np.exp(1e-6j) * c.u_phys, c.p_out) for c in O.constraints]
+    with pytest.raises(SymmetryError, match="identical constraint sets"):
+        relative_local_unitary(O, MPOTensor(O.tensor, wh2, rotated))
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
