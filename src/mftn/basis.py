@@ -110,16 +110,16 @@ class MFBasis(Fixed):
         d = self.dim
         return np.stack([p.reshape(-1) / np.sqrt(d) for p in self.elements], axis=1)
 
-    def resolve(self, m: np.ndarray, tol: float = DEFAULT_TOL) -> tuple[int, complex]:
-        """Identify m = phase * P_k to max(tol, MATCH_FLOOR); raises when m is not in the basis."""
-        k, c, ok = _phase_match(self._conj_vecs, m, max(tol, MATCH_FLOOR))
+    def resolve(self, m: np.ndarray) -> tuple[int, complex]:
+        """Identify m = phase * P_k to MATCH_FLOOR; raises when m is not in the basis."""
+        k, c, ok = _phase_match(self._conj_vecs, m, MATCH_FLOOR)
         if not ok[0]:
             raise NonGroupBasisError("matrix is not a unit-phase multiple of any basis element")
         return int(k[0]), complex(c[0])
 
-    def try_resolve(self, m: np.ndarray, tol: float = DEFAULT_TOL):
+    def try_resolve(self, m: np.ndarray):
         try:
-            return self.resolve(m, tol)
+            return self.resolve(m)
         except NonGroupBasisError:
             return None
 

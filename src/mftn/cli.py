@@ -56,7 +56,7 @@ OPERATIONS = {
     "check_peps_mf_symmetry": "check-peps",
     "peps_isometry_check": "check-peps",
     "peps_split_polar": "check-peps",
-    "injectivity_check": "check-peps",
+    "injectivity_check": "topo-solve",
     "topo_solution": "topo-solve",
     "check_topo_symmetry": "topo-solve",
     "transfer_spectrum_analytic": "transfer",
@@ -347,9 +347,8 @@ def _cmd_check_peps(args, report):
     if split.clifford is not None:
         resid = split.clifford.reconstruction_residual
         report.check("clifford_form", resid < max(report.tol, VERDICT_FLOOR), resid)
-    inj = peps_mod.injectivity_check(q, tol=tol)
-    report.outputs["rank"] = inj.rank
-    report.outputs["injective"] = inj.injective
+    report.outputs["rank"] = split.rank
+    report.outputs["injective"] = split.rank == q.D**4
 
 
 def _cmd_topo_solve(args, report):
@@ -461,7 +460,7 @@ def _cmd_mpo(args, report):
     elif args.mpo_action == "apply":
         n = args.sites
         report.outputs["sites"] = n
-        mpo_mod.check_protocol_sites(n)  # before the d^n input is drawn
+        mpo_mod.check_protocol_sites(n, O.d, O.D)  # before the d^n input is drawn
         rng = protocol_mod.philox_rng(args.seed)
         psi = rng.standard_normal(O.d**n) + 1j * rng.standard_normal(O.d**n)
         run = mpo_mod.apply_mpo_via_protocol([O] * n, psi, "open", args.seed, tol)

@@ -135,7 +135,7 @@ def controlled_pauli_mpo(basis: MFBasis):
     for a, p in enumerate(basis.elements):
         arr[a, a] = p.T
     fits = solve_pushes(
-        arr.reshape(d, d * D * D), basis, (d, D, D), 1, [p.T for p in basis.elements], (2,), DEFAULT_TOL,
+        arr.reshape(d, d * D * D), basis, (d, D, D), 1, (2,), DEFAULT_TOL,
         lambda k: RuntimeError("controlled-Pauli MPO misses a transport rule"),
     )
     constraints = [SymmetryConstraint(k, u, out) for k, ((out,), u) in enumerate(fits)]

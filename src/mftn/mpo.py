@@ -38,8 +38,8 @@ from .protocol import (
     philox_rng,
     push_chain_defects,
 )
-from .tensors import (DEFAULT_TOL, UNITARY_FLOOR, VERDICT_FLOOR, DenseTensor, Fixed, fix_global_phase,
-                      gram_proportionality, proportionality, state_fidelity)
+from .tensors import (DEFAULT_TOL, MAX_DENSE_ELEMENTS, UNITARY_FLOOR, VERDICT_FLOOR, DenseTensor, Fixed,
+                      fix_global_phase, gram_proportionality, proportionality, state_fidelity)
 
 MPO_LEGS = ("left", "right", "phys_in", "phys_out")
 
@@ -204,13 +204,16 @@ def relative_local_unitary(O: MPOTensor, O2: MPOTensor, tol: float = DEFAULT_TOL
 MAX_PROTOCOL_SITES = 6
 
 
-def check_protocol_sites(n: int) -> None:
-    """Refuse MPO protocol chains longer than ``MAX_PROTOCOL_SITES``.
+def check_protocol_sites(n: int, d: int, D: int) -> None:
+    """Refuse MPO protocol chains longer than ``MAX_PROTOCOL_SITES``, or whose
+    D x d^n x D branch states exceed 2^22 amplitudes (D^2 of them are held).
 
     Callers that build a d^n input check this before allocating it.
     """
     if n > MAX_PROTOCOL_SITES:
         raise SizeGuardError(f"MPO protocol chains are capped at {MAX_PROTOCOL_SITES} sites")
+    if D * D * d**n > MAX_DENSE_ELEMENTS:
+        raise SizeGuardError(f"MPO protocol states of {n} sites of dimension {d} exceed 2^22 amplitudes")
 
 
 def _validate_mpo_chain(tensors, tol: float):
@@ -289,8 +292,8 @@ def apply_mpo_via_protocol(tensors, input_state, boundary: str = "open", seed: i
         raise BoundaryError("protocol application supports open boundaries only")
     tensors = list(tensors)
     n = len(tensors)
-    check_protocol_sites(n)
     basis, completed = _validate_mpo_chain(tensors, tol)
+    check_protocol_sites(n, tensors[0].d, tensors[0].D)
     rng = philox_rng(seed)
     arrays = [o.array() / np.sqrt(basis.dim) for o in tensors]
     state = _mpo_step(_mpo_input(tensors, input_state), arrays[0], 0)

@@ -46,6 +46,7 @@ from .errors import (
     DimensionMismatchError,
     NonGroupBasisError,
     NonPrimeDimensionError,
+    SizeGuardError,
     SymmetryError,
 )
 from .tensors import (
@@ -53,6 +54,7 @@ from .tensors import (
     ALS_STEP_FLOOR,
     DEFAULT_TOL,
     MATCH_FLOOR,
+    MAX_DENSE_ELEMENTS,
     NORM_GUARD,
     UNITARY_INPUT_BOUND,
     ZERO_FLOOR,
@@ -235,9 +237,9 @@ def polar_structure(A: MFTensor, tol: float, cls=PolarSplit) -> PolarSplit:
     )
 
 
-def solve_pushes(b, basis: MFBasis, dims, in_leg: int, in_mats, out_legs, tol: float, fail):
-    """Yield (images, U) per incoming matrix: the first fit of
-    U b (m on in_leg) = b (P_images on out_legs).
+def solve_pushes(b, basis: MFBasis, dims, in_leg: int, out_legs, tol: float, fail):
+    """Yield (images, U) per basis element P_k: the first fit of
+    U b (P_k^T on in_leg) = b (P_images on out_legs), the push of constraint k.
 
     Image tuples are scanned with single-leg pushes first, ``tol`` is
     relative to ||b||, and no target is built after the first fit.  Every
@@ -245,7 +247,7 @@ def solve_pushes(b, basis: MFBasis, dims, in_leg: int, in_mats, out_legs, tol: f
     L an orthonormal basis of range(b) of numpy's ``matrix_rank`` size r: one
     r x r Procrustes unitary U_r per candidate.  U = L U_r L† + (I - L L†) is
     the identity off range(b), whatever basis L LAPACK returns.  When no
-    tuple fits the k-th matrix, the exception ``fail(k)`` is raised.
+    tuple fits P_k, the exception ``fail(k)`` is raised.
     """
     scale = max(np.linalg.norm(b), NORM_GUARD)
     l, s, _ = np.linalg.svd(b, full_matrices=False)
@@ -256,12 +258,12 @@ def solve_pushes(b, basis: MFBasis, dims, in_leg: int, in_mats, out_legs, tol: f
         itertools.product(range(len(basis.elements)), repeat=len(out_legs)),
         key=lambda images: sum(k != ident for k in images),
     )
-    for k, m in enumerate(in_mats):
+    for k, p in enumerate(basis.elements):
         targets = (
             (images, apply_leg_ops(r_b, dims, {leg: basis.elements[i] for leg, i in zip(out_legs, images)}))
             for images in candidates
         )
-        fit = first_unitary_fit(apply_leg_ops(r_b, dims, {in_leg: m}), targets, tol * scale)
+        fit = first_unitary_fit(apply_leg_ops(r_b, dims, {in_leg: p.T}), targets, tol * scale)
         if fit is None:
             raise fail(k)
         yield fit[0], l @ fit[1] @ l.conj().T + off_range
@@ -671,12 +673,15 @@ def block(A: MPSTensor, k: int) -> MPSTensor:
     """Contract k copies into a supersite, composing the constraint maps.
 
     Surviving constraints are those whose image chain stays inside the
-    completed constraint set at every one of the k steps.
+    completed constraint set at every one of the k steps.  Each is a
+    d^k x d^k matrix, refused with SizeGuardError past 2^22 elements.
     """
     if k < 1:
         raise ValueError("k must be at least 1")
     if k == 1:
         return A
+    if A.d ** (2 * k) > MAX_DENSE_ELEMENTS:
+        raise SizeGuardError(f"blocking {k} sites of dimension {A.d} builds corrections past 2^22 elements")
     mats = A.site_matrices()
     blocked = mats
     for _ in range(k - 1):

@@ -186,28 +186,17 @@ def topo_solution(basis: MFBasis, alpha, tol: float = DEFAULT_TOL) -> PEPSTensor
         for a, p in zip(alpha, basis.elements)
     )
     bare = PEPSTensor.from_matrix(q, basis)
-    pushes_a = derive_push_constraints(bare, "a", tol)
+    fits = solve_pushes(
+        bare.as_matrix(), basis, (basis.dim,) * 4, 0, (1, 2), tol,
+        lambda k: SymmetryError(f"no (a)-type push exists for element {basis.labels[k]}"),
+    )
+    pushes_a = [PEPSConstraint(k, u, up, right) for k, ((up, right), u) in enumerate(fits)]
     dims = (basis.dim,) * 8  # (left, up, right, down) of the physical index, then of the columns
     pushes_b = [replace(c, u_phys=c.u_phys.reshape(dims).transpose(3, 1, 2, 0, 7, 5, 6, 4).reshape(q.shape))
                 for c in pushes_a]
     A = PEPSTensor(bare.tensor, basis, pushes_a, pushes_b)
     check_peps_mf_symmetry(A, tol).require("analytic solution fails its own symmetry: %.3e")
     return A
-
-
-def derive_push_constraints(A: PEPSTensor, kind: str, tol: float = DEFAULT_TOL):
-    """Solve (U, P1, P2) per basis element for the requested constraint family.
-
-    A-type pushes enter on the left leg, B-type ones on the down leg; see
-    ``mps.solve_pushes`` for the search.
-    """
-    basis = A.basis
-    fits = solve_pushes(
-        A.as_matrix(), basis, (A.D,) * 4, 0 if kind == "a" else 3,
-        [p.T for p in basis.elements], (1, 2), tol,
-        lambda k: SymmetryError(f"no ({kind})-type push exists for element {basis.labels[k]}"),
-    )
-    return [PEPSConstraint(k, u, up, right) for k, ((up, right), u) in enumerate(fits)]
 
 
 @dataclass

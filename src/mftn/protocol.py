@@ -41,10 +41,9 @@ from .mps import (
     solve_pushes,
 )
 from .peps import PEPSTensor, check_peps_mf_symmetry
-from .tensors import BORN_FLOOR, DEFAULT_TOL, VERDICT_FLOOR, DenseTensor, state_fidelity
+from .tensors import BORN_FLOOR, DEFAULT_TOL, MAX_DENSE_ELEMENTS, VERDICT_FLOOR, DenseTensor, state_fidelity
 
 RNG_ALGORITHM = "philox4x64"
-MAX_DENSE_ELEMENTS = 1 << 22  # largest dense patch state or contraction front
 MAX_TRIAL_WORK = 1 << 30  # (bonds + 2) x sites x widest front of one PEPS trial: a few seconds
 
 
@@ -379,11 +378,11 @@ ORIENTATIONS = {
 
 
 def solve_push_table(A: PEPSTensor, in_slot: int, out_slots, tol: float = DEFAULT_TOL):
-    """Per-class push rules U B (P on in_slot) = B (P1 on out1)(P2 on out2)."""
+    """Per-class push rules U B (P^T on in_slot) = B (P1 on out1)(P2 on out2),
+    keyed by P as A's constraints are."""
     basis = A.basis
     fits = solve_pushes(
-        A.as_matrix(), basis, (A.D,) * 4, in_slot, basis.elements, out_slots,
-        tol,
+        A.as_matrix(), basis, (A.D,) * 4, in_slot, out_slots, tol,
         lambda k: DefectStuckError(
             f"tensor admits no push for {basis.labels[k]} on slot {in_slot}",
             operator=basis.labels[k],
@@ -395,20 +394,15 @@ def solve_push_table(A: PEPSTensor, in_slot: int, out_slots, tol: float = DEFAUL
 def carried_push_table(A: PEPSTensor, in_slot: int, out_slots):
     """``solve_push_table``'s table read from A's carried pushes, or None.
 
-    A's constraints push P_t^T in on the left (A-type) or down (B-type) leg
-    and out on (up, right).  With P_k^T = ph P_t from the basis's transpose
-    table, P_k = ph P_t^T, so class k takes conj(ph) U_t and the images of
-    P_t.  None when the out-slots are not (up, right), the in-slot is not
-    left or down, or some class has no carried push or no transpose in the
-    basis; the caller checks that the pushes hold.
+    A's constraints push P^T in on the left (A-type) or down (B-type) leg
+    and out on (up, right), keyed by P as the table is.  None when the
+    out-slots are not (up, right), the in-slot is not left or down, or some
+    class has no carried push; the caller checks that the pushes hold.
     """
     if out_slots != (1, 2) or in_slot not in (0, 3):
         return None
-    carried: dict = {}
-    for c in A.constraints_a if in_slot == 0 else A.constraints_b:
-        carried.setdefault(c.p_in, c)
-    table = {k: (np.conj(ph) * carried[t].u_phys, carried[t].out_up, carried[t].out_right)
-             for k, (t, ph) in A.basis.transpose_table().items() if t in carried}
+    table = {c.p_in: (c.u_phys, c.out_up, c.out_right)
+             for c in (A.constraints_a if in_slot == 0 else A.constraints_b)}
     return table if len(table) == len(A.basis.elements) else None
 
 
@@ -633,15 +627,19 @@ def _fold_site(ket, bra, live, D):
 
 
 def _route_defects(patch: PepsPatch, outcomes: dict):
-    """Symbolic defect sweep.  Returns per-site unitaries and boundary fixes.
+    """Symbolic defect sweep.  Returns per-site unitaries and the (class,
+    phase) defects left on the patch's open legs.
 
     ``outcomes`` maps bond keys to measured basis indices.  Each pending bond
-    holds its matrix, in [first-end, second-end] index order (see
+    holds its matrix M, in [first-end, second-end] index order (see
     ``PepsPatch``), as a (class, phase) pair composed exactly through the
-    basis's tables; the second end sees the transpose.  Identity-class
-    emissions are dropped whatever their phase, which is a global scalar, so
-    the recorded corrections transform the measured network into the target
-    one up to a phase.
+    basis's tables.  The second end's leg carries M^T, so a push table, keyed
+    by the P whose transpose enters the leg, takes M's own class there and
+    the class of M^T at a first end.  Boundary emissions compose into one
+    (class, phase) pair per open leg.  Identity-class emissions are dropped
+    whatever their phase, which is a global scalar, so the recorded
+    corrections transform the measured network into the target one up to a
+    phase.
     """
     basis = patch.basis
     conjugates, transposes = basis.conjugate_table(), basis.transpose_table()
@@ -663,8 +661,7 @@ def _route_defects(patch: PepsPatch, outcomes: dict):
         bond = patch.slot_bonds[site][slot]
         if bond is None:
             r, c = site
-            prev = edge_ops.get((r, c, slot), np.eye(patch.D, dtype=np.complex128))
-            edge_ops[(r, c, slot)] = prev @ (phase * basis.elements[cls])
+            edge_ops[(r, c, slot)] = basis.compose(edge_ops.get((r, c, slot), (ident, 1.0)), (cls, phase))
             return
         if consumed[bond]:
             raise DefectStuckError("emission into an already corrected bond", site=site)
@@ -682,7 +679,7 @@ def _route_defects(patch: PepsPatch, outcomes: dict):
                 continue
             consumed[bond] = True
             cls, phase = pend[bond]
-            if patch.ends[bond][0] != (site, in_slot):
+            if patch.ends[bond][0] == (site, in_slot):
                 cls, phase = in_basis(transposes, cls, phase, bond)
             if cls == ident:
                 continue
@@ -698,11 +695,12 @@ def _route_defects(patch: PepsPatch, outcomes: dict):
     return site_u, edge_ops
 
 
-def _ket_mods(site_u, edge_ops):
-    """Per-site (u_phys | None, [(slot, g^-1), ...]) undoing the routed defects."""
+def _ket_mods(basis: MFBasis, site_u, edge_ops):
+    """Per-site (u_phys | None, [(slot, g^-1), ...]) undoing the routed defects;
+    the inverse of g = phase * P_k is P_k† / phase."""
     mods = {site: (u, []) for site, u in site_u.items()}
-    for (r, c, slot), g in edge_ops.items():
-        mods.setdefault((r, c), (None, []))[1].append((slot, np.linalg.inv(g)))
+    for (r, c, slot), (k, phase) in edge_ops.items():
+        mods.setdefault((r, c), (None, []))[1].append((slot, basis.elements[k].conj().T / phase))
     return mods
 
 
@@ -723,7 +721,7 @@ def _sample_peps_bonds(patch: PepsPatch, rng):
 def peps_fidelity(patch: PepsPatch, outcomes: dict, site_u, edge_ops) -> float:
     """Overlap fidelity of the corrected network against the clean target."""
     both, ket_only = patch.outcome_pairs
-    mods = _ket_mods(site_u, edge_ops)
+    mods = _ket_mods(patch.basis, site_u, edge_ops)
     tc = patch.network_value(pairs={k: ket_only[j] for k, j in outcomes.items()}, ket_mods=mods)
     cc = patch.network_value(pairs={k: both[j] for k, j in outcomes.items()}, ket_mods=mods, bra_mods=mods)
     denom = patch.target_norm * cc.real
@@ -745,8 +743,8 @@ def run_peps_protocol(grid, orientation="ur", seed: int = 0, tol: float = DEFAUL
     contracted or solved.
     ``final_state`` is None, as for chains; ``dense_state`` with the
     outcomes' ``bond_projector``s as ``ket_bonds`` and
-    ``_ket_mods(site_u, edge_ops)`` of the routed corrections gives a small
-    patch's corrected state (up to 2^22 amplitudes).
+    ``_ket_mods(basis, site_u, edge_ops)`` of the routed corrections gives a
+    small patch's corrected state (up to 2^22 amplitudes).
     """
     patch = grid if isinstance(grid, PepsPatch) else PepsPatch(grid, orientation, tol)
     # the sweep's widest front: a pair leg per short-side bond, one more while a line

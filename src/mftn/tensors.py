@@ -41,6 +41,8 @@ ZERO_FLOOR = 1e-12  # a trace or proportionality factor of unit scale counts as 
 BORN_FLOOR = 1e-9  # round-off can leave an exact-zero Born weight below 0 by this times sum |w|, no more
 HERMITIAN_INPUT_BOUND = 1e-10  # eig_hermitian refuses a view farther from Hermitian, relative to max(||m||, 1)
 
+MAX_DENSE_ELEMENTS = 1 << 22  # largest dense state, contraction front or blocked correction: 64 MiB complex
+
 # When the alternating least-squares correction search stops: iteration controls, not verdicts
 ALS_STEP_FLOOR = 1e-13  # corrections that move by less than this, entrywise, have converged
 ALS_RESIDUAL_FLOOR = 1e-10  # a restart that reaches this residual ends the search

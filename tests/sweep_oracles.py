@@ -10,18 +10,17 @@ import numpy as np
 
 from mftn.errors import DefectStuckError
 from mftn.protocol import ORIENTATIONS, bond_projector
-from mftn.tensors import DEFAULT_TOL
 
 
-def resolve_scaled(basis, m, tol=DEFAULT_TOL):
+def resolve_scaled(basis, m):
     """(class, phase) with m = scale * phase * P_class for some scale > 0, or None."""
     scale = np.linalg.norm(m) / np.sqrt(basis.dim)
     if scale <= 0:
         return None
-    return basis.try_resolve(m / scale, tol)
+    return basis.try_resolve(m / scale)
 
 
-def matrix_chain_sweep(completed, basis, outcomes, boundary, tol=DEFAULT_TOL):
+def matrix_chain_sweep(completed, basis, outcomes, boundary):
     """``push_chain_defects`` with a running D x D defect matrix."""
     D = basis.dim
     nbonds = len(completed) if boundary == "periodic" else len(completed) - 1
@@ -30,7 +29,7 @@ def matrix_chain_sweep(completed, basis, outcomes, boundary, tol=DEFAULT_TOL):
     predicted = True
     edge_fix = None
     for b in range(nbonds):
-        hit = resolve_scaled(basis, carry @ bond_projector(basis, outcomes[b]), tol)
+        hit = resolve_scaled(basis, carry @ bond_projector(basis, outcomes[b]))
         if hit is None:
             raise DefectStuckError("bond operator left the basis", site=b)
         cls, phase = hit
@@ -48,8 +47,11 @@ def matrix_chain_sweep(completed, basis, outcomes, boundary, tol=DEFAULT_TOL):
     return corrections, edge_fix, predicted
 
 
-def matrix_route_defects(patch, outcomes, tol=DEFAULT_TOL):
+def matrix_route_defects(patch, outcomes):
     """``_route_defects`` with pending D x D bond matrices.
+
+    A push table takes the P whose transpose enters the leg: the bond
+    matrix's transpose at a first end, the matrix itself at a second end.
 
     Like the table sweep, it drops identity-class emissions whatever their
     phase: a global phase is a scalar.
@@ -85,8 +87,8 @@ def matrix_route_defects(patch, outcomes, tol=DEFAULT_TOL):
             if bond is None or consumed[bond]:
                 continue
             consumed[bond] = True
-            m = pend[bond] if patch.ends[bond][0] == (site, in_slot) else pend[bond].T
-            hit = resolve_scaled(basis, m, tol)
+            m = pend[bond].T if patch.ends[bond][0] == (site, in_slot) else pend[bond]
+            hit = resolve_scaled(basis, m)
             if hit is None:
                 raise DefectStuckError("bond operator left the basis", site=site)
             cls, phase = hit
@@ -100,7 +102,7 @@ def matrix_route_defects(patch, outcomes, tol=DEFAULT_TOL):
     for key, flag in consumed.items():
         if flag:
             continue
-        hit = resolve_scaled(basis, pend[key], tol)
+        hit = resolve_scaled(basis, pend[key])
         if hit is None or hit[0] != ident:
             raise DefectStuckError("unconsumed non-identity defect", site=key)
     return site_u, edge_ops

@@ -3,10 +3,9 @@
 ``topo_solution`` searches the left-leg (A-type) pushes and derives the
 down-leg (B-type) ones from Q's left/down swap symmetry; ``PepsPatch`` reads
 its up/right push tables from the pushes ``complete_with_isometry`` carries
-over.  The searches they replace, ``derive_push_constraints(q, "b")`` and
-``solve_push_table``, are the oracles: the same images, and each u within
-1e-12.  Slots, tensors and bases the carried pushes do not cover must still
-reach the search.
+over.  The search they replace, ``solve_push_table``, is the oracle: the same
+images, and each u within 1e-12.  Slots and tensors the carried pushes do not
+cover must still reach the search.
 """
 
 import json
@@ -20,8 +19,9 @@ from mftn import cli, peps, protocol
 from mftn.basis import MFBasis, weyl_heisenberg_basis
 from mftn.errors import DefectStuckError
 from mftn.fixtures import interpolated_alpha
-from mftn.peps import PEPSTensor, complete_with_isometry, derive_push_constraints, topo_solution
-from mftn.protocol import ORIENTATIONS, PepsPatch, carried_push_table, run_peps_protocol, solve_push_table
+from mftn.peps import PEPSTensor, complete_with_isometry, topo_solution
+from mftn.protocol import (ORIENTATIONS, PepsPatch, _route_defects, carried_push_table, run_peps_protocol,
+                           solve_push_table)
 from conftest import FOUR_CORNER_3X3, random_complex, x_power_alpha
 
 WH2 = weyl_heisenberg_basis(2)
@@ -84,11 +84,9 @@ def assert_tables_equal(got, want):
 @example(alpha=np.array([0, 1e-8j, 2j, 0]))
 def test_derived_b_pushes_equal_searched(alpha):
     q = topo_solution(WH2 if len(alpha) == 4 else WH3, alpha)
-    searched = derive_push_constraints(q, "b")
-    assert [(c.p_in, c.out_up, c.out_right) for c in q.constraints_b] == \
-        [(c.p_in, c.out_up, c.out_right) for c in searched]
-    for derived, oracle in zip(q.constraints_b, searched):
-        assert np.abs(derived.u_phys - oracle.u_phys).max() <= ATOL
+    searched = solve_push_table(q, 3, UP_RIGHT)
+    assert [c.p_in for c in q.constraints_b] == sorted(searched)
+    assert_tables_equal({c.p_in: (c.u_phys, c.out_up, c.out_right) for c in q.constraints_b}, searched)
 
 
 # -- push tables from carried pushes -----------------------------------------
@@ -160,17 +158,38 @@ def test_pushes_carried_from_another_tensor_are_searched(searches):
     assert searches == [(0, UP_RIGHT), (3, UP_RIGHT)]
 
 
-def test_a_basis_whose_transposes_leave_it_is_searched(searches):
-    # WH:2 conjugated by a non-real diagonal unitary: the transposes of its X-type elements leave it
+def test_a_basis_whose_transposes_leave_it_uses_its_carried_pushes(searches):
+    # WH:2 conjugated by a non-real diagonal unitary: the transposes of its X-type elements
+    # leave it, but the carried pushes are keyed as the tables are, so none is needed
     s = np.diag([1, np.exp(1j * np.pi / 8)])
     rotated = MFBasis(2, [s @ p @ s.conj().T for p in WH2.elements], labels=WH2.labels)
+    assert sorted(rotated.transpose_table()) == [rotated.index("I"), rotated.index("Z")]
     a = complete_with_isometry(topo_solution(rotated, x_power_alpha(rotated)))
-    assert a.constraints_a and carried_push_table(a, 0, UP_RIGHT) is None
-    with pytest.raises(DefectStuckError, match="no push for X"):
-        solve_push_table(a, 0, UP_RIGHT)
-    with pytest.raises(DefectStuckError, match="no push for X"):
-        PepsPatch([[a]], "ur").push_table(0, 0, 0)
-    assert searches == [(0, UP_RIGHT)]
+    patch = PepsPatch([[a]], "ur")
+    for in_slot in (0, 3):
+        carried = carried_push_table(a, in_slot, UP_RIGHT)
+        assert_tables_equal(carried, solve_push_table(a, in_slot, UP_RIGHT))
+        assert_tables_equal(patch.push_table(0, 0, in_slot), carried)
+    assert searches == []
+
+
+def test_an_all_ur_patch_routes_without_the_transpose_table(monkeypatch, searches):
+    """Every defect of an all-ur patch arrives at a bond's second end and
+    leaves by a first end, so routing reads no transpose."""
+    a = complete_with_isometry(topo_solution(WH2, x_power_alpha(WH2)))
+    clean = PepsPatch([[a] * 2] * 2)
+    tuples = [dict(zip(clean.bonds(), combo)) for combo in np.ndindex((4,) * len(clean.bonds()))]
+    want = [_route_defects(clean, outcomes) for outcomes in tuples]
+    monkeypatch.setattr(MFBasis, "transpose_table", lambda self: {})
+    patch = PepsPatch([[a] * 2] * 2)
+    for outcomes, (site_u, edge_ops) in zip(tuples, want):
+        got_u, got_edges = _route_defects(patch, outcomes)
+        assert got_edges == edge_ops
+        assert sorted(got_u) == sorted(site_u)
+        for site, u in site_u.items():
+            assert np.array_equal(got_u[site], u)
+    assert run_peps_protocol(patch, seed=0).success
+    assert searches == []
 
 
 def test_a_random_tensor_is_not_routed_with_the_pushes_it_carries(wh2, rng):

@@ -3,12 +3,18 @@
 import argparse
 import dataclasses
 import json
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from mftn import cli
+from mftn import mpo as mpo_mod
+from mftn.errors import SizeGuardError
 
 
 def run(capsys, argv):
@@ -19,6 +25,14 @@ def run(capsys, argv):
 
 def report_of(out):
     return json.loads(out)
+
+
+# dispatch with the address space capped at 2 GiB, so an allocation a guard misses fails fast
+CAPPED_DISPATCH = """import resource, sys
+resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+from mftn import cli
+sys.exit(cli.dispatch(sys.argv[1:]))
+"""
 
 
 ALPHA = json.dumps([[1, 0], [0.5, 0], [1, 0], [0.5, 0]])
@@ -335,6 +349,35 @@ class TestDispatch:
         assert {"name": "completed", "passed": False} in rep["checks"]
         assert "capped" in rep["outputs"]["error"]
         assert peak < 4**7 * 16  # smaller than one complex 7-site input
+
+    @pytest.mark.parametrize("argv,error", [
+        (["mpo", "apply", "--basis", "WH:4", "--sites", "5"], "exceed 2^22 amplitudes"),
+        (["block", "--tensor", "aklt", "--k", "8"], "past 2^22 elements"),
+    ], ids=["mpo-apply-WH:4-5-sites", "block-aklt-k8"])
+    def test_size_guards_refuse_within_an_address_space_cap(self, argv, error):
+        """Unguarded, these die in numpy's allocator under a 2 GiB cap, with no report."""
+        env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parent.parent), "OPENBLAS_NUM_THREADS": "1"}
+        proc = subprocess.run([sys.executable, "-c", CAPPED_DISPATCH, *argv], env=env, capture_output=True,
+                              text=True, timeout=120)
+        assert proc.returncode == 1, proc.stderr
+        rep = report_of(proc.stdout)
+        assert {"name": "completed", "passed": False} in rep["checks"]
+        assert error in rep["outputs"]["error"]
+
+    @pytest.mark.parametrize("argv", [
+        ["mpo", "apply", "--basis", "WH:2", "--sites", "6"],
+        ["mpo", "apply", "--basis", "WH:3", "--sites", "5"],
+        ["block", "--tensor", "aklt", "--k", "6"],
+    ], ids=["mpo-apply-WH:2-6-sites", "mpo-apply-WH:3-5-sites", "block-aklt-k6"])
+    def test_size_guards_accept_their_largest_runs(self, capsys, argv):
+        code, out = run(capsys, argv)
+        assert code == 0
+        assert "error" not in report_of(out)["outputs"]
+
+    def test_mpo_guard_accepts_four_wh4_sites(self):
+        mpo_mod.check_protocol_sites(4, 16, 4)  # a run holds 16 branches of 2^20 amplitudes
+        with pytest.raises(SizeGuardError, match="2\\^22"):
+            mpo_mod.check_protocol_sites(6, 9, 3)
 
     @pytest.mark.parametrize("argv", [["--basis", "WH:100"], ["--basis", "WH:3", "--composite", "WH:6"]],
                              ids=["WH:100", "WH:3xWH:6"])

@@ -204,7 +204,7 @@ def check_push_tables(A, orientations):
     for in_slots, out_slots in (ORIENTATIONS[o] for o in orientations):
         for in_slot in in_slots:
             table = solve_push_table(A, in_slot, out_slots)
-            want = push_scan(A, in_slot, el, out_slots, t)
+            want = push_scan(A, in_slot, [p.T for p in el], out_slots, t)
             assert [table[k][1:] for k in range(len(el))] == [w[0] for w in want]
             for k, (_, u) in enumerate(want):
                 np.testing.assert_allclose(table[k][0], u, atol=1e-9)

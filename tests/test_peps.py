@@ -18,7 +18,6 @@ from mftn.peps import (
     check_topo_symmetry,
     complete_with_isometry,
     degeneracy_report,
-    derive_push_constraints,
     injectivity_check,
     peps_isometry_check,
     peps_split_polar,
@@ -26,7 +25,7 @@ from mftn.peps import (
     transfer_matrix_brute,
     transfer_spectrum_analytic,
 )
-
+from mftn.protocol import solve_push_table
 from mftn.tensors import numerical_rank
 
 from conftest import random_complex, x_power_alpha
@@ -128,11 +127,11 @@ class TestSymmetryAndIsometry:
         noise = np.random.default_rng(7)
         monkeypatch.setattr(mps, "apply_leg_ops", lambda m, dims, ops: (
             m @ leg_operator(dims, ops) + 1e-14 * random_complex(noise, *m.shape)))
-        for kind, constraints in (("a", q.constraints_a), ("b", q.constraints_b)):
-            again = derive_push_constraints(q, kind)
-            assert [(c.p_in, c.out_up, c.out_right) for c in again] == [(k, 0, k) for k in range(4)]
-            for c, moved in zip(constraints, again):
-                assert np.abs(moved.u_phys - c.u_phys).max() < 1e-12
+        for in_leg, constraints in ((0, q.constraints_a), (3, q.constraints_b)):
+            again = solve_push_table(q, in_leg, (1, 2))
+            assert [(k, c1, c2) for k, (_, c1, c2) in again.items()] == [(k, 0, k) for k in range(4)]
+            for c in constraints:
+                assert np.abs(again[c.p_in][0] - c.u_phys).max() < 1e-12
 
 
 class TestSplitPolar:

@@ -275,7 +275,7 @@ class TestPepsProtocol:
         outcomes = dict(zip(patch.bonds(), run.outcomes))
         site_u, edge_ops = _route_defects(patch, outcomes)
         mats = {k: bond_projector(wh2, j) for k, j in outcomes.items()}
-        corrected = patch.dense_state(ket_mods=_ket_mods(site_u, edge_ops), ket_bonds=mats)
+        corrected = patch.dense_state(ket_mods=_ket_mods(wh2, site_u, edge_ops), ket_bonds=mats)
         assert state_fidelity(corrected.data, patch.dense_state().data) >= 1 - 1e-9
 
     def test_two_by_two_enumeration_all_correctable(self, wh2):

@@ -140,7 +140,9 @@ def assert_routes_agree(patch, outcomes):
     assert (got is None) == (want is None)
     if got is None:
         return
-    for ops, ops_o in zip(got, want):  # site_u, then edge_ops
+    site_u, edge_ops = got
+    edge_mats = {key: phase * patch.basis.elements[k] for key, (k, phase) in edge_ops.items()}
+    for ops, ops_o in zip((site_u, edge_mats), want):
         assert sorted(ops) == sorted(ops_o)
         for key in ops:
             np.testing.assert_allclose(ops[key], ops_o[key], rtol=0, atol=ATOL)
