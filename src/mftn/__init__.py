@@ -8,9 +8,7 @@ feedback, together with a Monte-Carlo simulation of the preparation protocol.
 from .basis import (
     CocycleTable,
     MFBasis,
-    check_group_closure,
     composite_basis,
-    hadamard_latin_basis,
     weyl_heisenberg_basis,
 )
 from .clifford import (
@@ -18,8 +16,6 @@ from .clifford import (
     PauliVector,
     check_admissible,
     is_clifford,
-    matrix_to_pauli,
-    pauli_to_matrix,
     synthesize_clifford,
 )
 from .mps import (
@@ -44,7 +40,6 @@ from .mpo import (
     build_purifying_unitary,
     check_mpo_isometry,
     mpo_slices,
-    periodic_mpo_accounting,
     relative_local_unitary,
 )
 from .peps import (
@@ -66,11 +61,10 @@ from .protocol import (
     PepsPatch,
     ProtocolRun,
     enumerate_outcomes,
-    enumerate_peps_outcomes,
     run_mps_protocol,
     run_peps_protocol,
 )
-from .tensors import DenseTensor, MatrixView, contract, eig_hermitian, polar_decompose, pseudo_inverse
+from .tensors import DenseTensor, contract
 
 __all__ = [
     "MPOTensor",
@@ -78,7 +72,6 @@ __all__ = [
     "build_purifying_unitary",
     "check_mpo_isometry",
     "mpo_slices",
-    "periodic_mpo_accounting",
     "relative_local_unitary",
     "PEPSConstraint",
     "PEPSTensor",
@@ -96,21 +89,16 @@ __all__ = [
     "PepsPatch",
     "ProtocolRun",
     "enumerate_outcomes",
-    "enumerate_peps_outcomes",
     "run_mps_protocol",
     "run_peps_protocol",
     "CocycleTable",
     "MFBasis",
-    "check_group_closure",
     "composite_basis",
-    "hadamard_latin_basis",
     "weyl_heisenberg_basis",
     "PartialCliffordMap",
     "PauliVector",
     "check_admissible",
     "is_clifford",
-    "matrix_to_pauli",
-    "pauli_to_matrix",
     "synthesize_clifford",
     "CliffordMagicForm",
     "MPSTensor",
@@ -127,11 +115,7 @@ __all__ = [
     "split_polar",
     "spt_solution",
     "DenseTensor",
-    "MatrixView",
     "contract",
-    "eig_hermitian",
-    "polar_decompose",
-    "pseudo_inverse",
 ]
 
 __version__ = "0.1.0"

@@ -1,9 +1,9 @@
 """Measurement-and-feedback bases: complete orthogonal sets of D x D unitaries.
 
 An MF basis holds the D^2 unitaries labelling the maximally entangled states
-a bond is measured in.  Weyl-Heisenberg groups, composite-dimension products,
-and Hadamard/Latin-square constructions are provided, along with group
-closure detection and cocycle (commutation phase) tables.
+a bond is measured in.  Weyl-Heisenberg groups and composite-dimension
+products are provided, along with group closure detection and cocycle
+(commutation phase) tables.
 """
 
 from __future__ import annotations
@@ -80,9 +80,6 @@ class MFBasis(Fixed):
         if isometry_residual(self.completeness_map()) > UNITARY_INPUT_BOUND:
             raise BasisError("orthogonality/completeness failure: |i> -> vec(P_i)/sqrt(D) is not unitary")
         self._conj_vecs = np.stack(self.elements).conj().reshape(d * d, d * d)
-
-    def __len__(self) -> int:
-        return len(self.elements)
 
     def element(self, key) -> np.ndarray:
         return self.elements[self.index(key)]
@@ -258,7 +255,10 @@ def composite_basis(b1: MFBasis, b2: MFBasis, mode: str = "product") -> MFBasis:
 
     ``product`` tensors two group bases elementwise.  ``mixed_clock`` takes
     Weyl-Heisenberg inputs and generates from X_{d1} x I, I x X_{d2}, and the
-    full clock Z_{d1 d2}.
+    full clock Z_{d1 d2}.  These close into d1^2 d2^2 elements only for
+    d1 = d2 = 2: conjugating Z_{d1 d2} by I x X_{d2} gives a phase times a
+    power of Z_{d1 d2} in no other case, so every other pair is refused with
+    NonGroupBasisError before any product is formed.
     """
     MFBasis.guard_dim(b1.dim * b2.dim)
     if mode == "product":
@@ -275,6 +275,9 @@ def composite_basis(b1: MFBasis, b2: MFBasis, mode: str = "product") -> MFBasis:
         (x1, _), (x2, _) = shift_clock(d1), shift_clock(d2)
         if b1.try_resolve(x1) is None or b2.try_resolve(x2) is None:
             raise BasisError("mixed_clock requires Weyl-Heisenberg inputs")
+        if (d1, d2) != (2, 2):
+            raise NonGroupBasisError(
+                f"mixed_clock closes into a basis only for WH:2 with WH:2, not WH:{d1} with WH:{d2}")
         _, zd = shift_clock(d)
         gens = [np.kron(x1, np.eye(d2)), np.kron(np.eye(d1), x2), zd]
         elements = _generate_closure(gens, d * d)
@@ -306,43 +309,6 @@ def _generate_closure(gens: list[np.ndarray], limit: int) -> list[np.ndarray] | 
     return found if len(found) == limit else None
 
 
-def hadamard_latin_basis(H: list[np.ndarray], lam: np.ndarray) -> MFBasis:
-    """Basis U_{ij}|k> = H^j_{ik} |lam(j,k)> from Hadamard matrices and a Latin square."""
-    lam = np.asarray(lam, dtype=int)
-    D = MFBasis.guard_dim(lam.shape[0])
-    if lam.shape != (D, D):
-        raise BasisError("Latin square must be D x D")
-    for row in lam:
-        if sorted(row.tolist()) != list(range(D)):
-            raise BasisError("Latin square rows must be permutations of 0..D-1")
-    for col in lam.T:
-        if sorted(col.tolist()) != list(range(D)):
-            raise BasisError("Latin square columns must be permutations of 0..D-1")
-    if len(H) != D:
-        raise BasisError("need one Hadamard matrix per row index j")
-    for h in H:
-        h = np.asarray(h)
-        if h.shape != (D, D) or not np.allclose(np.abs(h), 1.0, rtol=0, atol=DEFAULT_TOL):
-            raise BasisError("Hadamard entries must all have unit modulus")
-        # H / sqrt(D) unitary to UNITARY_INPUT_BOUND / D keeps ||H H† - D I|| within UNITARY_INPUT_BOUND x D
-        if isometry_residual(h / np.sqrt(D)) > UNITARY_INPUT_BOUND / D:
-            raise BasisError("H H† must equal D * identity")
-    elements, labels = [], []
-    for i in range(D):
-        for j in range(D):
-            u = np.zeros((D, D), dtype=np.complex128)
-            for k in range(D):
-                u[lam[j, k], k] = H[j][i, k]
-            elements.append(u)
-            labels.append(f"U[{i},{j}]")
-    return MFBasis(D, elements, labels=labels)
-
-
-def check_group_closure(b: MFBasis) -> CocycleTable | None:
-    """Cocycle table when the basis closes under multiplication, else None (``MFBasis.cocycle``)."""
-    return b.cocycle
-
-
 def _phase_match(conj_vecs, m, thr):
     """Match m = c * P_k with |c| = 1 for one D x D matrix or a stack of them.
 
@@ -358,9 +324,3 @@ def _phase_match(conj_vecs, m, thr):
     c = coeffs[np.arange(len(flat)), k]
     resid = np.sqrt((abs(flat - c[:, None] * conj_vecs[k].conj()) ** 2).sum(axis=1))
     return k, c, (abs(abs(c) - 1.0) < thr) & (resid < thr * d)
-
-
-def fourier_matrix(D: int) -> np.ndarray:
-    """DFT matrix scaled to the |entries| = 1 Hadamard convention."""
-    a = np.arange(D)
-    return np.exp(2j * np.pi * np.outer(a, a) / D)

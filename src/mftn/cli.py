@@ -3,15 +3,16 @@ simulation as a subcommand with JSON input/output and stable exit codes.
 
 Exit codes: 0 all checks passed, 1 a check failed, 2 an unknown subcommand
 or a bad argument (missing, foreign to the subcommand, or refused by its
-type or choices), 3 malformed input (a value out of range, or a basis or
-JSON spec that cannot be read).  Reports are deterministic for fixed inputs
-and seed (timing field aside); numbers are serialized with 17 significant
-digits.
+type or choices), 3 malformed input (a value out of range, a number that is
+not finite, or a basis or JSON spec that cannot be read).  Reports are
+deterministic for fixed inputs and seed (timing field aside); numbers are
+serialized with 17 significant digits.
 """
 
 from __future__ import annotations
 
 import argparse
+import cmath
 import contextlib
 import hashlib
 import json
@@ -33,45 +34,6 @@ from . import fixtures
 from .errors import MftnError
 from .tensors import (COMMUTANT_FLOOR, EIGEN_FLOOR, NORM_GUARD, UNITARY_FLOOR, VERDICT_FLOOR, DenseTensor,
                       isometry_residual)
-
-# the public operations the CLI calls, each with the one subcommand that reaches it
-OPERATIONS = {
-    "contract": "check-mps",
-    "weyl_heisenberg_basis": "basis",
-    "composite_basis": "basis",
-    "check_group_closure": "basis",
-    "check_admissible": "clifford-synth",
-    "synthesize_clifford": "clifford-synth",
-    "is_clifford": "clifford-synth",
-    "check_mf_symmetry": "check-mps",
-    "solve_symmetry_family": "solve-family",
-    "canonical_form_check": "check-mps",
-    "split_polar": "decompose-mps",
-    "correction_consistency": "decompose-mps",
-    "clifford_magic_decompose": "decompose-mps",
-    "spt_solution": "spt",
-    "block": "block",
-    "map_order": "block",
-    "pauli_expectation": "expect",
-    "check_peps_mf_symmetry": "check-peps",
-    "peps_isometry_check": "check-peps",
-    "peps_split_polar": "check-peps",
-    "injectivity_check": "topo-solve",
-    "topo_solution": "topo-solve",
-    "check_topo_symmetry": "topo-solve",
-    "transfer_spectrum_analytic": "transfer",
-    "transfer_matrix_brute": "transfer",
-    "degeneracy_report": "degeneracy",
-    "run_mps_protocol": "simulate",
-    "run_peps_protocol": "simulate",
-    "enumerate_outcomes": "simulate",
-    "check_mpo_isometry": "mpo",
-    "mpo_slices": "mpo",
-    "build_purifying_unitary": "mpo",
-    "relative_local_unitary": "mpo",
-    "apply_mpo_via_protocol": "mpo",
-}
-
 
 def _fmt(x):
     if isinstance(x, float):
@@ -120,7 +82,8 @@ class RunReport:
 
 
 class MalformedInput(Exception):
-    """A value out of range, or a basis or JSON spec that cannot be read (exit 3)."""
+    """A value out of range, a number that is not finite, or a basis or JSON spec
+    that cannot be read (exit 3)."""
 
 
 def _load_json(arg):
@@ -150,7 +113,7 @@ def _reading(what):
         yield
     except KeyError as exc:
         raise MalformedInput(f"{what} has no {exc.args[0]!r} entry") from None
-    except (TypeError, ValueError, IndexError, AttributeError) as exc:
+    except (TypeError, ValueError, IndexError, AttributeError, OverflowError) as exc:
         raise MalformedInput(f"bad {what}: {exc}") from None
 
 
@@ -177,7 +140,10 @@ def _basis_from(arg) -> basis_mod.MFBasis:
 
 def _coefficient(entry) -> complex:
     re, im = entry
-    return complex(re, im)
+    z = complex(re, im)
+    if not cmath.isfinite(z):
+        raise ValueError(f"coefficient {entry} is not finite")
+    return z
 
 
 def _basis_alpha(basis_arg, alpha_arg):
@@ -248,8 +214,7 @@ def _cmd_basis(args, report):
         b = basis_mod.composite_basis(b, _basis_from(args.composite), mode=args.mode)
     resid = isometry_residual(b.completeness_map())
     report.check("completeness_unitary", resid < VERDICT_FLOOR, resid)
-    table = basis_mod.check_group_closure(b)
-    report.check("group_closure", table is not None)
+    report.check("group_closure", b.cocycle is not None)
     report.outputs["dim"] = b.dim
     report.outputs["labels"] = list(b.labels)
     report.artifact(args.out_basis, b.to_json)
@@ -463,7 +428,7 @@ def _cmd_mpo(args, report):
         mpo_mod.check_protocol_sites(n, O.d, O.D)  # before the d^n input is drawn
         rng = protocol_mod.philox_rng(args.seed)
         psi = rng.standard_normal(O.d**n) + 1j * rng.standard_normal(O.d**n)
-        run = mpo_mod.apply_mpo_via_protocol([O] * n, psi, "open", args.seed, tol)
+        run = mpo_mod.apply_mpo_via_protocol([O] * n, psi, args.seed, tol)
         report.check("matches_direct_action", run.success, abs(1 - run.fidelity))
 
 
@@ -488,12 +453,12 @@ def _cmd_clifford_synth(args, report):
         report.outputs["failures"] = adm.failures
 
 
-# integer flags that count something; below 1 they are malformed input
-COUNTS = ("--L", "--k", "--d", "--sites", "--rows", "--cols", "--trials")
+# integer flags with their lowest value; below it they are malformed input
+LOWEST = {"--L": 1, "--k": 1, "--d": 1, "--sites": 1, "--rows": 1, "--cols": 1, "--trials": 1, "--seed": 0}
 
 # add_argument keywords of every flag that has any
 FLAGS = {
-    **dict.fromkeys(COUNTS, dict(type=int)),
+    **dict.fromkeys(LOWEST, dict(type=int)),
     "mpo_action": dict(choices=["check", "purify", "relative", "apply"]),
     "--basis": dict(default="WH:2"),
     "--mode": dict(default="product", choices=["product", "mixed_clock"]),
@@ -584,9 +549,9 @@ def dispatch(argv) -> int:
         if args.tol is not None:
             # stored as a float, as argparse did, so the inputs digest is unchanged
             args.tol = tol
-        for flag in COUNTS:
-            if getattr(args, flag[2:], None) is not None and getattr(args, flag[2:]) < 1:
-                raise MalformedInput(f"{flag} must be at least 1")
+        for flag, lowest in LOWEST.items():
+            if getattr(args, flag[2:], None) is not None and getattr(args, flag[2:]) < lowest:
+                raise MalformedInput(f"{flag} must be at least {lowest}")
         report = RunReport(args.command, vars(args), tol)
         SUBCOMMANDS[args.command][0](args, report)
     except MalformedInput as exc:

@@ -152,11 +152,6 @@ def image_residual(u: np.ndarray, src: PauliVector, tgt: PauliVector, phase: com
     return float(np.linalg.norm(u[np.ix_(tperm, perm)] * phases - (phase * tphases)[:, None] * u))
 
 
-def pauli_to_matrix(p: PauliVector) -> DenseTensor:
-    """Dense d^n x d^n matrix of a Pauli string, phase included."""
-    return DenseTensor(p.matrix(), ("out", "in"))
-
-
 def _read_pauli(col0: np.ndarray, entry, n: int, d: int):
     """(XZ(v, w), phase) that a matrix M would be if M = phase * XZ(v, w), or None.
 
@@ -181,8 +176,8 @@ def _read_pauli(col0: np.ndarray, entry, n: int, d: int):
 def match_pauli_matrix(m: np.ndarray, n: int, d: int):
     """Recognize m = phase * XZ(v,w); returns (v, w, phase) or None.
 
-    The phase may be any unit-modulus complex number here; use
-    ``matrix_to_pauli`` when a Z_{2d} phase exponent is required.
+    The phase may be any unit-modulus complex number here; ``kron_to_pauli``
+    requires a 2d-th root of unity.
     """
     dim = d**n
     m = np.asarray(m)
@@ -206,16 +201,6 @@ def _phase_exponent(phase: complex, d: int) -> int | None:
     if abs(phase - np.exp(1j * np.pi * t / d)) > PAULI_FLOOR:
         return None
     return t
-
-
-def matrix_to_pauli(m: np.ndarray, n: int, d: int) -> PauliVector | None:
-    """Like match_pauli_matrix but requires the phase to be a 2d-th root of unity."""
-    hit = match_pauli_matrix(m, n, d)
-    if hit is None:
-        return None
-    v, w, phase = hit
-    t = _phase_exponent(phase, d)
-    return None if t is None else PauliVector(n, d, v, w, t)
 
 
 def kron_to_pauli(factors, d: int) -> PauliVector | None:

@@ -15,10 +15,6 @@ class DimensionMismatchError(MftnError):
     """Contracted or composed objects have incompatible dimensions."""
 
 
-class NonHermitianError(MftnError):
-    """A matrix required to be Hermitian is not, beyond tolerance."""
-
-
 class NotPositiveError(MftnError):
     """A matrix required to be positive semidefinite and nonzero is not, beyond tolerance."""
 

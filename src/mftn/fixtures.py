@@ -1,4 +1,5 @@
-"""Reference tensors used across tests, docs, and the CLI.
+"""Reference tensors the CLI names: the AKLT and cluster chains, and the
+controlled-Pauli MPO.
 
 The AKLT conventions are fixed here once: physical basis order
 (|+1>, |0>, |-1>), triplet |T> = (|01> + |10>)/sqrt(2), singlet
@@ -12,7 +13,7 @@ import numpy as np
 from .basis import MFBasis, weyl_heisenberg_basis
 from .mpo import MPOTensor
 from .mps import MPSTensor, SymmetryConstraint, solve_pushes
-from .tensors import DEFAULT_TOL, DenseTensor
+from .tensors import DEFAULT_TOL
 
 
 def aklt_tensor(basis: MFBasis | None = None) -> MPSTensor:
@@ -41,39 +42,6 @@ def aklt_tensor(basis: MFBasis | None = None) -> MPSTensor:
     return MPSTensor.from_site_matrices(mats, basis, constraints)
 
 
-def copy_tensor(basis: MFBasis | None = None, alpha: complex = 0.0) -> MPSTensor:
-    """Copy tensor plus alpha * (|+> deposit), the first solvable family."""
-    basis = basis or weyl_heisenberg_basis(2)
-    term = alpha / np.sqrt(2)
-    mats = [np.diag([1.0, 0.0]) + term * np.eye(2), np.diag([0.0, 1.0]) + term * np.eye(2)]
-    x = basis.element("X")
-    z = basis.element("Z")
-    i2 = np.eye(2)
-    constraints = [
-        SymmetryConstraint(basis.index("X"), x, basis.index("X")),
-        SymmetryConstraint(basis.index("Z"), i2, basis.index("Z")),
-    ]
-    return MPSTensor.from_site_matrices(mats, basis, constraints)
-
-
-def copy_h_tensor(basis: MFBasis | None = None, alpha: complex = 0.0) -> MPSTensor:
-    """Copy-then-Hadamard plus alpha * bend |0>, the non-bijective family."""
-    basis = basis or weyl_heisenberg_basis(2)
-    h = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
-    mats = []
-    for i in range(2):
-        ei = np.zeros((2, 2), dtype=complex)
-        ei[i] = h[i]
-        bend = np.zeros((2, 2), dtype=complex)
-        bend[i, 0] = 1.0
-        mats.append(ei + alpha * bend)
-    constraints = [
-        SymmetryConstraint(basis.index("X"), basis.element("X"), basis.index("Z")),
-        SymmetryConstraint(basis.index("Z"), basis.element("Z"), basis.index("I")),
-    ]
-    return MPSTensor.from_site_matrices(mats, basis, constraints)
-
-
 def cluster_tensor(basis: MFBasis | None = None) -> MPSTensor:
     """Cluster-state tensor A^0 = |+><0|, A^1 = |-><1| with X <-> Z transport."""
     basis = basis or weyl_heisenberg_basis(2)
@@ -86,40 +54,6 @@ def cluster_tensor(basis: MFBasis | None = None) -> MPSTensor:
         SymmetryConstraint(basis.index("Z"), basis.element("X"), basis.index("X")),
     ]
     return MPSTensor.from_site_matrices(mats, basis, constraints)
-
-
-def aklt_alpha(basis: MFBasis) -> np.ndarray:
-    """Coefficients (3, -1, -1, -1) over (I, X, Y, Z) in basis label order."""
-    alpha = np.empty(len(basis.elements), dtype=complex)
-    for k, lab in enumerate(basis.labels):
-        alpha[k] = 3.0 if lab == "I" else -1.0
-    return alpha
-
-
-def ghz_alpha(basis: MFBasis) -> np.ndarray:
-    """Indicator of the Z-power subgroup (including the identity)."""
-    alpha = np.zeros(len(basis.elements), dtype=complex)
-    for k, lab in enumerate(basis.labels):
-        if lab == "I" or lab.startswith("Z"):
-            alpha[k] = 1.0
-    return alpha
-
-
-def interpolated_alpha(basis: MFBasis, a: float) -> np.ndarray:
-    """alpha = 1 on {I, X} and a on {Y, Z} for the qubit Weyl-Heisenberg basis."""
-    alpha = np.zeros(4, dtype=complex)
-    alpha[basis.index("I")] = 1.0
-    alpha[basis.index("X")] = 1.0
-    alpha[basis.index("XZ")] = a
-    alpha[basis.index("Z")] = a
-    return alpha
-
-
-def bell_map_tensor(D: int) -> DenseTensor:
-    """Map |i> -> sum_ab (P_i)_ab |a b> / sqrt(D) as a three-leg tensor."""
-    basis = weyl_heisenberg_basis(D)
-    data = np.stack([p / np.sqrt(D) for p in basis.elements])
-    return DenseTensor(data, ("label", "a", "b"))
 
 
 def controlled_pauli_mpo(basis: MFBasis):

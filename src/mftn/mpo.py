@@ -19,22 +19,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    BoundaryError,
-    DefectStuckError,
-    DimensionMismatchError,
-    SizeGuardError,
-    SymmetryError,
-)
+from .errors import DimensionMismatchError, SizeGuardError, SymmetryError
 from .mps import MPSTensor, check_mf_symmetry, complete_constraints, per_distinct
 from .protocol import (
     RNG_ALGORITHM,
-    EnumerationReport,
     ProtocolRun,
     apply_chain_corrections,
     bond_projector,
     born_choice,
-    enumerate_branches,
     philox_rng,
     push_chain_defects,
 )
@@ -251,33 +243,16 @@ def _mpo_input(tensors, psi) -> np.ndarray:
     return np.multiply.outer(np.eye(tensors[0].D), psi)
 
 
-def direct_mpo_state(tensors, psi, bond_ops=None, boundary: str = "open") -> np.ndarray:
-    """Direct contraction of the MPO chain applied to the input ``psi``.
-
-    ``bond_ops[b]`` is an optional matrix on the bond after site b, and
-    periodic chains trace the wrap bond.  Output axes: (edge_left, o_1, ...,
-    o_n, edge_right) for open chains, (o_1, ..., o_n) for periodic ones.
-    """
-    tensors = list(tensors)
-    nbonds = len(tensors) if boundary == "periodic" else len(tensors) - 1
-    bond_ops = list(bond_ops) if bond_ops is not None else [None] * nbonds
-    if len(bond_ops) != nbonds:
-        raise DimensionMismatchError(f"need {nbonds} bond entries")
+def direct_mpo_state(tensors, psi) -> np.ndarray:
+    """Direct contraction of the open MPO chain applied to the input ``psi``,
+    on axes (edge_left, o_1, ..., o_n, edge_right)."""
     cur = _mpo_input(tensors, psi)
-    cur = _mpo_step(cur, tensors[0].array(), 0)
-    for k in range(1, len(tensors)):
-        cur = _mpo_step(cur, tensors[k].array(), k, bond_ops[k - 1])
-    if boundary == "open":
-        return cur
-    if boundary != "periodic":
-        raise BoundaryError(f"unknown boundary {boundary!r}")
-    if bond_ops[-1] is not None:
-        cur = np.tensordot(cur, bond_ops[-1], axes=([-1], [0]))
-    return np.trace(cur, axis1=0, axis2=cur.ndim - 1)
+    for k, o in enumerate(tensors):
+        cur = _mpo_step(cur, o.array(), k)
+    return cur
 
 
-def apply_mpo_via_protocol(tensors, input_state, boundary: str = "open", seed: int = 0,
-                           tol: float = DEFAULT_TOL) -> ProtocolRun:
+def apply_mpo_via_protocol(tensors, input_state, seed: int = 0, tol: float = DEFAULT_TOL) -> ProtocolRun:
     """Apply a chain of MPO tensors to an input state through one MF round.
 
     Each site isometry |a> -> sum_{l,o,r} O^{(o,a)}_{lr} |l,o,r>/sqrt(D) is
@@ -285,11 +260,9 @@ def apply_mpo_via_protocol(tensors, input_state, boundary: str = "open", seed: i
     defects are pushed right via phys_out corrections, and the final defect is
     cancelled on the right edge leg.  The result lives on
     (edge_left, phys_out^n, edge_right) and is compared with the direct
-    contraction; periodic chains are deliberately not sampled (post-selected
-    accounting only, see ``periodic_mpo_accounting``).
+    contraction.  Chains are open: a periodic chain cannot be corrected
+    deterministically, so it is not sampled.
     """
-    if boundary != "open":
-        raise BoundaryError("protocol application supports open boundaries only")
     tensors = list(tensors)
     n = len(tensors)
     basis, completed = _validate_mpo_chain(tensors, tol)
@@ -314,38 +287,3 @@ def apply_mpo_via_protocol(tensors, input_state, boundary: str = "open", seed: i
     legs = ("edge_left",) + tuple(f"out{k}" for k in range(n)) + ("edge_right",)
     return ProtocolRun(seed, RNG_ALGORITHM, outcomes, probs, corrections,
                        DenseTensor(state, legs), fid, fid >= 1 - max(tol, VERDICT_FLOOR), True)
-
-
-def periodic_mpo_accounting(tensors, input_state, tol: float = DEFAULT_TOL) -> EnumerationReport:
-    """Exact post-selection accounting for periodic MPO application.
-
-    Periodic chains cannot be corrected deterministically; this enumerates
-    every outcome tuple, reports its exact Born weight (normalised by the
-    unmeasured norm |psi|^2 D^n), and verifies that the correctable branches
-    (merged defect proportional to the identity) reproduce the direct
-    periodic MPO action.  No sampling is performed.
-    """
-    tensors = list(tensors)
-    basis, completed = _validate_mpo_chain(tensors, tol)
-    n = len(tensors)
-    D = basis.dim
-    if (D * D) ** n > 4096:
-        raise SizeGuardError("periodic accounting exceeds the desk-scale guard")
-    psi = np.asarray(input_state, dtype=np.complex128)
-    norm_free = np.vdot(psi, psi).real * D**n
-    target = direct_mpo_state(tensors, psi, boundary="periodic")
-
-    def branch(combo):
-        state = direct_mpo_state(tensors, psi, [bond_projector(basis, j) for j in combo], "periodic")
-        # push bond defects into the wrap bond, correcting the o legs
-        try:
-            corrections, _, ok = push_chain_defects(completed, basis, combo, "periodic")
-        except DefectStuckError:
-            corrections, ok = [], False
-        state = apply_chain_corrections(state, corrections, None, "periodic")
-        p = np.vdot(state, state).real / norm_free
-        if not ok:
-            return p, False, None
-        return p, True, state_fidelity(state, target)
-
-    return enumerate_branches(D * D, n, branch)

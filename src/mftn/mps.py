@@ -68,7 +68,6 @@ from .tensors import (
     numerical_rank,
     polar_nd,
     procrustes_unitary,
-    projector_onto,
     proportionality,
     random_unitary,
 )
@@ -431,19 +430,19 @@ def solve_symmetry_family(
     constraints,
     d: int,
     tol: float = DEFAULT_TOL,
-    rng: np.random.Generator | None = None,
 ) -> list[MPSTensor]:
     """Orthonormal basis of all A satisfying the given constraints.
 
     Each constraint is linear in vec(A); the family is the joint null space.
     A constraint may carry ``u_phys=None`` to request a jointly solved
     correction unitary (alternating least squares, seeded from P^* x P' when
-    d = D^2 and from the identity plus random restarts otherwise).
+    d = D^2 and from the identity otherwise, then from fixed-seed random
+    restarts).
     """
     D = basis.dim
     triples = [(basis.index(p_in), u, basis.index(p_out)) for p_in, u, p_out in constraints]
     if any(u is None for _, u, _ in triples):
-        triples = _solve_unknown_corrections(basis, triples, d, rng)
+        triples = _solve_unknown_corrections(basis, triples, d)
     fixed = [SymmetryConstraint(*t) for t in triples]
     if fixed:
         stack = np.vstack([_constraint_row(basis, d, c.p_in, c.u_phys, c.p_out) for c in fixed])
@@ -457,13 +456,14 @@ def solve_symmetry_family(
     return family
 
 
-def _solve_unknown_corrections(basis, triples, d, rng):
+def _solve_unknown_corrections(basis, triples, d):
     """Alternating least squares over (A, unknown U_P) with restarts.
 
     ``triples`` are (p_in index, U or None, p_out index); the result fills
-    every None with the solved correction.
+    every None with the solved correction.  Restarts draw from a fixed seed,
+    so the result is the same on every call.
     """
-    rng = rng or np.random.default_rng(7)
+    rng = np.random.default_rng(7)
     D = basis.dim
     best = None
     for attempt in range(8):
@@ -622,15 +622,6 @@ def spt_solution(basis: MFBasis, alpha, tol: float = DEFAULT_TOL) -> MPSTensor:
     return out
 
 
-def spt_family_projector(basis: MFBasis) -> np.ndarray:
-    """Projector onto span{vec(P_i^* x P_i)} in flattened tensor space."""
-    cols = [
-        _q_to_mps_tensor(np.kron(p.conj(), p), basis).transpose_to(("phys", "left", "right")).data.reshape(-1)
-        for p in basis.elements
-    ]
-    return projector_onto(np.stack(cols, axis=1))
-
-
 @dataclass
 class MapOrderResult:
     bijective: bool
@@ -638,25 +629,17 @@ class MapOrderResult:
     image: dict[int, int]
 
 
-def map_order(A_or_constraints, basis: MFBasis | None = None) -> MapOrderResult:
+def map_order(A: MPSTensor) -> MapOrderResult:
     """Bijectivity and permutation order of the induced map P_in -> P_out.
 
-    Given an MPSTensor over a group basis, the constraint set is first closed
-    over products so that derived elements participate in the map.
+    Over a group basis the constraint set is first closed over products, so
+    that derived elements participate in the map.
     """
-    if isinstance(A_or_constraints, MPSTensor):
-        A = A_or_constraints
-        basis = A.basis
-        try:
-            pairs = {i: out for i, (_, out) in complete_constraints(A).items()}
-        except NonGroupBasisError:
-            pairs = {c.p_in: c.p_out for c in A.constraints}
-    else:
-        if basis is None:
-            raise ValueError("basis required when passing bare constraints")
-        pairs = {basis.index(p_in): basis.index(p_out) for p_in, _, p_out in A_or_constraints}
-    n = len(basis.elements)
-    total = len(pairs) == n
+    try:
+        pairs = {i: out for i, (_, out) in complete_constraints(A).items()}
+    except NonGroupBasisError:
+        pairs = {c.p_in: c.p_out for c in A.constraints}
+    total = len(pairs) == len(A.basis.elements)
     injective = len(set(pairs.values())) == len(pairs)
     bijective = total and injective
     order = None

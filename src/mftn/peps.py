@@ -19,7 +19,6 @@ topological solution is Q = sum_i alpha_i (P_i^* x P_i x P_i x P_i^*).
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -106,7 +105,7 @@ class PepsPolarSplit(PolarSplit):
     clifford_error: str | None = None
 
 
-def peps_split_polar(A: PEPSTensor, tol: float = DEFAULT_TOL, want_clifford: bool = True) -> PepsPolarSplit:
+def peps_split_polar(A: PEPSTensor, tol: float = DEFAULT_TOL) -> PepsPolarSplit:
     """Polar split over the grouped D^4 virtual space plus structure checks.
 
     Parts (i) and (ii) (null-space match and commutants) are always verified;
@@ -115,11 +114,10 @@ def peps_split_polar(A: PEPSTensor, tol: float = DEFAULT_TOL, want_clifford: boo
     """
     check_peps_mf_symmetry(A, tol).require("PEPS MF symmetry fails with residual %.3e")
     split = polar_structure(A, tol, PepsPolarSplit)
-    if want_clifford:
-        try:
-            split.clifford = clifford_form(split, A.basis)
-        except (NonPrimeDimensionError, NonGroupBasisError, SymmetryError) as exc:
-            split.clifford_error = str(exc)
+    try:
+        split.clifford = clifford_form(split, A.basis)
+    except (NonPrimeDimensionError, NonGroupBasisError, SymmetryError) as exc:
+        split.clifford_error = str(exc)
     return split
 
 
@@ -149,7 +147,8 @@ class TopoSymmetrySpec:
                 if int(idx_tab[a, b]) not in members:
                     raise NonGroupBasisError("subgroup is not closed under multiplication")
         n = self.exponent()
-        if abs(np.exp(1j * n * self.phi) - 1.0) > max(self.tol, MATCH_FLOOR):
+        # a non-finite phi is refused before np.exp, which would warn on it
+        if not (np.isfinite(self.phi) and abs(np.exp(1j * n * self.phi) - 1.0) <= max(self.tol, MATCH_FLOOR)):
             raise ValueError("n * phi must vanish mod 2 pi for the subgroup exponent n")
 
     def exponent(self) -> int:
@@ -339,23 +338,18 @@ class InjectivityReport:
     rank: int
     full_rank: int
     injective: bool
-    consistent_with_spec: bool | None
+    consistent_with_spec: bool
 
 
-def injectivity_check(A: PEPSTensor, spec: TopoSymmetrySpec | None = None, tol: float = DEFAULT_TOL) -> InjectivityReport:
+def injectivity_check(A: PEPSTensor, spec: TopoSymmetrySpec, tol: float = DEFAULT_TOL) -> InjectivityReport:
     """Numerical rank of A as a map from the virtual space to the physical one.
 
-    With a nontrivial subgroup the tensor must be rank deficient.
+    With a nontrivial subgroup in ``spec`` the tensor must be rank deficient.
     """
-    b = A.as_matrix()
-    rank = numerical_rank(b, tol)
+    rank = numerical_rank(A.as_matrix(), tol)
     full = A.D**4
     injective = rank == full
-    consistent = None
-    if spec is not None:
-        nontrivial = len(spec.subgroup) > 1
-        consistent = (not injective) if nontrivial else True
-    return InjectivityReport(rank, full, injective, consistent)
+    return InjectivityReport(rank, full, injective, len(spec.subgroup) <= 1 or not injective)
 
 
 def complete_with_isometry(Q: PEPSTensor, tol: float = DEFAULT_TOL) -> PEPSTensor:
@@ -389,44 +383,3 @@ def complete_with_isometry(Q: PEPSTensor, tol: float = DEFAULT_TOL) -> PEPSTenso
     A = PEPSTensor.from_matrix(v @ b, Q.basis, *carried)
     check_peps_mf_symmetry(A, tol).require("Q's pushes do not hold on V Q: residual %.3e")
     return A
-
-
-def bad_symmetry_obstruction(rows: int = 3, cols: int = 3) -> bool:
-    """Exhaustive search showing the all-legs push cannot clear a bulk defect.
-
-    The bad symmetry moves a defect from one leg of a site onto the other
-    three, i.e. toggles all four legs of that site.  Over Z2 defect classes a
-    single defect on an interior bond is correctable only if it lies in the
-    span of the site stars restricted to interior bonds; the search over all
-    site subsets confirms no correction exists on the given patch.
-    """
-    bonds: dict[tuple, int] = {}
-
-    def bond_id(key):
-        return bonds.setdefault(key, len(bonds))
-
-    stars = []
-    for r in range(rows):
-        for c in range(cols):
-            legs = []
-            if c > 0:
-                legs.append(bond_id(("h", r, c - 1)))
-            if c < cols - 1:
-                legs.append(bond_id(("h", r, c)))
-            if r > 0:
-                legs.append(bond_id(("v", r - 1, c)))
-            if r < rows - 1:
-                legs.append(bond_id(("v", r, c)))
-            stars.append(legs)
-    nbonds = len(bonds)
-    target = np.zeros(nbonds, dtype=np.int64)
-    target[bond_id(("h", rows // 2, cols // 2 - 1))] = 1
-    for picks in itertools.product((0, 1), repeat=len(stars)):
-        acc = target.copy()
-        for s, on in enumerate(picks):
-            if on:
-                for leg in stars[s]:
-                    acc[leg] ^= 1
-        if not acc.any():
-            return False
-    return True

@@ -409,6 +409,9 @@ def carried_push_table(A: PEPSTensor, in_slot: int, out_slots):
 class PepsPatch:
     """A rows x cols grid with per-site drain orientations.
 
+    ``orientations`` is one drain direction from {ur, ul, dr, dl} or a
+    per-site grid of them; regions must drain consistently.
+
     Horizontal bond ("h", r, c) joins sites (r, c)-(r, c+1) and vertical bond
     ("v", r, c) joins (r+1, c)-(r, c); row 0 is the top row.  ``ends`` maps
     each bond to its two (site, slot) ends and ``slot_bonds`` each site to its
@@ -730,11 +733,9 @@ def peps_fidelity(patch: PepsPatch, outcomes: dict, site_u, edge_ops) -> float:
     return float(abs(tc) ** 2 / denom)
 
 
-def run_peps_protocol(grid, orientation="ur", seed: int = 0, tol: float = DEFAULT_TOL) -> ProtocolRun:
+def run_peps_protocol(patch: PepsPatch, seed: int = 0, tol: float = DEFAULT_TOL) -> ProtocolRun:
     """Simulate one MF preparation round for a small PEPS patch.
 
-    ``orientation`` is a single drain direction or a per-site grid of
-    directions from {ur, ul, dr, dl}; regions must drain consistently.
     Each bond's Born conditional comes from one contraction against the
     pair matrices of all its outcomes, and the fidelity from two overlaps.
     A patch whose contraction front, (D^2)^(min(rows, cols) + 1) x D^2
@@ -746,7 +747,6 @@ def run_peps_protocol(grid, orientation="ur", seed: int = 0, tol: float = DEFAUL
     ``_ket_mods(basis, site_u, edge_ops)`` of the routed corrections gives a
     small patch's corrected state (up to 2^22 amplitudes).
     """
-    patch = grid if isinstance(grid, PepsPatch) else PepsPatch(grid, orientation, tol)
     # the sweep's widest front: a pair leg per short-side bond, one more while a line
     # is half swept, and the sampled bond's outcome leg
     front = (patch.D * patch.D) ** (min(patch.rows, patch.cols) + 2)
@@ -763,53 +763,3 @@ def run_peps_protocol(grid, orientation="ur", seed: int = 0, tol: float = DEFAUL
     fid = peps_fidelity(patch, outcomes, site_u, edge_ops)
     return ProtocolRun(seed, RNG_ALGORITHM, [outcomes[k] for k in patch.bonds()], probs,
                        sorted(site_u.items()), None, fid, fid >= 1 - max(tol, VERDICT_FLOOR), True)
-
-
-def peps_routing_complete(patch: PepsPatch) -> bool:
-    """Verify every defect class is pushable at every site and in-slot, that
-    the defect flow has no cycle, and that some end of every bond takes it in.
-
-    A bond that both its ends drain into is never consumed, so its defect
-    stays on it; that refusal names the bond.  Corrections for simultaneous
-    defects compose exactly, so these checks imply every outcome tuple is
-    correctable.
-    """
-    for key, ends in patch.ends.items():
-        if all(slot in ORIENTATIONS[patch.orient[r][c]][1] for (r, c), slot in ends):
-            raise DefectStuckError(f"both ends of bond {key} drain into it", site=key)
-    for r in range(patch.rows):
-        for c in range(patch.cols):
-            for in_slot in ORIENTATIONS[patch.orient[r][c]][0]:
-                patch.push_table(r, c, in_slot)
-    patch.processing_order()
-    return True
-
-
-def enumerate_peps_outcomes(patch: PepsPatch):
-    """Exhaustive accounting over all PEPS outcome tuples (small patches).
-
-    Returns an EnumerationReport with every correctable tuple's fidelity.
-    Tuples come with the last bond varying fastest, so one batched
-    contraction gives the Born weights of all its outcomes for each choice
-    of the other bonds.
-    """
-    order = patch.bonds()
-    check_enumeration_size(len(patch.basis.elements), len(order))
-    norm_free = patch.network_value(cuts=frozenset(order)).real
-    both = patch.outcome_pairs[0]
-    weights = {}  # head of a tuple -> Born weights of the last bond's outcomes
-
-    def branch(combo):
-        head, last = combo[:-1], combo[-1:]  # last is () on a patch without bonds
-        if head not in weights:
-            pairs = {key: both[j] for key, j in zip(order, head)} | dict.fromkeys(order[-1:], both)
-            weights[head] = np.asarray(patch.network_value(pairs).real) / norm_free
-        p = weights[head][last]
-        outcomes = dict(zip(order, combo))
-        try:
-            site_u, edge_ops = _route_defects(patch, outcomes)
-        except DefectStuckError:
-            return p, False, None
-        return p, True, peps_fidelity(patch, outcomes, site_u, edge_ops)
-
-    return enumerate_branches(len(patch.basis.elements), len(order), branch)

@@ -1,4 +1,4 @@
-"""Dense complex tensors with named legs, and the matrix factorizations built on them.
+"""Dense complex tensors with named legs, and the ndarray numerics shared across the package.
 
 Legs are addressed by unique string labels rather than positions; every
 operation that needs a matrix view of a tensor states explicitly which legs
@@ -8,13 +8,11 @@ one matrix index is always row-major in the order the legs are listed.
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import DimensionMismatchError, LegError, NonHermitianError
+from .errors import DimensionMismatchError, LegError
 
 # The tolerance every ``tol`` parameter defaults to.  ``mftn --tol`` and ``MFTN_TOL``
 # pass another value down for one command; nothing assigns this one.  Checks that take
@@ -39,7 +37,6 @@ UNITARY_INPUT_BOUND = 1e-7  # basis elements, completeness map, Push.u_phys, Had
 NORM_GUARD = 1e-300  # divisor floor: a zero norm divides as this, so a zero tensor has residual 0, not NaN
 ZERO_FLOOR = 1e-12  # a trace or proportionality factor of unit scale counts as zero below this
 BORN_FLOOR = 1e-9  # round-off can leave an exact-zero Born weight below 0 by this times sum |w|, no more
-HERMITIAN_INPUT_BOUND = 1e-10  # eig_hermitian refuses a view farther from Hermitian, relative to max(||m||, 1)
 
 MAX_DENSE_ELEMENTS = 1 << 22  # largest dense state, contraction front or blocked correction: 64 MiB complex
 
@@ -126,12 +123,6 @@ class DenseTensor:
         perm = [self._axis(l) for l in legs]
         return DenseTensor(self.data.transpose(perm), legs, copy=False)
 
-    def conj(self) -> "DenseTensor":
-        return DenseTensor(self.data.conj(), self.legs, copy=False)
-
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.data))
-
     def matrix(self, row_legs: Sequence[str], col_legs: Sequence[str]) -> np.ndarray:
         """Row-major matrix view over the given leg partition."""
         row_legs, col_legs = tuple(row_legs), tuple(col_legs)
@@ -142,21 +133,6 @@ class DenseTensor:
         t = self.transpose_to(row_legs + col_legs)
         rows = int(np.prod([t.leg_dim(l) for l in row_legs], initial=1))
         return np.asarray(t.data).reshape(rows, -1)
-
-    def view(self, row_legs: Sequence[str], col_legs: Sequence[str]) -> "MatrixView":
-        return MatrixView(self, tuple(row_legs), tuple(col_legs))
-
-    @classmethod
-    def from_matrix(
-        cls,
-        m: np.ndarray,
-        row_legs: Sequence[str],
-        row_dims: Sequence[int],
-        col_legs: Sequence[str],
-        col_dims: Sequence[int],
-    ) -> "DenseTensor":
-        shape = tuple(row_dims) + tuple(col_dims)
-        return cls(np.asarray(m).reshape(shape), tuple(row_legs) + tuple(col_legs))
 
     def to_json(self) -> dict:
         flat = self.data.reshape(-1)
@@ -174,35 +150,9 @@ class DenseTensor:
             raise DimensionMismatchError("JSON data length does not match shape")
         return cls(flat.reshape(shape), obj["legs"])
 
-    def dumps(self) -> str:
-        return json.dumps(self.to_json())
-
     def __repr__(self) -> str:
         legs = ", ".join(f"{l}:{d}" for l, d in zip(self.legs, self.shape))
         return f"DenseTensor({legs})"
-
-
-@dataclass(frozen=True)
-class MatrixView:
-    """A tensor together with an ordered row/column leg partition."""
-
-    tensor: DenseTensor
-    row_legs: tuple[str, ...]
-    col_legs: tuple[str, ...]
-
-    def __post_init__(self):
-        if sorted(self.row_legs + self.col_legs) != sorted(self.tensor.legs):
-            raise LegError("row and column legs must partition the tensor legs")
-
-    @property
-    def matrix(self) -> np.ndarray:
-        return self.tensor.matrix(self.row_legs, self.col_legs)
-
-    def row_dims(self) -> tuple[int, ...]:
-        return tuple(self.tensor.leg_dim(l) for l in self.row_legs)
-
-    def col_dims(self) -> tuple[int, ...]:
-        return tuple(self.tensor.leg_dim(l) for l in self.col_legs)
 
 
 def contract(
@@ -270,15 +220,6 @@ def nullspace(m: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:
     return wh[r:].conj().T
 
 
-def pinv_nd(m: np.ndarray, tol: float) -> np.ndarray:
-    """Moore-Penrose pseudo-inverse with relative singular-value cutoff."""
-    m = np.asarray(m, dtype=np.complex128)
-    u, s, wh = np.linalg.svd(m, full_matrices=False)
-    cutoff = tol * (s[0] if s.size and s[0] > 0 else 1.0)
-    inv = np.where(s > cutoff, 1.0 / np.where(s > cutoff, s, 1.0), 0.0)
-    return (wh.conj().T * inv) @ u.conj().T
-
-
 def proportionality(a: np.ndarray, b: np.ndarray) -> tuple[complex, float]:
     """Least-squares factor c minimizing ||a - c b||, and the residual.
 
@@ -315,17 +256,6 @@ def state_fidelity(x: np.ndarray, y: np.ndarray) -> float:
     return float(abs(np.vdot(x, y)) ** 2 / (nx**2 * ny**2))
 
 
-def projector_onto(columns: np.ndarray) -> np.ndarray:
-    """Orthogonal projector onto the column span."""
-    cols = np.asarray(columns, dtype=np.complex128)
-    if cols.ndim == 1:
-        cols = cols[:, None]
-    if cols.shape[1] == 0:
-        return np.zeros((cols.shape[0], cols.shape[0]), dtype=np.complex128)
-    q, _ = np.linalg.qr(cols)
-    return q @ q.conj().T
-
-
 def procrustes_unitary(target: np.ndarray, source: np.ndarray) -> np.ndarray:
     """Unitary U minimizing ||U @ source - target|| in Frobenius norm."""
     u, _, wh = np.linalg.svd(target @ source.conj().T)
@@ -350,46 +280,3 @@ def random_unitary(n: int, rng: np.random.Generator) -> np.ndarray:
     z = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     q, r = np.linalg.qr(z)
     return q * (np.diag(r) / np.abs(np.diag(r)))
-
-
-# ---------------------------------------------------------------------------
-# leg-level factorizations
-# ---------------------------------------------------------------------------
-
-
-def polar_decompose(m: MatrixView, tol: float = DEFAULT_TOL) -> tuple[DenseTensor, DenseTensor]:
-    """Polar split of a matrix view into (V, Q) tensors.
-
-    V keeps the legs of the original tensor (same shapes); Q is square over
-    the column legs, with the output copies primed (``leg'``).
-    """
-    v, q = polar_nd(m.matrix, tol)
-    vt = DenseTensor.from_matrix(v, m.row_legs, m.row_dims(), m.col_legs, m.col_dims())
-    primed = tuple(l + "'" for l in m.col_legs)
-    qt = DenseTensor.from_matrix(q, primed, m.col_dims(), m.col_legs, m.col_dims())
-    return vt, qt
-
-
-def eig_hermitian(m: MatrixView, tol: float = HERMITIAN_INPUT_BOUND) -> tuple[list[float], DenseTensor]:
-    """Eigenvalues (descending) and orthonormal eigenvectors of a Hermitian view."""
-    mat = m.matrix
-    if mat.shape[0] != mat.shape[1]:
-        raise DimensionMismatchError("eig_hermitian needs a square view")
-    dev = np.linalg.norm(mat - mat.conj().T)
-    scale = max(np.linalg.norm(mat), 1.0)
-    if dev > tol * scale:
-        raise NonHermitianError(f"matrix deviates from Hermitian by {dev:.3e}")
-    vals, vecs = np.linalg.eigh((mat + mat.conj().T) / 2)
-    order = np.argsort(vals)[::-1]
-    vals = vals[order]
-    vecs = vecs[:, order]
-    vectors = DenseTensor(vecs, ("basis", "mode"))
-    return [float(v) for v in vals], vectors
-
-
-def pseudo_inverse(m: MatrixView, tol: float) -> DenseTensor:
-    """Moore-Penrose pseudo-inverse; legs swap sides relative to the view."""
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-    p = pinv_nd(m.matrix, tol)
-    return DenseTensor.from_matrix(p, m.col_legs, m.col_dims(), m.row_legs, m.row_dims())

@@ -1,0 +1,184 @@
+"""Oracles and paper statements that only the tests call.
+
+Each is an exhaustive or dense check of a statement the package's fast
+paths must agree with: PEPS outcome enumeration and routing completeness,
+the post-selected accounting of periodic MPO application, the SPT family's
+projector, and the obstruction to the "bad" all-legs symmetry on a patch.
+"""
+
+import itertools
+
+import numpy as np
+
+from mftn.errors import DefectStuckError, SizeGuardError
+from mftn.mpo import _mpo_input, _mpo_step, _validate_mpo_chain
+from mftn.mps import _q_to_mps_tensor
+from mftn.protocol import (
+    ORIENTATIONS,
+    EnumerationReport,
+    _route_defects,
+    apply_chain_corrections,
+    bond_projector,
+    check_enumeration_size,
+    enumerate_branches,
+    peps_fidelity,
+    push_chain_defects,
+)
+from mftn.tensors import DEFAULT_TOL, state_fidelity
+
+
+def projector_onto(columns: np.ndarray) -> np.ndarray:
+    """Orthogonal projector onto the column span."""
+    cols = np.asarray(columns, dtype=np.complex128)
+    if cols.ndim == 1:
+        cols = cols[:, None]
+    if cols.shape[1] == 0:
+        return np.zeros((cols.shape[0], cols.shape[0]), dtype=np.complex128)
+    q, _ = np.linalg.qr(cols)
+    return q @ q.conj().T
+
+
+def spt_family_projector(basis) -> np.ndarray:
+    """Projector onto span{vec(P_i^* x P_i)} in flattened tensor space."""
+    cols = [
+        _q_to_mps_tensor(np.kron(p.conj(), p), basis).transpose_to(("phys", "left", "right")).data.reshape(-1)
+        for p in basis.elements
+    ]
+    return projector_onto(np.stack(cols, axis=1))
+
+
+def peps_routing_complete(patch) -> bool:
+    """Verify every defect class is pushable at every site and in-slot, that
+    the defect flow has no cycle, and that some end of every bond takes it in.
+
+    A bond that both its ends drain into is never consumed, so its defect
+    stays on it; that refusal names the bond.  Corrections for simultaneous
+    defects compose exactly, so these checks imply every outcome tuple is
+    correctable.
+    """
+    for key, ends in patch.ends.items():
+        if all(slot in ORIENTATIONS[patch.orient[r][c]][1] for (r, c), slot in ends):
+            raise DefectStuckError(f"both ends of bond {key} drain into it", site=key)
+    for r in range(patch.rows):
+        for c in range(patch.cols):
+            for in_slot in ORIENTATIONS[patch.orient[r][c]][0]:
+                patch.push_table(r, c, in_slot)
+    patch.processing_order()
+    return True
+
+
+def enumerate_peps_outcomes(patch) -> EnumerationReport:
+    """Exhaustive accounting over all PEPS outcome tuples (small patches).
+
+    Returns an EnumerationReport with every correctable tuple's fidelity.
+    Tuples come with the last bond varying fastest, so one batched
+    contraction gives the Born weights of all its outcomes for each choice
+    of the other bonds.
+    """
+    order = patch.bonds()
+    check_enumeration_size(len(patch.basis.elements), len(order))
+    norm_free = patch.network_value(cuts=frozenset(order)).real
+    both = patch.outcome_pairs[0]
+    weights = {}  # head of a tuple -> Born weights of the last bond's outcomes
+
+    def branch(combo):
+        head, last = combo[:-1], combo[-1:]  # last is () on a patch without bonds
+        if head not in weights:
+            pairs = {key: both[j] for key, j in zip(order, head)} | dict.fromkeys(order[-1:], both)
+            weights[head] = np.asarray(patch.network_value(pairs).real) / norm_free
+        p = weights[head][last]
+        outcomes = dict(zip(order, combo))
+        try:
+            site_u, edge_ops = _route_defects(patch, outcomes)
+        except DefectStuckError:
+            return p, False, None
+        return p, True, peps_fidelity(patch, outcomes, site_u, edge_ops)
+
+    return enumerate_branches(len(patch.basis.elements), len(order), branch)
+
+
+def periodic_mpo_state(tensors, psi, bond_ops) -> np.ndarray:
+    """The MPO chain applied to ``psi`` with its wrap bond traced, on axes
+    (o_1, ..., o_n); ``bond_ops[b]`` is a matrix on the bond after site b, or None."""
+    cur = _mpo_step(_mpo_input(tensors, psi), tensors[0].array(), 0)
+    for k in range(1, len(tensors)):
+        cur = _mpo_step(cur, tensors[k].array(), k, bond_ops[k - 1])
+    if bond_ops[-1] is not None:
+        cur = np.tensordot(cur, bond_ops[-1], axes=([-1], [0]))
+    return np.trace(cur, axis1=0, axis2=cur.ndim - 1)
+
+
+def periodic_mpo_accounting(tensors, input_state, tol: float = DEFAULT_TOL) -> EnumerationReport:
+    """Exact post-selection accounting for periodic MPO application.
+
+    Periodic chains cannot be corrected deterministically; this enumerates
+    every outcome tuple, reports its exact Born weight (normalised by the
+    unmeasured norm |psi|^2 D^n), and verifies that the correctable branches
+    (merged defect proportional to the identity) reproduce the direct
+    periodic MPO action.  No sampling is performed.
+    """
+    tensors = list(tensors)
+    basis, completed = _validate_mpo_chain(tensors, tol)
+    n = len(tensors)
+    D = basis.dim
+    if (D * D) ** n > 4096:
+        raise SizeGuardError("periodic accounting exceeds the desk-scale guard")
+    psi = np.asarray(input_state, dtype=np.complex128)
+    norm_free = np.vdot(psi, psi).real * D**n
+    target = periodic_mpo_state(tensors, psi, [None] * n)
+
+    def branch(combo):
+        state = periodic_mpo_state(tensors, psi, [bond_projector(basis, j) for j in combo])
+        # push bond defects into the wrap bond, correcting the o legs
+        try:
+            corrections, _, ok = push_chain_defects(completed, basis, combo, "periodic")
+        except DefectStuckError:
+            corrections, ok = [], False
+        state = apply_chain_corrections(state, corrections, None, "periodic")
+        p = np.vdot(state, state).real / norm_free
+        if not ok:
+            return p, False, None
+        return p, True, state_fidelity(state, target)
+
+    return enumerate_branches(D * D, n, branch)
+
+
+def bad_symmetry_obstruction(rows: int = 3, cols: int = 3) -> bool:
+    """Exhaustive search showing the all-legs push cannot clear a bulk defect.
+
+    The bad symmetry moves a defect from one leg of a site onto the other
+    three, i.e. toggles all four legs of that site.  Over Z2 defect classes a
+    single defect on an interior bond is correctable only if it lies in the
+    span of the site stars restricted to interior bonds; the search over all
+    site subsets confirms no correction exists on the given patch.
+    """
+    bonds: dict[tuple, int] = {}
+
+    def bond_id(key):
+        return bonds.setdefault(key, len(bonds))
+
+    stars = []
+    for r in range(rows):
+        for c in range(cols):
+            legs = []
+            if c > 0:
+                legs.append(bond_id(("h", r, c - 1)))
+            if c < cols - 1:
+                legs.append(bond_id(("h", r, c)))
+            if r > 0:
+                legs.append(bond_id(("v", r - 1, c)))
+            if r < rows - 1:
+                legs.append(bond_id(("v", r, c)))
+            stars.append(legs)
+    nbonds = len(bonds)
+    target = np.zeros(nbonds, dtype=np.int64)
+    target[bond_id(("h", rows // 2, cols // 2 - 1))] = 1
+    for picks in itertools.product((0, 1), repeat=len(stars)):
+        acc = target.copy()
+        for s, on in enumerate(picks):
+            if on:
+                for leg in stars[s]:
+                    acc[leg] ^= 1
+        if not acc.any():
+            return False
+    return True

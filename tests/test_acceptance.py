@@ -11,14 +11,7 @@ import pytest
 
 from mftn.basis import weyl_heisenberg_basis
 from mftn.clifford import PartialCliffordMap, PauliVector, check_admissible, is_clifford, synthesize_clifford
-from mftn.fixtures import (
-    aklt_tensor,
-    controlled_pauli_mpo,
-    copy_h_tensor,
-    copy_tensor,
-    ghz_alpha,
-    interpolated_alpha,
-)
+from mftn.fixtures import aklt_tensor, controlled_pauli_mpo
 from mftn.mpo import apply_mpo_via_protocol, relative_local_unitary
 from mftn.mps import (
     MPSTensor,
@@ -39,15 +32,10 @@ from mftn.peps import (
     transfer_matrix_brute,
     transfer_spectrum_analytic,
 )
-from mftn.protocol import (
-    PepsPatch,
-    enumerate_outcomes,
-    enumerate_peps_outcomes,
-    peps_routing_complete,
-    run_mps_protocol,
-    run_peps_protocol,
-)
-from mftn.tensors import DenseTensor, projector_onto, proportionality, random_unitary
+from mftn.protocol import PepsPatch, enumerate_outcomes, run_mps_protocol, run_peps_protocol
+from mftn.tensors import DenseTensor, proportionality, random_unitary
+from oracles import enumerate_peps_outcomes, peps_routing_complete, projector_onto
+from reference_tensors import copy_h_tensor, copy_tensor, ghz_alpha, interpolated_alpha
 
 WH2 = weyl_heisenberg_basis(2)
 WH3 = weyl_heisenberg_basis(3)
@@ -220,8 +208,9 @@ def test_criterion_6_non_injectivity():
     for basis in (WH2, WH3):
         alpha = np.zeros(len(basis.elements))
         alpha[basis.identity_index] = 1.0
-        rep = injectivity_check(topo_solution(basis, alpha))
-        ok = ok and rep.injective
+        trivial = TopoSymmetrySpec(basis, (basis.identity_index,), 0.0)
+        rep = injectivity_check(topo_solution(basis, alpha), trivial)
+        ok = ok and rep.injective and rep.consistent_with_spec
     announce(6, ok, "nontrivial subgroups force rank deficiency; identity alpha is injective")
 
 
@@ -343,6 +332,6 @@ def test_criterion_10_mpo_round_trip():
         ok = ok and resid < 1e-8
         if k < 4:
             psi = rng.standard_normal(4**3) + 1j * rng.standard_normal(4**3)
-            run = apply_mpo_via_protocol([inst] * 3, psi, "open", seed=k)
+            run = apply_mpo_via_protocol([inst] * 3, psi, seed=k)
             ok = ok and run.fidelity >= 1 - 1e-8
     announce(10, ok, "20 random local-unitary instances round-trip; protocol matches direct action")

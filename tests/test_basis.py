@@ -3,17 +3,10 @@
 import numpy as np
 import pytest
 
-from mftn.basis import (
-    MFBasis,
-    check_group_closure,
-    composite_basis,
-    fourier_matrix,
-    hadamard_latin_basis,
-    shift_clock,
-    weyl_heisenberg_basis,
-)
+from mftn.basis import MFBasis, composite_basis, shift_clock, weyl_heisenberg_basis
 from mftn.errors import BasisError, NonGroupBasisError, SizeGuardError
 from mftn.tensors import DEFAULT_TOL, random_unitary
+from reference_tensors import fourier_matrix, hadamard_latin_basis
 
 # A 5x5 Latin square whose row permutations do not close under composition,
 # i.e. not the Cayley table of any group.
@@ -123,6 +116,25 @@ class TestComposite:
         assert b.dim == 4 and len(b.elements) == 16
         assert b.is_group
 
+    @pytest.mark.parametrize("d1, d2", [(2, 3), (3, 2), (3, 3), (2, 4), (4, 2), (3, 5)])
+    def test_mixed_clock_refuses_every_other_pair_before_any_product(self, d1, d2, monkeypatch):
+        from mftn import basis
+
+        def closure(*args):
+            raise AssertionError("the closure ran")
+
+        monkeypatch.setattr(basis, "_generate_closure", closure)
+        with pytest.raises(NonGroupBasisError, match="only for WH:2 with WH:2"):
+            composite_basis(weyl_heisenberg_basis(d1), weyl_heisenberg_basis(d2), mode="mixed_clock")
+
+    @pytest.mark.parametrize("d1, d2", [(2, 3), (3, 2), (2, 4), (3, 3)])
+    def test_the_refused_generators_do_not_close(self, d1, d2):
+        from mftn.basis import _generate_closure
+
+        (x1, _), (x2, _), (_, zd) = shift_clock(d1), shift_clock(d2), shift_clock(d1 * d2)
+        gens = [np.kron(x1, np.eye(d2)), np.kron(np.eye(d1), x2), zd]
+        assert _generate_closure(gens, (d1 * d2) ** 2) is None
+
     def test_product_requires_groups(self, wh2):
         broken = hadamard_latin_basis([fourier_matrix(5)] * 5, NON_GROUP_LATIN_5)
         with pytest.raises(NonGroupBasisError):
@@ -154,21 +166,21 @@ class TestHadamardLatin:
     def test_d5_non_group_latin_square(self):
         f = fourier_matrix(5)
         b = hadamard_latin_basis([f] * 5, NON_GROUP_LATIN_5)
-        assert check_group_closure(b) is None
+        assert b.cocycle is None
         assert not b.is_group
 
 
 class TestClosureAndCocycle:
     def test_wh2_closure_present(self, wh2):
-        table = check_group_closure(wh2)
+        table = wh2.cocycle
         assert table is not None
         assert table.omega(wh2.index("X"), wh2.index("Z")) == pytest.approx(-1.0)
 
     def test_wh3_closure_exhaustive(self, wh3):
-        assert check_group_closure(wh3) is not None
+        assert wh3.cocycle is not None
 
     def test_cocycle_antisymmetry(self, wh3):
-        t = check_group_closure(wh3)
+        t = wh3.cocycle
         for j in range(9):
             for k in range(9):
                 assert t.omega(j, k) * t.omega(k, j) == pytest.approx(1.0, abs=1e-9)
@@ -176,7 +188,7 @@ class TestClosureAndCocycle:
     @pytest.mark.parametrize("D", [2, 3, 4, 5])
     def test_wh_cocycle_matches_formula(self, D):
         # omega((v,w),(v',w')) = exp(2 pi i (v w' - w v') / D), element order v*D+w
-        table = check_group_closure(weyl_heisenberg_basis(D))
+        table = weyl_heisenberg_basis(D).cocycle
         vw = [(v, w) for v in range(D) for w in range(D)]
         for j, (v, w) in enumerate(vw):
             for k, (vp, wp) in enumerate(vw):

@@ -18,11 +18,12 @@ from hypothesis import strategies as st
 from mftn import cli, peps, protocol
 from mftn.basis import MFBasis, weyl_heisenberg_basis
 from mftn.errors import DefectStuckError
-from mftn.fixtures import interpolated_alpha
 from mftn.peps import PEPSTensor, complete_with_isometry, topo_solution
 from mftn.protocol import (ORIENTATIONS, PepsPatch, _route_defects, carried_push_table, run_peps_protocol,
                            solve_push_table)
 from conftest import FOUR_CORNER_3X3, random_complex, x_power_alpha
+from oracles import peps_routing_complete
+from reference_tensors import interpolated_alpha
 
 WH2 = weyl_heisenberg_basis(2)
 WH3 = weyl_heisenberg_basis(3)
@@ -127,7 +128,7 @@ def searches(monkeypatch):
 def test_four_corner_patch_searches_only_the_other_orientations(searches):
     a = complete_with_isometry(topo_solution(WH2, x_power_alpha(WH2)))
     patch = PepsPatch([[a] * 3 for _ in range(3)], FOUR_CORNER_3X3)
-    assert protocol.peps_routing_complete(patch)
+    assert peps_routing_complete(patch)
     searched = {(in_slot, out_slots) for o in ("ul", "dl", "dr")
                 for in_slots, out_slots in [ORIENTATIONS[o]] for in_slot in in_slots}
     assert sorted(searches) == sorted(searched)

@@ -511,7 +511,106 @@ class TestBasisIndices:
         assert all(c["passed"] for c in report_of(out)["checks"])
 
 
-# argv that reach the operations ``cli.OPERATIONS`` files under each subcommand
+NAN = float("nan")
+NAN_ALPHA = [[NAN, 0], [0, 0], [1, 0], [0, 0]]
+
+
+def _with_image(**fields):
+    source = {"n": 1, "d": 2, "v": [1], "w": [0], **fields}
+    return json.dumps({"n": 1, "d": 2, "images": [{"source": source, "target": source}]})
+
+
+# (argv, a fragment of the error) of spec numbers that are not finite, and of negative seeds
+MALFORMED_NUMBERS = {
+    "check-peps-nan-alpha": (["check-peps", "--alpha", json.dumps(NAN_ALPHA)], "not finite"),
+    "spt-nan-alpha": (["spt", "--alpha", json.dumps(NAN_ALPHA)], "not finite"),
+    "expect-nan-alpha": (["expect", "--alpha", json.dumps(NAN_ALPHA), "--string", STRING], "not finite"),
+    "simulate-peps-nan-alpha": (["simulate", "--peps", json.dumps({"basis": "WH:2", "alpha": NAN_ALPHA})],
+                                "not finite"),
+    "transfer-nan-alpha": (["transfer", "--alpha", json.dumps(NAN_ALPHA)], "not finite"),
+    "transfer-infinite-alpha": (["transfer", "--alpha", "[[1, 0], [0, 1e400], [1, 0], [0, 0]]"], "not finite"),
+    "clifford-synth-n": (["clifford-synth", "--map", '{"n": Infinity, "d": 2, "images": []}'], "spec"),
+    "clifford-synth-d": (["clifford-synth", "--map", '{"n": 1, "d": 1e400, "images": []}'], "spec"),
+    "clifford-synth-v": (["clifford-synth", "--map", _with_image(v=[float("inf")])], "images entry 0"),
+    "clifford-synth-w": (["clifford-synth", "--map", _with_image(w=[-float("inf")])], "images entry 0"),
+    "degeneracy-L": (["degeneracy", "--topo", json.dumps({**json.loads(TOPO), "L": float("inf")})], "spec"),
+    "solve-family-d": (["solve-family", "--constraints", '{"basis": "WH:2", "constraints": [], "d": 1e400}'],
+                       "spec"),
+    "topo-solve-nan-phi": (["topo-solve", "--topo", json.dumps({**json.loads(TOPO), "phi": NAN})], "phi"),
+    "topo-solve-infinite-phi": (["topo-solve", "--topo", json.dumps({**json.loads(TOPO), "phi": float("inf")})],
+                                "phi"),
+    "simulate-chain-negative-seed": (["simulate", "--chain", "aklt", "--seed", "-1"], "--seed must be at least 0"),
+    "simulate-peps-negative-seed": (["simulate", "--peps", TOPO, "--seed", "-3"], "--seed must be at least 0"),
+    "mpo-apply-negative-seed": (["mpo", "apply", "--seed", "-1"], "--seed must be at least 0"),
+    "mpo-relative-negative-seed": (["mpo", "relative", "--seed", "-1"], "--seed must be at least 0"),
+}
+
+
+def _refuse_constant(name):
+    raise ValueError(f"{name} is not strict JSON")
+
+
+class TestMalformedNumbers:
+    """A spec number that is not finite, or a negative seed, exits 3 with one strict JSON error."""
+
+    @pytest.mark.parametrize("name", list(MALFORMED_NUMBERS))
+    def test_exits_three_with_one_json_error(self, capsys, name):
+        argv, fragment = MALFORMED_NUMBERS[name]
+        got = cli.dispatch(argv)
+        captured = capsys.readouterr()
+        assert got == 3
+        assert "Traceback" not in captured.err
+        error = json.loads(captured.out, parse_constant=_refuse_constant)["error"]
+        assert error.startswith("malformed input: ")
+        assert fragment in error
+
+    def test_seed_zero_is_read(self, capsys):
+        assert run(capsys, ["simulate", "--chain", "aklt", "--seed", "0"])[0] == 0
+
+    def test_mixed_clock_off_wh2_squared_is_a_failed_check(self, capsys):
+        code, out = run(capsys, ["basis", "--basis", "WH:2", "--composite", "WH:3", "--mode", "mixed_clock"])
+        assert code == 1
+        assert "only for WH:2 with WH:2" in report_of(out)["outputs"]["error"]
+
+
+# every public function of mftn, with the one subcommand that reaches it
+OPERATIONS = {
+    "contract": "check-mps",
+    "weyl_heisenberg_basis": "basis",
+    "composite_basis": "basis",
+    "check_admissible": "clifford-synth",
+    "synthesize_clifford": "clifford-synth",
+    "is_clifford": "clifford-synth",
+    "check_mf_symmetry": "check-mps",
+    "solve_symmetry_family": "solve-family",
+    "canonical_form_check": "check-mps",
+    "split_polar": "decompose-mps",
+    "correction_consistency": "decompose-mps",
+    "clifford_magic_decompose": "decompose-mps",
+    "spt_solution": "spt",
+    "block": "block",
+    "map_order": "block",
+    "pauli_expectation": "expect",
+    "check_peps_mf_symmetry": "check-peps",
+    "peps_isometry_check": "check-peps",
+    "peps_split_polar": "check-peps",
+    "injectivity_check": "topo-solve",
+    "topo_solution": "topo-solve",
+    "check_topo_symmetry": "topo-solve",
+    "transfer_spectrum_analytic": "transfer",
+    "transfer_matrix_brute": "transfer",
+    "degeneracy_report": "degeneracy",
+    "run_mps_protocol": "simulate",
+    "run_peps_protocol": "simulate",
+    "enumerate_outcomes": "simulate",
+    "check_mpo_isometry": "mpo",
+    "mpo_slices": "mpo",
+    "build_purifying_unitary": "mpo",
+    "relative_local_unitary": "mpo",
+    "apply_mpo_via_protocol": "mpo",
+}
+
+# argv that reach the operations ``OPERATIONS`` files under each subcommand
 REACHING = {
     "check-mps": [["check-mps", "--tensor", "aklt"]],
     "basis": [["basis", "--composite", "WH:2"]],
@@ -536,10 +635,10 @@ class TestOperationCoverage:
 
         import mftn
 
-        assert set(cli.OPERATIONS.values()) <= set(cli.SUBCOMMANDS)
-        assert set(REACHING) == set(cli.OPERATIONS.values())
+        assert set(OPERATIONS.values()) <= set(cli.SUBCOMMANDS)
+        assert set(REACHING) == set(OPERATIONS.values())
         # a counter bound in every module of the package that binds the operation
-        calls = dict.fromkeys(cli.OPERATIONS, 0)
+        calls = dict.fromkeys(OPERATIONS, 0)
 
         def counted(op, original):
             def spy(*args, **kwargs):
@@ -547,7 +646,7 @@ class TestOperationCoverage:
                 return original(*args, **kwargs)
             return spy
 
-        for op in cli.OPERATIONS:
+        for op in OPERATIONS:
             original = getattr(mftn, op)
             for name, module in list(sys.modules.items()):
                 if name.startswith("mftn"):
@@ -559,8 +658,17 @@ class TestOperationCoverage:
             calls.update(dict.fromkeys(calls, 0))
             for argv in argvs:
                 assert run(capsys, argv)[0] == 0, argv
-            uncalled += [op for op, sub in cli.OPERATIONS.items() if sub == command and not calls[op]]
+            uncalled += [op for op, sub in OPERATIONS.items() if sub == command and not calls[op]]
         assert not uncalled, f"operations no subcommand reaches: {uncalled}"
+
+    def test_every_public_function_is_an_operation(self):
+        import inspect
+
+        import mftn
+
+        functions = {name for name in mftn.__all__ if inspect.isfunction(getattr(mftn, name))}
+        assert functions - set(OPERATIONS) == set()
+        assert set(OPERATIONS) <= set(mftn.__all__)
 
     def test_check_mps_calls_contract(self, capsys, monkeypatch):
         import sys

@@ -16,8 +16,6 @@ from mftn.clifford import (
     image_residual,
     is_clifford,
     match_pauli_matrix,
-    matrix_to_pauli,
-    pauli_to_matrix,
     synthesize_clifford,
 )
 from mftn.errors import InadmissibleMapError, NonPrimeDimensionError
@@ -37,13 +35,13 @@ def xz(n, d, v, w, p=0):
 
 class TestPauliMatrix:
     def test_single_qubit_generators(self):
-        x = pauli_to_matrix(xz(1, 2, [1], [0])).data
+        x = xz(1, 2, [1], [0]).matrix()
         np.testing.assert_allclose(x, [[0, 1], [1, 0]], atol=1e-15)
-        y = pauli_to_matrix(xz(1, 2, [1], [1])).data
+        y = xz(1, 2, [1], [1]).matrix()
         np.testing.assert_allclose(y, [[0, -1], [1, 0]], atol=1e-15)
 
     def test_qutrit_kron_oracle(self):
-        got = pauli_to_matrix(xz(2, 3, [1, 0], [0, 2])).data
+        got = xz(2, 3, [1, 0], [0, 2]).matrix()
         x = np.roll(np.eye(3), 1, axis=0)
         z2 = np.diag(np.exp(2j * np.pi * np.arange(3) * 2 / 3))
         np.testing.assert_allclose(got, np.kron(x, z2), atol=1e-12)
@@ -63,8 +61,9 @@ class TestPauliMatrix:
         for _ in range(10):
             d, n = 3, 2
             p = xz(n, d, rng.integers(0, d, n), rng.integers(0, d, n), int(rng.integers(0, 2 * d)))
-            back = matrix_to_pauli(p.matrix(), n, d)
-            assert back == p
+            v, w, phase = match_pauli_matrix(p.matrix(), n, d)
+            assert (v, w) == (p.v, p.w)
+            assert abs(phase - p.phase) < 1e-12
 
 
 class TestAdmissibility:

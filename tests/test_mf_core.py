@@ -252,7 +252,7 @@ def test_topo_core_matches_kron_formulas_wh2(alpha):
 def test_topo_core_matches_kron_formulas_wh3(alpha):
     A = topo_solution(WH3, alpha)
     check_peps_core(A, ["ur"])
-    split = peps_split_polar(A, want_clifford=False)
+    split = peps_split_polar(A)
     check_polar(split, A.as_matrix())
     ref_a, ref_b = peps_commutants(A)
     np.testing.assert_allclose(split.commutant_residuals, commutant_residuals(split.Q, ref_a + ref_b), atol=TOL)

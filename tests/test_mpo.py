@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from mftn.errors import BoundaryError, SymmetryError
+from mftn.errors import SymmetryError
 from mftn import mpo
 from mftn.fixtures import controlled_pauli_mpo
 from mftn.mps import SymmetryReport
@@ -15,12 +15,12 @@ from mftn.mpo import (
     build_purifying_unitary,
     check_mpo_isometry,
     mpo_slices,
-    periodic_mpo_accounting,
     relative_local_unitary,
 )
 from mftn.tensors import random_unitary, state_fidelity
 
 from conftest import random_complex
+from oracles import periodic_mpo_accounting
 
 
 @pytest.fixture(scope="module")
@@ -132,7 +132,7 @@ class TestProtocolApplication:
         psi = random_complex(rng, 4**n)
         psi /= np.linalg.norm(psi)
         for seed in range(4):
-            run = apply_mpo_via_protocol([cp_mpo] * n, psi, "open", seed=seed)
+            run = apply_mpo_via_protocol([cp_mpo] * n, psi, seed=seed)
             assert run.success
             assert run.fidelity >= 1 - 1e-9
 
@@ -140,7 +140,7 @@ class TestProtocolApplication:
         n = 3
         inst = random_instance(cp_mpo, rng)
         psi = random_complex(rng, 4**n)
-        run = apply_mpo_via_protocol([inst] * n, psi, "open", seed=7)
+        run = apply_mpo_via_protocol([inst] * n, psi, seed=7)
         assert run.fidelity >= 1 - 1e-8
         # oracle: one layer of U_tilde rotations followed by the U staircase
         u = build_purifying_unitary(cp_mpo).data
@@ -153,12 +153,8 @@ class TestProtocolApplication:
         # action, itself the controlled-Pauli staircase
         psi = np.zeros(4**2, dtype=complex)
         psi[3] = 1.0
-        run = apply_mpo_via_protocol([cp_mpo] * 2, psi, "open", seed=0)
+        run = apply_mpo_via_protocol([cp_mpo] * 2, psi, seed=0)
         assert run.fidelity >= 1 - 1e-9
-
-    def test_periodic_rejected_by_sampler(self, cp_mpo):
-        with pytest.raises(BoundaryError):
-            apply_mpo_via_protocol([cp_mpo] * 2, np.ones(16) / 4.0, "periodic", seed=0)
 
 
 def _staircase_state(u, ut, psi, n, D, d):
@@ -236,7 +232,7 @@ class TestProtocolMapEquality:
         inst = random_instance(cp_mpo, rng)
         for k in range(20):
             psi = random_complex(rng, 4**2)
-            run = apply_mpo_via_protocol([inst] * 2, psi, "open", seed=100 + k)
+            run = apply_mpo_via_protocol([inst] * 2, psi, seed=100 + k)
             assert run.fidelity >= 1 - 1e-8
 
 
@@ -250,7 +246,7 @@ class TestIdentityMpoProtocol:
         arr[0, 0] = arr[1, 1] = 1.0
         ident = MPOTensor.from_array(arr, trivial, [SymmetryConstraint(0, np.eye(2), 0)])
         psi = random_complex(rng, 2**3)
-        run = apply_mpo_via_protocol([ident] * 3, psi, "open", seed=0)
+        run = apply_mpo_via_protocol([ident] * 3, psi, seed=0)
         assert run.fidelity >= 1 - 1e-12
         # with bond dimension one the output physical state is the input
         out = run.final_state.data.reshape(-1)

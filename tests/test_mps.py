@@ -5,14 +5,7 @@ import pytest
 
 from mftn.clifford import PauliVector
 from mftn.errors import SymmetryError
-from mftn.fixtures import (
-    aklt_alpha,
-    aklt_tensor,
-    cluster_tensor,
-    copy_h_tensor,
-    copy_tensor,
-    ghz_alpha,
-)
+from mftn.fixtures import aklt_tensor, cluster_tensor
 from mftn.mps import (
     MPSTensor,
     SymmetryConstraint,
@@ -27,12 +20,13 @@ from mftn.mps import (
     pauli_expectation,
     solve_symmetry_family,
     split_polar,
-    spt_family_projector,
     spt_solution,
 )
-from mftn.tensors import DenseTensor, projector_onto, proportionality
+from mftn.tensors import DenseTensor, proportionality
 
 from conftest import random_complex, site_stacks
+from oracles import projector_onto, spt_family_projector
+from reference_tensors import aklt_alpha, copy_h_tensor, copy_tensor, ghz_alpha
 
 
 def family_projector(family):
@@ -317,8 +311,9 @@ class TestBlockAndMapOrder:
         rot = {"X": "XZ", "XZ": "Z", "Z": "X", "I": "I"}
         # build a synthetic constraint list with identity corrections on a
         # 4-level physical space; only the map structure matters here
-        constraints = [(k, np.eye(4), v) for k, v in rot.items()]
-        res = map_order(constraints, wh2)
+        constraints = [SymmetryConstraint(wh2.index(k), np.eye(4), wh2.index(v)) for k, v in rot.items()]
+        A = MPSTensor(DenseTensor(np.zeros((2, 4, 2)), ("left", "phys", "right")), wh2, constraints)
+        res = map_order(A)
         assert res.bijective and res.order == 3
 
     def test_non_bijective_family(self, wh2):

@@ -8,12 +8,10 @@ import pytest
 from mftn import mps, peps
 from mftn.basis import weyl_heisenberg_basis
 from mftn.errors import SizeGuardError, SymmetryError
-from mftn.fixtures import interpolated_alpha
 from mftn.mps import is_stabilizer_state, leg_operator
 from mftn.peps import (
     PEPSTensor,
     TopoSymmetrySpec,
-    bad_symmetry_obstruction,
     check_peps_mf_symmetry,
     check_topo_symmetry,
     complete_with_isometry,
@@ -29,6 +27,8 @@ from mftn.protocol import solve_push_table
 from mftn.tensors import numerical_rank
 
 from conftest import random_complex, x_power_alpha
+from oracles import bad_symmetry_obstruction
+from reference_tensors import interpolated_alpha
 
 
 def z_power_alpha(basis, charge=0):
@@ -163,7 +163,7 @@ class TestSplitPolar:
 
     def test_qutrit_parts_i_ii(self, wh3):
         q = topo_solution(wh3, x_power_alpha(wh3))
-        split = peps_split_polar(q, want_clifford=False)
+        split = peps_split_polar(q)
         assert split.null_space_match
         assert max(split.commutant_residuals) < 1e-9
 
@@ -339,7 +339,7 @@ class TestInjectivity:
 
     def test_equal_sum_rank_deficient(self, wh2):
         q = topo_solution(wh2, np.ones(4))
-        rep = injectivity_check(q)
+        rep = injectivity_check(q, TopoSymmetrySpec(wh2, (wh2.identity_index,), 0.0))
         assert rep.rank < 16
 
     def test_every_nontrivial_subgroup_implies_rank_deficiency(self, wh2, rng):

@@ -7,11 +7,11 @@ from hypothesis import strategies as st
 from mftn.basis import weyl_heisenberg_basis
 from mftn.clifford import PauliVector
 from mftn.fixtures import controlled_pauli_mpo
-from mftn.mpo import periodic_mpo_accounting
 from mftn.mps import spt_solution
 from mftn.peps import transfer_spectrum_analytic
 from mftn.protocol import enumerate_outcomes
 from mftn.tensors import random_unitary
+from oracles import periodic_mpo_accounting
 
 WH2 = weyl_heisenberg_basis(2)
 WH3 = weyl_heisenberg_basis(3)

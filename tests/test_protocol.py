@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from mftn import protocol
 from mftn.basis import MFBasis
 from mftn.errors import BoundaryError, DefectStuckError, NumericalRangeError, SizeGuardError
-from mftn.fixtures import aklt_tensor, cluster_tensor, copy_tensor
+from mftn.fixtures import aklt_tensor, cluster_tensor
 from mftn.mps import MPSTensor, chain_state, complete_constraints, solve_symmetry_family, spt_solution
 from mftn.peps import PEPSTensor, complete_with_isometry, topo_solution
 from mftn.protocol import (
@@ -25,8 +25,6 @@ from mftn.protocol import (
     bond_projector,
     born_choice,
     enumerate_outcomes,
-    enumerate_peps_outcomes,
-    peps_routing_complete,
     philox_rng,
     push_chain_defects,
     run_mps_protocol,
@@ -34,6 +32,8 @@ from mftn.protocol import (
 )
 from mftn.tensors import DenseTensor, random_unitary, state_fidelity
 from conftest import FOUR_CORNER_3X3, random_complex, site_stacks
+from oracles import enumerate_peps_outcomes, peps_routing_complete
+from reference_tensors import copy_tensor
 
 
 def toric_patch(wh2, rows, cols, orientations="ur"):

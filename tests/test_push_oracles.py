@@ -11,13 +11,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mftn.basis import weyl_heisenberg_basis
-from mftn.fixtures import controlled_pauli_mpo, interpolated_alpha
+from mftn.fixtures import controlled_pauli_mpo
 from mftn.mps import solve_pushes, spt_solution
 from mftn.peps import complete_with_isometry, topo_solution
 from mftn.protocol import ORIENTATIONS
 from mftn.tensors import DEFAULT_TOL
 from conftest import random_complex, x_power_alpha
 from push_oracles import full_space_pushes
+from reference_tensors import interpolated_alpha
 
 WH2 = weyl_heisenberg_basis(2)
 WH3 = weyl_heisenberg_basis(3)

@@ -1,21 +1,14 @@
-"""Leg-labelled tensor algebra and the matrix factorizations behind everything else."""
+"""Leg-labelled tensor algebra and the polar factorization behind everything else."""
 
 import numpy as np
 import pytest
 
-from mftn.errors import DimensionMismatchError, LegError, NonHermitianError
-from mftn.fixtures import bell_map_tensor
-from mftn.tensors import (
-    DenseTensor,
-    contract,
-    eig_hermitian,
-    fix_global_phase,
-    polar_decompose,
-    projector_onto,
-    pseudo_inverse,
-)
+from mftn.errors import DimensionMismatchError, LegError
+from mftn.tensors import DenseTensor, contract, fix_global_phase, polar_nd
 
 from conftest import random_complex
+from oracles import projector_onto
+from reference_tensors import bell_map_tensor
 
 
 class TestDenseTensor:
@@ -61,7 +54,7 @@ class TestContract:
 
     def test_full_contraction_matches_entrywise_sum(self, rng):
         t = DenseTensor(random_complex(rng, 2, 3, 4), ("a", "b", "c"))
-        out = contract(t, t.conj(), [("a", "a"), ("b", "b"), ("c", "c")])
+        out = contract(t, DenseTensor(t.data.conj(), t.legs), [("a", "a"), ("b", "b"), ("c", "c")])
         # independent oracle: explicit loop over all entries
         expected = 0.0
         for i in range(2):
@@ -98,91 +91,25 @@ class TestContract:
 class TestPolar:
     def test_unitary_input(self):
         h = np.array([[1, 1], [1, -1]]) / np.sqrt(2)
-        t = DenseTensor(h, ("r", "c"))
-        v, q = polar_decompose(t.view(["r"], ["c"]))
-        np.testing.assert_allclose(v.data, h, atol=1e-12)
-        np.testing.assert_allclose(q.data, np.eye(2), atol=1e-12)
+        v, q = polar_nd(h)
+        np.testing.assert_allclose(v, h, atol=1e-12)
+        np.testing.assert_allclose(q, np.eye(2), atol=1e-12)
 
     def test_rank_one_diagonal(self):
-        t = DenseTensor(np.diag([2.0, 0.0]), ("r", "c"))
-        v, q = polar_decompose(t.view(["r"], ["c"]))
-        np.testing.assert_allclose(q.data, np.diag([2.0, 0.0]), atol=1e-12)
-        vtv = v.matrix(["r"], ["c"]).conj().T @ v.matrix(["r"], ["c"])
-        np.testing.assert_allclose(vtv, np.diag([1.0, 0.0]), atol=1e-12)
+        v, q = polar_nd(np.diag([2.0, 0.0]))
+        np.testing.assert_allclose(q, np.diag([2.0, 0.0]), atol=1e-12)
+        np.testing.assert_allclose(v.conj().T @ v, np.diag([1.0, 0.0]), atol=1e-12)
 
     def test_random_reconstruction_and_psd(self, rng):
         m = random_complex(rng, 4, 4)
-        t = DenseTensor(m, ("r", "c"))
-        v, q = polar_decompose(t.view(["r"], ["c"]))
-        vm, qm = v.matrix(["r"], ["c"]), q.matrix(["c'"], ["c"])
-        assert np.linalg.norm(m - vm @ qm) < 1e-10
-        assert np.linalg.norm(qm - qm.conj().T) < 1e-10
-        assert np.linalg.eigvalsh((qm + qm.conj().T) / 2).min() > -1e-10
+        v, q = polar_nd(m)
+        assert np.linalg.norm(m - v @ q) < 1e-10
+        assert np.linalg.norm(q - q.conj().T) < 1e-10
+        assert np.linalg.eigvalsh((q + q.conj().T) / 2).min() > -1e-10
         # V†V equals the projector onto range(Q)
-        evals, evecs = np.linalg.eigh(qm)
+        evals, evecs = np.linalg.eigh(q)
         keep = evecs[:, evals > 1e-9 * evals.max()]
-        np.testing.assert_allclose(vm.conj().T @ vm, projector_onto(keep), atol=1e-9)
-
-
-class TestEigHermitian:
-    def test_identity_and_pauli_z(self):
-        vals, _ = eig_hermitian(DenseTensor(np.eye(3), ("r", "c")).view(["r"], ["c"]))
-        assert vals == pytest.approx([1.0, 1.0, 1.0])
-        vals, _ = eig_hermitian(DenseTensor(np.diag([1.0, -1.0]), ("r", "c")).view(["r"], ["c"]))
-        assert vals == pytest.approx([1.0, -1.0])
-
-    def test_rejects_non_hermitian(self):
-        t = DenseTensor(np.array([[0.0, 1.0], [0.0, 0.0]]), ("r", "c"))
-        with pytest.raises(NonHermitianError):
-            eig_hermitian(t.view(["r"], ["c"]))
-
-    def test_q_and_q_squared_share_eigenspaces(self, rng):
-        a = random_complex(rng, 4, 4)
-        q = a @ a.conj().T  # random PSD
-        vals, vecs = eig_hermitian(DenseTensor(q, ("r", "c")).view(["r"], ["c"]))
-        vals2, vecs2 = eig_hermitian(DenseTensor(q @ q, ("r", "c")).view(["r"], ["c"]))
-        # eigenvalues pair as (lambda, lambda^2); eigenvector projectors agree
-        np.testing.assert_allclose(np.array(vals) ** 2, vals2, rtol=1e-8)
-        for k in range(4):
-            p1 = projector_onto(vecs.data[:, k])
-            p2 = projector_onto(vecs2.data[:, k])
-            assert np.linalg.norm(p1 - p2) < 1e-7
-
-    def test_reconstruction(self, rng):
-        a = random_complex(rng, 5, 5)
-        h = (a + a.conj().T) / 2
-        vals, vecs = eig_hermitian(DenseTensor(h, ("r", "c")).view(["r"], ["c"]))
-        recon = sum(
-            v * np.outer(vecs.data[:, k], vecs.data[:, k].conj()) for k, v in enumerate(vals)
-        )
-        assert np.linalg.norm(h - recon) < 1e-8
-
-
-class TestPseudoInverse:
-    def test_identity_and_diagonal(self):
-        t = DenseTensor(np.eye(2), ("r", "c"))
-        np.testing.assert_allclose(
-            pseudo_inverse(t.view(["r"], ["c"]), 1e-12).data, np.eye(2), atol=1e-12
-        )
-        t = DenseTensor(np.diag([2.0, 0.0]), ("r", "c"))
-        np.testing.assert_allclose(
-            pseudo_inverse(t.view(["r"], ["c"]), 1e-12).data, np.diag([0.5, 0.0]), atol=1e-12
-        )
-
-    def test_penrose_conditions_rank_two(self, rng):
-        cols = random_complex(rng, 4, 2)
-        rows = random_complex(rng, 2, 4)
-        m = cols @ rows
-        p = pseudo_inverse(DenseTensor(m, ("r", "c")).view(["r"], ["c"]), 1e-10).data
-        assert np.linalg.norm(m @ p @ m - m) < 1e-9
-        assert np.linalg.norm(p @ m @ p - p) < 1e-9
-        # m p is the orthogonal projector onto range(m)
-        np.testing.assert_allclose(m @ p, projector_onto(cols), atol=1e-8)
-
-    def test_requires_positive_tol(self):
-        t = DenseTensor(np.eye(2), ("r", "c"))
-        with pytest.raises(ValueError):
-            pseudo_inverse(t.view(["r"], ["c"]), 0.0)
+        np.testing.assert_allclose(v.conj().T @ v, projector_onto(keep), atol=1e-9)
 
 
 class TestPhaseFix:

@@ -9,15 +9,16 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from mftn.basis import CocycleTable, MFBasis, hadamard_latin_basis, weyl_heisenberg_basis
+from mftn.basis import CocycleTable, MFBasis, weyl_heisenberg_basis
 from mftn.clifford import is_clifford
-from mftn.errors import BasisError, NonHermitianError, SymmetryError
+from mftn.errors import BasisError, SymmetryError
 from mftn.fixtures import controlled_pauli_mpo
 from mftn.mpo import MPOTensor, relative_local_unitary
 from mftn.mps import Push, SymmetryConstraint
-from mftn.tensors import DEFAULT_TOL, HERMITIAN_INPUT_BOUND, UNITARY_INPUT_BOUND, DenseTensor, eig_hermitian, isometry_residual, random_unitary
+from mftn.tensors import DEFAULT_TOL, UNITARY_INPUT_BOUND, isometry_residual, random_unitary
 
 from conftest import random_complex
+from reference_tensors import hadamard_latin_basis
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "mftn"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "tensors.py")
@@ -148,18 +149,3 @@ def test_input_checks_refuse_just_above_their_bound(name):
     check(0.99 * UNITARY_INPUT_BOUND)
     with pytest.raises(error, match="unitary|H H"):
         check(1.01 * UNITARY_INPUT_BOUND)
-
-
-def _hermitian_view(resid):
-    """diag(2, 3) plus an antisymmetric c, with c chosen so that eig_hermitian's
-    ||m - m†|| / max(||m||, 1) equals resid."""
-    c = resid * np.sqrt(13) / (2 * np.sqrt(2))
-    m = np.array([[2.0, c], [-c, 3.0]])
-    return DenseTensor(m, ("r", "c")).view(["r"], ["c"])
-
-
-def test_eig_hermitian_refuses_just_above_its_bound():
-    vals, _ = eig_hermitian(_hermitian_view(0.99 * HERMITIAN_INPUT_BOUND))
-    assert vals == pytest.approx([3.0, 2.0])
-    with pytest.raises(NonHermitianError):
-        eig_hermitian(_hermitian_view(1.01 * HERMITIAN_INPUT_BOUND))
