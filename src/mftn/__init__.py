@@ -15,7 +15,6 @@ from .clifford import (
     PartialCliffordMap,
     PauliVector,
     check_admissible,
-    is_clifford,
     synthesize_clifford,
 )
 from .mps import (
@@ -98,7 +97,6 @@ __all__ = [
     "PartialCliffordMap",
     "PauliVector",
     "check_admissible",
-    "is_clifford",
     "synthesize_clifford",
     "CliffordMagicForm",
     "MPSTensor",

@@ -445,8 +445,8 @@ def _cmd_clifford_synth(args, report):
     report.check("admissible", adm.admissible)
     if adm.admissible:
         u = qc.synthesize_clifford(m)
-        report.check("is_clifford", qc.is_clifford(u.data, n, d))
-        worst = max((qc.image_residual(u.data, src, tgt) for src, tgt in images), default=0.0)
+        report.check("is_clifford", u.is_clifford)
+        worst = max((u.residual(src) for src, _ in images), default=0.0)
         report.check("images_reproduced", worst < VERDICT_FLOOR, worst)
         report.artifact(args.out, u.to_json)
     else:

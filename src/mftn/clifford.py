@@ -7,7 +7,13 @@ Z_d (d prime) and builds the unitary from the joint eigenstate of the target
 Z images, so the requested conjugation relations hold exactly, phases included.
 Every Pauli string is a phased permutation (``PauliVector.monomial``), so
 synthesis and the Clifford checks apply strings to vectors and never multiply
-dense Pauli matrices; the one O(d^3n) step is the unitarity check.
+dense Pauli matrices.  A synthesized U is accepted on its tableau
+certificate: the 2n residuals ||U g - g' U|| of the completed tableau's
+images, each a monomial comparison on the dense U, and a bound on its
+unitarity that Schur's lemma gives from them.  Synthesis therefore costs
+O(n d^2n) and builds no Gram matrix.  ``is_clifford`` (which still forms
+U U†, O(d^3n)), ``image_residual`` and ``isometry_residual`` are the dense
+checks it is tested against.
 """
 
 from __future__ import annotations
@@ -22,6 +28,8 @@ from .basis import shift_clock
 from .errors import DimensionMismatchError, InadmissibleMapError, NonPrimeDimensionError
 from .tensors import (DEFAULT_TOL, PAULI_FLOOR, UNITARY_INPUT_BOUND, VERDICT_FLOOR, DenseTensor, fix_global_phase,
                       isometry_residual)
+
+_BLOCK_ELEMENTS = 1 << 14  # entries of U per row block of the tableau residuals: 256 KiB, cache-sized
 
 
 @dataclass(frozen=True)
@@ -388,32 +396,128 @@ def complete_tableau(m: PartialCliffordMap) -> tuple[list[PauliVector], list[Pau
     return tx, tz
 
 
-def synthesize_clifford(m: PartialCliffordMap) -> DenseTensor:
+@dataclass(frozen=True)
+class SynthesizedClifford:
+    """A synthesized U and the tableau certificate it was accepted on.
+
+    ``x_residuals[k]`` and ``z_residuals[k]`` are ||U X_k - X'_k U||_F and
+    ||U Z_k - Z'_k U||_F for the completed tableau's images X'_k and Z'_k,
+    the requested images among them; ``unitarity_bound`` is an upper bound
+    on ``isometry_residual(U)`` (``_unitarity_bound``).
+    """
+
+    tensor: DenseTensor
+    x_residuals: tuple[float, ...]
+    z_residuals: tuple[float, ...]
+    unitarity_bound: float
+
+    @property
+    def data(self) -> np.ndarray:
+        return self.tensor.data
+
+    def to_json(self) -> dict:
+        return self.tensor.to_json()
+
+    def residual(self, src: PauliVector) -> float:
+        """The residual of the bare generator src."""
+        kind, slot = _generator_kind(src)
+        return (self.x_residuals if kind == "X" else self.z_residuals)[slot]
+
+    @property
+    def is_clifford(self) -> bool:
+        """Every generator within PAULI_FLOOR sqrt(dim) of its tableau image.
+
+        ``is_clifford`` holds the string it reads off U to the same bound;
+        here the string is the tableau's image, named in advance.
+        """
+        limit = PAULI_FLOOR * np.sqrt(len(self.data))
+        return all(r <= limit for r in self.x_residuals + self.z_residuals)
+
+
+def synthesize_clifford(m: PartialCliffordMap) -> SynthesizedClifford:
     """Unitary U with U src U† = tgt for every requested image, phases exact.
 
     U is assembled from the completed tableau (``complete_tableau``): the
     joint +1 eigenstate of the Z images and its orbit under the X images,
-    with every string applied as a monomial, so apart from the final
-    unitarity check the cost is O(n d^2n).
+    with every string applied as a monomial, written into one dim x dim
+    array.  It is accepted on its tableau certificate (``_certified``), so
+    the whole cost is O(n d^2n).
     """
     tx, tz = complete_tableau(m)
     n, d = m.n, m.d
     dim = d**n
-    phi0 = _joint_eigenvector(tz, dim)
-    u = phi0[:, None]
-    for t in tx:  # column x_0 .. x_{n-1} (row-major) is X'_{n-1}^x_{n-1} .. X'_0^x_0 phi0
-        mono = t.monomial()
-        pows = [u]
-        for _ in range(d - 1):
-            pows.append(_apply(mono, pows[-1]))
-        u = np.stack(pows, axis=2).reshape(dim, -1)
+    u = np.empty((dim, dim), dtype=np.complex128)
+    u[:, 0] = _joint_eigenvector(tz, dim)
+    for k, t in enumerate(tx):  # column x_0 .. x_{n-1} (row-major) is X'_{n-1}^x_{n-1} .. X'_0^x_0 phi0
+        perm, phases = t.monomial()
+        # the columns whose digits after x_k are all 0; those with x_k = 0 are filled
+        done = u.reshape(dim, d**k, d, d ** (n - 1 - k))[:, :, :, 0]
+        for x in range(1, d):
+            done[:, :, x][perm] = phases[:, None] * done[:, :, x - 1]
+    return _certified(u, m.images, tx, tz)
 
-    if isometry_residual(u) > VERDICT_FLOOR:
+
+def _certified(u: np.ndarray, images, tx, tz) -> SynthesizedClifford:
+    """U with its certificate, refused unless every requested image holds to
+    VERDICT_FLOOR * dim and the unitarity bound to VERDICT_FLOOR."""
+    xs, zs, norm = _tableau_residuals(u, tx, tz)
+    out = SynthesizedClifford(DenseTensor(u, ("out", "in"), copy=False), xs, zs,
+                              _unitarity_bound(max(xs + zs), norm, len(tx), tx[0].d))
+    if not all(out.residual(src) <= VERDICT_FLOOR * len(u) for src, _ in images):
+        raise InadmissibleMapError("synthesized unitary fails a requested image")
+    if not out.unitarity_bound <= VERDICT_FLOOR:
         raise InadmissibleMapError("synthesis produced a non-unitary map")
-    for src, tgt in m.images:
-        if image_residual(u, src, tgt) > VERDICT_FLOOR * dim:
-            raise InadmissibleMapError("synthesized unitary fails a requested image")
-    return DenseTensor(u, ("out", "in"))
+    return out
+
+
+def _tableau_residuals(u: np.ndarray, tx, tz):
+    """(||U X_k - X'_k U||_F for each k, ||U Z_k - Z'_k U||_F for each k, ||U||_F).
+
+    Every side is a monomial move of U: U X_k gathers the columns of U by
+    X_k's permutation (column digit k steps up by one, wrapping at d), U Z_k
+    multiplies column c by omega^(digit k of c), and row r of P' U is
+    phases[i] times row i of U, i = perm^-1(r).  The comparison runs one
+    cache-sized block of rows at a time, so no dim x dim temporary is built.
+    """
+    n, d, dim = len(tx), tx[0].d, len(u)
+    sides = []  # (perm^-1 of the image, its phases in row order, the generator's column move)
+    for g, t in enumerate(tx + tz):
+        perm, phases = t.monomial()
+        inv = np.empty_like(perm)
+        inv[perm] = np.arange(dim)
+        move = PauliVector.x_gen(n, d, g).monomial()[0] if g < n else PauliVector.z_gen(n, d, g - n).monomial()[1]
+        sides.append((inv, phases[inv][:, None], move))
+    rows = max(1, _BLOCK_ELEMENTS // dim)
+    squares, norm_sq = np.zeros(2 * n), 0.0
+    for r0 in range(0, dim, rows):
+        block = u[r0:r0 + rows]
+        norm_sq += np.vdot(block, block).real
+        for g, (inv, phases, move) in enumerate(sides):
+            diff = phases[r0:r0 + rows] * u[inv[r0:r0 + rows]]  # rows r0 .. r0 + rows of P' U
+            diff -= block[:, move] if g < n else block * move
+            squares[g] += np.vdot(diff, diff).real
+    res = [float(r) for r in np.sqrt(squares)]
+    return tuple(res[:n]), tuple(res[n:]), float(np.sqrt(norm_sq))
+
+
+def _unitarity_bound(eps: float, norm: float, n: int, d: int) -> float:
+    """An upper bound on ``isometry_residual(U)`` from U's tableau residuals.
+
+    eps is the largest generator residual and norm = ||U||_F.  With G = U†U,
+    U g = g' U + E and ||E||_F <= eps give ||g† G g - G||_F <= 2 norm eps +
+    eps^2 for each generator g.  Every Pauli string is a word of at most
+    2n(d - 1) generators, and the average of P† G P over all d^2n strings is
+    tr(G)/dim I (Schur's lemma: the Pauli group acts irreducibly), so
+    ||G - tr(G)/dim I||_F <= 2n(d - 1)(2 norm eps + eps^2); tr G = norm^2
+    adds |norm^2/dim - 1| sqrt(dim).  Divided by dim, that bounds the exact
+    residual.  The computed Gram is off by at most dim u |U|†|U| entrywise
+    (u the unit round-off), which moves the computed residual by at most
+    u norm^2; the last term, machine epsilon (2u) times norm^2, covers that
+    and the round-off of the residuals themselves.
+    """
+    dim = d**n
+    schur = 2 * n * (d - 1) * (2 * norm * eps + eps**2) + abs(norm**2 / dim - 1) * np.sqrt(dim)
+    return float(schur / dim + np.finfo(float).eps * norm**2)
 
 
 def _stabilized(zs, block: np.ndarray) -> np.ndarray:

@@ -437,10 +437,14 @@ def solve_symmetry_family(
     A constraint may carry ``u_phys=None`` to request a jointly solved
     correction unitary (alternating least squares, seeded from P^* x P' when
     d = D^2 and from the identity otherwise, then from fixed-seed random
-    restarts).
+    restarts).  A system of more than 2^22 elements is refused with
+    SizeGuardError before anything is built.
     """
     D = basis.dim
     triples = [(basis.index(p_in), u, basis.index(p_out)) for p_in, u, p_out in constraints]
+    # the dense system: one d D^2 x d D^2 block per constraint, or the identity when there is none
+    if max(1, len(triples)) * (d * D * D) ** 2 > MAX_DENSE_ELEMENTS:
+        raise SizeGuardError(f"the symmetry system for d = {d} on bond dimension {D} exceeds 2^22 elements")
     if any(u is None for _, u, _ in triples):
         triples = _solve_unknown_corrections(basis, triples, d)
     fixed = [SymmetryConstraint(*t) for t in triples]

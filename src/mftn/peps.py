@@ -29,6 +29,7 @@ from .errors import (
     NonGroupBasisError,
     NonPrimeDimensionError,
     NotPositiveError,
+    NumericalRangeError,
     SizeGuardError,
     SymmetryError,
 )
@@ -265,7 +266,10 @@ def _degeneracy_of_max(values: np.ndarray) -> int:
 
 
 def transfer_spectrum_analytic(alpha, basis: MFBasis, L: int) -> TransferSpectrum:
-    """Eigenvalues e_{P_i} = sum_j alpha_j conj(alpha_{P_i† P_j}) and t = e^L."""
+    """Eigenvalues e_{P_i} = sum_j alpha_j conj(alpha_{P_i† P_j}) and t = e^L.
+
+    A t that overflows is refused with NumericalRangeError.
+    """
     if L < 1:
         raise ValueError("L must be at least 1")
     require_abelian(basis)
@@ -277,7 +281,10 @@ def transfer_spectrum_analytic(alpha, basis: MFBasis, L: int) -> TransferSpectru
     for i in range(n):
         di = daggers[i][0]
         e[i] = sum(alpha[j] * np.conj(alpha[int(idx_tab[di, j])]) for j in range(n))
-    t = e**L
+    with np.errstate(over="ignore", invalid="ignore"):
+        t = e**L
+    if not np.all(np.isfinite(t)):
+        raise NumericalRangeError(f"e^L leaves the floating-point range at L = {L}")
     return TransferSpectrum(L, e, t, list(basis.labels), _degeneracy_of_max(t))
 
 

@@ -353,7 +353,8 @@ class TestDispatch:
     @pytest.mark.parametrize("argv,error", [
         (["mpo", "apply", "--basis", "WH:4", "--sites", "5"], "exceed 2^22 amplitudes"),
         (["block", "--tensor", "aklt", "--k", "8"], "past 2^22 elements"),
-    ], ids=["mpo-apply-WH:4-5-sites", "block-aklt-k8"])
+        (["solve-family", "--constraints", CONSTRAINTS, "--d", "2000"], "exceeds 2^22 elements"),
+    ], ids=["mpo-apply-WH:4-5-sites", "block-aklt-k8", "solve-family-d2000"])
     def test_size_guards_refuse_within_an_address_space_cap(self, argv, error):
         """Unguarded, these die in numpy's allocator under a 2 GiB cap, with no report."""
         env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parent.parent), "OPENBLAS_NUM_THREADS": "1"}
@@ -395,6 +396,36 @@ class TestDispatch:
         assert {"name": "completed", "passed": False} in rep["checks"]
         assert "desk-scale guard" in rep["outputs"]["error"]
         assert peak < 17**4 * 16  # smaller than the D^2 elements of a D = 17 basis
+
+    @pytest.mark.parametrize("argv", [
+        ["--constraints", CONSTRAINTS, "--d", "2000"],
+        ["--constraints", json.dumps({"basis": "WH:2", "d": 600, "constraints": [
+            {"p_in": "X", "u_phys": None, "p_out": "X"}]})],
+    ], ids=["no-constraints-d2000", "one-constraint-d600"])
+    def test_solve_family_refuses_a_dense_system_past_the_guard_before_building_it(self, capsys, argv):
+        """d D^2 = 8000 asked for a 977 MiB identity; 2400 for a 88 MiB constraint block."""
+        tracemalloc.start()
+        try:
+            code, out = run(capsys, ["solve-family"] + argv)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        rep = report_of(out)
+        assert code == 1
+        assert {"name": "completed", "passed": False} in rep["checks"]
+        assert "exceeds 2^22 elements" in rep["outputs"]["error"]
+        assert peak < 1 << 20
+
+    def test_transfer_refuses_a_spectrum_that_overflows(self, capsys):
+        """e = 2.5 to the 100000th overflowed: exit 0, a passed check and bare Infinity on stdout."""
+        code, out = run(capsys, ["transfer", "--alpha", ALPHA, "--L", "100000"])
+        rep = json.loads(out, parse_constant=_refuse_constant)
+        assert code == 1
+        assert {"name": "completed", "passed": False} in rep["checks"]
+        assert "floating-point range" in rep["outputs"]["error"]
+        code, out = run(capsys, ["transfer", "--alpha", ALPHA, "--L", "700"])
+        assert code == 0
+        assert json.loads(out, parse_constant=_refuse_constant)["outputs"]["degeneracy_of_max"] == 2
 
     def test_clifford_synth(self, capsys, tmp_path):
         spec = {
@@ -580,7 +611,6 @@ OPERATIONS = {
     "composite_basis": "basis",
     "check_admissible": "clifford-synth",
     "synthesize_clifford": "clifford-synth",
-    "is_clifford": "clifford-synth",
     "check_mf_symmetry": "check-mps",
     "solve_symmetry_family": "solve-family",
     "canonical_form_check": "check-mps",

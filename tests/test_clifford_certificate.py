@@ -1,0 +1,219 @@
+"""The tableau certificate of synthesized Cliffords against the dense checks it replaced.
+
+``synthesize_clifford`` accepts U on the 2n residuals ||U g - g' U|| of its
+completed tableau and on a Schur-lemma bound on its unitarity; the dense
+Gram (``isometry_residual``), ``image_residual`` and ``is_clifford`` stay as
+the oracles these tests hold it to.
+"""
+
+import json
+import math
+import tracemalloc
+
+import numpy as np
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from mftn import cli
+from mftn import clifford as qc
+from mftn.clifford import (PartialCliffordMap, PauliVector, complete_tableau, image_residual, is_clifford,
+                           synthesize_clifford)
+from mftn.errors import InadmissibleMapError
+from mftn.peps import peps_split_polar, topo_solution
+from mftn.tensors import PAULI_FLOOR, VERDICT_FLOOR, isometry_residual
+
+from conftest import x_power_alpha
+
+
+def xz(n, d, v, w, p=0):
+    return PauliVector(n, d, tuple(v), tuple(w), p)
+
+
+def order_d_phase(v, w, d, r):
+    """A phase exponent making (phase * XZ(v, w))^d the identity: parity of (d - 1) v.w, plus 2r."""
+    return ((d - 1) * sum(x * y for x, y in zip(v, w))) % 2 + 2 * r
+
+
+# every (n, d) with d prime up to 7 and n log2 d <= 10: U is at most 1024 x 1024
+SIZES = [(n, d) for d in (2, 3, 5, 7) for n in range(1, 11) if n * math.log2(d) <= 10]
+
+
+@st.composite
+def admissible_maps(draw):
+    """Requested images for slot 0 and a random set of further slots, with random order-d phases.
+
+    Slot 0's images are random; the others come from its completed tableau, so
+    every requested pair keeps the commutation of (X_k, Z_k) with the rest.
+    """
+    n, d = draw(st.sampled_from(SIZES))
+    vec = st.lists(st.integers(0, d - 1), min_size=2 * n, max_size=2 * n)
+    a = draw(vec.filter(any))
+    b = draw(vec.filter(lambda b: sum(a[n + k] * b[k] - a[k] * b[n + k] for k in range(n)) % d))
+    form = sum(a[n + k] * b[k] - a[k] * b[n + k] for k in range(n)) % d
+    # X_0 Z_0 = omega^(d-1) Z_0 X_0: scale b until the targets commute the same way
+    b = [x * pow(form, -1, d) * (d - 1) % d for x in b]
+    tx, tz = complete_tableau(PartialCliffordMap(n, d, (
+        (PauliVector.x_gen(n, d, 0), xz(n, d, a[:n], a[n:], order_d_phase(a[:n], a[n:], d, 0))),
+        (PauliVector.z_gen(n, d, 0), xz(n, d, b[:n], b[n:], order_d_phase(b[:n], b[n:], d, 0))))))
+    slots = [0] + (sorted(draw(st.sets(st.integers(1, n - 1)))) if n > 1 else [])
+    images = []
+    for k in slots:
+        for src, t in ((PauliVector.x_gen(n, d, k), tx[k]), (PauliVector.z_gen(n, d, k), tz[k])):
+            phase = order_d_phase(t.v, t.w, d, draw(st.integers(0, d - 1)))
+            images.append((src, PauliVector(n, d, t.v, t.w, phase)))
+    return PartialCliffordMap(n, d, tuple(images))
+
+
+GHZ = PartialCliffordMap(3, 2, (
+    (xz(3, 2, [1, 0, 0], [0, 0, 0]), xz(3, 2, [1, 1, 1], [0, 0, 0])),
+    (xz(3, 2, [0, 0, 0], [1, 0, 0]), xz(3, 2, [0, 0, 0], [1, 1, 1])),
+))
+# X_1 -> X_1 X_2, Z_1 -> Z_1^2 Z_2^2 on three qutrits: column digits wrap at 3
+QUTRIT = PartialCliffordMap(3, 3, (
+    (xz(3, 3, [0, 1, 0], [0, 0, 0]), xz(3, 3, [0, 1, 1], [0, 0, 0])),
+    (xz(3, 3, [0, 0, 0], [0, 1, 0]), xz(3, 3, [0, 0, 0], [0, 2, 2])),
+))
+
+
+def generators(n, d):
+    return [PauliVector.x_gen(n, d, k) for k in range(n)] + [PauliVector.z_gen(n, d, k) for k in range(n)]
+
+
+def stacked_synthesis(m):
+    """U assembled by np.stack over the X-image powers: the in-place assembly must match it bit for bit."""
+    tx, tz = complete_tableau(m)
+    dim = m.d**m.n
+    u = qc._joint_eigenvector(tz, dim)[:, None]
+    for t in tx:
+        mono = t.monomial()
+        pows = [u]
+        for _ in range(m.d - 1):
+            pows.append(qc._apply(mono, pows[-1]))
+        u = np.stack(pows, axis=2).reshape(dim, -1)
+    return u
+
+
+def assert_matches_the_dense_oracles(got, m):
+    """The certificate's residuals, bound and verdict against image_residual, the Gram and is_clifford."""
+    u, (n, d) = got.data, (m.n, m.d)
+    tx, tz = complete_tableau(m)
+    dense = [image_residual(u, g, t) for g, t in zip(generators(n, d), tx + tz)]
+    assert np.abs(np.array(got.x_residuals + got.z_residuals) - dense).max() <= 1e-15
+    for src, tgt in m.images:
+        assert abs(got.residual(src) - image_residual(u, src, tgt)) <= 1e-15
+    assert got.unitarity_bound >= isometry_residual(u)
+    assert got.is_clifford == is_clifford(u, n, d)
+
+
+class TestCertificateAgainstTheDenseOracles:
+    @settings(max_examples=40, deadline=None)
+    @given(m=admissible_maps())
+    @example(m=GHZ)
+    @example(m=QUTRIT)
+    def test_random_admissible_maps(self, m):
+        got = synthesize_clifford(m)
+        assert np.array_equal(got.data, stacked_synthesis(m))
+        assert_matches_the_dense_oracles(got, m)
+        assert got.is_clifford
+
+    def test_the_check_peps_wh3_map(self, monkeypatch, wh3):
+        """The clifford workload's largest U, 729 x 729 (8.1 MiB): synthesis holds U, one column
+        block and row-block temporaries, never a stacked copy of U or a dense Gram."""
+        maps = []
+
+        def record(m):
+            maps.append(m)
+            return synthesize(m)
+
+        synthesize = qc.synthesize_clifford
+        monkeypatch.setattr(qc, "synthesize_clifford", record)
+        assert peps_split_polar(topo_solution(wh3, x_power_alpha(wh3))).clifford is not None
+        (m,) = maps
+        assert (m.n, m.d) == (6, 3)
+        tracemalloc.start()
+        try:
+            got = synthesize(m)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 12 << 20
+        assert np.array_equal(got.data, stacked_synthesis(m))
+        assert_matches_the_dense_oracles(got, m)
+
+
+def _scaled(u, resid):
+    """c u for a unitary u, with c chosen so that isometry_residual(c u) = resid."""
+    return np.sqrt(1 + resid * np.sqrt(len(u))) * u
+
+
+def _entry(u):
+    e = np.zeros_like(u)
+    e[1, 2] = 1.0
+    return e
+
+
+def _swap(u):
+    """The direction from U to U with its columns 1 and 2 swapped."""
+    return u[:, [0, 2, 1] + list(range(3, len(u)))] - u
+
+
+def _certify(u, m):
+    return qc._certified(u, m.images, *complete_tableau(m))
+
+
+@pytest.mark.parametrize("m", [GHZ, QUTRIT], ids=["ghz", "qutrit"])
+class TestCorruptedUnitaries:
+    """Both refusals pinned at 0.99x and 1.01x of their bounds, as the tolerance tests pin theirs."""
+
+    def test_unitarity_refusal_at_its_bound(self, m):
+        u = synthesize_clifford(m).data
+        got = _certify(_scaled(u, 0.99 * VERDICT_FLOOR), m)
+        assert got.unitarity_bound >= isometry_residual(got.data)
+        with pytest.raises(InadmissibleMapError, match="non-unitary"):
+            _certify(_scaled(u, 1.01 * VERDICT_FLOOR), m)
+
+    @pytest.mark.parametrize("direction", [_entry, _swap], ids=["one-entry", "two-columns"])
+    def test_image_refusal_at_its_bound(self, m, direction):
+        """U + s E with s set so that the worst requested residual is 0.99x or 1.01x of VERDICT_FLOOR dim.
+
+        Below that the residuals still break the unitarity bound, so the refusal is the other one.
+        """
+        u = synthesize_clifford(m).data
+        e = direction(u)
+        per_unit = max(image_residual(e, src, tgt) for src, tgt in m.images)
+        limit = VERDICT_FLOOR * len(u)
+        with pytest.raises(InadmissibleMapError, match="non-unitary"):
+            _certify(u + 0.99 * limit / per_unit * e, m)
+        with pytest.raises(InadmissibleMapError, match="fails a requested image"):
+            _certify(u + 1.01 * limit / per_unit * e, m)
+
+    @pytest.mark.parametrize("corrupt", [
+        lambda u: _scaled(u, 50 * VERDICT_FLOOR), lambda u: u + 1e-3 * _entry(u), lambda u: u + _swap(u),
+    ], ids=["scaled", "one-entry", "two-columns"])
+    def test_bound_and_verdict_hold_on_corrupted_unitaries(self, m, corrupt):
+        bad = corrupt(synthesize_clifford(m).data)
+        xs, zs, norm = qc._tableau_residuals(bad, *complete_tableau(m))
+        eps = max(xs + zs)
+        assert qc._unitarity_bound(eps, norm, m.n, m.d) >= isometry_residual(bad)
+        if eps <= PAULI_FLOOR * np.sqrt(len(bad)):  # the certificate's verdict; only the scaled U gets it
+            assert is_clifford(bad, m.n, m.d)
+        with pytest.raises(InadmissibleMapError):
+            _certify(bad, m)
+
+
+def test_no_subcommand_computes_the_gram_of_a_synthesized_clifford(monkeypatch, capsys):
+    def refuse(m):
+        raise AssertionError("dense Gram of a synthesized Clifford")
+
+    monkeypatch.setattr(qc, "isometry_residual", refuse)
+    ghz = {"n": 3, "d": 2, "images": [
+        {"source": src.to_json(), "target": tgt.to_json()} for src, tgt in GHZ.images]}
+    wh3_alpha = json.dumps([[1.0 if w == 0 else 0.0, 0.0] for v in range(3) for w in range(3)])
+    runs = {"is_clifford": ["clifford-synth", "--map", json.dumps(ghz)],
+            "clifford_form": ["check-peps", "--basis", "WH:3", "--alpha", wh3_alpha],
+            "clifford_magic_reconstruction": ["decompose-mps", "--tensor", "aklt"]}
+    for check, argv in runs.items():
+        assert cli.dispatch(argv) == 0, argv
+        checks = {c["name"]: c["passed"] for c in json.loads(capsys.readouterr().out)["checks"]}
+        assert checks[check] and all(checks.values()), argv
