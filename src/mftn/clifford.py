@@ -302,44 +302,42 @@ def _is_prime(d: int) -> bool:
     return all(d % k for k in range(2, int(d**0.5) + 1))
 
 
-def _sympl_form(a: np.ndarray, b: np.ndarray, n: int, d: int) -> int:
-    """Form s with XZ(a) XZ(b) = omega^s XZ(b) XZ(a)."""
-    va, wa = a[:n], a[n:]
-    vb, wb = b[:n], b[n:]
-    return int((wa @ vb - va @ wb) % d)
-
-
 def _complete_symplectic(given: list[tuple[np.ndarray, np.ndarray]], n: int, d: int):
-    """Extend given (x-image, z-image) pairs to a full symplectic basis over Z_d."""
+    """Extend given (x-image, z-image) pairs to a full symplectic basis over Z_d.
+
+    The unit vectors are the candidates, each kept reduced against the pairs
+    found so far: a new pair (u, v) moves every candidate b once, to
+    b + <b, v> u - <b, u> v, the step that reducing b against all pairs
+    again would take last.
+    """
     inv = {a: pow(a, -1, d) for a in range(1, d)}
-    pairs = [(u.copy() % d, v.copy() % d) for u, v in given]
+    pairs = []
+    reduced = np.eye(2 * n, dtype=np.int64)
 
-    def reduce(b):
-        b = b.copy() % d
-        for u, v in pairs:
-            lam = _sympl_form(b, v, n, d)
-            mu = _sympl_form(b, u, n, d)
-            b = (b + lam * u - mu * v) % d
-        return b
+    def forms(a):
+        """The symplectic form of every candidate b with a: XZ(b) XZ(a) = omega^form XZ(a) XZ(b)."""
+        return (reduced[:, n:] @ a[:n] - reduced[:, :n] @ a[n:]) % d
 
-    candidates = [np.eye(2 * n, dtype=np.int64)[k] for k in range(2 * n)]
-    for c in candidates:
+    def add(u, v):
+        nonlocal reduced
+        pairs.append((u, v))
+        reduced = (reduced + np.outer(forms(v), u) - np.outer(forms(u), v)) % d
+
+    for u, v in given:
+        add(u % d, v % d)
+    for k in range(2 * n):
         if len(pairs) == n:
             break
-        b = reduce(c)
+        b = reduced[k]
         if not b.any():
             continue
-        partner = None
-        for c2 in candidates:
-            b2 = reduce(c2)
-            s = _sympl_form(b, b2, n, d)
-            if s != 0:
-                # normalize so the pair mimics (X_k, Z_k): form value -1
-                partner = (inv[s] * (d - 1) % d) * b2 % d
-                break
-        if partner is None:
+        s = -forms(b) % d  # the form of b with every candidate
+        hits = np.flatnonzero(s)
+        if not hits.size:
             continue
-        pairs.append((b, partner % d))
+        # normalize so the pair mimics (X_k, Z_k): form value -1
+        j = hits[0]
+        add(b, (inv[int(s[j])] * (d - 1) % d) * reduced[j] % d)
     if len(pairs) != n:
         raise InadmissibleMapError("could not complete the symplectic basis")
     return pairs

@@ -68,9 +68,9 @@ def controlled_pauli_mpo(basis: MFBasis):
     arr = np.zeros((d, d, D, D), dtype=complex)
     for a, p in enumerate(basis.elements):
         arr[a, a] = p.T
-    fits = solve_pushes(
+    l, fits = solve_pushes(
         arr.reshape(d, d * D * D), basis, (d, D, D), 1, (2,), DEFAULT_TOL,
         lambda k: RuntimeError("controlled-Pauli MPO misses a transport rule"),
     )
-    constraints = [SymmetryConstraint(k, u, out) for k, ((out,), u) in enumerate(fits)]
+    constraints = [SymmetryConstraint(k, u, out, range_basis=l) for k, ((out,), u) in enumerate(fits)]
     return MPOTensor.from_array(arr, basis, constraints)

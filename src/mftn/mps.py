@@ -60,7 +60,6 @@ from .tensors import (
     ZERO_FLOOR,
     DenseTensor,
     Fixed,
-    first_unitary_fit,
     fix_global_phase,
     gram_proportionality,
     isometry_residual,
@@ -92,6 +91,18 @@ def apply_leg_ops(b, dims, ops: dict) -> np.ndarray:
     return t.reshape(b.shape)
 
 
+def stacked_leg_ops(b, dims, ops: dict) -> np.ndarray:
+    """``apply_leg_ops`` over a stack: each op is an (m, n, n) stack for its leg, b one
+    (rows, cols) matrix or an (m, rows, cols) stack, and item k of the (m, rows, cols)
+    result carries op[k] on every leg of ``ops``."""
+    rows = b.shape[-2]
+    t = b.reshape(-1, rows, *dims)
+    for k, m in ops.items():
+        t = np.moveaxis(t, k + 2, -1)
+        t = np.moveaxis((t.reshape(len(t), -1, dims[k]) @ m).reshape(len(m), *t.shape[1:]), -1, k + 2)
+    return t.reshape(-1, rows, b.shape[-1])
+
+
 def push_operators(basis: MFBasis, n_legs: int, in_leg: int, p_in: int, outs: dict):
     """(W_in, W_out) of one push over n_legs virtual legs: P_in^T on in_leg and
     the basis element outs[k] on each out-leg k."""
@@ -107,20 +118,51 @@ def commutant(basis: MFBasis, n_legs: int, in_leg: int, p_in: int, outs: dict) -
     return leg_operator((basis.dim,) * n_legs, ops)
 
 
+def range_unitary(l: np.ndarray, block: np.ndarray) -> np.ndarray:
+    """I + L (U_r - I) L†: the r x r block U_r on the range of the d x r isometry L,
+    the identity off it."""
+    return np.eye(len(l), dtype=np.complex128) + l @ ((block - np.eye(len(block))) @ l.conj().T)
+
+
 @dataclass(frozen=True)
 class Push:
     """The incoming basis index of a push-through constraint and its unitary
-    correction on the physical leg."""
+    correction U on the physical leg, held as the r x r ``block`` U_r on the
+    range of the d x r isometry L, ``range_basis``, and the identity off it
+    (``range_unitary``).  A dense U is the case L = I: ``range_basis`` None.
+
+    U is refused when ||U† U - I||_F / d, read off the factors as
+    (||U_r† U_r - I||_F + ||L† L - I||_F) / d, exceeds ``UNITARY_INPUT_BOUND``;
+    for an orthonormal L the first term is exact.
+    """
 
     p_in: int
-    u_phys: np.ndarray
+    block: np.ndarray
+    range_basis: np.ndarray | None = field(default=None, kw_only=True)
 
     def __post_init__(self):
-        u = np.asarray(self.u_phys, dtype=np.complex128)
-        if u.shape != (len(u), len(u)) or isometry_residual(u) > UNITARY_INPUT_BOUND:
+        u = np.asarray(self.block, dtype=np.complex128)
+        l = u if self.range_basis is None else np.asarray(self.range_basis, dtype=np.complex128)
+        r = len(u)
+        if u.shape != (r, r) or l.shape[1:] != (r,) or len(l) < r:
+            raise ValueError("u_phys must be unitary: a square block on a d x r basis L, r <= d")
+        deviation = isometry_residual(u) + (0.0 if l is u else isometry_residual(l))
+        if r * deviation / len(l) > UNITARY_INPUT_BOUND:
             raise ValueError("u_phys must be unitary")
         u.setflags(write=False)
-        object.__setattr__(self, "u_phys", u)
+        object.__setattr__(self, "block", u)
+        if l is not u:
+            l.setflags(write=False)
+            object.__setattr__(self, "range_basis", l)
+
+    @functools.cached_property
+    def u_phys(self) -> np.ndarray:
+        """The dense d x d unitary, built on first read."""
+        if self.range_basis is None:
+            return self.block
+        u = range_unitary(self.range_basis, self.block)
+        u.setflags(write=False)
+        return u
 
 
 class MFTensor(Fixed):
@@ -165,16 +207,36 @@ class MFTensor(Fixed):
 
     @functools.cached_property
     def push_residuals(self) -> tuple[float, ...]:
-        """Relative residual ||U_P B W_in - B W_out|| / ||B|| of every push: computed at most
-        once, as the tensor is fixed when it is built; ``symmetry_report`` judges it at any tol."""
+        """Relative residual ||U_P B W_in - B W_out|| / ||B|| of every push, in ``pushes()`` order:
+        computed at most once, as the tensor is fixed when it is built; ``symmetry_report``
+        judges it at any tol.
+
+        Consecutive pushes that share a range basis L and legs are judged together, in one
+        stacked pass on R = L† B: with E = B - L R, the residual is ||U_r R W_in - R W_out||
+        and the off-range part ||E (W_in - W_out)|| <= 2 ||E||_F, orthogonal to it, added in
+        quadrature.  That is an upper bound within 2 ||E||_F of the dense residual, equal to
+        it when L spans the physical space.  Dense pushes are judged one at a time on B.
+        """
         b = self.as_matrix()
         scale = max(np.linalg.norm(b), NORM_GUARD)
-        dims, elements = (self.D,) * len(self.LEGS), self.basis.elements
+        dims, elements = (self.D,) * len(self.LEGS), np.asarray(self.basis.elements)
         residuals = []
-        for c, in_leg, outs in self.pushes():
-            moved = apply_leg_ops(c.u_phys @ b, dims, {in_leg: elements[c.p_in].T})
-            pushed = apply_leg_ops(b, dims, {leg: elements[k] for leg, k in outs.items()})
-            residuals.append(float(np.linalg.norm(moved - pushed)) / scale)
+        for (_, in_leg, legs), group in itertools.groupby(
+                self.pushes(), key=lambda push: (id(push[0].range_basis), push[1], tuple(push[2]))):
+            group = list(group)
+            l = group[0][0].range_basis
+            if l is None:  # dense pushes share no range basis: each is judged on B itself
+                for c, _, outs in group:
+                    moved = apply_leg_ops(c.block @ b, dims, {in_leg: elements[c.p_in].T})
+                    pushed = apply_leg_ops(b, dims, {leg: elements[k] for leg, k in outs.items()})
+                    residuals.append(float(np.linalg.norm(moved - pushed)) / scale)
+                continue
+            r_b = l.conj().T @ b
+            off = 0.0 if l.shape[0] == l.shape[1] else 2 * np.linalg.norm(b - l @ r_b)
+            moved = np.stack([c.block for c, _, _ in group]) @ stacked_leg_ops(
+                r_b, dims, {in_leg: elements[[c.p_in for c, _, _ in group]].transpose(0, 2, 1)})
+            pushed = stacked_leg_ops(r_b, dims, {leg: elements[[outs[leg] for _, _, outs in group]] for leg in legs})
+            residuals += (np.hypot(np.linalg.norm(moved - pushed, axis=(1, 2)), off) / scale).tolist()
         return tuple(residuals)
 
 
@@ -237,35 +299,43 @@ def polar_structure(A: MFTensor, tol: float, cls=PolarSplit) -> PolarSplit:
 
 
 def solve_pushes(b, basis: MFBasis, dims, in_leg: int, out_legs, tol: float, fail):
-    """Yield (images, U) per basis element P_k: the first fit of
-    U b (P_k^T on in_leg) = b (P_images on out_legs), the push of constraint k.
+    """The first fit of U b (P_k^T on in_leg) = b (P_images on out_legs) for each basis
+    element P_k: (L, [(images, U_r) per k]), the push of constraint k being the block
+    U_r on range(L) and the identity off it (``Push``).
 
-    Image tuples are scanned with single-leg pushes first, ``tol`` is
-    relative to ||b||, and no target is built after the first fit.  Every
-    source and target lies in range(b), so the search runs on R = L† b, with
-    L an orthonormal basis of range(b) of numpy's ``matrix_rank`` size r: one
-    r x r Procrustes unitary U_r per candidate.  U = L U_r L† + (I - L L†) is
-    the identity off range(b), whatever basis L LAPACK returns.  When no
-    tuple fits P_k, the exception ``fail(k)`` is raised.
+    Every source and target lies in range(b), so the search runs on R = L† b, with L
+    an orthonormal basis of range(b) of numpy's ``matrix_rank`` size r.  Image tuples
+    are scanned with single-leg pushes first; each is tried on every element still
+    open at once, by one stacked r x r Procrustes fit, and an element keeps its first
+    fit, one within ``tol`` relative to ||b||.  When some element fits no tuple, the
+    exception ``fail(k)`` is raised for the lowest such k.
     """
     scale = max(np.linalg.norm(b), NORM_GUARD)
     l, s, _ = np.linalg.svd(b, full_matrices=False)
     l = l[:, : int(np.sum(s > s.max(initial=0.0) * max(b.shape) * np.finfo(s.dtype).eps))]
-    r_b, off_range = l.conj().T @ b, np.eye(len(l)) - l @ l.conj().T
+    r_b = l.conj().T @ b
+    elements = np.asarray(basis.elements)
+    sources = stacked_leg_ops(r_b, dims, {in_leg: elements.transpose(0, 2, 1)})
     ident = basis.identity_index
     candidates = sorted(
-        itertools.product(range(len(basis.elements)), repeat=len(out_legs)),
+        itertools.product(range(len(elements)), repeat=len(out_legs)),
         key=lambda images: sum(k != ident for k in images),
     )
-    for k, p in enumerate(basis.elements):
-        targets = (
-            (images, apply_leg_ops(r_b, dims, {leg: basis.elements[i] for leg, i in zip(out_legs, images)}))
-            for images in candidates
-        )
-        fit = first_unitary_fit(apply_leg_ops(r_b, dims, {in_leg: p.T}), targets, tol * scale)
-        if fit is None:
-            raise fail(k)
-        yield fit[0], l @ fit[1] @ l.conj().T + off_range
+    fits, open_ = [None] * len(elements), np.arange(len(elements))
+    for images in candidates:
+        if not open_.size:
+            break
+        target = apply_leg_ops(r_b, dims, {leg: elements[i] for leg, i in zip(out_legs, images)})
+        source = sources[open_]
+        u, _, wh = np.linalg.svd(target @ source.conj().transpose(0, 2, 1))
+        u = u @ wh
+        fit = np.linalg.norm(u @ source - target, axis=(1, 2)) < tol * scale
+        for k, u_k in zip(open_[fit], u[fit]):
+            fits[k] = (images, u_k)
+        open_ = open_[~fit]
+    if open_.size:
+        raise fail(int(open_[0]))
+    return l, fits
 
 
 def require_abelian(basis: MFBasis) -> None:
@@ -358,13 +428,14 @@ def factor_sideways_isometry(u_c: np.ndarray, v_q: np.ndarray):
     relative to that, whatever the scale of Q.
     """
     k = v_q.shape[1]
-    w = (u_c.conj().T @ v_q).reshape(-1, k, k)
+    w = (v_q.conj().T @ u_c).conj().T.reshape(-1, k, k)  # U_C† V_Q, without a conjugate copy of U_C
     psi = np.einsum("paa->p", w) / k
     nrm = float(np.linalg.norm(psi))
     if nrm <= ZERO_FLOOR * np.linalg.norm(v_q) / np.sqrt(k):
         raise SymmetryError("sideways isometry does not factor through the Clifford")
     psi = fix_global_phase(psi / nrm)
-    recon = u_c @ np.kron(psi[:, None], np.eye(k))
+    # U_C (psi x I_k): U_C's column blocks of width k, summed with weights psi
+    recon = psi @ u_c.reshape(len(u_c), -1, k)
     scale, _ = proportionality(v_q, recon)
     resid = float(np.linalg.norm(v_q - scale * recon)) / max(np.linalg.norm(v_q), NORM_GUARD)
     return psi, abs(scale), resid

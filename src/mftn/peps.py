@@ -42,6 +42,7 @@ from .mps import (
     abelian_coefficients,
     clifford_form,
     polar_structure,
+    range_unitary,
     require_abelian,
     solve_pushes,
     symmetry_report,
@@ -175,10 +176,12 @@ def topo_solution(basis: MFBasis, alpha, tol: float = DEFAULT_TOL) -> PEPSTensor
     """Q = sum_i alpha_i (P_i^* x P_i x P_i x P_i^*) with derived constraints.
 
     The left-leg (A-type) pushes are solved numerically per basis element
-    (single-leg pushes are tried first, then all image pairs).  Q does not
-    change when its left and down legs are swapped on both sides, so each
-    down-leg (B-type) push is S U_A S with the same images, S being that
-    swap of the D^4 physical index.  Both families are then checked.
+    (single-leg pushes are tried first, then all image pairs), as r x r blocks
+    on an orthonormal basis L of range(Q).  Q does not change when its left and
+    down legs are swapped on both sides, so each down-leg (B-type) push is
+    S U_A S with the same images, S being that swap of the D^4 physical index:
+    the same block on the range basis S L, a row permutation of L.  Both
+    families are then checked.
     """
     alpha = abelian_coefficients(basis, alpha)
     q = sum(
@@ -186,14 +189,14 @@ def topo_solution(basis: MFBasis, alpha, tol: float = DEFAULT_TOL) -> PEPSTensor
         for a, p in zip(alpha, basis.elements)
     )
     bare = PEPSTensor.from_matrix(q, basis)
-    fits = solve_pushes(
-        bare.as_matrix(), basis, (basis.dim,) * 4, 0, (1, 2), tol,
+    D = basis.dim
+    l, fits = solve_pushes(
+        bare.as_matrix(), basis, (D,) * 4, 0, (1, 2), tol,
         lambda k: SymmetryError(f"no (a)-type push exists for element {basis.labels[k]}"),
     )
-    pushes_a = [PEPSConstraint(k, u, up, right) for k, ((up, right), u) in enumerate(fits)]
-    dims = (basis.dim,) * 8  # (left, up, right, down) of the physical index, then of the columns
-    pushes_b = [replace(c, u_phys=c.u_phys.reshape(dims).transpose(3, 1, 2, 0, 7, 5, 6, 4).reshape(q.shape))
-                for c in pushes_a]
+    pushes_a = [PEPSConstraint(k, u, up, right, range_basis=l) for k, ((up, right), u) in enumerate(fits)]
+    swapped = l.reshape(D, D, D, D, -1).transpose(3, 1, 2, 0, 4).reshape(l.shape)
+    pushes_b = [replace(c, range_basis=swapped) for c in pushes_a]
     A = PEPSTensor(bare.tensor, basis, pushes_a, pushes_b)
     check_peps_mf_symmetry(A, tol).require("analytic solution fails its own symmetry: %.3e")
     return A
@@ -364,11 +367,14 @@ def complete_with_isometry(Q: PEPSTensor, tol: float = DEFAULT_TOL) -> PEPSTenso
 
     Returns A = V Q with V the canonical isometry from range(Q).  An exact
     push's U commutes with Q^2 and so keeps range(Q): each constraint of Q
-    carries over as V U V† with the same images.  A's symmetry is checked,
-    so constraints that do not hold on Q raise SymmetryError.  V spans the
-    eigenvalues of Q's Hermitian part above tol·max|λ|, which is range(Q)
-    only for a positive semidefinite Q: an eigenvalue below -tol·max|λ|, or
-    none above the cut, raises NotPositiveError.
+    carries over as V U V† with the same images, an r x r matrix formed as
+    I + (V L)(U_r - I)(V L)† from the push's block U_r on its range basis L;
+    one that is not unitary, as when U leaves range(Q), raises SymmetryError.
+    A's symmetry is checked, so constraints that do not hold on Q raise
+    SymmetryError.  V spans the eigenvalues of Q's Hermitian part above
+    tol·max|λ|, which is range(Q) only for a positive semidefinite Q: an
+    eigenvalue below -tol·max|λ|, or none above the cut, raises
+    NotPositiveError.
     """
     b = Q.as_matrix()
     if b.shape[0] != Q.D**4:
@@ -382,9 +388,15 @@ def complete_with_isometry(Q: PEPSTensor, tol: float = DEFAULT_TOL) -> PEPSTenso
     if not keep.any():
         raise NotPositiveError("Q's Hermitian part has no eigenvalue above the cut, so range(Q) is empty")
     v = evecs[:, keep].conj().T  # rank x D^4 isometry from range(Q)
+    # V L once per range basis the pushes share; a dense push has L = I
+    bases = {id(c.range_basis): c.range_basis for c in Q.constraints_a + Q.constraints_b}
+    vl = {key: v if l is None else v @ l for key, l in bases.items()}
+
+    def carry(c):
+        return replace(c, block=range_unitary(vl[id(c.range_basis)], c.block), range_basis=None)
+
     try:
-        carried = [[replace(c, u_phys=v @ c.u_phys @ v.conj().T) for c in cs]
-                   for cs in (Q.constraints_a, Q.constraints_b)]
+        carried = [[carry(c) for c in cs] for cs in (Q.constraints_a, Q.constraints_b)]
     except ValueError as exc:  # V U V† is not unitary: U leaves range(Q)
         raise SymmetryError(f"a push of Q leaves range(Q): {exc}") from exc
     A = PEPSTensor.from_matrix(v @ b, Q.basis, *carried)

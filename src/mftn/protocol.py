@@ -38,6 +38,7 @@ from .mps import (
     check_mf_symmetry,
     complete_constraints,
     per_distinct,
+    range_unitary,
     solve_pushes,
 )
 from .peps import PEPSTensor, check_peps_mf_symmetry
@@ -381,14 +382,14 @@ def solve_push_table(A: PEPSTensor, in_slot: int, out_slots, tol: float = DEFAUL
     """Per-class push rules U B (P^T on in_slot) = B (P1 on out1)(P2 on out2),
     keyed by P as A's constraints are."""
     basis = A.basis
-    fits = solve_pushes(
+    l, fits = solve_pushes(
         A.as_matrix(), basis, (A.D,) * 4, in_slot, out_slots, tol,
         lambda k: DefectStuckError(
             f"tensor admits no push for {basis.labels[k]} on slot {in_slot}",
             operator=basis.labels[k],
         ),
     )
-    return {k: (u, c1, c2) for k, ((c1, c2), u) in enumerate(fits)}
+    return {k: (range_unitary(l, u), c1, c2) for k, ((c1, c2), u) in enumerate(fits)}
 
 
 def carried_push_table(A: PEPSTensor, in_slot: int, out_slots):

@@ -262,20 +262,6 @@ def procrustes_unitary(target: np.ndarray, source: np.ndarray) -> np.ndarray:
     return u @ wh
 
 
-def first_unitary_fit(source: np.ndarray, candidates, tol: float):
-    """First (key, U) with ||U @ source - target|| < tol, or None.
-
-    ``candidates`` yields (key, target) pairs in preference order and may be
-    lazy: targets after the first fit are never built.  U is the Procrustes
-    unitary of each pair, and ``tol`` is an absolute Frobenius residual.
-    """
-    for key, target in candidates:
-        u = procrustes_unitary(target, source)
-        if np.linalg.norm(u @ source - target) < tol:
-            return key, u
-    return None
-
-
 def random_unitary(n: int, rng: np.random.Generator) -> np.ndarray:
     z = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     q, r = np.linalg.qr(z)

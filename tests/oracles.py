@@ -3,14 +3,15 @@
 Each is an exhaustive or dense check of a statement the package's fast
 paths must agree with: PEPS outcome enumeration and routing completeness,
 the post-selected accounting of periodic MPO application, the SPT family's
-projector, and the obstruction to the "bad" all-legs symmetry on a patch.
+projector, the obstruction to the "bad" all-legs symmetry on a patch, and
+the symplectic completion that reduces every candidate again in full.
 """
 
 import itertools
 
 import numpy as np
 
-from mftn.errors import DefectStuckError, SizeGuardError
+from mftn.errors import DefectStuckError, InadmissibleMapError, SizeGuardError
 from mftn.mpo import _mpo_input, _mpo_step, _validate_mpo_chain
 from mftn.mps import _q_to_mps_tensor
 from mftn.protocol import (
@@ -182,3 +183,47 @@ def bad_symmetry_obstruction(rows: int = 3, cols: int = 3) -> bool:
         if not acc.any():
             return False
     return True
+
+
+def _sympl_form(a: np.ndarray, b: np.ndarray, n: int, d: int) -> int:
+    """Form s with XZ(a) XZ(b) = omega^s XZ(b) XZ(a)."""
+    va, wa = a[:n], a[n:]
+    vb, wb = b[:n], b[n:]
+    return int((wa @ vb - va @ wb) % d)
+
+
+def complete_symplectic_by_full_reduction(given, n: int, d: int):
+    """``clifford._complete_symplectic`` reducing every candidate against all pairs
+    again for each partner search: the same pairs, in the same order."""
+    inv = {a: pow(a, -1, d) for a in range(1, d)}
+    pairs = [(u.copy() % d, v.copy() % d) for u, v in given]
+
+    def reduce(b):
+        b = b.copy() % d
+        for u, v in pairs:
+            lam = _sympl_form(b, v, n, d)
+            mu = _sympl_form(b, u, n, d)
+            b = (b + lam * u - mu * v) % d
+        return b
+
+    candidates = [np.eye(2 * n, dtype=np.int64)[k] for k in range(2 * n)]
+    for c in candidates:
+        if len(pairs) == n:
+            break
+        b = reduce(c)
+        if not b.any():
+            continue
+        partner = None
+        for c2 in candidates:
+            b2 = reduce(c2)
+            s = _sympl_form(b, b2, n, d)
+            if s != 0:
+                # normalize so the pair mimics (X_k, Z_k): form value -1
+                partner = (inv[s] * (d - 1) % d) * b2 % d
+                break
+        if partner is None:
+            continue
+        pairs.append((b, partner % d))
+    if len(pairs) != n:
+        raise InadmissibleMapError("could not complete the symplectic basis")
+    return pairs

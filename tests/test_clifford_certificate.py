@@ -24,6 +24,7 @@ from mftn.peps import peps_split_polar, topo_solution
 from mftn.tensors import PAULI_FLOOR, VERDICT_FLOOR, isometry_residual
 
 from conftest import x_power_alpha
+from oracles import complete_symplectic_by_full_reduction
 
 
 def xz(n, d, v, w, p=0):
@@ -140,6 +141,30 @@ class TestCertificateAgainstTheDenseOracles:
         assert peak < 12 << 20
         assert np.array_equal(got.data, stacked_synthesis(m))
         assert_matches_the_dense_oracles(got, m)
+
+
+def requested_pairs(m):
+    """The (x-image, z-image) vectors of the requested slots, in slot order, as ``complete_tableau`` reads them."""
+    by_slot = {}
+    for src, tgt in m.images:
+        kind, slot = qc._generator_kind(src)
+        by_slot.setdefault(slot, {})[kind] = tgt
+    return [(by_slot[s]["X"].sympl(), by_slot[s]["Z"].sympl()) for s in sorted(by_slot)]
+
+
+@settings(max_examples=40, deadline=None)
+@given(m=admissible_maps())
+@example(m=GHZ)
+@example(m=QUTRIT)
+def test_symplectic_completion_matches_the_full_reduction(m):
+    """Candidates kept reduced as pairs are found give the integer pairs, in order, that
+    reducing every candidate again for each partner search gives."""
+    requested = requested_pairs(m)
+    got = qc._complete_symplectic(requested, m.n, m.d)
+    want = complete_symplectic_by_full_reduction(requested, m.n, m.d)
+    assert len(got) == len(want) == m.n
+    for (u, v), (u_want, v_want) in zip(got, want):
+        assert np.array_equal(u, u_want) and np.array_equal(v, v_want)
 
 
 def _scaled(u, resid):

@@ -111,7 +111,8 @@ class TestSymmetryAndIsometry:
     def test_push_fits_on_a_rank_deficient_q(self, wh2, a, monkeypatch):
         """Q has rank 8 of 16.  Each U maps b as the Kronecker-product targets
         ask, is the identity off range(b), and moves by less than 1e-12 when
-        every target is built as a Kronecker product and perturbed by 1e-14."""
+        every target is built as a Kronecker product and every target and
+        stacked source is perturbed by 1e-14."""
         q = topo_solution(wh2, interpolated_alpha(wh2, a))
         b = q.as_matrix()
         assert numerical_rank(b) == 8
@@ -125,8 +126,15 @@ class TestSymmetryAndIsometry:
                 assert np.linalg.norm(c.u_phys @ source - target) <= 1e-12 * np.linalg.norm(b)
                 assert np.abs(off_range @ c.u_phys - off_range).max() <= 1e-12
         noise = np.random.default_rng(7)
+        stacked = mps.stacked_leg_ops
+
+        def perturbed_sources(b, dims, ops):
+            sources = stacked(b, dims, ops)
+            return sources + 1e-14 * random_complex(noise, *sources.shape)
+
         monkeypatch.setattr(mps, "apply_leg_ops", lambda m, dims, ops: (
             m @ leg_operator(dims, ops) + 1e-14 * random_complex(noise, *m.shape)))
+        monkeypatch.setattr(mps, "stacked_leg_ops", perturbed_sources)
         for in_leg, constraints in ((0, q.constraints_a), (3, q.constraints_b)):
             again = solve_push_table(q, in_leg, (1, 2))
             assert [(k, c1, c2) for k, (_, c1, c2) in again.items()] == [(k, 0, k) for k in range(4)]

@@ -94,13 +94,36 @@ class TestIsometryResidual:
 
 
 def _scaled(u, resid):
-    """c u for a unitary u, with c chosen so that isometry_residual(c u) = resid."""
-    n = len(u)
+    """c u for a unitary or isometry u, with c chosen so that isometry_residual(c u) = resid."""
+    n = u.shape[1]
     return np.sqrt(1 + resid * np.sqrt(n)) * u
 
 
 def _push(resid):
     Push(0, _scaled(np.eye(3, dtype=complex), resid))
+
+
+def _range_factors(resid, scaled):
+    """A unitary 3 x 3 block and an orthonormal 5 x 3 range basis, the ``scaled`` one scaled so that
+    the factored residual of I + L (U_r - I) L†, (||U_r† U_r - I||_F + ||L† L - I||_F) / 5, is resid."""
+    rng = np.random.default_rng(3)
+    factors = {"block": random_unitary(3, rng), "range_basis": np.linalg.qr(random_complex(rng, 5, 3))[0]}
+    factors[scaled] = _scaled(factors[scaled], resid * 5 / 3)
+    return factors
+
+
+def _range_push_block(resid):
+    Push(0, **_range_factors(resid, "block"))
+
+
+def _range_push_basis(resid):
+    Push(0, **_range_factors(resid, "range_basis"))
+
+
+@pytest.mark.parametrize("resid", [1e-9, 0.5 * UNITARY_INPUT_BOUND])
+def test_a_range_push_residual_with_an_orthonormal_basis_is_the_dense_views(resid):
+    push = Push(0, **_range_factors(resid, "block"))
+    assert isometry_residual(push.u_phys) == pytest.approx(resid, rel=1e-6)
 
 
 def _basis_element(resid):
@@ -136,6 +159,8 @@ def _clifford_input(resid):
 # ||U U† - I|| / n > 1e-7 (||H H† - D I|| / D for a Hadamard matrix); the error is what it raises
 INPUT_CHECKS = {
     "push": (_push, ValueError),
+    "range_push_block": (_range_push_block, ValueError),
+    "range_push_basis": (_range_push_basis, ValueError),
     "basis_element": (_basis_element, BasisError),
     "basis_completeness": (_basis_completeness, BasisError),
     "hadamard": (_hadamard, BasisError),
