@@ -61,7 +61,7 @@ from .protocol import (
     ProtocolRun,
     enumerate_outcomes,
     run_mps_protocol,
-    run_peps_protocol,
+    run_peps_trials,
 )
 from .tensors import DenseTensor, contract
 
@@ -89,7 +89,7 @@ __all__ = [
     "ProtocolRun",
     "enumerate_outcomes",
     "run_mps_protocol",
-    "run_peps_protocol",
+    "run_peps_trials",
     "CocycleTable",
     "MFBasis",
     "composite_basis",

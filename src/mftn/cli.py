@@ -373,8 +373,7 @@ def _cmd_simulate(args, report):
             patch = protocol_mod.PepsPatch([[a] * args.cols for _ in range(args.rows)],
                                            spec.get("orientation", "ur"), tol)
         fails, worst = 0, math.inf
-        for k in range(args.trials):
-            run = protocol_mod.run_peps_protocol(patch, seed=args.seed + k, tol=tol)
+        for run in protocol_mod.run_peps_trials(patch, range(args.seed, args.seed + args.trials), tol):
             fails += not run.success
             worst = min(worst, run.fidelity)
         report.check("all_trials_succeed", fails == 0)

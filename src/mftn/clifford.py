@@ -534,19 +534,67 @@ def _stabilized(zs, block: np.ndarray) -> np.ndarray:
 def _joint_eigenvector(zs, dim: int) -> np.ndarray:
     """The phase-fixed unit vector in the joint +1 eigenspace of n independent Z images.
 
-    The eigenspace is one state, so projecting |0..0> gives it unless the
-    state has no |0..0> component; a nonzero component of a stabilizer state
-    is at least dim^(-1/2).  Only then are all dim basis vectors projected,
-    keeping the one of largest norm.
+    The eigenspace is one stabilizer state, so projecting a basis vector on
+    its support gives it, and a nonzero component of a stabilizer state is at
+    least dim^(-1/2).  |0..0> is projected first; only when the state has no
+    component there is a vector on the support found (``_support_index``).
     """
-    phi0 = _stabilized(zs, np.eye(dim, 1, dtype=np.complex128)[:, 0])
+    def projected(j):
+        basis_vector = np.zeros(dim, dtype=np.complex128)
+        basis_vector[j] = 1
+        return _stabilized(zs, basis_vector)
+
+    phi0 = projected(0)
     if np.linalg.norm(phi0) < 0.5 / np.sqrt(dim):
-        proj = _stabilized(zs, np.eye(dim, dtype=np.complex128))
-        phi0 = proj[:, int(np.argmax(np.linalg.norm(proj, axis=0)))]
+        phi0 = projected(_support_index(zs))
     nrm = np.linalg.norm(phi0)
     if nrm < DEFAULT_TOL:
         raise InadmissibleMapError("target Z images admit no joint +1 eigenstate")
     return fix_global_phase(phi0 / nrm)
+
+
+def _support_index(zs) -> int:
+    """A basis index j, row-major, with <j|psi> != 0 for the joint +1 eigenstate psi of zs.
+
+    <j|psi> vanishes unless every pure-Z element s = e^{i pi p / d} Z^w of the
+    group the strings generate fixes |j>: p is even and w.j = -p/2 (mod d).
+    Those elements are the products prod_k Z'_k^a_k whose X parts cancel, so
+    one per basis vector a of the left null space of the X parts gives all
+    the conditions, and any solution j of them is on the support; its free
+    digits are 0.
+    """
+    n, d = zs[0].n, zs[0].d
+    reduced, pivots = _row_reduce(np.hstack([[z.v for z in zs], np.eye(n, dtype=np.int64)]), n, d)
+    conditions = []
+    for a in reduced[len(pivots):, n:]:
+        s = functools.reduce(PauliVector.compose, (z.power(k) for z, k in zip(zs, a)))
+        if s.phase_exp % 2:
+            raise InadmissibleMapError("target Z images admit no joint +1 eigenstate")
+        conditions.append(s.w + (-s.phase_exp // 2,))
+    system, pivots = _row_reduce(np.array(conditions, dtype=np.int64).reshape(-1, n + 1), n, d)
+    if system[len(pivots):, n].any():
+        raise InadmissibleMapError("target Z images admit no joint +1 eigenstate")
+    j = np.zeros(n, dtype=np.int64)
+    j[pivots] = system[:len(pivots), n]
+    return int(j @ d ** np.arange(n - 1, -1, -1))
+
+
+def _row_reduce(m: np.ndarray, cols: int, d: int) -> tuple[np.ndarray, list]:
+    """Reduced row echelon form mod prime d, pivoting in the first ``cols`` columns;
+    returns it with the pivot columns, whose rows come first."""
+    m = np.array(m, dtype=np.int64) % d
+    pivots = []
+    for c in range(cols):
+        r = len(pivots)
+        hits = np.flatnonzero(m[r:, c])
+        if not hits.size:
+            continue
+        m[[r, r + hits[0]]] = m[[r + hits[0], r]]
+        m[r] = m[r] * pow(int(m[r, c]), -1, d) % d
+        others = np.arange(len(m)) != r
+        m[others] = (m[others] - np.outer(m[others, c], m[r])) % d
+        pivots.append(c)
+    return m, pivots
 
 
 def is_clifford(U, n: int, d: int) -> bool:

@@ -27,6 +27,7 @@ from .errors import (
     BoundaryError,
     DefectStuckError,
     DimensionMismatchError,
+    MftnError,
     NonGroupBasisError,
     NumericalRangeError,
     SizeGuardError,
@@ -40,12 +41,14 @@ from .mps import (
     per_distinct,
     range_unitary,
     solve_pushes,
+    stacked_leg_ops,
 )
 from .peps import PEPSTensor, check_peps_mf_symmetry
 from .tensors import BORN_FLOOR, DEFAULT_TOL, MAX_DENSE_ELEMENTS, VERDICT_FLOOR, DenseTensor, state_fidelity
 
 RNG_ALGORITHM = "philox4x64"
-MAX_TRIAL_WORK = 1 << 30  # (bonds + 2) x sites x widest front of one PEPS trial: a few seconds
+# (bonds + 2) x sites x widest front of one PEPS trial, a few seconds; a batch of T trials sweeps T times that
+MAX_TRIAL_WORK = 1 << 30
 
 
 @dataclass
@@ -376,6 +379,8 @@ ORIENTATIONS = {
     "dr": ((0, 1), (3, 2)),
     "dl": ((2, 1), (3, 0)),
 }
+# the two legs a network value may leave open: one per trial of a batch, one per outcome of a stacked bond
+TRIAL, OUTCOME = "trial", "outcome"
 
 
 def solve_push_table(A: PEPSTensor, in_slot: int, out_slots, tol: float = DEFAULT_TOL):
@@ -423,6 +428,8 @@ class PepsPatch:
 
     def __init__(self, grid, orientations="ur", tol: float = DEFAULT_TOL):
         self.grid = [list(row) for row in grid]
+        if not self.grid or not self.grid[0] or any(len(row) != len(self.grid[0]) for row in self.grid):
+            raise DimensionMismatchError("a patch grid needs at least one site and rows of one length")
         self.rows = len(self.grid)
         self.cols = len(self.grid[0])
         self.tol = tol
@@ -450,12 +457,17 @@ class PepsPatch:
         for key, ends in self.ends.items():
             for site, slot in ends:
                 self.slot_bonds[site][slot] = key
+        # per site, the (slot, bond, end: 0 first, 1 second) of its bonded slots, in slot order
+        self.bond_ends = {site: [(slot, key, self.ends[key].index((site, slot)))
+                                 for slot, key in enumerate(keys) if key is not None]
+                          for site, keys in self.slot_bonds.items()}
         # raster order along the long side, so that the contraction front spans the short side
         self.sweep_order = sorted(self.slot_bonds, key=lambda rc: rc if self.rows > self.cols else rc[::-1])
-        # per-patch caches, like target_norm (the grid is fixed once built): push tables
-        # and the folded double tensors of unmodified sites
+        # per-patch caches, like target_norm (the grid is fixed once built): push tables,
+        # the folded double tensors of unmodified sites, and the site arrays
         self._tables: dict = {}
         self._folds: dict = {}
+        self._bare: dict = {}
 
     def bonds(self):
         return list(self.ends)
@@ -500,55 +512,95 @@ class PepsPatch:
 
     def _slot_labels(self, r, c, sides):
         """Labels of site (r, c)'s legs left, up, right, down; None off ``sides``."""
-        return [sides[key][self.ends[key].index(((r, c), slot))] if key in sides else None
-                for slot, key in enumerate(self.slot_bonds[r, c])]
+        labels = [None] * 4
+        for slot, key, end in self.bond_ends[r, c]:
+            if key in sides:
+                labels[slot] = sides[key][end]
+        return labels
 
-    def network_value(self, pairs=None, ket_mods=None, bra_mods=None, cuts=frozenset()):
+    def network_value(self, pairs=None, ket_mods=None, bra_mods=None, cuts=frozenset(), outcome=None, trials=None):
         """<bra|ket> with per-site phys/leg ops, bond pair matrices, and cut bonds.
 
         ``pairs`` maps a bond to its pair matrix kron(ket bond matrix, bra bond
-        matrix^*), of shape (D^2, D^2); an absent bond gets the identity.  At
-        most one bond may map to a stack of shape (m, D^2, D^2), whose m values
-        come back as one array.  ``*_mods`` maps (r, c) to (u_phys | None,
-        [(slot, matrix), ...]).  Bonds in ``cuts`` are unmeasured: each layer's
-        legs are traced separately.  Unmodified sites are folded once per patch.
+        matrix^*), of shape (D^2, D^2); an absent bond gets the identity.
+        ``outcome`` = (bond, stack) puts a stack (m, D^2, D^2) of pair matrices
+        on one more bond, whose m values come back on the last axis.
+        ``*_mods`` maps (r, c) to (u_phys | None, [(slot, matrix), ...]).  Bonds
+        in ``cuts`` are unmeasured: each layer's legs are traced separately.
+        Unmodified sites are folded once per patch.
+
+        With ``trials`` = T, the values of T networks come back on a first
+        axis: each pair matrix is then a stack (T, D^2, D^2) and each mod a
+        list of T entries, None where a trial leaves the site as it is; the
+        outcome stack is shared by all T.
 
         The sites join the front one at a time in ``sweep_order``, each after
         the pair matrices of the bonds whose first end it holds; an identity
-        bond's two ends share one label, and a stack's outcome leg stays open.
+        bond's two ends share one label, and the trial and outcome legs stay
+        open.
         """
+        lead = () if trials is None else (trials,)
         pairs = {key: m for key, m in (pairs or {}).items() if key not in cuts}
-        stacked = [key for key, m in pairs.items() if m.ndim == 3]
-        if len(stacked) > 1:
-            raise ValueError("at most one bond may take a stack of pair matrices")
+        if any(m.shape[:-2] != lead for m in pairs.values()):
+            raise ValueError("a pair matrix carries a trial axis exactly when trials are given")
+        squeeze = trials == 1  # a batch of one is contracted as one network: a trial leg of 1 costs einsum time
+        if squeeze:
+            pairs = {key: m[0] for key, m in pairs.items()}
+            ket_mods = {site: m[0] for site, m in (ket_mods or {}).items()}
+            bra_mods = {site: m[0] for site, m in (bra_mods or {}).items()}
+            lead, trials = (), None
+        legs = dict.fromkeys(pairs, [TRIAL] if lead else [])
+        if outcome is not None:
+            key, stack = outcome
+            pairs[key], legs[key] = stack, [OUTCOME]
         ket_mods = ket_mods or {}
         bra_mods = bra_mods or {}
         sides = {key: (2 * k, 2 * k + 1 if key in pairs else 2 * k)
                  for k, key in enumerate(self.ends) if key not in cuts}
         front, front_labels = np.ones(()), []
         for r, c in self.sweep_order:
-            labels = self._slot_labels(r, c, sides)
-            live = tuple(s for s in range(4) if labels[s] is not None)
-            site = self._folded(r, c, live, ket_mods.get((r, c)), bra_mods.get((r, c)))
-            site_labels = [labels[s] for s in live]
-            for s in live:
-                key = self.slot_bonds[r, c][s]
-                if key in pairs and self.ends[key][0] == ((r, c), s):
-                    m = pairs[key]
-                    outcome_leg = [-1] if m.ndim == 3 else []
-                    site, site_labels = _contract(site, site_labels, m, outcome_leg + list(sides[key]))
+            bonded = [(slot, key, end) for slot, key, end in self.bond_ends[r, c] if key in sides]
+            ket_mod, bra_mod = ket_mods.get((r, c)), bra_mods.get((r, c))
+            site = self._folded(r, c, tuple(slot for slot, _, _ in bonded), ket_mod, bra_mod, trials)
+            per_trial = bool(lead) and (ket_mod is not None or bra_mod is not None)
+            site_labels = [TRIAL] * per_trial + [sides[key][end] for _, key, end in bonded]
+            for _, key, end in bonded:
+                if end == 0 and key in pairs:
+                    site, site_labels = _contract(site, site_labels, pairs[key], legs[key] + list(sides[key]))
             front, front_labels = _contract(front, front_labels, site, site_labels)
-        return front if stacked else complex(front)
+        front = front.transpose([front_labels.index(x) for x in (TRIAL, OUTCOME) if x in front_labels])
+        if squeeze:
+            return front[None]
+        if not lead:
+            return front if outcome is not None else complex(front)
+        return front if TRIAL in front_labels else np.broadcast_to(front, lead + front.shape)
 
-    def _folded(self, r, c, live, ket_mod, bra_mod):
-        """Site (r, c)'s double tensor on ``live`` slots; unmodified ones are kept."""
-        if ket_mod is not None or bra_mod is not None:
+    def _folded(self, r, c, live, ket_mod, bra_mod, trials):
+        """Site (r, c)'s double tensor on ``live`` slots; unmodified ones are kept.
+
+        With trials, a site with mods gets one per trial, and each distinct
+        (ket, bra) pair of mods is folded once: the trials of a batch share
+        few corrections per site.
+        """
+        if ket_mod is None and bra_mod is None:
+            key = (r, c, live)
+            if key not in self._folds:
+                arr = self._site_array(r, c, None)
+                self._folds[key] = _fold_site(arr, arr, live, self.D)
+            return self._folds[key]
+        if trials is None:
             return _fold_site(self._site_array(r, c, ket_mod), self._site_array(r, c, bra_mod), live, self.D)
-        key = (r, c, live)
-        if key not in self._folds:
-            arr = self._site_array(r, c, None)
-            self._folds[key] = _fold_site(arr, arr, live, self.D)
-        return self._folds[key]
+        pairs = list(zip(*([None] * trials if m is None else m for m in (ket_mod, bra_mod))))
+        key_of = {}  # computed once per object, which a batch's lists hold several times
+        for m in itertools.chain.from_iterable(pairs):
+            if id(m) not in key_of:
+                key_of[id(m)] = _mod_key(m)
+        distinct = {}  # (ket key, bra key) -> (its row in the folded stack, its mods)
+        rows = [distinct.setdefault((key_of[id(ket)], key_of[id(bra)]), (len(distinct), (ket, bra)))[0]
+                for ket, bra in pairs]
+        kets, bras = zip(*(mods for _, mods in distinct.values()))
+        folded = _fold_site(self._site_stack(r, c, kets), self._site_stack(r, c, bras), live, self.D)
+        return folded if len(distinct) == trials else folded[rows]
 
     @functools.cached_property
     def target_norm(self) -> float:
@@ -566,12 +618,29 @@ class PepsPatch:
 
     def _site_array(self, r, c, mods):
         """Site (r, c) as (left, up, right, down, phys) with ``mods`` applied."""
-        arr = self.grid[r][c].tensor.transpose_to(("left", "up", "right", "down", "phys")).data
+        if (r, c) not in self._bare:
+            self._bare[r, c] = self.grid[r][c].tensor.transpose_to(("left", "up", "right", "down", "phys")).data
+        arr = self._bare[r, c]
         if mods is None:
             return arr
         u_phys, slot_ops = mods
         ops = {} if u_phys is None else {4: np.asarray(u_phys).T}
         return apply_leg_ops(arr, arr.shape, {**ops, **dict(slot_ops)})
+
+    def _site_stack(self, r, c, mods):
+        """``_site_array`` of each mod in the list, as one stack, each leg's ops
+        applied to all of them at once; a None mod leaves the site bare."""
+        arr = self._site_array(r, c, None)
+        stacks = {}  # leg -> (mods, n, n) matrices on it, the identity where a mod has none
+        for k, mod in enumerate(mods):
+            u_phys, slot_ops = (None, []) if mod is None else mod
+            for leg, m in ([] if u_phys is None else [(4, np.asarray(u_phys).T)]) + list(slot_ops):
+                if leg not in stacks:
+                    stacks[leg] = np.tile(np.eye(arr.shape[leg], dtype=np.complex128), (len(mods), 1, 1))
+                stacks[leg][k] = m
+        if not stacks:
+            return np.broadcast_to(arr, (len(mods),) + arr.shape)
+        return stacked_leg_ops(arr.reshape(1, -1), arr.shape, stacks).reshape((-1,) + arr.shape)
 
     def dense_state(self, ket_mods=None, ket_bonds=None):
         """Dense contraction of the ket layer; past 2^22 amplitudes a SizeGuardError.
@@ -612,22 +681,34 @@ class PepsPatch:
 
 
 def _contract(a, a_labels, b, b_labels):
-    """Product of a and b summed over their shared labels; the other legs stay
-    open, a's first.  The labels are renumbered for this one call."""
-    shared = set(a_labels) & set(b_labels)
-    keep = [x for x in a_labels + b_labels if x not in shared]
+    """Product of a and b summed over their shared labels, apart from TRIAL,
+    which stays one open leg; the other legs stay open, a's first.  The
+    labels are renumbered for this one call."""
+    ours = set(a_labels)
+    shared = ours.intersection(b_labels) - {TRIAL}
+    keep = [x for x in a_labels if x not in shared] + [x for x in b_labels if x not in ours]
     compact = {x: k for k, x in enumerate(dict.fromkeys(a_labels + b_labels))}
     value = np.einsum(a, [compact[x] for x in a_labels], b, [compact[x] for x in b_labels],
                       [compact[x] for x in keep])
     return value, keep
 
 
+def _mod_key(mod):
+    """A hashable key equal for mods with equal entries, for None as well."""
+    if mod is None:
+        return None
+    u_phys, slot_ops = mod
+    return (None if u_phys is None else np.asarray(u_phys).tobytes(),
+            tuple((slot, np.asarray(m).tobytes()) for slot, m in slot_ops))
+
+
 def _fold_site(ket, bra, live, D):
-    """Double tensor over a site with merged (ket, bra) pair legs on live bonds."""
+    """Double tensor over a site with merged (ket, bra) pair legs on live bonds;
+    a leading trial axis of either layer stays in front."""
     bra_legs = [5 + s if s in live else s for s in range(4)]
     out = [leg for s in live for leg in (s, 5 + s)]
-    arr = np.einsum(ket, [0, 1, 2, 3, 4], bra.conj(), bra_legs + [4], out)
-    return arr.reshape((D * D,) * len(live))
+    arr = np.einsum(ket, [..., 0, 1, 2, 3, 4], bra.conj(), [..., *bra_legs, 4], [..., *out])
+    return arr.reshape(arr.shape[:arr.ndim - 2 * len(live)] + (D * D,) * len(live))
 
 
 def _route_defects(patch: PepsPatch, outcomes: dict):
@@ -708,59 +789,129 @@ def _ket_mods(basis: MFBasis, site_u, edge_ops):
     return mods
 
 
-def _sample_peps_bonds(patch: PepsPatch, rng):
-    """Sequential exact Born draws, one batched contraction per bond."""
+def _sample_peps_bonds(patch: PepsPatch, rngs):
+    """Sequential exact Born draws for a batch of trials, one contraction per bond for all.
+
+    Trial t draws from ``rngs[t]`` in bond order, so it draws what it would
+    alone.  A trial whose draw raises ends the batch there: the trials before
+    it go on.  Returns the (trials, bonds) outcomes and probabilities of the
+    trials left, and the error that ended the batch, or None.
+    """
     order = patch.bonds()
     both = patch.outcome_pairs[0]
-    chosen: dict = {}
-    probs = []
+    outcomes = np.zeros((len(rngs), len(order)), dtype=np.int64)
+    probs = np.zeros(outcomes.shape)
+    error, n = None, len(rngs)
+    measured = {}  # bond -> the pair matrices of its drawn outcomes, one per trial
     for k, key in enumerate(order):
-        pairs = {b: both[j] for b, j in chosen.items()}
-        weights = patch.network_value(pairs={**pairs, key: both}, cuts=frozenset(order[k + 1:]))
-        chosen[key], p = born_choice(weights.real, rng)
-        probs.append(p)
-    return chosen, probs
+        if not n:
+            break
+        pairs = {b: m[:n] for b, m in measured.items()}
+        weights = patch.network_value(pairs, cuts=frozenset(order[k + 1:]), outcome=(key, both), trials=n).real
+        for t in range(n):
+            try:
+                outcomes[t, k], probs[t, k] = born_choice(weights[t], rngs[t])
+            except MftnError as exc:  # re-raised by the caller unless a lower trial fails too
+                error, n = exc, t
+                break
+        measured[key] = both[outcomes[:, k]]
+    return outcomes[:n], probs[:n], error
 
 
-def peps_fidelity(patch: PepsPatch, outcomes: dict, site_u, edge_ops) -> float:
-    """Overlap fidelity of the corrected network against the clean target."""
-    both, ket_only = patch.outcome_pairs
-    mods = _ket_mods(patch.basis, site_u, edge_ops)
-    tc = patch.network_value(pairs={k: ket_only[j] for k, j in outcomes.items()}, ket_mods=mods)
-    cc = patch.network_value(pairs={k: both[j] for k, j in outcomes.items()}, ket_mods=mods, bra_mods=mods)
-    denom = patch.target_norm * cc.real
-    if denom <= 0:
-        return 0.0
-    return float(abs(tc) ** 2 / denom)
+def peps_fidelity(patch: PepsPatch, outcomes, routes) -> list:
+    """Overlap fidelities of a batch's corrected networks against the clean target.
 
-
-def run_peps_protocol(patch: PepsPatch, seed: int = 0, tol: float = DEFAULT_TOL) -> ProtocolRun:
-    """Simulate one MF preparation round for a small PEPS patch.
-
-    Each bond's Born conditional comes from one contraction against the
-    pair matrices of all its outcomes, and the fidelity from two overlaps.
-    A patch whose contraction front, (D^2)^(min(rows, cols) + 1) x D^2
-    elements, exceeds 2^22, or whose trial work, (bonds + 2) x sites x front,
-    exceeds 2^30, is refused with SizeGuardError before anything is
-    contracted or solved.
-    ``final_state`` is None, as for chains; ``dense_state`` with the
-    outcomes' ``bond_projector``s as ``ket_bonds`` and
-    ``_ket_mods(basis, site_u, edge_ops)`` of the routed corrections gives a
-    small patch's corrected state (up to 2^22 amplitudes).
+    ``outcomes`` holds one row of measured indices per trial, in bond order,
+    and ``routes`` each trial's (site_u, edge_ops).  Both overlaps of every
+    trial, <t|c> and <c|c>, come from one contraction of 2 x trials networks.
     """
-    # the sweep's widest front: a pair leg per short-side bond, one more while a line
-    # is half swept, and the sampled bond's outcome leg
+    both, ket_only = patch.outcome_pairs
+    T = len(routes)
+    mods = [_ket_mods(patch.basis, site_u, edge_ops) for site_u, edge_ops in routes]
+    ket = {site: [m.get(site) for m in mods] for site in set().union(*mods)}
+    values = patch.network_value(
+        pairs={key: np.concatenate([ket_only[js], both[js]]) for key, js in zip(patch.bonds(), outcomes.T)},
+        ket_mods={site: per * 2 for site, per in ket.items()},
+        bra_mods={site: [None] * T + per for site, per in ket.items()},
+        trials=2 * T,
+    )
+    fids = []
+    for tc, cc in zip(values[:T].tolist(), values[T:].tolist()):
+        denom = patch.target_norm * cc.real
+        fids.append(float(abs(tc) ** 2 / denom) if denom > 0 else 0.0)
+    return fids
+
+
+def _trial_front(patch: PepsPatch) -> int:
+    """The widest front of one trial's sweeps, after the two guards: past 2^22
+    front elements, or past 2^30 of a trial's work, SizeGuardError."""
+    # a pair leg per short-side bond, one more while a line is half swept, and the
+    # sampled bond's outcome leg
     front = (patch.D * patch.D) ** (min(patch.rows, patch.cols) + 2)
     if front > MAX_DENSE_ELEMENTS:
         raise SizeGuardError("patch's contraction front exceeds 2^22 elements")
     # every bond's draw and the two fidelity overlaps sweep each site through the front
     if (len(patch.bonds()) + 2) * patch.rows * patch.cols * front > MAX_TRIAL_WORK:
         raise SizeGuardError("patch's trial work exceeds 2^30 front elements swept")
-    rng = philox_rng(seed)
-    if not patch.bonds():
-        return ProtocolRun(seed, RNG_ALGORITHM, [], [], [], None, 1.0, True, True)
-    outcomes, probs = _sample_peps_bonds(patch, rng)
-    site_u, edge_ops = _route_defects(patch, outcomes)
-    fid = peps_fidelity(patch, outcomes, site_u, edge_ops)
-    return ProtocolRun(seed, RNG_ALGORITHM, [outcomes[k] for k in patch.bonds()], probs,
-                       sorted(site_u.items()), None, fid, fid >= 1 - max(tol, VERDICT_FLOOR), True)
+    return front
+
+
+def _run_peps_batch(patch: PepsPatch, seeds: list, tol: float) -> list:
+    """The ProtocolRuns of one batch; the lowest trial that raises raises."""
+    rngs = [philox_rng(seed) for seed in seeds]  # each seed is checked, also where nothing is drawn
+    order = patch.bonds()
+    if not order:
+        return [ProtocolRun(seed, RNG_ALGORITHM, [], [], [], None, 1.0, True, True) for seed in seeds]
+    outcomes, probs, error = _sample_peps_bonds(patch, rngs)
+    routes = []
+    for row in outcomes.tolist():
+        try:
+            routes.append(_route_defects(patch, dict(zip(order, row))))
+        except MftnError as exc:  # the trials before it still route
+            error = exc
+            break
+    if error is not None:
+        raise error
+    fids = peps_fidelity(patch, outcomes, routes)
+    return [ProtocolRun(seed, RNG_ALGORITHM, row, p, sorted(site_u.items()), None, fid,
+                        fid >= 1 - max(tol, VERDICT_FLOOR), True)
+            for seed, row, p, (site_u, _), fid in zip(seeds, outcomes.tolist(), probs.tolist(), routes, fids)]
+
+
+def run_peps_trials(patch: PepsPatch, seeds, tol: float = DEFAULT_TOL):
+    """Simulate one MF preparation round per seed on a small PEPS patch.
+
+    Returns an iterator over the ProtocolRuns, in seed order, that holds one
+    batch of runs at a time.  A batch of T trials draws each bond for all T
+    from one contraction and gets both fidelity overlaps of all T from one
+    more; each trial draws from its own ``philox_rng(seed)`` in bond order,
+    so it draws what it would alone.  A batch holds floor(2^22 / front)
+    trials, so that its T x front elements stay within the one-trial bound
+    below.  If a trial raises an ``MftnError``, its batch raises the one of
+    its lowest failing seed, as running the trials in seed order would.
+
+    A patch whose contraction front, (D^2)^(min(rows, cols) + 1) x D^2
+    elements, exceeds 2^22, or whose trial work, (bonds + 2) x sites x front,
+    exceeds 2^30, is refused with SizeGuardError when this is called, before
+    anything is contracted or solved.
+    """
+    batch = MAX_DENSE_ELEMENTS // _trial_front(patch)
+    seeds = iter(seeds)
+
+    def runs():
+        while chunk := list(itertools.islice(seeds, batch)):
+            yield from _run_peps_batch(patch, chunk, tol)
+
+    return runs()
+
+
+def run_peps_protocol(patch: PepsPatch, seed: int = 0, tol: float = DEFAULT_TOL) -> ProtocolRun:
+    """One MF preparation round on a small PEPS patch: ``run_peps_trials`` on a
+    batch of one, refused as it refuses.
+
+    ``final_state`` is None, as for chains; ``dense_state`` with the
+    outcomes' ``bond_projector``s as ``ket_bonds`` and
+    ``_ket_mods(basis, site_u, edge_ops)`` of the routed corrections gives a
+    small patch's corrected state (up to 2^22 amplitudes).
+    """
+    return next(run_peps_trials(patch, [seed], tol))

@@ -1,31 +1,38 @@
 """Oracles and paper statements that only the tests call.
 
-Each is an exhaustive or dense check of a statement the package's fast
-paths must agree with: PEPS outcome enumeration and routing completeness,
+Each is an exhaustive, dense or one-at-a-time check of a statement the
+package's fast paths must agree with: PEPS outcome enumeration, routing
+completeness and the trial run one contraction per trial and bond,
 the post-selected accounting of periodic MPO application, the SPT family's
 projector, the obstruction to the "bad" all-legs symmetry on a patch, and
-the symplectic completion that reduces every candidate again in full.
+the symplectic completion that reduces every candidate again in full, and
+the joint eigenvector found by projecting every basis vector.
 """
 
 import itertools
 
 import numpy as np
 
+from mftn.clifford import _stabilized
 from mftn.errors import DefectStuckError, InadmissibleMapError, SizeGuardError
 from mftn.mpo import _mpo_input, _mpo_step, _validate_mpo_chain
 from mftn.mps import _q_to_mps_tensor
 from mftn.protocol import (
     ORIENTATIONS,
+    RNG_ALGORITHM,
     EnumerationReport,
+    ProtocolRun,
+    _ket_mods,
     _route_defects,
     apply_chain_corrections,
     bond_projector,
+    born_choice,
     check_enumeration_size,
     enumerate_branches,
-    peps_fidelity,
+    philox_rng,
     push_chain_defects,
 )
-from mftn.tensors import DEFAULT_TOL, state_fidelity
+from mftn.tensors import DEFAULT_TOL, VERDICT_FLOOR, fix_global_phase, state_fidelity
 
 
 def projector_onto(columns: np.ndarray) -> np.ndarray:
@@ -68,6 +75,39 @@ def peps_routing_complete(patch) -> bool:
     return True
 
 
+def sequential_peps_run(patch, seed: int, tol: float = DEFAULT_TOL) -> ProtocolRun:
+    """One PEPS trial on its own: a contraction per bond for its Born draw, the
+    defect routing, then a contraction per fidelity overlap.  No size guard."""
+    rng = philox_rng(seed)
+    order = patch.bonds()
+    if not order:
+        return ProtocolRun(seed, RNG_ALGORITHM, [], [], [], None, 1.0, True, True)
+    both = patch.outcome_pairs[0]
+    chosen, probs = {}, []
+    for k, key in enumerate(order):
+        pairs = {b: both[j] for b, j in chosen.items()}
+        weights = patch.network_value(pairs, cuts=frozenset(order[k + 1:]), outcome=(key, both))
+        chosen[key], p = born_choice(weights.real, rng)
+        probs.append(p)
+    site_u, edge_ops = _route_defects(patch, chosen)
+    fid = single_peps_fidelity(patch, chosen, site_u, edge_ops)
+    return ProtocolRun(seed, RNG_ALGORITHM, [chosen[k] for k in order], probs, sorted(site_u.items()),
+                       None, fid, fid >= 1 - max(tol, VERDICT_FLOOR), True)
+
+
+def single_peps_fidelity(patch, outcomes: dict, site_u, edge_ops) -> float:
+    """Overlap fidelity of one corrected network against the clean target, one
+    contraction per overlap."""
+    both, ket_only = patch.outcome_pairs
+    mods = _ket_mods(patch.basis, site_u, edge_ops)
+    tc = patch.network_value(pairs={k: ket_only[j] for k, j in outcomes.items()}, ket_mods=mods)
+    cc = patch.network_value(pairs={k: both[j] for k, j in outcomes.items()}, ket_mods=mods, bra_mods=mods)
+    denom = patch.target_norm * cc.real
+    if denom <= 0:
+        return 0.0
+    return float(abs(tc) ** 2 / denom)
+
+
 def enumerate_peps_outcomes(patch) -> EnumerationReport:
     """Exhaustive accounting over all PEPS outcome tuples (small patches).
 
@@ -85,15 +125,16 @@ def enumerate_peps_outcomes(patch) -> EnumerationReport:
     def branch(combo):
         head, last = combo[:-1], combo[-1:]  # last is () on a patch without bonds
         if head not in weights:
-            pairs = {key: both[j] for key, j in zip(order, head)} | dict.fromkeys(order[-1:], both)
-            weights[head] = np.asarray(patch.network_value(pairs).real) / norm_free
+            pairs = {key: both[j] for key, j in zip(order, head)}
+            stacked = (order[-1], both) if order else None
+            weights[head] = np.asarray(patch.network_value(pairs, outcome=stacked).real) / norm_free
         p = weights[head][last]
         outcomes = dict(zip(order, combo))
         try:
             site_u, edge_ops = _route_defects(patch, outcomes)
         except DefectStuckError:
             return p, False, None
-        return p, True, peps_fidelity(patch, outcomes, site_u, edge_ops)
+        return p, True, single_peps_fidelity(patch, outcomes, site_u, edge_ops)
 
     return enumerate_branches(len(patch.basis.elements), len(order), branch)
 
@@ -227,3 +268,17 @@ def complete_symplectic_by_full_reduction(given, n: int, d: int):
     if len(pairs) != n:
         raise InadmissibleMapError("could not complete the symplectic basis")
     return pairs
+
+
+def joint_eigenvector_by_projection(zs, dim: int) -> np.ndarray:
+    """``clifford._joint_eigenvector`` by projection alone: |0..0> when the state
+    has a component there, else all dim basis vectors at once (dim x dim),
+    keeping the longest projection."""
+    phi0 = _stabilized(zs, np.eye(dim, 1, dtype=np.complex128)[:, 0])
+    if np.linalg.norm(phi0) < 0.5 / np.sqrt(dim):
+        proj = _stabilized(zs, np.eye(dim, dtype=np.complex128))
+        phi0 = proj[:, int(np.argmax(np.linalg.norm(proj, axis=0)))]
+    nrm = np.linalg.norm(phi0)
+    if nrm < DEFAULT_TOL:
+        raise InadmissibleMapError("target Z images admit no joint +1 eigenstate")
+    return fix_global_phase(phi0 / nrm)

@@ -207,7 +207,7 @@ class TestDispatch:
         (["simulate", "--chain", "aklt", "--sites", "3", "--trials", "2"],
          "run_mps_protocol", "worst_success_fidelity"),
         (["simulate", "--peps", TOPO.replace(', "subgroup": ["I", "X"]', ""), "--trials", "2"],
-         "run_peps_protocol", "worst_fidelity"),
+         "run_peps_trials", "worst_fidelity"),
     ], ids=["chain", "peps"])
     def test_simulate_reports_the_raw_worst_fidelity(self, capsys, monkeypatch, argv, runner, key):
         # round-off can put a fidelity above 1; the report must show it, not a cap at 1.0
@@ -215,8 +215,12 @@ class TestDispatch:
 
         real = getattr(protocol, runner)
 
-        def lifted(*args, **kwargs):
-            return dataclasses.replace(real(*args, **kwargs), fidelity=1 + 1e-12)
+        def lift(run):
+            return dataclasses.replace(run, fidelity=1 + 1e-12)
+
+        def lifted(*args, **kwargs):  # a chain run, or the iterator over a patch's runs
+            value = real(*args, **kwargs)
+            return lift(value) if isinstance(value, protocol.ProtocolRun) else map(lift, value)
 
         monkeypatch.setattr(protocol, runner, lifted)
         code, out = run(capsys, argv)
@@ -631,7 +635,7 @@ OPERATIONS = {
     "transfer_matrix_brute": "transfer",
     "degeneracy_report": "degeneracy",
     "run_mps_protocol": "simulate",
-    "run_peps_protocol": "simulate",
+    "run_peps_trials": "simulate",
     "enumerate_outcomes": "simulate",
     "check_mpo_isometry": "mpo",
     "mpo_slices": "mpo",

@@ -24,7 +24,7 @@ from mftn.peps import peps_split_polar, topo_solution
 from mftn.tensors import PAULI_FLOOR, VERDICT_FLOOR, isometry_residual
 
 from conftest import x_power_alpha
-from oracles import complete_symplectic_by_full_reduction
+from oracles import complete_symplectic_by_full_reduction, joint_eigenvector_by_projection
 
 
 def xz(n, d, v, w, p=0):
@@ -165,6 +165,68 @@ def test_symplectic_completion_matches_the_full_reduction(m):
     assert len(got) == len(want) == m.n
     for (u, v), (u_want, v_want) in zip(got, want):
         assert np.array_equal(u, u_want) and np.array_equal(v, v_want)
+
+
+def odd_ghz(n):
+    """X_0 -> X...X, Z_0 -> -Z...Z on an odd number n of qubits: the completed Z images
+    fix |1..1> alone, so |0..0> is off the support."""
+    return PartialCliffordMap(n, 2, (
+        (PauliVector.x_gen(n, 2, 0), xz(n, 2, [1] * n, [0] * n)),
+        (PauliVector.z_gen(n, 2, 0), xz(n, 2, [0] * n, [1] * n, 2)),
+    ))
+
+
+# Z -> omega Z on one qutrit: its joint eigenstate is |2>
+SHIFTED_QUTRIT = PartialCliffordMap(1, 3, (
+    (PauliVector.x_gen(1, 3, 0), xz(1, 3, [1], [0])),
+    (PauliVector.z_gen(1, 3, 0), xz(1, 3, [0], [1], 2)),
+))
+
+
+@settings(max_examples=40, deadline=None)
+@given(m=admissible_maps())
+@example(m=GHZ)
+@example(m=QUTRIT)
+@example(m=odd_ghz(3))
+@example(m=SHIFTED_QUTRIT)
+def test_the_joint_eigenvector_matches_the_projection_of_every_basis_vector(m):
+    _, tz = complete_tableau(m)
+    dim = m.d**m.n
+    got, want = qc._joint_eigenvector(tz, dim), joint_eigenvector_by_projection(tz, dim)
+    j = qc._support_index(tz)
+    assert abs(want[j]) >= 0.5 / np.sqrt(dim)  # on the support, also where |0..0> is
+    if abs(want[0]) >= 0.5 / np.sqrt(dim):  # both project |0..0>
+        assert np.array_equal(got, want)
+    assert np.abs(got - want).max() <= 1e-14
+
+
+@pytest.mark.parametrize("m, index", [(odd_ghz(3), 7), (odd_ghz(9), 511), (SHIFTED_QUTRIT, 2)],
+                         ids=["ghz3", "ghz9", "qutrit"])
+def test_the_support_point_where_zero_is_off_the_support(m, index):
+    _, tz = complete_tableau(m)
+    dim = m.d**m.n
+    assert qc._support_index(tz) == index
+    assert np.linalg.norm(qc._stabilized(tz, np.eye(dim, 1, dtype=complex)[:, 0])) < 1e-12
+    assert np.abs(qc._joint_eigenvector(tz, dim) - joint_eigenvector_by_projection(tz, dim)).max() <= 1e-14
+
+
+def test_the_joint_eigenvector_builds_no_dim_by_dim_temporary():
+    """9 qubits with |0..0> off the support: the projection of every basis vector took 4 MiB."""
+    _, tz = complete_tableau(odd_ghz(9))
+    tracemalloc.start()
+    try:
+        qc._joint_eigenvector(tz, 2**9)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
+def test_z_images_without_a_joint_eigenstate_are_refused():
+    """-I in the group the Z images generate: Z_0 Z_1 and -Z_0 Z_1 never both fix a state."""
+    tz = [xz(2, 2, [0, 0], [1, 1]), xz(2, 2, [0, 0], [1, 1], 2)]
+    with pytest.raises(InadmissibleMapError, match="no joint"):
+        qc._joint_eigenvector(tz, 4)
 
 
 def _scaled(u, resid):

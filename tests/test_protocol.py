@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from mftn import protocol
 from mftn.basis import MFBasis
-from mftn.errors import BoundaryError, DefectStuckError, NumericalRangeError, SizeGuardError
+from mftn.errors import BoundaryError, DefectStuckError, DimensionMismatchError, NumericalRangeError, SizeGuardError
 from mftn.fixtures import aklt_tensor, cluster_tensor
 from mftn.mps import MPSTensor, chain_state, complete_constraints, solve_symmetry_family, spt_solution
 from mftn.peps import PEPSTensor, complete_with_isometry, topo_solution
@@ -29,6 +29,7 @@ from mftn.protocol import (
     push_chain_defects,
     run_mps_protocol,
     run_peps_protocol,
+    run_peps_trials,
 )
 from mftn.tensors import DenseTensor, random_unitary, state_fidelity
 from conftest import FOUR_CORNER_3X3, random_complex, site_stacks
@@ -260,6 +261,14 @@ class TestPepsProtocol:
         run = run_peps_protocol(patch, seed=0)
         assert run.success and run.fidelity == 1.0
 
+    @pytest.mark.parametrize("rows", [[[0, 0], [0]], [[0], [0, 0]], [], [[]]],
+                             ids=["short", "long", "empty", "no-cols"])
+    def test_ragged_or_empty_grid_is_refused(self, wh2, rows):
+        # a ragged grid used to build and then fail with IndexError at its first contraction
+        site = toric_patch(wh2, 1, 1).grid[0][0]
+        with pytest.raises(DimensionMismatchError, match="rows of one length"):
+            PepsPatch([[site for _ in row] for row in rows])
+
     def test_two_by_two_toric_deterministic(self, wh2):
         patch = toric_patch(wh2, 2, 2)
         for seed in range(25):
@@ -333,6 +342,8 @@ class TestPepsProtocol:
         monkeypatch.setattr(PepsPatch, "push_table", refuse)
         with pytest.raises(SizeGuardError, match="front"):
             run_peps_protocol(patch)
+        with pytest.raises(SizeGuardError, match="front"):  # when called, not when its runs are read
+            run_peps_trials(patch, range(3))
 
     def test_work_guard_comes_before_any_contraction(self, wh2, monkeypatch):
         # a 9 x 9 WH:2 front is exactly 2^22 elements and passes the front guard, but
@@ -346,6 +357,8 @@ class TestPepsProtocol:
         monkeypatch.setattr(PepsPatch, "push_table", refuse)
         with pytest.raises(SizeGuardError, match="work"):
             run_peps_protocol(patch)
+        with pytest.raises(SizeGuardError, match="work"):
+            run_peps_trials(patch, range(3))
 
     def test_single_site_enumeration(self, wh2):
         report = enumerate_peps_outcomes(toric_patch(wh2, 1, 1))
@@ -515,8 +528,8 @@ def batched_bond(pairs):
     return key
 
 
-def assert_batched_weights_match(patch, monkeypatch):
-    """Each bond's batched Born weights equal its per-candidate network values."""
+def assert_batched_weights_match(patch, monkeypatch, seeds=(0, 1, 2)):
+    """Each bond's batched Born weights equal, trial by trial, its per-candidate network values."""
     draws = []
     original = PepsPatch.network_value
 
@@ -526,17 +539,20 @@ def assert_batched_weights_match(patch, monkeypatch):
         return value
 
     monkeypatch.setattr(PepsPatch, "network_value", recording)
-    chosen, _ = _sample_peps_bonds(patch, philox_rng(0))
+    outcomes, _, error = _sample_peps_bonds(patch, [philox_rng(s) for s in seeds])
     monkeypatch.undo()
+    assert error is None
     projectors = [bond_projector(patch.basis, j) for j in range(len(patch.basis.elements))]
     order = patch.bonds()
-    assert [batched_bond(kwargs["pairs"]) for kwargs, _ in draws] == order
+    assert [kwargs["outcome"][0] for kwargs, _ in draws] == order
     for k, (kwargs, batched) in enumerate(draws):
-        single = []
-        for m in projectors:
-            mats = {**{b: projectors[chosen[b]] for b in order[:k]}, order[k]: m}
-            single.append(patch.network_value(pair_matrices(patch, mats, mats), cuts=kwargs["cuts"]).real)
-        assert np.max(np.abs(batched - single)) <= 1e-14 * np.sum(single)
+        assert batched.shape == (len(seeds), len(projectors))
+        for row, weights in zip(outcomes, batched):
+            single = []
+            for m in projectors:
+                mats = {**{b: projectors[j] for b, j in zip(order[:k], row)}, order[k]: m}
+                single.append(patch.network_value(pair_matrices(patch, mats, mats), cuts=kwargs["cuts"]).real)
+            assert np.max(np.abs(weights - single)) <= 1e-14 * np.sum(single)
 
 
 class TestBatchedPepsContraction:
@@ -588,10 +604,13 @@ class TestBatchedPepsContraction:
         assert_batched_weights_match(toric_patch(wh2, rows, cols), monkeypatch)
 
     def test_one_stacked_bond_at_most(self, wh2):
+        """Only the outcome bond takes a stack: a stack passed as a pair matrix, with
+        no trials, is refused."""
         patch = toric_patch(wh2, 1, 3)
         stack = patch.outcome_pairs[0]
-        with pytest.raises(ValueError, match="at most one bond"):
-            patch.network_value(dict.fromkeys(patch.bonds()[:2], stack))
+        first, second = patch.bonds()[:2]
+        with pytest.raises(ValueError, match="trial axis"):
+            patch.network_value({first: stack}, outcome=(second, stack))
 
     @pytest.mark.parametrize("rows, cols, orientations", [
         (1, 2, "ur"), (2, 3, "ur"), (3, 2, "ur"), (3, 3, "ur"), (3, 3, FOUR_CORNER_3X3),
@@ -637,17 +656,18 @@ class TestBatchedPepsContraction:
         original = PepsPatch.network_value
 
         def counting(self, *args, **kwargs):
-            calls.append(any(m.ndim == 3 for m in (kwargs.get("pairs") or {}).values()))
+            calls.append(kwargs.get("outcome") is not None)
             return original(self, *args, **kwargs)
 
         monkeypatch.setattr(PepsPatch, "network_value", counting)
         nbonds = len(patch.bonds())
-        _sample_peps_bonds(patch, philox_rng(0))
+        _sample_peps_bonds(patch, [philox_rng(s) for s in range(3)])
         assert calls == [True] * nbonds
-        # <t|t> is contracted by the first trial only; each trial adds its two overlaps
-        for expected in (nbonds + 3, nbonds + 2):
+        # <t|t> is contracted by the first batch only; each batch adds one pass for both
+        # overlaps of all its trials, whatever its size
+        for seeds, expected in (([1], nbonds + 2), ([2, 3, 4], nbonds + 1), ([5], nbonds + 1)):
             calls.clear()
-            assert run_peps_protocol(patch, seed=1).success
+            assert all(run.success for run in run_peps_trials(patch, seeds))
             assert len(calls) == expected
 
     def test_caches_hold_no_dense_state(self, patch):
