@@ -578,9 +578,9 @@ class PepsPatch:
     def _folded(self, r, c, live, ket_mod, bra_mod, trials):
         """Site (r, c)'s double tensor on ``live`` slots; unmodified ones are kept.
 
-        With trials, a site with mods gets one per trial, and each distinct
-        (ket, bra) pair of mods is folded once: the trials of a batch share
-        few corrections per site.
+        With trials, a site with mods gets one per trial.  Each distinct
+        (ket, bra) pair of mods is folded once: a site's corrections come from
+        its few push-table entries, so with many trials most of them repeat.
         """
         if ket_mod is None and bra_mod is None:
             key = (r, c, live)
@@ -590,17 +590,16 @@ class PepsPatch:
             return self._folds[key]
         if trials is None:
             return _fold_site(self._site_array(r, c, ket_mod), self._site_array(r, c, bra_mod), live, self.D)
-        pairs = list(zip(*([None] * trials if m is None else m for m in (ket_mod, bra_mod))))
-        key_of = {}  # computed once per object, which a batch's lists hold several times
-        for m in itertools.chain.from_iterable(pairs):
-            if id(m) not in key_of:
-                key_of[id(m)] = _mod_key(m)
-        distinct = {}  # (ket key, bra key) -> (its row in the folded stack, its mods)
-        rows = [distinct.setdefault((key_of[id(ket)], key_of[id(bra)]), (len(distinct), (ket, bra)))[0]
-                for ket, bra in pairs]
-        kets, bras = zip(*(mods for _, mods in distinct.values()))
-        folded = _fold_site(self._site_stack(r, c, kets), self._site_stack(r, c, bras), live, self.D)
-        return folded if len(distinct) == trials else folded[rows]
+        kets, bras = ([None] * trials if m is None else m for m in (ket_mod, bra_mod))
+        # a batch's lists hold each mod object several times: key each object once
+        keys = {id(m): _mod_key(m) for m in {id(m): m for m in kets + bras}.values()}
+        first = {}  # (ket key, bra key) -> (its row in the folded stack, the first trial with it)
+        rows = [first.setdefault((keys[id(k)], keys[id(b)]), (len(first), t))[0]
+                for t, (k, b) in enumerate(zip(kets, bras))]
+        picks = [t for _, t in first.values()]
+        folded = _fold_site(self._site_stack(r, c, [kets[t] for t in picks]),
+                            self._site_stack(r, c, [bras[t] for t in picks]), live, self.D)
+        return folded if len(picks) == trials else folded[rows]
 
     @functools.cached_property
     def target_norm(self) -> float:
@@ -856,6 +855,17 @@ def _trial_front(patch: PepsPatch) -> int:
     return front
 
 
+def _trial_elements(patch: PepsPatch) -> int:
+    """Complex elements one trial of a batch holds, after the guards of
+    ``_trial_front``: the front and the next one while a site joins it, its
+    measured pair matrices (one per bond in the draws, two in the overlap
+    pass), its routed corrections (up to a d x d unitary per site) and its
+    generator (about 1 KiB)."""
+    front = _trial_front(patch)
+    d = max(a.d for row in patch.grid for a in row)
+    return 2 * front + 3 * len(patch.bonds()) * patch.D**4 + patch.rows * patch.cols * d * d + 64
+
+
 def _run_peps_batch(patch: PepsPatch, seeds: list, tol: float) -> list:
     """The ProtocolRuns of one batch; the lowest trial that raises raises."""
     rngs = [philox_rng(seed) for seed in seeds]  # each seed is checked, also where nothing is drawn
@@ -885,9 +895,10 @@ def run_peps_trials(patch: PepsPatch, seeds, tol: float = DEFAULT_TOL):
     batch of runs at a time.  A batch of T trials draws each bond for all T
     from one contraction and gets both fidelity overlaps of all T from one
     more; each trial draws from its own ``philox_rng(seed)`` in bond order,
-    so it draws what it would alone.  A batch holds floor(2^22 / front)
-    trials, so that its T x front elements stay within the one-trial bound
-    below.  If a trial raises an ``MftnError``, its batch raises the one of
+    so it draws what it would alone.  A batch holds floor(2^22 / e) trials,
+    e the elements a trial holds while its batch runs (``_trial_elements``),
+    so that the whole batch stays within the one-trial front bound below.
+    If a trial raises an ``MftnError``, its batch raises the one of
     its lowest failing seed, as running the trials in seed order would.
 
     A patch whose contraction front, (D^2)^(min(rows, cols) + 1) x D^2
@@ -895,7 +906,7 @@ def run_peps_trials(patch: PepsPatch, seeds, tol: float = DEFAULT_TOL):
     exceeds 2^30, is refused with SizeGuardError when this is called, before
     anything is contracted or solved.
     """
-    batch = MAX_DENSE_ELEMENTS // _trial_front(patch)
+    batch = MAX_DENSE_ELEMENTS // _trial_elements(patch)
     seeds = iter(seeds)
 
     def runs():

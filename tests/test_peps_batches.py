@@ -13,6 +13,7 @@ would show.
 import collections
 import json
 import re
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -24,10 +25,10 @@ import oracles
 from mftn import cli, protocol
 from mftn.basis import weyl_heisenberg_basis
 from mftn.errors import DefectStuckError, NumericalRangeError
-from mftn.peps import PEPSTensor, topo_solution
+from mftn.peps import PEPSTensor, complete_with_isometry, topo_solution
 from mftn.protocol import PepsPatch, run_peps_trials
 from mftn.tensors import DEFAULT_TOL, DenseTensor
-from conftest import FOUR_CORNER_3X3, random_complex
+from conftest import FOUR_CORNER_3X3, random_complex, x_power_alpha
 from oracles import sequential_peps_run
 
 WH2 = weyl_heisenberg_basis(2)
@@ -69,6 +70,11 @@ def assert_runs_match(got, want, atol=1e-12):
         assert np.abs(np.subtract(a.probabilities, b.probabilities)).max(initial=0) <= atol
         assert abs(a.fidelity - b.fidelity) <= atol
         assert (a.success, a.predicted_success, a.final_state) == (b.success, b.predicted_success, None)
+
+
+def toric_patch(rows, cols):
+    """The toric-code patch that ``simulate --peps`` builds from the WH:2 X-power alpha."""
+    return PepsPatch([[complete_with_isometry(topo_solution(WH2, x_power_alpha(WH2)))] * cols] * rows)
 
 
 SHAPES = [(r, c) for r in (1, 2, 3) for c in (1, 2, 3) if r * c >= 2]
@@ -121,8 +127,8 @@ def test_a_split_batch_equals_the_whole(monkeypatch):
         return batch(patch, seeds, tol)
 
     monkeypatch.setattr(protocol, "_run_peps_batch", sized)
-    # a batch holds floor(MAX_DENSE_ELEMENTS / front) trials
-    monkeypatch.setattr(protocol, "MAX_DENSE_ELEMENTS", 2 * protocol._trial_front(patch) + 1)
+    # a batch holds floor(MAX_DENSE_ELEMENTS / the elements one trial holds) trials
+    monkeypatch.setattr(protocol, "MAX_DENSE_ELEMENTS", 2 * protocol._trial_elements(patch) + 1)
     split = list(run_peps_trials(patch, range(7), NOISY_TOL))
     assert sizes == [2, 2, 2, 1]
     assert_runs_match(split, whole)
@@ -130,7 +136,7 @@ def test_a_split_batch_equals_the_whole(monkeypatch):
 
 def test_runs_are_held_one_batch_at_a_time(monkeypatch):
     patch = PepsPatch(grid_of(2, 2, 5, 0.0), "ur")
-    monkeypatch.setattr(protocol, "MAX_DENSE_ELEMENTS", 3 * protocol._trial_front(patch))
+    monkeypatch.setattr(protocol, "MAX_DENSE_ELEMENTS", 3 * protocol._trial_elements(patch))
     alive = []
     for run in run_peps_trials(patch, range(10)):
         alive.append(weakref.ref(run))
@@ -150,12 +156,28 @@ def test_the_cli_reads_the_runs_batch_by_batch(capsys, monkeypatch):
         return rep
 
     whole = report()
-    monkeypatch.setattr(protocol, "MAX_DENSE_ELEMENTS", 2 * 4**4)  # a 2 x 3 WH:2 front is (D^2)^4
+    monkeypatch.setattr(protocol, "MAX_DENSE_ELEMENTS", 2 * protocol._trial_elements(toric_patch(2, 3)))
     batches = []
     real = protocol._run_peps_batch
     monkeypatch.setattr(protocol, "_run_peps_batch", lambda *args: batches.append(len(args[1])) or real(*args))
     assert report() == whole
     assert batches == [2, 2, 1]
+
+
+def test_batches_stay_within_the_front_bound(monkeypatch):
+    """Every batch, with all that its trials hold, peaks within MAX_DENSE_ELEMENTS
+    complex elements, lowered here so that a batch takes a few hundred trials."""
+    monkeypatch.setattr(protocol, "MAX_DENSE_ELEMENTS", 1 << 18)
+    patch = toric_patch(2, 2)
+    list(run_peps_trials(patch, [0]))  # the patch's caches are not a batch's
+    tracemalloc.start()
+    try:
+        count = sum(1 for _ in run_peps_trials(patch, range(1000)))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert count == 1000
+    assert peak <= 16 * protocol.MAX_DENSE_ELEMENTS
 
 
 @pytest.fixture()

@@ -522,12 +522,6 @@ def pair_matrices(patch, ket_bonds, bra_bonds):
             for key in {**ket_bonds, **bra_bonds}}
 
 
-def batched_bond(pairs):
-    """The one bond whose pair matrix is a stack."""
-    (key,) = [key for key, m in pairs.items() if m.ndim == 3]
-    return key
-
-
 def assert_batched_weights_match(patch, monkeypatch, seeds=(0, 1, 2)):
     """Each bond's batched Born weights equal, trial by trial, its per-candidate network values."""
     draws = []
