@@ -7,13 +7,15 @@ Z_d (d prime) and builds the unitary from the joint eigenstate of the target
 Z images, so the requested conjugation relations hold exactly, phases included.
 Every Pauli string is a phased permutation (``PauliVector.monomial``), so
 synthesis and the Clifford checks apply strings to vectors and never multiply
-dense Pauli matrices.  A synthesized U is accepted on its tableau
-certificate: the 2n residuals ||U g - g' U|| of the completed tableau's
-images, each a monomial comparison on the dense U, and a bound on its
-unitarity that Schur's lemma gives from them.  Synthesis therefore costs
-O(n d^2n) and builds no Gram matrix.  ``is_clifford`` (which still forms
-U U†, O(d^3n)), ``image_residual`` and ``isometry_residual`` are the dense
-checks it is tested against.
+dense Pauli matrices.  A synthesized U is kept as its completed tableau and
+phi0 = U e_0, and accepted on an abstract certificate in O(n d^n): exact
+integer checks of the tableau and the measured ||Z'_k phi0 - phi0||, which
+bound the 2n residuals ||U g - g' U|| of the dense U and, by Schur's lemma,
+its unitarity.  The dense U is built only when it is read, and certified
+then on its tableau residuals, each a monomial comparison on it, in
+O(n d^2n) with no Gram matrix.  ``is_clifford`` (which still forms U U†,
+O(d^3n)), ``image_residual`` and ``isometry_residual`` are the dense checks
+both are tested against.
 """
 
 from __future__ import annotations
@@ -25,9 +27,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .basis import shift_clock
-from .errors import DimensionMismatchError, InadmissibleMapError, NonPrimeDimensionError
-from .tensors import (DEFAULT_TOL, PAULI_FLOOR, UNITARY_INPUT_BOUND, VERDICT_FLOOR, DenseTensor, fix_global_phase,
-                      isometry_residual)
+from .errors import DimensionMismatchError, InadmissibleMapError, NonPrimeDimensionError, SizeGuardError
+from .tensors import (DEFAULT_TOL, MAX_DENSE_ELEMENTS, PAULI_FLOOR, UNITARY_INPUT_BOUND, VERDICT_FLOOR, DenseTensor,
+                      fix_global_phase, isometry_residual)
 
 _BLOCK_ELEMENTS = 1 << 14  # entries of U per row block of the tableau residuals: 256 KiB, cache-sized
 
@@ -394,9 +396,33 @@ def complete_tableau(m: PartialCliffordMap) -> tuple[list[PauliVector], list[Pau
     return tx, tz
 
 
+def _of_generator(xs, zs, src: PauliVector) -> float:
+    """The figure for the bare generator src, from per-slot X and Z figures."""
+    kind, slot = _generator_kind(src)
+    return (xs if kind == "X" else zs)[slot]
+
+
+def _within_pauli_floor(figures, dim: int) -> bool:
+    """Every generator within PAULI_FLOOR sqrt(dim) of its tableau image.
+
+    ``is_clifford`` holds the string it reads off U to the same bound; here
+    the string is the tableau's image, named in advance.
+    """
+    return all(r <= PAULI_FLOOR * np.sqrt(dim) for r in figures)
+
+
+def _refuse_unless(figure, unitarity: float, images, dim: int) -> None:
+    """Refuse unless figure(src) <= VERDICT_FLOOR * dim for every requested
+    source and the unitarity bound is at most VERDICT_FLOOR."""
+    if not all(figure(src) <= VERDICT_FLOOR * dim for src, _ in images):
+        raise InadmissibleMapError("synthesized unitary fails a requested image")
+    if not unitarity <= VERDICT_FLOOR:
+        raise InadmissibleMapError("synthesis produced a non-unitary map")
+
+
 @dataclass(frozen=True)
-class SynthesizedClifford:
-    """A synthesized U and the tableau certificate it was accepted on.
+class DenseClifford:
+    """A dense U and the tableau certificate it was accepted on (``_certified``).
 
     ``x_residuals[k]`` and ``z_residuals[k]`` are ||U X_k - X'_k U||_F and
     ||U Z_k - Z'_k U||_F for the completed tableau's images X'_k and Z'_k,
@@ -418,54 +444,195 @@ class SynthesizedClifford:
 
     def residual(self, src: PauliVector) -> float:
         """The residual of the bare generator src."""
-        kind, slot = _generator_kind(src)
-        return (self.x_residuals if kind == "X" else self.z_residuals)[slot]
+        return _of_generator(self.x_residuals, self.z_residuals, src)
 
     @property
     def is_clifford(self) -> bool:
-        """Every generator within PAULI_FLOOR sqrt(dim) of its tableau image.
+        return _within_pauli_floor(self.x_residuals + self.z_residuals, len(self.data))
 
-        ``is_clifford`` holds the string it reads off U to the same bound;
-        here the string is the tableau's image, named in advance.
-        """
-        limit = PAULI_FLOOR * np.sqrt(len(self.data))
-        return all(r <= limit for r in self.x_residuals + self.z_residuals)
+
+@dataclass(frozen=True, eq=False)
+class SynthesizedClifford:
+    """A Clifford U held as its completed tableau and phi0 = U e_0, U e_c = X'^c phi0.
+
+    It is accepted on the abstract certificate (``_abstract_certified``):
+    ``x_bounds[k]`` and ``z_bounds[k]`` bound ||U X_k - X'_k U||_F and
+    ||U Z_k - Z'_k U||_F of the dense U, and ``isometry_bound`` bounds its
+    ``isometry_residual``.  The dense U (``dense``) is built on first read,
+    of it or of the names it lends: ``tensor``, ``data``, ``to_json``, and
+    the residuals measured on it, ``x_residuals``, ``z_residuals``,
+    ``unitarity_bound``, ``residual`` and ``is_clifford``.
+    """
+
+    phi0: np.ndarray
+    tx: tuple[PauliVector, ...]
+    tz: tuple[PauliVector, ...]
+    images: tuple[tuple[PauliVector, PauliVector], ...]
+    x_bounds: tuple[float, ...]
+    z_bounds: tuple[float, ...]
+    isometry_bound: float
+
+    def bound(self, src: PauliVector) -> float:
+        """The bound on the residual of the bare generator src."""
+        return _of_generator(self.x_bounds, self.z_bounds, src)
+
+    @property
+    def certified(self) -> bool:
+        """The verdict ``is_clifford`` gives, from the bounds."""
+        return _within_pauli_floor(self.x_bounds + self.z_bounds, len(self.phi0))
+
+    @functools.cached_property
+    def dense(self) -> DenseClifford:
+        """The dense U, refused with SizeGuardError past MAX_DENSE_ELEMENTS before it is
+        allocated, and handed out only once its tableau certificate accepts it."""
+        dim = len(self.phi0)
+        if dim * dim > MAX_DENSE_ELEMENTS:
+            raise SizeGuardError(f"a dense {dim} x {dim} Clifford exceeds 2^22 elements")
+        return _certified(_filled(self.phi0, self.tx), self.images, self.tx, self.tz)
+
+    @property
+    def tensor(self) -> DenseTensor:
+        return self.dense.tensor
+
+    @property
+    def data(self) -> np.ndarray:
+        return self.dense.data
+
+    def to_json(self) -> dict:
+        return self.dense.to_json()
+
+    @property
+    def x_residuals(self) -> tuple[float, ...]:
+        return self.dense.x_residuals
+
+    @property
+    def z_residuals(self) -> tuple[float, ...]:
+        return self.dense.z_residuals
+
+    @property
+    def unitarity_bound(self) -> float:
+        return self.dense.unitarity_bound
+
+    def residual(self, src: PauliVector) -> float:
+        return self.dense.residual(src)
+
+    @property
+    def is_clifford(self) -> bool:
+        return self.dense.is_clifford
 
 
 def synthesize_clifford(m: PartialCliffordMap) -> SynthesizedClifford:
     """Unitary U with U src U† = tgt for every requested image, phases exact.
 
-    U is assembled from the completed tableau (``complete_tableau``): the
-    joint +1 eigenstate of the Z images and its orbit under the X images,
-    with every string applied as a monomial, written into one dim x dim
-    array.  It is accepted on its tableau certificate (``_certified``), so
-    the whole cost is O(n d^2n).
+    U is the completed tableau (``complete_tableau``) and the joint +1
+    eigenstate phi0 of the Z images, U e_c = X'^c phi0, every string applied
+    as a monomial.  It is accepted on its abstract certificate
+    (``_abstract_certified``) in O(n d^n); the dense U is built and
+    certified only when it is read (``SynthesizedClifford.dense``).
     """
     tx, tz = complete_tableau(m)
-    n, d = m.n, m.d
-    dim = d**n
+    return _abstract_certified(_joint_eigenvector(tz, m.d**m.n), m.images, tx, tz)
+
+
+def _filled(phi0: np.ndarray, tx) -> np.ndarray:
+    """The dense U, U e_c = X'^c phi0, written into one dim x dim array a block of columns at a time."""
+    n, d, dim = len(tx), tx[0].d, len(phi0)
     u = np.empty((dim, dim), dtype=np.complex128)
-    u[:, 0] = _joint_eigenvector(tz, dim)
+    u[:, 0] = phi0
     for k, t in enumerate(tx):  # column x_0 .. x_{n-1} (row-major) is X'_{n-1}^x_{n-1} .. X'_0^x_0 phi0
         perm, phases = t.monomial()
         # the columns whose digits after x_k are all 0; those with x_k = 0 are filled
         done = u.reshape(dim, d**k, d, d ** (n - 1 - k))[:, :, :, 0]
         for x in range(1, d):
             done[:, :, x][perm] = phases[:, None] * done[:, :, x - 1]
-    return _certified(u, m.images, tx, tz)
+    return u
 
 
-def _certified(u: np.ndarray, images, tx, tz) -> SynthesizedClifford:
+def _certified(u: np.ndarray, images, tx, tz) -> DenseClifford:
     """U with its certificate, refused unless every requested image holds to
     VERDICT_FLOOR * dim and the unitarity bound to VERDICT_FLOOR."""
     xs, zs, norm = _tableau_residuals(u, tx, tz)
-    out = SynthesizedClifford(DenseTensor(u, ("out", "in"), copy=False), xs, zs,
-                              _unitarity_bound(max(xs + zs), norm, len(tx), tx[0].d))
-    if not all(out.residual(src) <= VERDICT_FLOOR * len(u) for src, _ in images):
-        raise InadmissibleMapError("synthesized unitary fails a requested image")
-    if not out.unitarity_bound <= VERDICT_FLOOR:
-        raise InadmissibleMapError("synthesis produced a non-unitary map")
+    out = DenseClifford(DenseTensor(u, ("out", "in"), copy=False), xs, zs,
+                        _unitarity_bound(max(xs + zs), norm, len(tx), tx[0].d))
+    _refuse_unless(out.residual, out.unitarity_bound, images, len(u))
     return out
+
+
+def _abstract_certified(phi0: np.ndarray, images, tx, tz) -> SynthesizedClifford:
+    """phi0 and the tableau with their abstract certificate: refused unless the
+    tableau passes its integer checks (``_check_tableau``), then with the
+    refusals of ``_certified`` applied to the bounds (``_abstract_bounds``)."""
+    _check_tableau(images, tx, tz)
+    xs, zs, isometry = _abstract_bounds(phi0, tx, tz)
+    out = SynthesizedClifford(phi0, tuple(tx), tuple(tz), tuple(images), xs, zs, isometry)
+    _refuse_unless(out.bound, isometry, images, len(phi0))
+    return out
+
+
+def _check_tableau(images, tx, tz) -> None:
+    """Refuse a tableau that is not a Clifford's with the requested images; exact, phases included.
+
+    It must hold the requested images; its images must commute as the
+    generators do (the X' pairwise, the Z' pairwise, and X'_j with Z'_k as
+    X_j with Z_k): the symplectic form below is ``commutation_exponent`` of
+    every pair at once, and the generators' is (0, -I; I, 0) mod d; and each
+    image must have order d with phase exponent 0.
+    """
+    n, d = len(tx), tx[0].d
+    for src, tgt in images:
+        if _of_generator(tx, tz, src) != tgt:
+            raise InadmissibleMapError(f"the tableau does not hold the requested image of {_generator_kind(src)}")
+    rows = list(tx) + list(tz)
+    v, w = np.array([t.v for t in rows]), np.array([t.w for t in rows])
+    eye, zero = np.eye(n, dtype=np.int64), np.zeros((n, n), dtype=np.int64)
+    if not np.array_equal((w @ v.T - v @ w.T) % d, np.block([[zero, -eye], [eye, zero]]) % d):
+        raise InadmissibleMapError("the tableau's images do not commute as the generators do")
+    for t in rows:
+        if not t.power(d).is_identity():
+            raise InadmissibleMapError("a tableau image does not have order d with phase exponent 0")
+
+
+def _abstract_bounds(phi0: np.ndarray, tx, tz):
+    """(bounds on the X residuals, on the Z residuals, on the isometry residual) of the U
+    ``_filled`` builds, as ``_tableau_residuals`` and ``isometry_residual`` compute them.
+
+    In exact arithmetic, U e_c = X'^c phi0 and a tableau that passes
+    ``_check_tableau`` give U X_k = X'_k U (the X' commute, and X'_k^d = I
+    where digit k wraps), and Z'_k X'^c = omega^(c_k) X'^c Z'_k, so that
+    (U Z_k - Z'_k U) e_c = omega^(c_k) X'^c (phi0 - Z'_k phi0) for every
+    column: ||U Z_k - Z'_k U||_F = sqrt(dim) r_k with r_k = ||Z'_k phi0 - phi0||.
+
+    Round-off, with eps machine epsilon and u = eps / 2: delta = 32 eps bounds
+    the error of one rounded unit phase times an entry, relative to the
+    entry (the phase table is within 28 u of the roots of unity, its angle
+    to 4 u relative and the exponential to an ulp a part, and the product
+    adds sqrt(5) u).
+    - the fill: each entry of the floating-point U is an entry of phi0
+      times at most m = n(d - 1) rounded unit phases, so U is off the exact
+      one by F with ||F||_F <= g_m sqrt(dim) ||phi0||, g_j = (1 + delta)^j - 1,
+      which moves each residual by at most 2 ||F||_F.  The residuals' own
+      phase products add one step, 2 g_(m+1) sqrt(dim) ||phi0|| in all, and
+      their sums of dim^2 squares a factor of at most 1 + dim^2 eps;
+    - r_k: the computed Z'_k phi0 is off by at most delta ||phi0||, and a
+      norm of dim terms by a factor of at most 1 + dim eps, so r_k <=
+      (1 + dim eps) r^_k + delta ||phi0|| from the computed r^_k, and
+      ||phi0|| <= (1 + dim eps) times its computed value.
+    ``_unitarity_bound`` then applies unchanged to the largest bound, at
+    either end of the range (1 -+ g_m) sqrt(dim) ||phi0|| of ||U||_F.
+    """
+    n, d, dim = len(tx), tx[0].d, len(phi0)
+    eps = np.finfo(float).eps
+    delta, grow, m = 32 * eps, 1 + dim * eps, n * (d - 1)
+    computed = float(np.linalg.norm(phi0))
+    norm = grow * computed
+    fill = (1 + delta) ** m - 1
+    moved = 2 * ((1 + delta) ** (m + 1) - 1) * np.sqrt(dim) * norm
+    r = [grow * float(np.linalg.norm(_apply(z.monomial(), phi0) - phi0)) + delta * norm for z in tz]
+    sums = 1 + dim * dim * eps
+    xs = (sums * moved,) * n
+    zs = tuple(sums * (np.sqrt(dim) * r_k + moved) for r_k in r)
+    ends = ((1 - fill) * np.sqrt(dim) * computed / grow, (1 + fill) * np.sqrt(dim) * norm)
+    return xs, zs, max(_unitarity_bound(max(xs + zs), end, n, d) for end in ends)
 
 
 def _tableau_residuals(u: np.ndarray, tx, tz):

@@ -49,7 +49,8 @@ class DefectStuckError(MftnError):
 
 
 class NumericalRangeError(MftnError):
-    """A computed quantity under- or overflowed the floating-point range."""
+    """A computed quantity under- or overflowed the floating-point range, or a
+    factorization of it did not converge."""
 
 
 class SizeGuardError(MftnError):

@@ -327,8 +327,7 @@ def solve_pushes(b, basis: MFBasis, dims, in_leg: int, out_legs, tol: float, fai
             break
         target = apply_leg_ops(r_b, dims, {leg: elements[i] for leg, i in zip(out_legs, images)})
         source = sources[open_]
-        u, _, wh = np.linalg.svd(target @ source.conj().transpose(0, 2, 1))
-        u = u @ wh
+        u = procrustes_unitary(target, source)
         fit = np.linalg.norm(u @ source - target, axis=(1, 2)) < tol * scale
         for k, u_k in zip(open_[fit], u[fit]):
             fits[k] = (images, u_k)

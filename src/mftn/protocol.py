@@ -463,8 +463,8 @@ class PepsPatch:
                           for site, keys in self.slot_bonds.items()}
         # raster order along the long side, so that the contraction front spans the short side
         self.sweep_order = sorted(self.slot_bonds, key=lambda rc: rc if self.rows > self.cols else rc[::-1])
-        # per-patch caches, like target_norm (the grid is fixed once built): push tables,
-        # the folded double tensors of unmodified sites, and the site arrays
+        # per-patch caches, like target_norm and processing_order (the grid is fixed once
+        # built): push tables, the folded double tensors of unmodified sites, and the site arrays
         self._tables: dict = {}
         self._folds: dict = {}
         self._bare: dict = {}
@@ -485,8 +485,10 @@ class PepsPatch:
             self._tables[key] = table
         return self._tables[key]
 
-    def processing_order(self):
-        """Topological order of the defect-emission graph (Kahn)."""
+    @functools.cached_property
+    def processing_order(self) -> tuple:
+        """Topological order of the defect-emission graph (Kahn), sorted once per
+        patch; a cyclic flow raises DefectStuckError at each read."""
         flow = {(r, c): ORIENTATIONS[o] for r, row in enumerate(self.orient) for c, o in enumerate(row)}
         deps = {site: set() for site in flow}
         for ends in self.ends.values():
@@ -504,7 +506,7 @@ class PepsPatch:
                     ready.append(t_site)
         if len(order) != self.rows * self.cols:
             raise DefectStuckError("orientation assignment has a cyclic defect flow")
-        return order
+        return tuple(order)
 
     # -- contractions --------------------------------------------------------
     # every leg carries a label; ``sides`` maps a bond to the labels of its
@@ -754,7 +756,7 @@ def _route_defects(patch: PepsPatch, outcomes: dict):
         else:  # the second end multiplies the bond matrix by g^T from the right
             pend[bond] = basis.compose(pend[bond], in_basis(transposes, cls, phase, bond))
 
-    for site in patch.processing_order():
+    for site in patch.processing_order:
         r, c = site
         ins, outs = ORIENTATIONS[patch.orient[r][c]]
         for in_slot in ins:

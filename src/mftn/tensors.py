@@ -12,7 +12,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import DimensionMismatchError, LegError
+from .errors import DimensionMismatchError, LegError, NumericalRangeError
 
 # The tolerance every ``tol`` parameter defaults to.  ``mftn --tol`` and ``MFTN_TOL``
 # pass another value down for one command; nothing assigns this one.  Checks that take
@@ -257,8 +257,23 @@ def state_fidelity(x: np.ndarray, y: np.ndarray) -> float:
 
 
 def procrustes_unitary(target: np.ndarray, source: np.ndarray) -> np.ndarray:
-    """Unitary U minimizing ||U @ source - target|| in Frobenius norm."""
-    u, _, wh = np.linalg.svd(target @ source.conj().T)
+    """Unitary U minimizing ||U @ source - target|| in Frobenius norm, for one pair
+    of matrices or for each pair of two stacks: the polar factor U W† of
+    target @ source† = U S W†.
+
+    When LAPACK's SVD does not converge, the conjugate transpose is factored
+    instead, whose polar factor is the conjugate transpose of U W†; when
+    that fails too, NumericalRangeError.
+    """
+    m = target @ source.conj().swapaxes(-1, -2)
+    try:
+        u, _, wh = np.linalg.svd(m)
+    except np.linalg.LinAlgError:
+        try:
+            u, _, wh = np.linalg.svd(m.conj().swapaxes(-1, -2))
+        except np.linalg.LinAlgError:
+            raise NumericalRangeError("SVD did not converge on a matrix or on its conjugate transpose") from None
+        return (u @ wh).conj().swapaxes(-1, -2)
     return u @ wh
 
 

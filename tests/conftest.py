@@ -1,3 +1,7 @@
+import importlib.util
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -42,3 +46,16 @@ def x_power_alpha(basis, charge=0):
 def site_stacks(family):
     """The (d, D, D) site stacks of a chain of MPS tensors, as ``chain_state`` takes them."""
     return [np.stack(t.site_matrices()) for t in family]
+
+
+def perfbench_module(name: str):
+    """perfbench/<name>.py, loaded by path and only read: the benchmark is no package."""
+    spec = importlib.util.spec_from_file_location(
+        f"perfbench_{name}", Path(__file__).resolve().parent.parent / "perfbench" / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # its dataclasses look their module up while it runs
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        del sys.modules[spec.name]
+    return module

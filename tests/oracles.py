@@ -71,7 +71,7 @@ def peps_routing_complete(patch) -> bool:
         for c in range(patch.cols):
             for in_slot in ORIENTATIONS[patch.orient[r][c]][0]:
                 patch.push_table(r, c, in_slot)
-    patch.processing_order()
+    patch.processing_order
     return True
 
 

@@ -79,7 +79,7 @@ def matrix_route_defects(patch, outcomes):
         else:
             pend[bond] = pend[bond] @ g.T
 
-    for site in patch.processing_order():
+    for site in patch.processing_order:
         r, c = site
         ins, outs = ORIENTATIONS[patch.orient[r][c]]
         for in_slot in ins:

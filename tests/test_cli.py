@@ -13,8 +13,13 @@ import numpy as np
 import pytest
 
 from mftn import cli
+from mftn import clifford as qc
 from mftn import mpo as mpo_mod
+from mftn.basis import MFBasis, weyl_heisenberg_basis
 from mftn.errors import SizeGuardError
+from mftn.mps import solve_symmetry_family, spt_solution
+from mftn.peps import topo_solution
+from mftn.tensors import DEFAULT_TOL, VERDICT_FLOOR, DenseTensor
 
 
 def run(capsys, argv):
@@ -874,3 +879,127 @@ class TestJsonFixtures:
         code, out = run(capsys, ["solve-family", "--constraints", str(path)])
         assert code == 0
         assert report_of(out)["outputs"]["dimension"] >= 1
+
+
+GHZ_MAP = {"n": 3, "d": 2, "images": [
+    {"source": {"n": 3, "d": 2, "v": [1, 0, 0], "w": [0, 0, 0]}, "target": {"n": 3, "d": 2, "v": [1, 1, 1], "w": [0, 0, 0]}},
+    {"source": {"n": 3, "d": 2, "v": [0, 0, 0], "w": [1, 0, 0]}, "target": {"n": 3, "d": 2, "v": [0, 0, 0], "w": [1, 1, 1]}},
+]}
+FAMILY = {"basis": "WH:2", "d": 2, "constraints": [
+    {"p_in": "X", "u_phys": {"legs": ["r", "c"], "shape": [2, 2], "data": [[0, 0], [1, 0], [1, 0], [0, 0]]},
+     "p_out": "X"},
+    {"p_in": "Z", "u_phys": {"legs": ["r", "c"], "shape": [2, 2], "data": [[1, 0], [0, 0], [0, 0], [1, 0]]},
+     "p_out": "Z"},
+]}
+
+
+def _ghz_map():
+    images = tuple((qc.PauliVector.from_json(e["source"]), qc.PauliVector.from_json(e["target"]))
+                   for e in GHZ_MAP["images"])
+    return qc.PartialCliffordMap(3, 2, images)
+
+
+def _checks(rep):
+    return {c["name"]: c for c in rep["checks"]}
+
+
+class TestOutWriters:
+    """Each --out writer's file, reloaded, equals the library value it was written from."""
+
+    def written(self, capsys, tmp_path, argv, flag="--out"):
+        path = tmp_path / "artifact.json"
+        code, out = run(capsys, argv + [flag, str(path)])
+        rep = report_of(out)
+        assert code == 0 and all(c["passed"] for c in rep["checks"]), rep
+        assert rep["artifacts"] == [str(path)]
+        return json.loads(path.read_text()), rep
+
+    def test_clifford_synth_writes_the_certified_unitary(self, capsys, tmp_path):
+        obj, rep = self.written(capsys, tmp_path, ["clifford-synth", "--map", json.dumps(GHZ_MAP)])
+        m = _ghz_map()
+        want = qc.synthesize_clifford(m)
+        got = DenseTensor.from_json(obj)
+        assert got.legs == ("out", "in")
+        assert np.array_equal(got.data, want.data)
+        assert qc.is_clifford(got.data, 3, 2)
+        assert all(qc.image_residual(got.data, src, tgt) <= VERDICT_FLOOR for src, tgt in m.images)
+        # with --out the report reads the residuals measured on the U it wrote; without, the bounds
+        worst = max(want.residual(src) for src, _ in m.images)
+        assert _checks(rep)["images_reproduced"]["residual"] == cli._fmt(worst)
+        _, out = run(capsys, ["clifford-synth", "--map", json.dumps(GHZ_MAP)])
+        bound = max(want.bound(src) for src, _ in m.images)
+        assert _checks(report_of(out))["images_reproduced"]["residual"] == cli._fmt(bound)
+        assert worst < bound
+
+    def test_topo_solve(self, capsys, tmp_path):
+        obj, _ = self.written(capsys, tmp_path, ["topo-solve", "--topo", TOPO])
+        alpha = np.array([complex(*z) for z in json.loads(TOPO)["alpha"]])
+        want = topo_solution(weyl_heisenberg_basis(2), alpha).tensor
+        got = DenseTensor.from_json(obj)
+        assert got.legs == want.legs and np.array_equal(got.data, want.data)
+
+    def test_spt(self, capsys, tmp_path):
+        obj, _ = self.written(capsys, tmp_path, ["spt", "--alpha", ALPHA])
+        want = spt_solution(weyl_heisenberg_basis(2), np.array([complex(*z) for z in json.loads(ALPHA)])).tensor
+        got = DenseTensor.from_json(obj)
+        assert got.legs == want.legs and np.array_equal(got.data, want.data)
+
+    def test_solve_family(self, capsys, tmp_path):
+        obj, _ = self.written(capsys, tmp_path, ["solve-family", "--constraints", json.dumps(FAMILY)])
+        wh2 = weyl_heisenberg_basis(2)
+        want = solve_symmetry_family(wh2, cli._constraints_from(FAMILY["constraints"], wh2), d=2, tol=DEFAULT_TOL)
+        assert len(obj) == len(want) == 2
+        for member, t in zip(obj, want):
+            got = DenseTensor.from_json(member)
+            assert got.legs == t.tensor.legs and np.array_equal(got.data, t.tensor.data)
+
+    def test_basis(self, capsys, tmp_path):
+        obj, _ = self.written(capsys, tmp_path, ["basis", "--basis", "WH:3"], flag="--out-basis")
+        got, want = MFBasis.from_json(obj), weyl_heisenberg_basis(3)
+        assert got.dim == want.dim and got.labels == want.labels
+        assert all(np.array_equal(g, w) for g, w in zip(got.elements, want.elements))
+        assert len(got.elements) == len(want.elements)
+
+    def test_a_refused_dense_unitary_leaves_the_out_file_as_it_was(self, capsys, tmp_path, monkeypatch):
+        """The size guard refuses the 8 x 8 GHZ U before it is built, and so before the file is opened."""
+        monkeypatch.setattr(qc, "MAX_DENSE_ELEMENTS", 8 * 8 - 1)
+        kept = tmp_path / "kept.json"
+        kept.write_bytes(b'{"an earlier": "artifact"}\n')
+        for path in (kept, tmp_path / "new.json"):
+            code, out = run(capsys, ["clifford-synth", "--map", json.dumps(GHZ_MAP), "--out", str(path)])
+            rep = report_of(out)
+            assert code == 1
+            assert {"name": "completed", "passed": False} in rep["checks"]
+            assert "dense 8 x 8 Clifford" in rep["outputs"]["error"]
+            assert rep["artifacts"] == []
+        assert kept.read_bytes() == b'{"an earlier": "artifact"}\n'
+        assert not (tmp_path / "new.json").exists()
+        # without --out nothing dense is built, so the guard is not reached
+        code, out = run(capsys, ["clifford-synth", "--map", json.dumps(GHZ_MAP)])
+        assert code == 0 and all(c["passed"] for c in report_of(out)["checks"])
+
+    def test_clifford_synth_runs_fourteen_qubits_within_an_address_space_cap(self, tmp_path):
+        """X_0 -> X..X, Z_0 -> Z..Z I on 14 qubits: a dense U would need 4 GiB, past the 2 GiB cap.
+        Without --out the abstract certificate holds O(n 2^n); with it the guard refuses first."""
+        n = 14
+        spec = json.dumps({"n": n, "d": 2, "images": [
+            {"source": {"n": n, "d": 2, "v": [1] + [0] * (n - 1), "w": [0] * n},
+             "target": {"n": n, "d": 2, "v": [1] * n, "w": [0] * n}},
+            {"source": {"n": n, "d": 2, "v": [0] * n, "w": [1] + [0] * (n - 1)},
+             "target": {"n": n, "d": 2, "v": [0] * n, "w": [1] * (n - 1) + [0]}}]})
+        env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parent.parent), "OPENBLAS_NUM_THREADS": "1"}
+
+        def capped(*argv):
+            return subprocess.run([sys.executable, "-c", CAPPED_DISPATCH, "clifford-synth", "--map", spec, *argv],
+                                  env=env, capture_output=True, text=True, timeout=120)
+
+        proc = capped()
+        assert proc.returncode == 0, proc.stderr
+        rep = report_of(proc.stdout)
+        assert set(_checks(rep)) == {"admissible", "is_clifford", "images_reproduced"}
+        assert all(c["passed"] for c in rep["checks"])
+        path = tmp_path / "u.json"
+        proc = capped("--out", str(path))
+        assert proc.returncode == 1, proc.stderr
+        assert "exceeds 2^22 elements" in report_of(proc.stdout)["outputs"]["error"]
+        assert not path.exists()

@@ -1,9 +1,12 @@
-"""The tableau certificate of synthesized Cliffords against the dense checks it replaced.
+"""The certificates of synthesized Cliffords against the dense checks they replaced.
 
-``synthesize_clifford`` accepts U on the 2n residuals ||U g - g' U|| of its
-completed tableau and on a Schur-lemma bound on its unitarity; the dense
-Gram (``isometry_residual``), ``image_residual`` and ``is_clifford`` stay as
-the oracles these tests hold it to.
+``synthesize_clifford`` accepts phi0 and its completed tableau on the
+abstract certificate: integer checks of the tableau and bounds, from
+||Z'_k phi0 - phi0||, on the 2n residuals ||U g - g' U|| of the dense U and
+on its unitarity.  The dense U, built when it is read, is accepted on those
+residuals measured on it and on a Schur-lemma bound on its unitarity.  The
+dense Gram (``isometry_residual``), ``image_residual`` and ``is_clifford``
+stay as the oracles these tests hold both to.
 """
 
 import json
@@ -23,7 +26,7 @@ from mftn.errors import InadmissibleMapError
 from mftn.peps import peps_split_polar, topo_solution
 from mftn.tensors import PAULI_FLOOR, VERDICT_FLOOR, isometry_residual
 
-from conftest import x_power_alpha
+from conftest import perfbench_module, x_power_alpha
 from oracles import complete_symplectic_by_full_reduction, joint_eigenvector_by_projection
 
 
@@ -135,6 +138,7 @@ class TestCertificateAgainstTheDenseOracles:
         tracemalloc.start()
         try:
             got = synthesize(m)
+            got.data
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -304,3 +308,155 @@ def test_no_subcommand_computes_the_gram_of_a_synthesized_clifford(monkeypatch, 
         assert cli.dispatch(argv) == 0, argv
         checks = {c["name"]: c["passed"] for c in json.loads(capsys.readouterr().out)["checks"]}
         assert checks[check] and all(checks.values()), argv
+
+
+# -- the abstract certificate -------------------------------------------------
+
+
+def assert_bounds_cover_the_dense_certificate(got, m):
+    """The abstract certificate against the dense one and the dense oracles: every bound at
+    or above the residual the dense certificate measures on the filled U, the isometry bound
+    at or above its Gram, and the same verdict as ``is_clifford``."""
+    u = got.data
+    assert all(b >= r for b, r in zip(got.x_bounds + got.z_bounds, got.x_residuals + got.z_residuals))
+    for src, tgt in m.images:
+        assert got.bound(src) >= image_residual(u, src, tgt)
+    assert got.isometry_bound >= isometry_residual(u)
+    assert got.certified == got.is_clifford == is_clifford(u, m.n, m.d)
+
+
+class TestAbstractCertificateAgainstTheDenseOracles:
+    @settings(max_examples=40, deadline=None)
+    @given(m=admissible_maps())
+    @example(m=GHZ)
+    @example(m=QUTRIT)
+    @example(m=odd_ghz(3))
+    @example(m=SHIFTED_QUTRIT)
+    def test_random_admissible_maps(self, m):
+        got = synthesize_clifford(m)
+        assert got.certified
+        assert_bounds_cover_the_dense_certificate(got, m)
+
+    def test_every_map_the_clifford_workload_draws(self, monkeypatch, capsys):
+        """The maps of the first clifford cycle at seeds 0-2: the random 8-qubit, 5-qutrit and
+        2-qutrit syntheses, GHZ, and the Clifford forms of check-peps (WH:3, WH:2) and decompose-mps."""
+        maps = []
+
+        def record(m):
+            maps.append(m)
+            return synthesize(m)
+
+        synthesize = qc.synthesize_clifford
+        monkeypatch.setattr(qc, "synthesize_clifford", record)
+        workloads = perfbench_module("workloads")
+        for seed in range(3):
+            for item in workloads.cycle("clifford", seed, 0):
+                assert cli.dispatch(item.argv) == 0, item.kind
+        capsys.readouterr()
+        assert len(maps) == 27
+        assert {(m.n, m.d) for m in maps} == {(8, 2), (5, 3), (2, 3), (3, 2), (6, 3), (6, 2)}
+        for m in maps:
+            assert_bounds_cover_the_dense_certificate(synthesize(m), m)
+
+
+def _certify_phi0(phi0, m):
+    return qc._abstract_certified(phi0, m.images, *complete_tableau(m))
+
+
+def _basis_vector(dim, j):
+    e = np.zeros(dim, dtype=complex)
+    e[j] = 1.0
+    return e
+
+
+@pytest.mark.parametrize("m", [GHZ, QUTRIT], ids=["ghz", "qutrit"])
+class TestAbstractRefusals:
+    """Both refusals on a scaled or perturbed phi0, pinned at 0.99x and 1.01x of their bounds,
+    as the dense refusals are pinned on a scaled or perturbed U."""
+
+    def test_unitarity_refusal_at_its_bound(self, m):
+        """phi0 scaled by c scales U by c: isometry_residual(c U) = (c^2 - 1) / sqrt(dim)."""
+        phi0 = synthesize_clifford(m).phi0
+        got = _certify_phi0(_scaled(phi0, 0.99 * VERDICT_FLOOR), m)
+        assert_bounds_cover_the_dense_certificate(got, m)
+        with pytest.raises(InadmissibleMapError, match="non-unitary"):
+            _certify_phi0(_scaled(phi0, 1.01 * VERDICT_FLOOR), m)
+
+    def test_image_refusal_at_its_bound(self, m):
+        """phi0 + s e with s set so that the worst requested bound, sqrt(dim) s ||Z' e - e||,
+        is 0.99x or 1.01x of VERDICT_FLOOR dim.  Below that the bound breaks the unitarity
+        bound, so the refusal is the other one."""
+        phi0 = synthesize_clifford(m).phi0
+        dim = len(phi0)
+        e = _basis_vector(dim, 1)  # |0..01>, which every requested Z image here moves
+        per_unit = max(np.sqrt(dim) * np.linalg.norm(tgt.matrix() @ e - e)
+                       for src, tgt in m.images if qc._generator_kind(src)[0] == "Z")
+        limit = VERDICT_FLOOR * dim
+        with pytest.raises(InadmissibleMapError, match="non-unitary"):
+            _certify_phi0(phi0 + 0.99 * limit / per_unit * e, m)
+        with pytest.raises(InadmissibleMapError, match="fails a requested image"):
+            _certify_phi0(phi0 + 1.01 * limit / per_unit * e, m)
+
+    @pytest.mark.parametrize("size", [1e-13, 1e-11])
+    def test_bounds_hold_on_a_perturbed_phi0(self, m, size):
+        phi0 = synthesize_clifford(m).phi0
+        got = _certify_phi0(phi0 + size * _basis_vector(len(phi0), 1), m)
+        assert max(got.z_bounds) > 0.5 * size * np.sqrt(len(phi0))  # the perturbation shows
+        assert_bounds_cover_the_dense_certificate(got, m)
+
+    def test_a_completed_image_with_its_phase_moved_is_refused(self, m):
+        """(e^{i pi / d} P)^d = -P^d: one step of the phase exponent breaks the order."""
+        phi0 = synthesize_clifford(m).phi0
+        tx, tz = complete_tableau(m)
+        free = next(k for k in range(m.n) if all(qc._generator_kind(src)[1] != k for src, _ in m.images))
+        for images in (tx, tz):
+            t = images[free]
+            images[free] = PauliVector(t.n, t.d, t.v, t.w, t.phase_exp + 1)
+            with pytest.raises(InadmissibleMapError, match="order d"):
+                qc._abstract_certified(phi0, m.images, tx, tz)
+            images[free] = t
+        src, tgt = m.images[0]  # a requested image moved no longer holds the request
+        kind, slot = qc._generator_kind(src)
+        images = tx if kind == "X" else tz
+        images[slot] = PauliVector(tgt.n, tgt.d, tgt.v, tgt.w, tgt.phase_exp + 1)
+        with pytest.raises(InadmissibleMapError, match="requested image"):
+            qc._abstract_certified(phi0, m.images, tx, tz)
+
+    def test_a_non_commuting_pair_is_refused(self, m):
+        """A free slot's X image replaced by a requested slot's: it then fails to commute
+        with that slot's Z image, where X and Z of different slots commute."""
+        phi0 = synthesize_clifford(m).phi0
+        tx, tz = complete_tableau(m)
+        _, slot = qc._generator_kind(m.images[0][0])
+        free = next(k for k in range(m.n) if k != slot)
+        tx[free] = tx[slot]
+        with pytest.raises(InadmissibleMapError, match="do not commute"):
+            qc._abstract_certified(phi0, m.images, tx, tz)
+
+
+def ghz_like(n):
+    """X_0 -> X..X and Z_0 -> Z..Z I on n qubits: the two images anticommute."""
+    return PartialCliffordMap(n, 2, (
+        (PauliVector.x_gen(n, 2, 0), xz(n, 2, [1] * n, [0] * n)),
+        (PauliVector.z_gen(n, 2, 0), xz(n, 2, [0] * n, [1] * (n - 1) + [0])),
+    ))
+
+
+def map_spec(m):
+    return json.dumps({"n": m.n, "d": m.d, "images": [
+        {"source": src.to_json(), "target": tgt.to_json()} for src, tgt in m.images]})
+
+
+def test_clifford_synth_without_out_holds_no_dense_unitary(capsys):
+    """10 qubits: a dense U would be 16 MiB; the report is read from phi0 and the tableau."""
+    spec = map_spec(ghz_like(10))
+    qc._digit_table.cache_clear()
+    tracemalloc.start()
+    try:
+        code = cli.dispatch(["clifford-synth", "--map", spec])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 0, capsys.readouterr().out
+    assert all(c["passed"] for c in json.loads(capsys.readouterr().out)["checks"])
+    assert peak < 1 << 20

@@ -11,6 +11,7 @@ would show.
 """
 
 import collections
+import functools
 import json
 import re
 import tracemalloc
@@ -178,6 +179,32 @@ def test_batches_stay_within_the_front_bound(monkeypatch):
         tracemalloc.stop()
     assert count == 1000
     assert peak <= 16 * protocol.MAX_DENSE_ELEMENTS
+
+
+def test_one_processing_order_sort_per_patch(monkeypatch):
+    """The Kahn sort runs once for a 100-trial batch, not once per trial's routing;
+    a cyclic flow is not cached and still raises at every routing."""
+    sorts = []
+    kahn = PepsPatch.processing_order.func
+
+    def counted(self):
+        sorts.append(self)
+        return kahn(self)
+
+    order = functools.cached_property(counted)
+    order.__set_name__(PepsPatch, "processing_order")
+    monkeypatch.setattr(PepsPatch, "processing_order", order)
+    patch = toric_patch(2, 2)
+    assert protocol.MAX_DENSE_ELEMENTS // protocol._trial_elements(patch) >= 100  # one batch
+    runs = list(run_peps_trials(patch, range(100)))
+    assert len(runs) == 100 and all(run.success for run in runs)
+    assert sorts == [patch]
+    site = patch.grid[0][0]
+    cyclic = PepsPatch([[site, site], [site, site]], [["ur", "dr"], ["ul", "dl"]])  # defects circle the plaquette
+    for _ in range(2):
+        with pytest.raises(DefectStuckError, match="cyclic"):
+            list(run_peps_trials(cyclic, range(3)))
+    assert sorts == [patch, cyclic, cyclic]
 
 
 @pytest.fixture()

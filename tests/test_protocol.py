@@ -452,9 +452,9 @@ def test_processing_order_respects_the_emission_graph(toric_site, orient):
         list(graphlib.TopologicalSorter(feeders).static_order())
     except graphlib.CycleError:
         with pytest.raises(DefectStuckError):
-            patch.processing_order()
+            patch.processing_order
         return
-    order = patch.processing_order()
+    order = patch.processing_order
     assert sorted(order) == sorted(graph)
     position = {site: k for k, site in enumerate(order)}
     assert all(position[emitter] < position[receiver] for emitter in graph for receiver in graph[emitter])

@@ -7,22 +7,12 @@ resolves them: a module attribute, or an attribute a class defines itself.
 """
 
 import importlib
-import importlib.util
-import sys
-from pathlib import Path
 
-SPANS = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
+from conftest import perfbench_module
 
 
 def layer_targets():
-    spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS)
-    module = importlib.util.module_from_spec(spec)
-    sys.modules[spec.name] = module  # its dataclasses look their module up while it runs
-    try:
-        spec.loader.exec_module(module)
-    finally:
-        del sys.modules[spec.name]
-    return list(module.LAYER_METRICS)
+    return list(perfbench_module("spans").LAYER_METRICS)
 
 
 def resolve(target):

@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
-from mftn.errors import DimensionMismatchError, LegError
-from mftn.tensors import DenseTensor, contract, fix_global_phase, polar_nd
+from mftn.errors import DimensionMismatchError, LegError, NumericalRangeError
+from mftn.tensors import DenseTensor, contract, fix_global_phase, polar_nd, procrustes_unitary
 
 from conftest import random_complex
 from oracles import projector_onto
@@ -126,3 +126,38 @@ class TestPhaseFix:
     def test_lead_is_the_largest_entry_otherwise(self):
         v = np.array([0.1j, -0.9, 0.3])
         np.testing.assert_allclose(fix_global_phase(v), -v, atol=1e-15)
+
+
+class TestProcrustes:
+    def test_a_stack_fits_each_pair(self, rng):
+        target, source = random_complex(rng, 3, 4, 4), random_complex(rng, 3, 4, 4)
+        got = procrustes_unitary(target, source)
+        for k in range(3):
+            assert np.array_equal(got[k], procrustes_unitary(target[k], source[k]))
+            np.testing.assert_allclose(got[k].conj().T @ got[k], np.eye(4), atol=1e-12)
+
+    def test_a_stack_lapack_refuses_is_factored_by_its_conjugate_transpose(self, rng, monkeypatch):
+        """gesdd can fail to converge where the conjugate transpose converges; the polar
+        factor of M† is that of M, conjugated and transposed."""
+        target, source = random_complex(rng, 3, 4, 4), random_complex(rng, 3, 4, 4)
+        want = procrustes_unitary(target, source)
+        svd, factored = np.linalg.svd, []
+
+        def refuse_the_first(m, *args, **kwargs):
+            factored.append(m)
+            if len(factored) == 1:
+                raise np.linalg.LinAlgError("SVD did not converge")
+            return svd(m, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", refuse_the_first)
+        got = procrustes_unitary(target, source)
+        assert len(factored) == 2 and np.array_equal(factored[1], factored[0].conj().swapaxes(-1, -2))
+        np.testing.assert_allclose(got, want, atol=1e-12)
+
+    def test_a_stack_refused_both_ways_raises(self, rng, monkeypatch):
+        def refuse(m, *args, **kwargs):
+            raise np.linalg.LinAlgError("SVD did not converge")
+
+        monkeypatch.setattr(np.linalg, "svd", refuse)
+        with pytest.raises(NumericalRangeError, match="did not converge"):
+            procrustes_unitary(random_complex(rng, 4, 4), random_complex(rng, 4, 4))
