@@ -8,14 +8,13 @@ Z images, so the requested conjugation relations hold exactly, phases included.
 Every Pauli string is a phased permutation (``PauliVector.monomial``), so
 synthesis and the Clifford checks apply strings to vectors and never multiply
 dense Pauli matrices.  A synthesized U is kept as its completed tableau and
-phi0 = U e_0, and accepted on an abstract certificate in O(n d^n): exact
-integer checks of the tableau and the measured ||Z'_k phi0 - phi0||, which
-bound the 2n residuals ||U g - g' U|| of the dense U and, by Schur's lemma,
-its unitarity.  The dense U is built only when it is read, and certified
-then on its tableau residuals, each a monomial comparison on it, in
-O(n d^2n) with no Gram matrix.  ``is_clifford`` (which still forms U U†,
-O(d^3n)), ``image_residual`` and ``isometry_residual`` are the dense checks
-both are tested against.
+phi0 = U e_0, and accepted on one certificate in O(n d^n): exact integer
+checks of the tableau and the measured ||Z'_k phi0 - phi0||, which bound the
+2n residuals ||U g - g' U|| of the dense U that ``_filled`` builds, round-off
+included, and, by Schur's lemma, its unitarity.  The dense U is built only
+when it is read.  ``is_clifford`` (which forms U U†, O(d^3n)),
+``image_residual`` and ``isometry_residual`` are the dense checks the
+certificate is tested against.
 """
 
 from __future__ import annotations
@@ -30,8 +29,6 @@ from .basis import shift_clock
 from .errors import DimensionMismatchError, InadmissibleMapError, NonPrimeDimensionError, SizeGuardError
 from .tensors import (DEFAULT_TOL, MAX_DENSE_ELEMENTS, PAULI_FLOOR, UNITARY_INPUT_BOUND, VERDICT_FLOOR, DenseTensor,
                       fix_global_phase, isometry_residual)
-
-_BLOCK_ELEMENTS = 1 << 14  # entries of U per row block of the tableau residuals: 256 KiB, cache-sized
 
 
 @dataclass(frozen=True)
@@ -75,6 +72,16 @@ class PauliVector:
 
     def is_identity(self) -> bool:
         return all(x == 0 for x in self.v) and all(x == 0 for x in self.w) and self.phase_exp == 0
+
+    def has_order_d(self) -> bool:
+        """Whether self^d is the identity, phase included, in O(n).
+
+        Composing the j-th factor adds 2 j v.w to the phase exponent
+        (``compose``), so self^d has X and Z parts 0 and phase exponent
+        d (p + (d - 1) v.w) mod 2d: it is the identity exactly when
+        p + (d - 1) v.w is even.
+        """
+        return (self.phase_exp + _order_fixed_phase(self.d, self.v, self.w)) % 2 == 0
 
     def sympl(self) -> np.ndarray:
         """(v_1..v_n, w_1..w_n) as a vector over Z_d."""
@@ -292,7 +299,7 @@ def check_admissible(m: PartialCliffordMap) -> AdmissibilityReport:
             )
     order_ok = True
     for src, tgt in m.images:
-        if not tgt.power(m.d).is_identity():
+        if not tgt.has_order_d():
             order_ok = False
             failures.append(f"order: image of {_generator_kind(src)} has (target)^d != I")
     return AdmissibilityReport(comm_ok, order_ok, failures)
@@ -345,14 +352,9 @@ def _complete_symplectic(given: list[tuple[np.ndarray, np.ndarray]], n: int, d: 
     return pairs
 
 
-def _order_fixed_phase(n: int, d: int, v, w) -> int:
-    """Smallest phase exponent making (phase * XZ(v,w))^d the exact identity."""
-    base = PauliVector(n, d, tuple(v), tuple(w), 0)
-    acc = base.power(d)
-    for p in range(2 * d):
-        if (d * p + acc.phase_exp) % (2 * d) == 0:
-            return p
-    raise InadmissibleMapError("no phase renders the completed generator order d")
+def _order_fixed_phase(d: int, v, w) -> int:
+    """Smallest phase exponent making (phase * XZ(v,w))^d the exact identity (``has_order_d``)."""
+    return (d - 1) * sum(int(x) * int(y) for x, y in zip(v, w)) % 2
 
 
 def complete_tableau(m: PartialCliffordMap) -> tuple[list[PauliVector], list[PauliVector]]:
@@ -389,8 +391,8 @@ def complete_tableau(m: PartialCliffordMap) -> tuple[list[PauliVector], list[Pau
     for s, imgs in by_slot.items():
         tx[s], tz[s] = imgs["X"], imgs["Z"]
     for s, (u, v) in zip(free_slots, full_pairs[len(given_slots):]):
-        pu = _order_fixed_phase(n, d, u[:n], u[n:])
-        pv = _order_fixed_phase(n, d, v[:n], v[n:])
+        pu = _order_fixed_phase(d, u[:n], u[n:])
+        pv = _order_fixed_phase(d, v[:n], v[n:])
         tx[s] = PauliVector(n, d, tuple(u[:n]), tuple(u[n:]), pu)
         tz[s] = PauliVector(n, d, tuple(v[:n]), tuple(v[n:]), pv)
     return tx, tz
@@ -402,72 +404,21 @@ def _of_generator(xs, zs, src: PauliVector) -> float:
     return (xs if kind == "X" else zs)[slot]
 
 
-def _within_pauli_floor(figures, dim: int) -> bool:
-    """Every generator within PAULI_FLOOR sqrt(dim) of its tableau image.
-
-    ``is_clifford`` holds the string it reads off U to the same bound; here
-    the string is the tableau's image, named in advance.
-    """
-    return all(r <= PAULI_FLOOR * np.sqrt(dim) for r in figures)
-
-
-def _refuse_unless(figure, unitarity: float, images, dim: int) -> None:
-    """Refuse unless figure(src) <= VERDICT_FLOOR * dim for every requested
-    source and the unitarity bound is at most VERDICT_FLOOR."""
-    if not all(figure(src) <= VERDICT_FLOOR * dim for src, _ in images):
-        raise InadmissibleMapError("synthesized unitary fails a requested image")
-    if not unitarity <= VERDICT_FLOOR:
-        raise InadmissibleMapError("synthesis produced a non-unitary map")
-
-
-@dataclass(frozen=True)
-class DenseClifford:
-    """A dense U and the tableau certificate it was accepted on (``_certified``).
-
-    ``x_residuals[k]`` and ``z_residuals[k]`` are ||U X_k - X'_k U||_F and
-    ||U Z_k - Z'_k U||_F for the completed tableau's images X'_k and Z'_k,
-    the requested images among them; ``unitarity_bound`` is an upper bound
-    on ``isometry_residual(U)`` (``_unitarity_bound``).
-    """
-
-    tensor: DenseTensor
-    x_residuals: tuple[float, ...]
-    z_residuals: tuple[float, ...]
-    unitarity_bound: float
-
-    @property
-    def data(self) -> np.ndarray:
-        return self.tensor.data
-
-    def to_json(self) -> dict:
-        return self.tensor.to_json()
-
-    def residual(self, src: PauliVector) -> float:
-        """The residual of the bare generator src."""
-        return _of_generator(self.x_residuals, self.z_residuals, src)
-
-    @property
-    def is_clifford(self) -> bool:
-        return _within_pauli_floor(self.x_residuals + self.z_residuals, len(self.data))
-
-
 @dataclass(frozen=True, eq=False)
 class SynthesizedClifford:
     """A Clifford U held as its completed tableau and phi0 = U e_0, U e_c = X'^c phi0.
 
-    It is accepted on the abstract certificate (``_abstract_certified``):
+    It is accepted on its certificate (``_certify``):
     ``x_bounds[k]`` and ``z_bounds[k]`` bound ||U X_k - X'_k U||_F and
     ||U Z_k - Z'_k U||_F of the dense U, and ``isometry_bound`` bounds its
-    ``isometry_residual``.  The dense U (``dense``) is built on first read,
-    of it or of the names it lends: ``tensor``, ``data``, ``to_json``, and
-    the residuals measured on it, ``x_residuals``, ``z_residuals``,
-    ``unitarity_bound``, ``residual`` and ``is_clifford``.
+    ``isometry_residual``.  The dense U (``tensor``, ``data``, ``to_json``)
+    is built on first read and not measured again: the bounds already hold
+    for the array ``_filled`` writes.
     """
 
     phi0: np.ndarray
     tx: tuple[PauliVector, ...]
     tz: tuple[PauliVector, ...]
-    images: tuple[tuple[PauliVector, PauliVector], ...]
     x_bounds: tuple[float, ...]
     z_bounds: tuple[float, ...]
     isometry_bound: float
@@ -478,47 +429,25 @@ class SynthesizedClifford:
 
     @property
     def certified(self) -> bool:
-        """The verdict ``is_clifford`` gives, from the bounds."""
-        return _within_pauli_floor(self.x_bounds + self.z_bounds, len(self.phi0))
+        """The verdict ``is_clifford`` gives: every generator within PAULI_FLOOR sqrt(dim)
+        of its image.  ``is_clifford`` holds the string it reads off U to the same bound;
+        here the string is the tableau's image, named in advance."""
+        return all(r <= PAULI_FLOOR * np.sqrt(len(self.phi0)) for r in self.x_bounds + self.z_bounds)
 
     @functools.cached_property
-    def dense(self) -> DenseClifford:
-        """The dense U, refused with SizeGuardError past MAX_DENSE_ELEMENTS before it is
-        allocated, and handed out only once its tableau certificate accepts it."""
+    def tensor(self) -> DenseTensor:
+        """The dense U, refused with SizeGuardError past MAX_DENSE_ELEMENTS before it is allocated."""
         dim = len(self.phi0)
         if dim * dim > MAX_DENSE_ELEMENTS:
             raise SizeGuardError(f"a dense {dim} x {dim} Clifford exceeds 2^22 elements")
-        return _certified(_filled(self.phi0, self.tx), self.images, self.tx, self.tz)
-
-    @property
-    def tensor(self) -> DenseTensor:
-        return self.dense.tensor
+        return DenseTensor(_filled(self.phi0, self.tx), ("out", "in"), copy=False)
 
     @property
     def data(self) -> np.ndarray:
-        return self.dense.data
+        return self.tensor.data
 
     def to_json(self) -> dict:
-        return self.dense.to_json()
-
-    @property
-    def x_residuals(self) -> tuple[float, ...]:
-        return self.dense.x_residuals
-
-    @property
-    def z_residuals(self) -> tuple[float, ...]:
-        return self.dense.z_residuals
-
-    @property
-    def unitarity_bound(self) -> float:
-        return self.dense.unitarity_bound
-
-    def residual(self, src: PauliVector) -> float:
-        return self.dense.residual(src)
-
-    @property
-    def is_clifford(self) -> bool:
-        return self.dense.is_clifford
+        return self.tensor.to_json()
 
 
 def synthesize_clifford(m: PartialCliffordMap) -> SynthesizedClifford:
@@ -526,12 +455,12 @@ def synthesize_clifford(m: PartialCliffordMap) -> SynthesizedClifford:
 
     U is the completed tableau (``complete_tableau``) and the joint +1
     eigenstate phi0 of the Z images, U e_c = X'^c phi0, every string applied
-    as a monomial.  It is accepted on its abstract certificate
-    (``_abstract_certified``) in O(n d^n); the dense U is built and
-    certified only when it is read (``SynthesizedClifford.dense``).
+    as a monomial.  It is accepted on its certificate (``_certify``) in
+    O(n d^n); the dense U is built only when it is read
+    (``SynthesizedClifford.tensor``).
     """
     tx, tz = complete_tableau(m)
-    return _abstract_certified(_joint_eigenvector(tz, m.d**m.n), m.images, tx, tz)
+    return _certify(_joint_eigenvector(tz, m.d**m.n), m.images, tx, tz)
 
 
 def _filled(phi0: np.ndarray, tx) -> np.ndarray:
@@ -548,24 +477,18 @@ def _filled(phi0: np.ndarray, tx) -> np.ndarray:
     return u
 
 
-def _certified(u: np.ndarray, images, tx, tz) -> DenseClifford:
-    """U with its certificate, refused unless every requested image holds to
-    VERDICT_FLOOR * dim and the unitarity bound to VERDICT_FLOOR."""
-    xs, zs, norm = _tableau_residuals(u, tx, tz)
-    out = DenseClifford(DenseTensor(u, ("out", "in"), copy=False), xs, zs,
-                        _unitarity_bound(max(xs + zs), norm, len(tx), tx[0].d))
-    _refuse_unless(out.residual, out.unitarity_bound, images, len(u))
-    return out
-
-
-def _abstract_certified(phi0: np.ndarray, images, tx, tz) -> SynthesizedClifford:
-    """phi0 and the tableau with their abstract certificate: refused unless the
-    tableau passes its integer checks (``_check_tableau``), then with the
-    refusals of ``_certified`` applied to the bounds (``_abstract_bounds``)."""
+def _certify(phi0: np.ndarray, images, tx, tz) -> SynthesizedClifford:
+    """phi0 and the tableau with their certificate: refused unless the tableau
+    passes its integer checks (``_check_tableau``), every requested image's
+    bound (``_abstract_bounds``) is at most VERDICT_FLOOR * dim and the
+    isometry bound at most VERDICT_FLOOR."""
     _check_tableau(images, tx, tz)
     xs, zs, isometry = _abstract_bounds(phi0, tx, tz)
-    out = SynthesizedClifford(phi0, tuple(tx), tuple(tz), tuple(images), xs, zs, isometry)
-    _refuse_unless(out.bound, isometry, images, len(phi0))
+    out = SynthesizedClifford(phi0, tuple(tx), tuple(tz), xs, zs, isometry)
+    if not all(out.bound(src) <= VERDICT_FLOOR * len(phi0) for src, _ in images):
+        raise InadmissibleMapError("synthesized unitary fails a requested image")
+    if not isometry <= VERDICT_FLOOR:
+        raise InadmissibleMapError("synthesis produced a non-unitary map")
     return out
 
 
@@ -587,14 +510,13 @@ def _check_tableau(images, tx, tz) -> None:
     eye, zero = np.eye(n, dtype=np.int64), np.zeros((n, n), dtype=np.int64)
     if not np.array_equal((w @ v.T - v @ w.T) % d, np.block([[zero, -eye], [eye, zero]]) % d):
         raise InadmissibleMapError("the tableau's images do not commute as the generators do")
-    for t in rows:
-        if not t.power(d).is_identity():
-            raise InadmissibleMapError("a tableau image does not have order d with phase exponent 0")
+    if not all(t.has_order_d() for t in rows):
+        raise InadmissibleMapError("a tableau image does not have order d with phase exponent 0")
 
 
 def _abstract_bounds(phi0: np.ndarray, tx, tz):
     """(bounds on the X residuals, on the Z residuals, on the isometry residual) of the U
-    ``_filled`` builds, as ``_tableau_residuals`` and ``isometry_residual`` compute them.
+    ``_filled`` builds, as ``image_residual`` and ``isometry_residual`` compute them.
 
     In exact arithmetic, U e_c = X'^c phi0 and a tableau that passes
     ``_check_tableau`` give U X_k = X'_k U (the X' commute, and X'_k^d = I
@@ -617,7 +539,7 @@ def _abstract_bounds(phi0: np.ndarray, tx, tz):
       norm of dim terms by a factor of at most 1 + dim eps, so r_k <=
       (1 + dim eps) r^_k + delta ||phi0|| from the computed r^_k, and
       ||phi0|| <= (1 + dim eps) times its computed value.
-    ``_unitarity_bound`` then applies unchanged to the largest bound, at
+    ``_isometry_bound`` then applies unchanged to the largest bound, at
     either end of the range (1 -+ g_m) sqrt(dim) ||phi0|| of ||U||_F.
     """
     n, d, dim = len(tx), tx[0].d, len(phi0)
@@ -632,40 +554,10 @@ def _abstract_bounds(phi0: np.ndarray, tx, tz):
     xs = (sums * moved,) * n
     zs = tuple(sums * (np.sqrt(dim) * r_k + moved) for r_k in r)
     ends = ((1 - fill) * np.sqrt(dim) * computed / grow, (1 + fill) * np.sqrt(dim) * norm)
-    return xs, zs, max(_unitarity_bound(max(xs + zs), end, n, d) for end in ends)
+    return xs, zs, max(_isometry_bound(max(xs + zs), end, n, d) for end in ends)
 
 
-def _tableau_residuals(u: np.ndarray, tx, tz):
-    """(||U X_k - X'_k U||_F for each k, ||U Z_k - Z'_k U||_F for each k, ||U||_F).
-
-    Every side is a monomial move of U: U X_k gathers the columns of U by
-    X_k's permutation (column digit k steps up by one, wrapping at d), U Z_k
-    multiplies column c by omega^(digit k of c), and row r of P' U is
-    phases[i] times row i of U, i = perm^-1(r).  The comparison runs one
-    cache-sized block of rows at a time, so no dim x dim temporary is built.
-    """
-    n, d, dim = len(tx), tx[0].d, len(u)
-    sides = []  # (perm^-1 of the image, its phases in row order, the generator's column move)
-    for g, t in enumerate(tx + tz):
-        perm, phases = t.monomial()
-        inv = np.empty_like(perm)
-        inv[perm] = np.arange(dim)
-        move = PauliVector.x_gen(n, d, g).monomial()[0] if g < n else PauliVector.z_gen(n, d, g - n).monomial()[1]
-        sides.append((inv, phases[inv][:, None], move))
-    rows = max(1, _BLOCK_ELEMENTS // dim)
-    squares, norm_sq = np.zeros(2 * n), 0.0
-    for r0 in range(0, dim, rows):
-        block = u[r0:r0 + rows]
-        norm_sq += np.vdot(block, block).real
-        for g, (inv, phases, move) in enumerate(sides):
-            diff = phases[r0:r0 + rows] * u[inv[r0:r0 + rows]]  # rows r0 .. r0 + rows of P' U
-            diff -= block[:, move] if g < n else block * move
-            squares[g] += np.vdot(diff, diff).real
-    res = [float(r) for r in np.sqrt(squares)]
-    return tuple(res[:n]), tuple(res[n:]), float(np.sqrt(norm_sq))
-
-
-def _unitarity_bound(eps: float, norm: float, n: int, d: int) -> float:
+def _isometry_bound(eps: float, norm: float, n: int, d: int) -> float:
     """An upper bound on ``isometry_residual(U)`` from U's tableau residuals.
 
     eps is the largest generator residual and norm = ||U||_F.  With G = U†U,

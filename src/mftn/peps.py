@@ -112,13 +112,14 @@ def peps_split_polar(A: PEPSTensor, tol: float = DEFAULT_TOL) -> PepsPolarSplit:
 
     Parts (i) and (ii) (null-space match and commutants) are always verified;
     the sideways Clifford form is attached for prime-D Weyl-Heisenberg bases
-    and skipped with a recorded reason otherwise.
+    whose dense U_C is within MAX_DENSE_ELEMENTS, and skipped with a
+    recorded reason otherwise.
     """
     check_peps_mf_symmetry(A, tol).require("PEPS MF symmetry fails with residual %.3e")
     split = polar_structure(A, tol, PepsPolarSplit)
     try:
         split.clifford = clifford_form(split, A.basis)
-    except (NonPrimeDimensionError, NonGroupBasisError, SymmetryError) as exc:
+    except (NonPrimeDimensionError, NonGroupBasisError, SymmetryError, SizeGuardError) as exc:
         split.clifford_error = str(exc)
     return split
 

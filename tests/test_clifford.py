@@ -8,6 +8,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from mftn import cli
+from mftn import clifford as qc
 from mftn.clifford import (
     PartialCliffordMap,
     PauliVector,
@@ -106,6 +107,17 @@ class TestAdmissibility:
         assert check_admissible(good).order_ok
         m = xz(1, 2, [1], [1], 1).matrix()
         np.testing.assert_allclose(m @ m, np.eye(2), atol=1e-12)
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data(), d=st.integers(2, 7), n=st.integers(1, 4))
+    def test_closed_form_order_matches_the_power(self, data, d, n):
+        """(e^{i pi p / d} XZ(v, w))^d = I exactly when p + (d - 1) v.w is even, composite d included;
+        ``power`` composes d factors one at a time."""
+        digits = st.lists(st.integers(0, d - 1), min_size=n, max_size=n)
+        v, w = data.draw(digits), data.draw(digits)
+        p = data.draw(st.integers(0, 2 * d - 1))
+        assert xz(n, d, v, w, p).has_order_d() == xz(n, d, v, w, p).power(d).is_identity()
+        assert xz(n, d, v, w, qc._order_fixed_phase(d, v, w)).power(d).is_identity()
 
 
 class TestSynthesis:
