@@ -258,7 +258,7 @@ def _cmd_decompose_mps(args, report):
     corr = mps_mod.correction_consistency(split, report.tol)
     report.check("correction_consistency", corr.passed, max(corr.residuals, default=0.0))
     try:
-        form = mps_mod.clifford_magic_decompose(split, A.basis)
+        form = mps_mod.clifford_magic_decompose(split)
         resid = form.reconstruction_residual
         report.check("clifford_magic_reconstruction", resid < max(report.tol, VERDICT_FLOOR), resid)
         report.outputs["psi_is_stabilizer"] = mps_mod.is_stabilizer_state(form.psi, 2, A.D)
@@ -312,11 +312,12 @@ def _cmd_check_peps(args, report):
     split = peps_mod.peps_split_polar(q, tol)
     worst = max(split.commutant_residuals, default=0.0)
     report.check("q_commutants", worst < max(report.tol, COMMUTANT_FLOOR), worst)
-    if split.clifford is None:
-        report.outputs["clifford_skipped"] = split.clifford_error
-    else:
-        resid = split.clifford.reconstruction_residual
+    try:
+        form = mps_mod.clifford_magic_decompose(split)
+        resid = form.reconstruction_residual
         report.check("clifford_form", resid < max(report.tol, VERDICT_FLOOR), resid)
+    except MftnError as exc:
+        report.outputs["clifford_skipped"] = str(exc)
     report.outputs["rank"] = split.rank
     report.outputs["injective"] = split.rank == q.D**4
 

@@ -439,7 +439,7 @@ class SynthesizedClifford:
         """The dense U, refused with SizeGuardError past MAX_DENSE_ELEMENTS before it is allocated."""
         dim = len(self.phi0)
         if dim * dim > MAX_DENSE_ELEMENTS:
-            raise SizeGuardError(f"a dense {dim} x {dim} Clifford exceeds 2^22 elements")
+            raise SizeGuardError(f"a dense {dim} x {dim} Clifford exceeds {MAX_DENSE_ELEMENTS} elements")
         return DenseTensor(_filled(self.phi0, self.tx), ("out", "in"), copy=False)
 
     @property

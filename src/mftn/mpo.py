@@ -205,7 +205,8 @@ def check_protocol_sites(n: int, d: int, D: int) -> None:
     if n > MAX_PROTOCOL_SITES:
         raise SizeGuardError(f"MPO protocol chains are capped at {MAX_PROTOCOL_SITES} sites")
     if D * D * d**n > MAX_DENSE_ELEMENTS:
-        raise SizeGuardError(f"MPO protocol states of {n} sites of dimension {d} exceed 2^22 amplitudes")
+        raise SizeGuardError(f"MPO protocol states of {n} sites of dimension {d} "
+                             f"exceed {MAX_DENSE_ELEMENTS} amplitudes")
 
 
 def _validate_mpo_chain(tensors, tol: float):

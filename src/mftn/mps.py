@@ -278,7 +278,7 @@ class PolarSplit:
     null_space_match: bool = True
 
 
-def polar_structure(A: MFTensor, tol: float, cls=PolarSplit) -> PolarSplit:
+def polar_structure(A: MFTensor, tol: float) -> PolarSplit:
     """Polar split of A's flattening with its rank, its reconstruction and
     commutant residuals (relative to ||Q||) and the null-space match of V and Q."""
     b = A.as_matrix()
@@ -286,7 +286,7 @@ def polar_structure(A: MFTensor, tol: float, cls=PolarSplit) -> PolarSplit:
     scale = max(np.linalg.norm(q), NORM_GUARD)
     commutants = (commutant(A.basis, len(A.LEGS), in_leg, c.p_in, outs) for c, in_leg, outs in A.pushes())
     rank = numerical_rank(q, tol)
-    return cls(
+    return PolarSplit(
         V=v,
         Q=q,
         R=v.conj().T @ v,
@@ -364,7 +364,6 @@ class CliffordMagicForm:
     psi: np.ndarray
     scale: float
     reconstruction_residual: float
-    basis: MFBasis
 
 
 def sideways_isometry(split: PolarSplit) -> np.ndarray:
@@ -378,43 +377,6 @@ def sideways_isometry(split: PolarSplit) -> np.ndarray:
     ins = [n + k for k in A.IN_LEGS]
     v = split.Q.reshape((D,) * (2 * n)).transpose(list(range(n)) + outs + ins)
     return v.reshape(D ** (n + len(outs)), D ** len(ins))
-
-
-def clifford_form(split: PolarSplit, basis: MFBasis) -> CliffordMagicForm:
-    """The sideways Clifford form V_Q = scale * U_C (psi x I) of Q.
-
-    U_C acts on the n legs of psi followed by one wire per in-leg.  It takes
-    the generator S (S in {X, Z}) on an in-leg's wire to S on that leg of
-    psi, times P'^† on each out-leg of psi and P'^T on its wire, where P'
-    are the images that pushing S^T through that in-leg leaves on the
-    out-legs.  psi is then read off U_C† V_Q = psi x I.
-    """
-    A = split.source
-    D, n = basis.dim, len(A.LEGS)
-    generators = wh_generators(basis)
-    if not qc._is_prime(D):
-        raise NonPrimeDimensionError("clifford form needs prime virtual dimension")
-    push_images = A.push_images()
-    out_legs = [k for k in range(n) if k not in A.IN_LEGS]
-    width = n + len(out_legs)
-    eye = np.eye(D)
-    images = []
-    for wire, in_leg in enumerate(A.IN_LEGS):
-        for gen, pre_idx in generators:
-            if (in_leg, pre_idx) not in push_images:
-                raise SymmetryError(f"no constraint pushes basis element {basis.labels[pre_idx]}")
-            outs = {leg: basis.elements[k] for leg, k in push_images[(in_leg, pre_idx)].items()}
-            inner = {leg: p.conj().T for leg, p in outs.items()}
-            inner[in_leg] = gen
-            target = [inner.get(leg, eye) for leg in range(n)] + [outs[leg].T for leg in out_legs]
-            src = qc.kron_to_pauli([gen if k == n + wire else eye for k in range(width)], D)
-            tgt = qc.kron_to_pauli(target, D)
-            if src is None or tgt is None:
-                raise SymmetryError("generator image is not a Weyl-Heisenberg string")
-            images.append((src, tgt))
-    u_c = qc.synthesize_clifford(qc.PartialCliffordMap(width, D, tuple(images))).data
-    psi, scale, resid = factor_sideways_isometry(u_c, sideways_isometry(split))
-    return CliffordMagicForm(u_c, psi, scale, resid, basis)
 
 
 def factor_sideways_isometry(u_c: np.ndarray, v_q: np.ndarray):
@@ -514,7 +476,8 @@ def solve_symmetry_family(
     triples = [(basis.index(p_in), u, basis.index(p_out)) for p_in, u, p_out in constraints]
     # the dense system: one d D^2 x d D^2 block per constraint, or the identity when there is none
     if max(1, len(triples)) * (d * D * D) ** 2 > MAX_DENSE_ELEMENTS:
-        raise SizeGuardError(f"the symmetry system for d = {d} on bond dimension {D} exceeds 2^22 elements")
+        raise SizeGuardError(f"the symmetry system for d = {d} on bond dimension {D} "
+                             f"exceeds {MAX_DENSE_ELEMENTS} elements")
     if any(u is None for _, u, _ in triples):
         triples = _solve_unknown_corrections(basis, triples, d)
     fixed = [SymmetryConstraint(*t) for t in triples]
@@ -646,16 +609,40 @@ def complete_constraints(A: MPSTensor) -> dict[int, tuple[np.ndarray, int]]:
     return known
 
 
-def clifford_magic_decompose(split: PolarSplit, basis: MFBasis) -> CliffordMagicForm:
-    """Extract the sideways Clifford form of Q (see ``clifford_form``).
+def clifford_magic_decompose(split: PolarSplit) -> CliffordMagicForm:
+    """The sideways Clifford form V_Q = scale * U_C (psi x I) of Q over its basis, or an MftnError.
 
-    A Clifford U_C is synthesized with U_C (I x I x S) U_C† equal to the
-    symmetry image (S x M(S^T)† x M(S^T)^T) of V_Q for the generators
-    S in {X, Z}; psi is then recovered from U_C† V_Q = psi x I_D.
+    U_C acts on the n legs of psi followed by one wire per in-leg.  It takes
+    the generator S (S in {X, Z}) on an in-leg's wire to S on that leg of
+    psi, times P'^† on each out-leg of psi and P'^T on its wire, where P'
+    are the images that pushing S^T through that in-leg leaves on the
+    out-legs.  psi is then read off U_C† V_Q = psi x I.
     """
-    if basis.dim != split.source.basis.dim:
-        raise DimensionMismatchError("basis mismatch with the split source")
-    return clifford_form(split, basis)
+    A = split.source
+    basis = A.basis
+    D, n = basis.dim, len(A.LEGS)
+    generators = wh_generators(basis)
+    if not qc._is_prime(D):
+        raise NonPrimeDimensionError("clifford form needs prime virtual dimension")
+    push_images = A.push_images()
+    out_legs = [k for k in range(n) if k not in A.IN_LEGS]
+    width = n + len(out_legs)
+    eye = np.eye(D)
+    images = []
+    for wire, in_leg in enumerate(A.IN_LEGS):
+        for source, (gen, pre_idx) in zip((qc.PauliVector.x_gen, qc.PauliVector.z_gen), generators):
+            if (in_leg, pre_idx) not in push_images:
+                raise SymmetryError(f"no constraint pushes basis element {basis.labels[pre_idx]}")
+            outs = {leg: basis.elements[k] for leg, k in push_images[(in_leg, pre_idx)].items()}
+            inner = {leg: p.conj().T for leg, p in outs.items()}
+            inner[in_leg] = gen
+            tgt = qc.kron_to_pauli([inner.get(leg, eye) for leg in range(n)] + [outs[leg].T for leg in out_legs], D)
+            if tgt is None:
+                raise SymmetryError("generator image is not a Weyl-Heisenberg string")
+            images.append((source(width, D, n + wire), tgt))
+    u_c = qc.synthesize_clifford(qc.PartialCliffordMap(width, D, tuple(images))).data
+    psi, scale, resid = factor_sideways_isometry(u_c, sideways_isometry(split))
+    return CliffordMagicForm(u_c, psi, scale, resid)
 
 
 def is_stabilizer_state(psi: np.ndarray, n: int, d: int) -> bool:
@@ -738,7 +725,8 @@ def block(A: MPSTensor, k: int) -> MPSTensor:
     if k == 1:
         return A
     if A.d ** (2 * k) > MAX_DENSE_ELEMENTS:
-        raise SizeGuardError(f"blocking {k} sites of dimension {A.d} builds corrections past 2^22 elements")
+        raise SizeGuardError(f"blocking {k} sites of dimension {A.d} builds corrections "
+                             f"past {MAX_DENSE_ELEMENTS} elements")
     mats = A.site_matrices()
     blocked = mats
     for _ in range(k - 1):
@@ -788,7 +776,7 @@ def pauli_expectation(family, pauli_string, tol: float = DEFAULT_TOL) -> complex
         raise DimensionMismatchError("all tensors must share one basis dimension")
     if len(pauli_string) != len(family):
         raise DimensionMismatchError("need one two-qudit Pauli per site")
-    site_forms = per_distinct(family, lambda t: clifford_magic_decompose(split_polar(t, tol), basis))
+    site_forms = per_distinct(family, lambda t: clifford_magic_decompose(split_polar(t, tol)))
 
     value = 1.0 + 0.0j
     wire = np.eye(D, dtype=np.complex128)

@@ -27,20 +27,17 @@ from .basis import MFBasis
 from .errors import (
     DimensionMismatchError,
     NonGroupBasisError,
-    NonPrimeDimensionError,
     NotPositiveError,
     NumericalRangeError,
     SizeGuardError,
     SymmetryError,
 )
 from .mps import (
-    CliffordMagicForm,
     MFTensor,
     PolarSplit,
     Push,
     SymmetryReport,
     abelian_coefficients,
-    clifford_form,
     polar_structure,
     range_unitary,
     require_abelian,
@@ -98,30 +95,12 @@ def peps_isometry_check(A: PEPSTensor, tol: float = DEFAULT_TOL):
     return gram_proportionality(A.tensor, ["left", "down"], tol)
 
 
-@dataclass
-class PepsPolarSplit(PolarSplit):
-    """A PolarSplit whose commutant residuals list the A-type constraints, then
-    the B-type ones, with the sideways Clifford form or why it was skipped."""
-
-    clifford: CliffordMagicForm | None = None
-    clifford_error: str | None = None
-
-
-def peps_split_polar(A: PEPSTensor, tol: float = DEFAULT_TOL) -> PepsPolarSplit:
-    """Polar split over the grouped D^4 virtual space plus structure checks.
-
-    Parts (i) and (ii) (null-space match and commutants) are always verified;
-    the sideways Clifford form is attached for prime-D Weyl-Heisenberg bases
-    whose dense U_C is within MAX_DENSE_ELEMENTS, and skipped with a
-    recorded reason otherwise.
-    """
+def peps_split_polar(A: PEPSTensor, tol: float = DEFAULT_TOL) -> PolarSplit:
+    """Polar split over the grouped D^4 virtual space plus structure checks:
+    the null-space match and the commutants.  The sideways Clifford form is
+    ``clifford_magic_decompose`` of the split."""
     check_peps_mf_symmetry(A, tol).require("PEPS MF symmetry fails with residual %.3e")
-    split = polar_structure(A, tol, PepsPolarSplit)
-    try:
-        split.clifford = clifford_form(split, A.basis)
-    except (NonPrimeDimensionError, NonGroupBasisError, SymmetryError, SizeGuardError) as exc:
-        split.clifford_error = str(exc)
-    return split
+    return polar_structure(A, tol)
 
 
 def topo_pattern(basis: MFBasis, m_idx: int) -> np.ndarray:

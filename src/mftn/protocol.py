@@ -156,7 +156,10 @@ def _sample_chain_bonds(transfers, basis, boundary, rng):
     outcomes, probs = [], []
     for b in range(n if boundary == "periodic" else n - 1):
         env = env @ transfers[b]
-        env /= np.linalg.norm(env)
+        norm = np.linalg.norm(env)
+        if norm == 0:
+            raise SymmetryError("projected state has zero norm")
+        env /= norm
         if b == n - 1:
             weights = np.einsum("ab,jba->j", env, links)
         else:
@@ -349,6 +352,8 @@ def enumerate_outcomes(tensors, boundary: str = "open", tol: float = DEFAULT_TOL
     stacks = _site_stacks(tensors)
     # with every bond unmeasured each site is its own closed segment, of norm |A_k|^2
     norm_free = np.prod([np.linalg.norm(s) ** 2 for s in stacks])
+    if norm_free == 0:
+        raise SymmetryError("projected state has zero norm")
     projectors = [bond_projector(basis, j) for j in range(D * D)]
     # A^i P_j: each site stack with outcome j measured on the bond to its right
     measured = per_distinct(stacks, lambda s: [s @ p for p in projectors])
@@ -651,7 +656,7 @@ class PepsPatch:
         """
         boundary_legs = 4 * self.rows * self.cols - 2 * len(self.ends)
         if self.D**boundary_legs * math.prod(a.d for row in self.grid for a in row) > MAX_DENSE_ELEMENTS:
-            raise SizeGuardError("dense patch state exceeds 2^22 amplitudes")
+            raise SizeGuardError(f"dense patch state exceeds {MAX_DENSE_ELEMENTS} amplitudes")
         ket_mods = ket_mods or {}
         ket_bonds = ket_bonds or {}
         fresh = itertools.count()
@@ -850,10 +855,10 @@ def _trial_front(patch: PepsPatch) -> int:
     # sampled bond's outcome leg
     front = (patch.D * patch.D) ** (min(patch.rows, patch.cols) + 2)
     if front > MAX_DENSE_ELEMENTS:
-        raise SizeGuardError("patch's contraction front exceeds 2^22 elements")
+        raise SizeGuardError(f"patch's contraction front exceeds {MAX_DENSE_ELEMENTS} elements")
     # every bond's draw and the two fidelity overlaps sweep each site through the front
     if (len(patch.bonds()) + 2) * patch.rows * patch.cols * front > MAX_TRIAL_WORK:
-        raise SizeGuardError("patch's trial work exceeds 2^30 front elements swept")
+        raise SizeGuardError(f"patch's trial work exceeds {MAX_TRIAL_WORK} front elements swept")
     return front
 
 

@@ -98,7 +98,7 @@ def test_criterion_2_aklt_structure():
             ok = ok and np.linalg.norm((lhs - bare) @ w) < 1e-10
         ok = ok and np.linalg.norm((lhs - bare) @ singlet) > 0.5
         ok = ok and np.linalg.norm(lhs - bare @ split.R) < 1e-10
-    form = clifford_magic_decompose(split, WH2)
+    form = clifford_magic_decompose(split)
     ok = ok and form.reconstruction_residual < 1e-9
     ok = ok and not is_stabilizer_state(form.psi, 2, 2)
     elapsed = time.monotonic() - t0

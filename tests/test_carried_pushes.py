@@ -4,8 +4,9 @@
 down-leg (B-type) ones from Q's left/down swap symmetry; ``PepsPatch`` reads
 its up/right push tables from the pushes ``complete_with_isometry`` carries
 over.  The search they replace, ``solve_push_table``, is the oracle: the same
-images, and each u within 1e-12.  Slots and tensors the carried pushes do not
-cover must still reach the search.
+images, and each u within 1e-12, or within 100 eps cond(Q) for a random Q whose
+round-off exceeds that.  Slots and tensors the carried pushes do not cover must
+still reach the search.
 """
 
 import json
@@ -69,11 +70,19 @@ def psd_alphas(draw):
     return basis, spectral_alpha(basis, spectrum)
 
 
-def assert_tables_equal(got, want):
+def range_condition(m):
+    """cond(m) on its range: the largest singular value over the smallest one
+    that numpy's ``matrix_rank`` cut keeps, as ``solve_pushes`` cuts."""
+    s = np.linalg.svd(m, compute_uv=False)
+    s = s[s > s[0] * max(m.shape) * np.finfo(s.dtype).eps]
+    return s[0] / s[-1]
+
+
+def assert_tables_equal(got, want, atol=ATOL):
     assert sorted(got) == sorted(want)
     for k, (u, c1, c2) in want.items():
         assert got[k][1:] == (c1, c2)
-        assert np.abs(got[k][0] - u).max() <= ATOL
+        assert np.abs(got[k][0] - u).max() <= atol
 
 
 # -- B-type pushes from the left/down swap -----------------------------------
@@ -86,11 +95,16 @@ def assert_tables_equal(got, want):
 # LAPACK's gesdd does not converge on the first stacked 81 x 81 product of this search
 # (one BLAS thread); the search then factors the stack's conjugate transpose
 @example(alpha=random_complex(np.random.default_rng(67108863), 9))
+# u parts from the search by 1.0e-12 at cond(Q) 194 and by 3.9e-12 at cond(Q) 581 (one BLAS
+# thread): round-off of order eps x cond(Q), as on the carried path (``psd_alphas``)
+@example(alpha=random_complex(np.random.default_rng(220156), 9))
+@example(alpha=random_complex(np.random.default_rng(3882100052), 9))
 def test_derived_b_pushes_equal_searched(alpha):
     q = topo_solution(WH2 if len(alpha) == 4 else WH3, alpha)
     searched = solve_push_table(q, 3, UP_RIGHT)
     assert [c.p_in for c in q.constraints_b] == sorted(searched)
-    assert_tables_equal({c.p_in: (c.u_phys, c.out_up, c.out_right) for c in q.constraints_b}, searched)
+    atol = max(ATOL, 100 * np.finfo(float).eps * range_condition(q.as_matrix()))
+    assert_tables_equal({c.p_in: (c.u_phys, c.out_up, c.out_right) for c in q.constraints_b}, searched, atol)
 
 
 # -- push tables from carried pushes -----------------------------------------

@@ -19,7 +19,7 @@ from mftn.basis import MFBasis, weyl_heisenberg_basis
 from mftn.errors import SizeGuardError
 from mftn.mps import solve_symmetry_family, spt_solution
 from mftn.peps import topo_solution
-from mftn.tensors import DEFAULT_TOL, VERDICT_FLOOR, DenseTensor
+from mftn.tensors import DEFAULT_TOL, MAX_DENSE_ELEMENTS, VERDICT_FLOOR, DenseTensor
 
 
 def run(capsys, argv):
@@ -360,9 +360,9 @@ class TestDispatch:
         assert peak < 4**7 * 16  # smaller than one complex 7-site input
 
     @pytest.mark.parametrize("argv,error", [
-        (["mpo", "apply", "--basis", "WH:4", "--sites", "5"], "exceed 2^22 amplitudes"),
-        (["block", "--tensor", "aklt", "--k", "8"], "past 2^22 elements"),
-        (["solve-family", "--constraints", CONSTRAINTS, "--d", "2000"], "exceeds 2^22 elements"),
+        (["mpo", "apply", "--basis", "WH:4", "--sites", "5"], f"exceed {MAX_DENSE_ELEMENTS} amplitudes"),
+        (["block", "--tensor", "aklt", "--k", "8"], f"past {MAX_DENSE_ELEMENTS} elements"),
+        (["solve-family", "--constraints", CONSTRAINTS, "--d", "2000"], f"exceeds {MAX_DENSE_ELEMENTS} elements"),
     ], ids=["mpo-apply-WH:4-5-sites", "block-aklt-k8", "solve-family-d2000"])
     def test_size_guards_refuse_within_an_address_space_cap(self, argv, error):
         """Unguarded, these die in numpy's allocator under a 2 GiB cap, with no report."""
@@ -386,7 +386,7 @@ class TestDispatch:
 
     def test_mpo_guard_accepts_four_wh4_sites(self):
         mpo_mod.check_protocol_sites(4, 16, 4)  # a run holds 16 branches of 2^20 amplitudes
-        with pytest.raises(SizeGuardError, match="2\\^22"):
+        with pytest.raises(SizeGuardError, match=f"exceed {MAX_DENSE_ELEMENTS} amplitudes"):
             mpo_mod.check_protocol_sites(6, 9, 3)
 
     @pytest.mark.parametrize("argv", [["--basis", "WH:100"], ["--basis", "WH:3", "--composite", "WH:6"]],
@@ -422,7 +422,7 @@ class TestDispatch:
         rep = report_of(out)
         assert code == 1
         assert {"name": "completed", "passed": False} in rep["checks"]
-        assert "exceeds 2^22 elements" in rep["outputs"]["error"]
+        assert f"exceeds {MAX_DENSE_ELEMENTS} elements" in rep["outputs"]["error"]
         assert peak < 1 << 20
 
     def test_transfer_refuses_a_spectrum_that_overflows(self, capsys):
@@ -516,8 +516,8 @@ class TestArguments:
             assert flags - {"-h", "--help", "--tol"} == FLAGS_READ[name], name
 
 
-def _aklt_spec_with_p_in(p_in):
-    """The AKLT chain spec with its first constraint's p_in replaced."""
+def _aklt_spec_with_p_in(p_in, scale=1.0):
+    """The AKLT chain spec with its first constraint's p_in ("I") replaced and its tensor scaled."""
     from mftn import fixtures
     from mftn.tensors import DenseTensor
 
@@ -526,7 +526,8 @@ def _aklt_spec_with_p_in(p_in):
                     "u_phys": DenseTensor(c.u_phys, ("row", "col")).to_json()}
                    for c in A.constraints]
     constraints[0]["p_in"] = p_in
-    return json.dumps({"basis": "WH:2", "tensor": A.tensor.to_json(), "constraints": constraints})
+    tensor = DenseTensor(scale * A.tensor.data, A.tensor.legs).to_json()
+    return json.dumps({"basis": "WH:2", "tensor": tensor, "constraints": constraints})
 
 
 class TestBasisIndices:
@@ -611,6 +612,21 @@ class TestMalformedNumbers:
         code, out = run(capsys, ["basis", "--basis", "WH:2", "--composite", "WH:3", "--mode", "mixed_clock"])
         assert code == 1
         assert "only for WH:2 with WH:2" in report_of(out)["outputs"]["error"]
+
+
+class TestZeroNormChain:
+    """An all-zero tensor carrying the AKLT constraints passes the symmetry check, as every
+    residual is 0; its chain state has zero norm, so Born weights are refused before 0 / 0."""
+
+    @pytest.mark.parametrize("extra", [
+        ["--enumerate", "--boundary", "periodic"], [], ["--boundary", "periodic"],
+    ], ids=["enumerate-periodic", "sample-open", "sample-periodic"])
+    def test_exits_one_with_strict_json(self, capsys, extra):
+        argv = ["simulate", "--chain", _aklt_spec_with_p_in("I", scale=0.0), "--sites", "3"] + extra
+        code, out = run(capsys, argv)
+        assert code == 1
+        rep = json.loads(out, parse_constant=_refuse_constant)
+        assert rep["outputs"]["error"] == "projected state has zero norm"
 
 
 # every public function of mftn, with the one subcommand that reaches it
@@ -996,7 +1012,7 @@ class TestOutWriters:
         path = tmp_path / "u.json"
         proc = capped("--out", str(path))
         assert proc.returncode == 1, proc.stderr
-        assert "exceeds 2^22 elements" in report_of(proc.stdout)["outputs"]["error"]
+        assert f"exceeds {MAX_DENSE_ELEMENTS} elements" in report_of(proc.stdout)["outputs"]["error"]
         assert not path.exists()
 
 
@@ -1014,7 +1030,7 @@ class TestCliffordSkipped:
         assert _checks(rep)["q_commutants"]["passed"]
         assert "clifford_form" not in _checks(rep)
         assert rep["outputs"]["rank"] == 27
-        assert "dense 729 x 729 Clifford exceeds" in rep["outputs"]["clifford_skipped"]
+        assert rep["outputs"]["clifford_skipped"] == "a dense 729 x 729 Clifford exceeds 531440 elements"
 
     def test_a_composite_dimension_is_reported(self, capsys):
         alpha = [[1, 0] if k % 4 == 0 else [0, 0] for k in range(16)]

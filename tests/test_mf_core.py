@@ -3,7 +3,7 @@
 MPS and PEPS tensors compute their symmetry residuals, commutants, push
 tables, polar splits and sideways Clifford forms through one implementation
 (``mps.symmetry_report``, ``polar_structure``, ``solve_pushes`` and
-``clifford_form``).  The references below spell each quantity out with
+``clifford_magic_decompose``).  The references below spell each quantity out with
 ``np.kron`` for the two-leg and the four-leg case separately, as the
 per-geometry code did, and are checked on random coefficient vectors alpha.
 The Clifford forms are also checked to be independent of the scale of Q.
@@ -177,7 +177,7 @@ def test_spt_core_matches_kron_formulas(basis, examples):
                 for c, s in zip(A.constraints, mps_commutants(A))]
         np.testing.assert_allclose(corr.residuals, want, atol=1e-10)
 
-        form = clifford_magic_decompose(split, basis)
+        form = clifford_magic_decompose(split)
         assert form.reconstruction_residual < 1e-9
         el = basis.elements
 
@@ -228,8 +228,8 @@ def test_topo_core_matches_kron_formulas_wh2(alpha):
     check_polar(split, A.as_matrix())
     ref_a, ref_b = peps_commutants(A)
     np.testing.assert_allclose(split.commutant_residuals, commutant_residuals(split.Q, ref_a + ref_b), atol=TOL)
-    assert split.clifford is not None, split.clifford_error
-    assert split.clifford.reconstruction_residual < 1e-9
+    form = clifford_magic_decompose(split)
+    assert form.reconstruction_residual < 1e-9
     el = WH2.elements
 
     def image(kind):
@@ -244,7 +244,7 @@ def test_topo_core_matches_kron_formulas_wh2(alpha):
             return np.kron(functools.reduce(np.kron, inner), np.kron(p1.T, p2.T))
         return image_of
 
-    check_generator_images(split.clifford, WH2, [(4, image("a")), (5, image("b"))], 4)
+    check_generator_images(form, WH2, [(4, image("a")), (5, image("b"))], 4)
 
 
 @settings(max_examples=2, deadline=None)
@@ -261,12 +261,12 @@ def test_topo_core_matches_kron_formulas_wh3(alpha):
 @pytest.mark.parametrize("scale", [1e-13, 1e-150])
 def test_clifford_forms_do_not_depend_on_the_scale_of_q(scale):
     alpha = np.array([1, 0.3, 0.2j, 0.5])
-    for make, form_of in (
-        (spt_solution, lambda A: clifford_magic_decompose(split_polar(A), WH2)),
-        (topo_solution, lambda A: peps_split_polar(A).clifford),
+    for make, split_of in (
+        (spt_solution, split_polar),
+        (topo_solution, peps_split_polar),
     ):
-        want, got = form_of(make(WH2, alpha)), form_of(make(WH2, scale * alpha))
-        assert got is not None and got.reconstruction_residual < 1e-9
+        want, got = (clifford_magic_decompose(split_of(make(WH2, a))) for a in (alpha, scale * alpha))
+        assert got.reconstruction_residual < 1e-9
         np.testing.assert_allclose(got.u_c, want.u_c, atol=1e-12)
         np.testing.assert_allclose(got.psi, want.psi, atol=1e-12)
         assert got.scale == pytest.approx(scale * want.scale, rel=1e-9)

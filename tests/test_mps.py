@@ -231,7 +231,7 @@ class TestCliffordMagic:
         from mftn.clifford import is_clifford
 
         split = split_polar(aklt_tensor())
-        form = clifford_magic_decompose(split, wh2)
+        form = clifford_magic_decompose(split)
         assert form.reconstruction_residual < 1e-9
         assert is_clifford(form.u_c, 3, 2)
         assert abs(np.linalg.norm(form.psi) - 1.0) < 1e-12
@@ -241,7 +241,7 @@ class TestCliffordMagic:
         blocked = block(cluster_tensor(), 2)
         assert map_order(cluster_tensor()).order == 2
         split = split_polar(blocked)
-        form = clifford_magic_decompose(split, wh2)
+        form = clifford_magic_decompose(split)
         assert form.reconstruction_residual < 1e-9
         assert is_stabilizer_state(form.psi, 2, 2)
 
@@ -249,7 +249,7 @@ class TestCliffordMagic:
         alpha = np.zeros(4)
         alpha[wh2.index("I")] = 1.0
         q = spt_solution(wh2, alpha)
-        form = clifford_magic_decompose(split_polar(q), wh2)
+        form = clifford_magic_decompose(split_polar(q))
         assert form.reconstruction_residual < 1e-9
         assert is_stabilizer_state(form.psi, 2, 2)
 

@@ -8,7 +8,7 @@ import pytest
 from mftn import mps, peps
 from mftn.basis import weyl_heisenberg_basis
 from mftn.errors import SizeGuardError, SymmetryError
-from mftn.mps import is_stabilizer_state, leg_operator
+from mftn.mps import clifford_magic_decompose, is_stabilizer_state, leg_operator
 from mftn.peps import (
     PEPSTensor,
     TopoSymmetrySpec,
@@ -148,26 +148,25 @@ class TestSplitPolar:
         split = peps_split_polar(q)
         assert split.null_space_match
         assert max(split.commutant_residuals) < 1e-9
-        assert split.clifford is not None
-        assert split.clifford.reconstruction_residual < 1e-9
+        form = clifford_magic_decompose(split)
+        assert form.reconstruction_residual < 1e-9
         from mftn.clifford import is_clifford
 
-        assert is_clifford(split.clifford.u_c, 6, 2)
-        assert is_stabilizer_state(split.clifford.psi, 4, 2)
+        assert is_clifford(form.u_c, 6, 2)
+        assert is_stabilizer_state(form.psi, 4, 2)
 
     def test_charged_tensor(self, wh2):
         q = topo_solution(wh2, x_power_alpha(wh2, charge=1))
         split = peps_split_polar(q)
         assert split.null_space_match
         assert max(split.commutant_residuals) < 1e-9
-        assert split.clifford is not None and split.clifford.reconstruction_residual < 1e-9
+        assert clifford_magic_decompose(split).reconstruction_residual < 1e-9
 
     def test_interpolated_psi_has_magic(self, wh2):
         q = topo_solution(wh2, interpolated_alpha(wh2, 0.3))
-        split = peps_split_polar(q)
-        assert split.clifford is not None
-        assert split.clifford.reconstruction_residual < 1e-9
-        assert not is_stabilizer_state(split.clifford.psi, 4, 2)
+        form = clifford_magic_decompose(peps_split_polar(q))
+        assert form.reconstruction_residual < 1e-9
+        assert not is_stabilizer_state(form.psi, 4, 2)
 
     def test_qutrit_parts_i_ii(self, wh3):
         q = topo_solution(wh3, x_power_alpha(wh3))
